@@ -13,6 +13,7 @@ Field names and flag formats are frozen; see docs/schema.md.
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -445,6 +446,13 @@ def _verify_cell(d: int, t: int, row: dict):
         raise SweepVerifyError(f"cell d={d} t={t}: fm={row['fm']} < 1")
 
 
+def _sweep_workers(jobs: int, n_cells: int) -> int:
+    """Worker processes for a sweep: --jobs capped by the CPUs and cells."""
+    if jobs < 1:
+        raise InvalidParameterError(f"--jobs must be a positive integer, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, n_cells)
+
+
 def _cmd_sweep(args):
     if args.t_min < 1:
         raise InvalidParameterError("--t-min must be a positive integer")
@@ -455,10 +463,11 @@ def _cmd_sweep(args):
         for d in range(lo, hi + 1):
             cells.append((d, t))
     worker = partial(sweep_cell, formula_only=args.formula_only, verify=args.verify)
-    if args.jobs > 1 and len(cells) > 1:
+    workers = _sweep_workers(args.jobs, len(cells))
+    if workers > 1:
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
+        with Pool(workers) as pool:
             rows = pool.map(worker, cells)
     else:
         rows = [worker(cell) for cell in cells]

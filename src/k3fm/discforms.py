@@ -205,24 +205,27 @@ class DFIsometry:
             ),
         )
 
-    def apply(self, elem: DFElement) -> DFElement:
-        if elem.form != self.domain:
-            raise InvalidElementError("element not in the isometry's domain")
+    def _map(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """Image of a domain coordinate tuple, as codomain coordinates not
+        yet reduced (DFElement and DFIsometry reduce on construction)."""
         out = [0] * self.codomain.rank
-        for c, img in zip(elem.coords, self.images):
+        for c, img in zip(coords, self.images):
             if c:
                 for j, x in enumerate(img):
                     out[j] += c * x
-        return DFElement(self.codomain, tuple(out))
+        return tuple(out)
+
+    def apply(self, elem: DFElement) -> DFElement:
+        if elem.form != self.domain:
+            raise InvalidElementError("element not in the isometry's domain")
+        return DFElement(self.codomain, self._map(elem.coords))
 
     def compose(self, other: "DFIsometry") -> "DFIsometry":
         """self after other."""
         if other.codomain != self.domain:
             raise InvalidIsometryError("isometries do not compose")
         return DFIsometry(
-            other.domain,
-            self.codomain,
-            tuple(self.apply(DFElement(self.domain, img)).coords for img in other.images),
+            other.domain, self.codomain, tuple(self._map(img) for img in other.images)
         )
 
     def is_identity(self) -> bool:
@@ -575,23 +578,7 @@ def isometry_group(form: FiniteQuadForm, cap: int | None = None) -> tuple[DFIsom
     order, filtered by q on generators, pairing across generators and
     surjectivity prime by prime.  Budgeted by |A|.
     """
-    if cap is None:
-        cap = budget.isometry_cap()
-    if form.size > cap:
-        raise CapacityError(
-            f"isometry enumeration budget is |A| <= {cap} "
-            f"(K3FM_BUDGET overrides); got |A| = {form.size}",
-            cap,
-        )
-    if form.rank == 0:
-        return (identity_isometry(form),)
-    if form.rank > 2:
-        isos = _isometries_generic(form, form, first_only=False)
-        return tuple(sorted(isos, key=lambda s: s.images))
-    args = _kernel_setup(form, form)
-    hits = kernels.scan_isometries(*args, first_only=False)
-    isos = [_wrap_isometry(form, form, form.rank, h) for h in hits]
-    return tuple(sorted(isos, key=lambda s: s.images))
+    return _isometries(form, form, cap, first_only=False)
 
 
 def isometry_between(
@@ -600,10 +587,17 @@ def isometry_between(
     """One isometry from ``source`` onto ``target`` or None.
 
     The generator orders must agree exactly (they are the group's Smith
-    invariants, so this loses nothing).
+    invariants, so this loses nothing).  Equal forms give the identity.
     """
+    isos = _isometries(source, target, cap, first_only=True)
+    return isos[0] if isos else None
+
+
+def _isometries(source, target, cap, first_only) -> tuple[DFIsometry, ...]:
+    """Isometries from ``source`` onto ``target``, sorted by images; at
+    most one when ``first_only``."""
     if source.orders != target.orders:
-        return None
+        return ()
     if cap is None:
         cap = budget.isometry_cap()
     if source.size > cap:
@@ -612,18 +606,16 @@ def isometry_between(
             f"(K3FM_BUDGET overrides); got |A| = {source.size}",
             cap,
         )
+    if first_only and source == target:
+        return (identity_isometry(source),)
     if source.rank == 0:
-        return DFIsometry(source, target, ())
-    if source == target:
-        return identity_isometry(source)
+        return (DFIsometry(source, target, ()),)
     if source.rank > 2:
-        isos = _isometries_generic(source, target, first_only=True)
-        return isos[0] if isos else None
+        return _isometries_generic(source, target, first_only)
     args = _kernel_setup(target, source)
-    hits = kernels.scan_isometries(*args, first_only=True)
-    if not hits:
-        return None
-    return _wrap_isometry(source, target, source.rank, hits[0])
+    hits = kernels.scan_isometries(*args, first_only=first_only)
+    isos = [_wrap_isometry(source, target, source.rank, h) for h in hits]
+    return tuple(sorted(isos, key=lambda s: s.images))
 
 
 def _isometries_generic(source, target, first_only):
@@ -667,4 +659,4 @@ def _isometries_generic(source, target, first_only):
                 chosen.pop()
 
     rec(0)
-    return sorted(out, key=lambda s: s.images)
+    return tuple(sorted(out, key=lambda s: s.images))

@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from . import budget, kernels
-from .discforms import DFElement, DFIsometry, neg_identity, ns_form
+from .discforms import DFElement, DFIsometry, _kernel_setup, neg_identity, ns_form
 from .errors import (
     CapacityError,
     InvalidElementError,
@@ -170,16 +170,7 @@ def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
         )
     if form.rank == 0:
         return [LagrangianElement(form.zero())]
-    den = form.denominator()
-    if form.rank == 1:
-        n1, n2 = 1, form.orders[0]
-        q1, b12 = 0, 0
-        q2 = int(form.q_gen[0] * den) % (2 * den)
-    else:
-        n1, n2 = form.orders
-        q1 = int(form.q_gen[0] * den) % (2 * den)
-        q2 = int(form.q_gen[1] * den) % (2 * den)
-        b12 = int(form.b_matrix[0][1] * den) % den
+    n1, n2, den, q1, q2, b12 = _kernel_setup(form, form)[:6]
     hits = kernels.scan_isotropic_elements(n1, n2, q1, q2, b12, den, t)
     if form.rank == 1:
         return [LagrangianElement(form.element((c2,))) for _, c2 in hits]

@@ -208,7 +208,8 @@ def coprime_jacobian_classes(t: int, b_group) -> tuple[int, tuple[int, ...]]:
         seen |= coset
         reps.append(min(coset))
     reps.sort()
-    assert len(reps) == totient(t) // len(b)
+    if len(reps) != totient(t) // len(b):
+        raise RuntimeError("coset count disagrees with phi(t)/|B|")
     return len(reps), tuple(reps)
 
 
@@ -428,29 +429,23 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     one summand O(L) \\ O(A_L) / G per isometry class L in the genus.
 
     The O(L) image is computed from the actual lattice isometries, not
-    from a closed-form rule; G is transported to the other genus members
-    through any discriminant-form isometry (the count is independent of
-    the choice).
+    from a closed-form rule.  For a genus member L with form A_L, any one
+    isometry phi: A -> A_L gives Isom(A, A_L) = phi O(A), and the summand
+    counts the orbits of x -> u x s on that set (u in the O(L) image, s in
+    G), which are the double cosets O(L) \\ O(A_L) / phi G phi^-1.
     """
     nf = ns_form(d, t)
     if g.generator.domain != nf.form:
         raise InvalidIsometryError("G does not act on this family member")
+    own = isometry_group(nf.form)
+    right = g.image_elements()
     total = 0
     for e in genus_representatives(d, t):
-        nfe = ns_form(e, t)
-        ambient = isometry_group(nfe.form)
-        left = o_lambda_image(e, t)
-        if nfe.form == nf.form:
-            right = g.image_elements()
-        else:
-            phi = isometry_between(nf.form, nfe.form)
-            if phi is None:
-                raise RuntimeError("genus member lost its form isometry")
-            phi_inv = phi.inverse()
-            right = tuple(
-                phi.compose(s).compose(phi_inv) for s in g.image_elements()
-            )
-        total += _double_coset_count(ambient, left, right)
+        phi = isometry_between(nf.form, ns_form(e, t).form)
+        if phi is None:
+            raise RuntimeError("genus member lost its form isometry")
+        ambient = tuple(phi.compose(x) for x in own)
+        total += _double_coset_count(ambient, o_lambda_image(e, t), right)
     return total
 
 

@@ -375,6 +375,21 @@ def test_criterion_06_fm_counting():
     _report(6, "Fourier-Mukai counts vs brute double-coset oracle", start)
 
 
+# 6b. fm counts on the cyclic-group grid: every odd t in 3..19 and every d
+#     with gcd(2d, t) = 1, against the same from-scratch oracle.  Most of
+#     these cells have genus members whose form differs from their own.
+def test_criterion_06b_fm_counting_cyclic_grid():
+    start = time.perf_counter()
+    cells = [
+        (d, t) for t in range(3, 20, 2) for d in range(t) if gcd(2 * d, t) == 1
+    ]
+    assert len(cells) == 82
+    for d, t in cells:
+        oracle, _ = _oracle_fm_cyclic(d, t)
+        assert fm_count(d, t, GSpec.sign_group(ns_form(d, t).form)) == oracle, (d, t)
+    _report(6, "Fourier-Mukai counts on the gcd(2d, t) = 1 grid, t <= 19", start)
+
+
 # 7. Jacobian calculus laws over k in [0, 4t).
 def test_criterion_07_jacobian_calculus():
     start = time.perf_counter()

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import k3fm
-from k3fm.cli import SWEEP_FIELDS, SweepVerifyError, main
+from k3fm.cli import SWEEP_FIELDS, SweepVerifyError, _sweep_workers, main
 
 
 def run_cli(argv, capsys):
@@ -320,6 +320,27 @@ def test_sweep_parallel_matches_serial(capsys):
     code, parallel, _ = run_cli(argv + ["--jobs", "3"], capsys)
     assert code == 0
     assert parallel == serial
+
+
+def test_sweep_jobs_below_one_rejected(capsys):
+    for jobs in ("0", "-5"):
+        code, out, err = run_cli(
+            ["sweep", "--t-min", "3", "--t-max", "4", "--jobs", jobs], capsys
+        )
+        assert code == 2, jobs
+        assert out == ""
+        assert err.startswith("k3fm: ") and "--jobs" in err
+
+
+def test_sweep_worker_count_capped(monkeypatch):
+    # Only the computed count is checked; no pool is started here.
+    monkeypatch.setattr("k3fm.cli.os.cpu_count", lambda: 4)
+    assert _sweep_workers(100_000, 462) == 4
+    assert _sweep_workers(3, 462) == 3
+    assert _sweep_workers(3, 2) == 2
+    assert _sweep_workers(1, 462) == 1
+    monkeypatch.setattr("k3fm.cli.os.cpu_count", lambda: None)
+    assert _sweep_workers(100_000, 462) == 1
 
 
 def test_sweep_cells_match_single_subcommands(capsys):
