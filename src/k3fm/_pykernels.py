@@ -1,10 +1,9 @@
-"""Pure-Python scan kernels.
+"""Scan kernels.
 
-These are the reference implementations of the two hot loops: walking a
-two-generator group for isotropic elements of a given order, and
-enumerating form-preserving automorphisms.  The compiled twins in
-``_ckernels`` mirror the signatures, the iteration order and the return
-conventions exactly; tests compare the two on a grid.
+The two hot loops: walking a two-generator group for isotropic elements
+of a given order, and enumerating form-preserving automorphisms.  The
+rest of the package calls them through ``kernels``.  Integers are Python
+ints throughout, so inputs of any size stay exact.
 
 All q-values arrive as integer numerators over a common denominator
 ``den``: q lives in Q/2Z so numerators are reduced mod 2*den, the

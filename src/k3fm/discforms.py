@@ -236,13 +236,16 @@ class DFIsometry:
     def order(self) -> int:
         if self.domain != self.codomain:
             raise InvalidIsometryError("order requires an automorphism")
+        # No automorphism of a nontrivial finite group has order >= |G|
+        # (Horosevskii 1974): once self^n is not the identity for some
+        # n + 1 >= |G|, the map is not an automorphism.
         power = self
         n = 1
         while not power.is_identity():
+            if n + 1 >= self.domain.size:
+                raise RuntimeError("automorphism order runaway (not an isometry?)")
             power = self.compose(power)
             n += 1
-            if n > 1_000_000:
-                raise RuntimeError("automorphism order runaway (not an isometry?)")
         return n
 
     def inverse(self) -> "DFIsometry":

@@ -1,47 +1,26 @@
-"""Kernel dispatch: compiled scans when available and safe, else pure Python.
+"""The two scan kernels, as called by the rest of the package.
 
-The compiled module is optional; the package builds and runs without a C
-compiler.  Dispatch is per call: the compiled kernels work in int64, so any
-call whose inputs reach 2**30 falls back to the arbitrary-precision Python
-twin.  Set ``K3FM_PURE_PYTHON=1`` to force the fallback globally (the
-benchmark and the equivalence tests use this).
+There is one implementation, the arbitrary-precision Python one in
+``_pykernels``; this module only forwards to it.  It stays a module of
+its own because the benchmark harness (``perfbench/run.py`` and
+``perfbench/tracing.py``) imports ``compiled_available`` and traces the
+two ``scan_*`` names here.  It can go once the harness stops importing it.
 """
-
-import os
 
 from . import _pykernels
 
-try:
-    from . import _ckernels
-except ImportError:  # pragma: no cover - depends on build environment
-    _ckernels = None
-
-_C_LIMIT = 1 << 30
-
 
 def compiled_available() -> bool:
-    return _ckernels is not None
-
-
-def _route(*values) -> bool:
-    if _ckernels is None or os.environ.get("K3FM_PURE_PYTHON"):
-        return False
-    return all(0 <= v < _C_LIMIT for v in values)
+    """Always False: there is no compiled kernel."""
+    return False
 
 
 def scan_isotropic_elements(n1, n2, q1, q2, b12, den, order):
-    if _route(n1, n2, q1, q2, b12, den, order):
-        return _ckernels.scan_isotropic_elements(n1, n2, q1, q2, b12, den, order)
     return _pykernels.scan_isotropic_elements(n1, n2, q1, q2, b12, den, order)
 
 
 def scan_isometries(n1, n2, den, q1, q2, b12, want_q1, want_q2, want_b12,
                     primes1, primes2, first_only=False):
-    if _route(n1, n2, den, q1, q2, b12, want_q1, want_q2, want_b12):
-        return _ckernels.scan_isometries(
-            n1, n2, den, q1, q2, b12, want_q1, want_q2, want_b12,
-            list(primes1), list(primes2), first_only,
-        )
     return _pykernels.scan_isometries(
         n1, n2, den, q1, q2, b12, want_q1, want_q2, want_b12,
         list(primes1), list(primes2), first_only,

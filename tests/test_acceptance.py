@@ -8,6 +8,7 @@ exhaustive integer matrix searches and direct double-coset partitions.
 The library under test only supplies the values being judged.
 """
 
+import functools
 import json
 import time
 from fractions import Fraction
@@ -217,8 +218,13 @@ def test_criterion_05_de_formulas():
 # --- criterion 6 oracle: everything below is built from scratch ---------
 
 
-def _brute_matrices(e, t):
-    """Self-isometries of [[2e, t], [t, 0]] by exhaustive vector search."""
+def _brute_matrices(e, t, source=None):
+    """Isometries of [[2s, t], [t, 0]] onto [[2e, t], [t, 0]] (s = ``source``,
+    by default e) by exhaustive vector search, as the images (v, w) of H
+    and F.  The box holds every solution for s, e in [0, t): an isotropic
+    w is +-F or +-(t, -e)/gcd(e, t), and then v is (1, (s - e)/t) or has
+    H-coordinate +-s/gcd(e, t) and F-coordinate at most e + 1 in size."""
+    s = e if source is None else source
     bound = 2 * t + 2 * e + 3
 
     def sq(v):
@@ -229,7 +235,7 @@ def _brute_matrices(e, t):
 
     box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
     ws = [w for w in box if sq(w) == 0]
-    vs = [v for v in box if sq(v) == 2 * e]
+    vs = [v for v in box if sq(v) == 2 * s]
     out = []
     for w in ws:
         for v in vs:
@@ -357,6 +363,116 @@ def _oracle_fm_05():
     return _double_coset_partition(mats, left, right, mul)
 
 
+# --- criterion 6c oracle: any (d, t), with A = Z^2 / G Z^2 ----------------
+
+
+def _disc_element(e, t, x, y):
+    """The class of (x, y) in A = Z^2 / G Z^2 for G = [[2e, t], [t, 0]].
+
+    G^-1 (x, y) is the dual vector (y/t) H + ((tx - 2ey)/t^2) F, and L^*/L
+    = G^-1 Z^2 / Z^2.  An element is stored as the two numerators over
+    t^2 of that vector, each mod t^2.
+    """
+    tt = t * t
+    return (y * t % tt, (x * t - 2 * e * y) % tt)
+
+
+@functools.lru_cache(maxsize=None)
+def _disc_group(e, t):
+    """Every element of A_e, mapped to one (x, y) whose class it is."""
+    coords = {}
+    for x in range(t):  # (t, 0) and (0, t^2) lie in G Z^2
+        for y in range(t * t):
+            coords.setdefault(_disc_element(e, t, x, y), (x, y))
+    assert len(coords) == t * t
+    return coords
+
+
+def _disc_q(e, t, u):
+    """q(u) = u.u in L_e, as a numerator over t^4 mod 2 t^4."""
+    return (2 * e * u[0] * u[0] + 2 * t * u[0] * u[1]) % (2 * t**4)
+
+
+def _disc_b(e, t, u, w):
+    """b(u, w) = u.w in L_e, as a numerator over t^4 mod t^4."""
+    return (2 * e * u[0] * w[0] + t * (u[0] * w[1] + u[1] * w[0])) % t**4
+
+
+def _comb(t, x, u, y, w):
+    """x u + y w, numerators reduced mod t^2."""
+    tt = t * t
+    return ((x * u[0] + y * w[0]) % tt, (x * u[1] + y * w[1]) % tt)
+
+
+def _disc_apply(e, t, f, u):
+    """f(u) for u in A_e, f given by the images of the two generators."""
+    x, y = _disc_group(e, t)[u]
+    return _comb(t, x, f[0], y, f[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_disc_isometries(src, dst, t, first_only=False):
+    """Every q-preserving isomorphism A_src -> A_dst, as the images
+    (h1, h2) of the classes of (1, 0) and (0, 1).
+
+    A pair is a homomorphism when it kills the relations of Z^2 / G Z^2,
+    the columns (2 src, t) and (t, 0) of G.  It is onto, hence bijective,
+    when x h1 + y h2 covers A_dst, and it preserves q on all of A_src when
+    it preserves q on both generators and their pairing.
+    """
+    tt = t * t
+    g1, g2 = _disc_element(src, t, 1, 0), _disc_element(src, t, 0, 1)
+    want = (_disc_q(src, t, g1), _disc_q(src, t, g2), _disc_b(src, t, g1, g2))
+    targets = sorted(_disc_group(dst, t))
+    out = []
+    for h1 in targets:
+        if _disc_q(dst, t, h1) != want[0] or _comb(t, t, h1, 0, h1) != (0, 0):
+            continue
+        for h2 in targets:
+            if (
+                _disc_q(dst, t, h2) != want[1]
+                or _disc_b(dst, t, h1, h2) != want[2]
+                or _comb(t, 2 * src, h1, t, h2) != (0, 0)
+            ):
+                continue
+            image = {_comb(t, x, h1, y, h2) for x in range(t) for y in range(tt)}
+            if len(image) == tt:
+                out.append((h1, h2))
+                if first_only:
+                    return tuple(out)
+    return tuple(out)
+
+
+def _oracle_fm(d, t):
+    """Partner count for any d in [0, t): the genus is every e whose A_e
+    is isometric to A_d (all share signature (1, 1)), split into lattice
+    classes by exhaustive isometry search, and each class L_e adds the
+    double cosets O(L_e) \\ O(A_e) / {+-1}."""
+    members = [e for e in range(t) if _brute_disc_isometries(e, d, t, True)]
+    reps = []
+    for e in members:
+        if not any(_brute_matrices(r, t, e) for r in reps):
+            reps.append(e)
+    total = 0
+    for e in reps:
+        g1, g2 = _disc_element(e, t, 1, 0), _disc_element(e, t, 0, 1)
+
+        def mul(f, g, e=e):  # f after g
+            return tuple(_disc_apply(e, t, f, u) for u in g)
+
+        ambient = _brute_disc_isometries(e, e, t)
+        # a lattice isometry (H, F) -> (v, w) moves a dual vector a H + b F
+        # to a v + b w
+        left = sorted(
+            {(_comb(t, g1[0], v, g1[1], w), _comb(t, g2[0], v, g2[1], w))
+             for v, w in _brute_matrices(e, t)}
+        )
+        assert set(left) <= set(ambient), (d, t, e)
+        right = [(g1, g2), (_comb(t, -1, g1, 0, g1), _comb(t, -1, g2, 0, g2))]
+        total += _double_coset_partition(ambient, left, right, mul)
+    return total, reps
+
+
 # 6. fm counts for sections and for the two worked t = 5 members, against
 #    the from-scratch double-coset oracle.
 def test_criterion_06_fm_counting():
@@ -388,6 +504,28 @@ def test_criterion_06b_fm_counting_cyclic_grid():
         oracle, _ = _oracle_fm_cyclic(d, t)
         assert fm_count(d, t, GSpec.sign_group(ns_form(d, t).form)) == oracle, (d, t)
     _report(6, "Fourier-Mukai counts on the gcd(2d, t) = 1 grid, t <= 19", start)
+
+
+# 6c. fm counts where A is not cyclic: every cell with 2 <= t <= 12 and
+#     gcd(2d, t) > 1, against the oracle on Z^2 / G Z^2.  That oracle needs
+#     no cyclic generator; it first has to agree with the hand-written
+#     (0, 5) oracle and with the cyclic one on cyclic cells.
+def test_criterion_06c_fm_counting_noncyclic_grid():
+    start = time.perf_counter()
+    assert _oracle_fm(0, 5)[0] == _oracle_fm_05()
+    for d, t in ((1, 5), (2, 7), (4, 9)):
+        assert _oracle_fm(d, t) == _oracle_fm_cyclic(d, t), (d, t)
+    cells = [
+        (d, t) for t in range(2, 13) for d in range(t) if gcd(2 * d, t) > 1
+    ]
+    assert len(cells) == 49
+    above_one = 0
+    for d, t in cells:
+        oracle, _ = _oracle_fm(d, t)
+        assert fm_count(d, t, GSpec.sign_group(ns_form(d, t).form)) == oracle, (d, t)
+        above_one += oracle > 1
+    assert above_one == 31
+    _report(6, "Fourier-Mukai counts on the gcd(2d, t) > 1 grid, t <= 12", start)
 
 
 # 7. Jacobian calculus laws over k in [0, 4t).

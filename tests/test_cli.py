@@ -1,8 +1,10 @@
 """CLI surface: byte-exact goldens, canonical-JSON stability, exit codes,
-sweep consistency with the single-cell subcommands, CSV export and the
-parallel path."""
+sweep consistency with the single-cell subcommands, CSV export, the
+parallel path, and JSON output against the library's values."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import random
@@ -12,9 +14,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import k3fm
 from k3fm.cli import SWEEP_FIELDS, SweepVerifyError, _sweep_workers, main
+from k3fm.discforms import ns_form, structure_invariants
+from k3fm.lagrangians import GSpec, count_lagrangians
+from k3fm.lattices import genus_representatives
+from k3fm.surfaces import SurfaceModel, de_counts, fm_count
 
 
 def run_cli(argv, capsys):
@@ -369,3 +377,31 @@ def test_sweep_cells_match_single_subcommands(capsys):
         assert (row["de"], row["de_orbits"]) == (de["de"], de["de_orbits"])
         _, out, _ = run_cli(["fm", "--d", str(d), "--t", str(t), "--json"], capsys)
         assert row["fm"] == json.loads(out)["fm"]
+
+
+def _main_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda t: st.tuples(st.integers(-t, 2 * t), st.just(t))))
+def test_json_matches_library(cell):
+    d, t = cell
+    out = {
+        sub: _main_json([sub, "--d", str(d), "--t", str(t), "--json"])
+        for sub in ("disc", "lagr", "genus", "fm", "de")
+    }
+    for payload in out.values():
+        assert (payload["d"], payload["t"]) == (d, t)
+    nf = ns_form(d, t)
+    assert (out["disc"]["a"], out["disc"]["b"]) == structure_invariants(d, t)
+    assert out["disc"]["orders"] == list(nf.form.orders)
+    assert out["disc"]["q"] == [str(q) for q in nf.form.q_gen]
+    assert (out["lagr"]["elements"], out["lagr"]["subgroups"]) == count_lagrangians(d, t)
+    assert out["genus"]["representatives"] == list(genus_representatives(d, t))
+    assert out["fm"]["fm"] == fm_count(d, t, GSpec.sign_group(nf.form))
+    de = de_counts(SurfaceModel.general(d, t))
+    assert (out["de"]["de"], out["de"]["de_orbits"]) == de

@@ -381,3 +381,20 @@ def test_isometry_compose_order_inverse():
     assert neg.compose(neg).is_identity()
     with pytest.raises(InvalidIsometryError):
         DFIsometry(form, ns_form(1, 5).form, ((1, 0), (0, 1))).order()
+
+
+def test_order_of_a_non_automorphism_stops_at_group_size():
+    # no automorphism of a nontrivial finite group has order >= |G|, so
+    # the zero map on Z/25 is refused after at most 25 powers
+    form = ns_form(1, 5).form
+    assert form.orders == (25,)
+    with pytest.raises(RuntimeError, match="runaway"):
+        DFIsometry(form, form, ((0,),)).order()
+
+
+def test_order_of_doubling_on_z25():
+    form = ns_form(1, 5).form
+    assert DFIsometry(form, form, ((2,),)).order() == 20
+    # order |G| - 1, the largest an automorphism can have
+    z5 = FiniteQuadForm.make((5,), (Fraction(2, 5),), ((Fraction(2, 5),),))
+    assert DFIsometry(z5, z5, ((2,),)).order() == 4
