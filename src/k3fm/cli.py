@@ -27,7 +27,7 @@ from .errors import (
     InvalidSubgroupError,
     K3FMError,
 )
-from .intmath import distinct_primes, totient, units_mod
+from .intmath import distinct_primes, units_mod
 from .lagrangians import (
     SELECT_V,
     SELECT_VPRIME,
@@ -45,6 +45,7 @@ from .surfaces import (
     J_ZERO,
     MukaiVector,
     SurfaceModel,
+    _de_closed_form,
     caldararu_class,
     coprime_jacobian_classes,
     de_counts,
@@ -401,8 +402,7 @@ def sweep_cell(cell, formula_only: bool, verify: bool) -> dict:
         "ht_class": ht_classify(d, t, True).value,
     }
     if formula_only:
-        row["de"] = (1 << omega) * totient(t) // 2 if t > 2 else None
-        row["de_orbits"] = (1 << omega) if t > 2 else None
+        row["de"], row["de_orbits"] = _de_closed_form(d, t) or (None, None)
         row["fm"] = None
         return row
     model = SurfaceModel.general(d, t)
@@ -436,12 +436,11 @@ def _verify_cell(d: int, t: int, row: dict):
             raise SweepVerifyError(
                 f"cell d={d} t={t}: involution is not an involution"
             )
-    if t > 2:
-        expected = (1 << row["omega_m"]) * totient(t) // 2
-        if row["de"] != expected:
-            raise SweepVerifyError(
-                f"cell d={d} t={t}: de={row['de']} but closed form {expected}"
-            )
+    closed = _de_closed_form(d, t)
+    if closed is not None and row["de"] != closed[0]:
+        raise SweepVerifyError(
+            f"cell d={d} t={t}: de={row['de']} but closed form {closed[0]}"
+        )
     if row["fm"] is not None and row["fm"] < 1:
         raise SweepVerifyError(f"cell d={d} t={t}: fm={row['fm']} < 1")
 

@@ -177,30 +177,33 @@ def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
     return [LagrangianElement(form.element(c)) for c in hits]
 
 
-def enumerate_lagrangian_subgroups(d: int, t: int) -> list[LagrangianSubgroup]:
-    """All 2^omega(m) subgroups, by per-prime selector.
+def _subgroup(d: int, t: int, selector) -> LagrangianSubgroup:
+    """The subgroup a per-prime selector names.
 
-    The generator for a selector is assembled with the CRT idempotents of
-    t, so the all-V subgroup is exactly <vbar> and the all-Vprime one is
-    <vprime>.  Never enumerates elements, hence no budget.
+    Its generator is assembled with the CRT idempotents of t, so the
+    all-V subgroup is exactly <vbar> and the all-Vprime one is <vprime>.
     """
     nf = ns_form(d, t)
     m = gcd(d, t)
-    flip_primes = distinct_primes(m)
     idem = _idempotents(t)
-    forced = sum(
-        (idem[p] for p in distinct_primes(t) if m % p), 0
-    )
-    out = []
-    for choice in product((SELECT_V, SELECT_VPRIME), repeat=len(flip_primes)):
-        gen = forced * nf.vbar if t > 1 else nf.form.zero()
-        for p, c in zip(flip_primes, choice):
-            base = nf.vbar if c == SELECT_V else nf.vprime
-            gen = gen + idem[p] * base
-        out.append(
-            LagrangianSubgroup(d, t, tuple(zip(flip_primes, choice)), gen)
-        )
-    return sorted(out, key=lambda L: L.selector)
+    forced = sum((c for p, c in idem.items() if m % p), 0)
+    gen = forced * nf.vbar if t > 1 else nf.form.zero()
+    for p, c in selector:
+        gen = gen + idem[p] * (nf.vbar if c == SELECT_V else nf.vprime)
+    return LagrangianSubgroup(d, t, selector, gen)
+
+
+def enumerate_lagrangian_subgroups(d: int, t: int) -> list[LagrangianSubgroup]:
+    """All 2^omega(m) subgroups, sorted by per-prime selector (the order
+    ``product`` gives, as "V" < "Vprime").
+
+    Never enumerates elements, hence no budget.
+    """
+    primes = distinct_primes(gcd(d, t))
+    return [
+        _subgroup(d, t, tuple(zip(primes, choice)))
+        for choice in product((SELECT_V, SELECT_VPRIME), repeat=len(primes))
+    ]
 
 
 def subgroup_generated_by(d: int, t: int, w: LagrangianElement) -> LagrangianSubgroup:
@@ -226,14 +229,12 @@ def subgroup_generated_by(d: int, t: int, w: LagrangianElement) -> LagrangianSub
             raise InvalidSubgroupError(
                 f"p-part at {p} generates neither canonical subgroup"
             )
-    for L in enumerate_lagrangian_subgroups(d, t):
-        if L.selector == tuple(selector):
-            if not _in_cyclic(w.elem, L.generator):
-                raise InvalidSubgroupError(
-                    "element is not in the subgroup its selector names"
-                )
-            return L
-    raise InvalidSubgroupError("selector did not match any subgroup")
+    sub = _subgroup(d, t, tuple(selector))
+    if not _in_cyclic(w.elem, sub.generator):
+        raise InvalidSubgroupError(
+            "element is not in the subgroup its selector names"
+        )
+    return sub
 
 
 def involution(d: int, t: int, sub: LagrangianSubgroup) -> LagrangianSubgroup:
@@ -244,10 +245,7 @@ def involution(d: int, t: int, sub: LagrangianSubgroup) -> LagrangianSubgroup:
         (p, SELECT_VPRIME if c == SELECT_V else SELECT_V)
         for p, c in sub.selector
     )
-    for L in enumerate_lagrangian_subgroups(d, t):
-        if L.selector == flipped:
-            return L
-    raise InvalidSubgroupError("flipped selector did not match any subgroup")
+    return _subgroup(d, t, flipped)
 
 
 def units_action(k: int, w: LagrangianElement) -> LagrangianElement:
@@ -329,35 +327,49 @@ def _apply_to_item(sigma: DFIsometry, item):
     return subgroup_generated_by(item.d, item.t, image_gen)
 
 
+def _orbits(items, key, moves):
+    """Orbits of the group generated by ``moves`` on everything reachable
+    from ``items``.
+
+    The moves must be bijections of one finite set, so the points a walk
+    reaches from x are exactly the orbit of x.  Each orbit is a tuple
+    sorted by ``key``, and the orbits are listed by their least member,
+    also when that member was not among ``items``.
+    """
+    seen = set()
+    orbits = []
+    for item in items:
+        k = key(item)
+        if k in seen:
+            continue
+        seen.add(k)
+        orbit = [item]
+        for x in orbit:
+            for move in moves:
+                y = move(x)
+                k = key(y)
+                if k not in seen:
+                    seen.add(k)
+                    orbit.append(y)
+        orbits.append(tuple(sorted(orbit, key=key)))
+    return tuple(sorted(orbits, key=lambda o: key(o[0])))
+
+
 def g_orbits(items, g: GSpec):
-    """Partition into orbits of the cyclic group; orbits sorted by their
-    least member, members sorted too."""
+    """Partition Lagrangian elements or subgroups, and everything their
+    G-orbits reach, into orbits of the cyclic group G.
+
+    Each orbit is sorted by coordinates (elements) or selector
+    (subgroups), and the orbits are listed by their least member.
+    """
     items = list(items)
-    if not items:
-        return ()
     for item in items:
         form = item.elem.form if isinstance(item, LagrangianElement) else item.generator.form
         if form != g.generator.domain:
             raise InvalidIsometryError(
                 "group generator does not act on these items"
             )
-    seen = set()
-    orbits = []
-    for item in sorted(items, key=_orbit_key):
-        k = _orbit_key(item)
-        if k in seen:
-            continue
-        orbit = [item]
-        seen.add(k)
-        current = _apply_to_item(g.generator, item)
-        while _orbit_key(current) != k:
-            ck = _orbit_key(current)
-            if ck not in seen:
-                orbit.append(current)
-                seen.add(ck)
-            current = _apply_to_item(g.generator, current)
-        orbits.append(tuple(sorted(orbit, key=_orbit_key)))
-    return tuple(sorted(orbits, key=lambda o: _orbit_key(o[0])))
+    return _orbits(items, _orbit_key, [lambda x: _apply_to_item(g.generator, x)])
 
 
 def double_quotient(d: int, t: int, g: GSpec):
@@ -367,31 +379,14 @@ def double_quotient(d: int, t: int, g: GSpec):
     subgroup of each merged class.  This is the subgroup count feeding
     the Fourier-Mukai partner count.
     """
-    subs = enumerate_lagrangian_subgroups(d, t)
-    orbits = g_orbits(subs, g)
-    orbit_of = {}
-    for i, orbit in enumerate(orbits):
-        for L in orbit:
-            orbit_of[L.selector] = i
-    merged = list(range(len(orbits)))
-
-    def root(i):
-        while merged[i] != i:
-            i = merged[i]
-        return i
-
-    for i, orbit in enumerate(orbits):
-        images = {orbit_of[involution(d, t, L).selector] for L in orbit}
-        if len(images) != 1:
+    orbits = g_orbits(enumerate_lagrangian_subgroups(d, t), g)
+    orbit_of = {L.selector: i for i, orbit in enumerate(orbits) for L in orbit}
+    image = []
+    for orbit in orbits:
+        targets = {orbit_of[involution(d, t, L).selector] for L in orbit}
+        if len(targets) != 1:
             raise RuntimeError("involution did not map a G-orbit to a G-orbit")
-        j = images.pop()
-        ri, rj = root(i), root(j)
-        if ri != rj:
-            merged[max(ri, rj)] = min(ri, rj)
-    classes = {}
-    for i, orbit in enumerate(orbits):
-        classes.setdefault(root(i), []).append(orbit[0])
-    reps = tuple(
-        sorted((min(v, key=_orbit_key) for v in classes.values()), key=_orbit_key)
-    )
+        image.append(targets.pop())
+    classes = _orbits(range(len(orbits)), lambda i: i, [image.__getitem__])
+    reps = tuple(orbits[cls[0]][0] for cls in classes)
     return len(reps), reps

@@ -43,6 +43,7 @@ from .lattices import (
 )
 from .lagrangians import (
     GSpec,
+    _orbits,
     enumerate_lagrangian_elements,
     enumerate_lagrangian_subgroups,
     g_orbits,
@@ -199,15 +200,8 @@ def coprime_jacobian_classes(t: int, b_group) -> tuple[int, tuple[int, ...]]:
         raise InvalidParameterError("B is not closed under products")
     if (-1) % t not in b:
         raise InvalidParameterError("B must contain -1")
-    seen = set()
-    reps = []
-    for u in units:
-        if u in seen:
-            continue
-        coset = {u * x % t for x in b}
-        seen |= coset
-        reps.append(min(coset))
-    reps.sort()
+    cosets = _orbits(units, int, [lambda u, x=x: u * x % t for x in b])
+    reps = [coset[0] for coset in cosets]
     if len(reps) != totient(t) // len(b):
         raise RuntimeError("coset count disagrees with phi(t)/|B|")
     return len(reps), tuple(reps)
@@ -346,6 +340,15 @@ def aut_orders(d: int, t: int, g: GSpec) -> tuple[int, int]:
     return g.kernel_order * matched, g.kernel_order
 
 
+def _de_closed_form(d: int, t: int):
+    """(2^(omega(m)-1) phi(t), 2^omega(m)), the T-general DE counts; None
+    for t <= 2, where the closed form does not apply."""
+    if t <= 2:
+        return None
+    subs = 1 << len(distinct_primes(gcd(d, t)))
+    return subs * totient(t) // 2, subs
+
+
 def de_counts(model: SurfaceModel) -> tuple[int, int]:
     """(derived elliptic structures, their count up to the involution).
 
@@ -358,12 +361,9 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     d, t = model.d, model.t
     subs = enumerate_lagrangian_subgroups(d, t)
     de_orbits = len(g_orbits(subs, model.G))
-    closed = None
-    if model.t_general and t > 2:
-        omega = len(distinct_primes(model.m))
-        closed = (1 << omega) * totient(t) // 2, 1 << omega
-        if closed[1] != de_orbits:
-            raise RuntimeError("orbit count disagrees with the closed form")
+    closed = _de_closed_form(d, t) if model.t_general else None
+    if closed is not None and closed[1] != de_orbits:
+        raise RuntimeError("orbit count disagrees with the closed form")
     if ns_form(d, t).form.size <= budget.element_cap():
         de = len(g_orbits(enumerate_lagrangian_elements(d, t), model.G))
         if closed is not None and de != closed[0]:
@@ -400,30 +400,6 @@ def ht_classify(d: int, t: int, t_general: bool) -> HTClass:
     return HTClass.Inconclusive
 
 
-def _double_coset_count(ambient, left, right) -> int:
-    """Number of orbits of x -> u x v on ``ambient`` (u in left, v in right)."""
-    index = {iso.images: i for i, iso in enumerate(ambient)}
-    seen = [False] * len(ambient)
-    count = 0
-    for i, iso in enumerate(ambient):
-        if seen[i]:
-            continue
-        count += 1
-        seen[i] = True
-        stack = [iso]
-        while stack:
-            x = stack.pop()
-            for u in left:
-                ux = u.compose(x)
-                for v in right:
-                    y = ux.compose(v)
-                    j = index[y.images]
-                    if not seen[j]:
-                        seen[j] = True
-                        stack.append(y)
-    return count
-
-
 def fm_count(d: int, t: int, g: GSpec) -> int:
     """Number of Fourier-Mukai partners, by the double-coset formula:
     one summand O(L) \\ O(A_L) / G per isometry class L in the genus.
@@ -432,20 +408,24 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     from a closed-form rule.  For a genus member L with form A_L, any one
     isometry phi: A -> A_L gives Isom(A, A_L) = phi O(A), and the summand
     counts the orbits of x -> u x s on that set (u in the O(L) image, s in
-    G), which are the double cosets O(L) \\ O(A_L) / phi G phi^-1.
+    G), which are the double cosets O(L) \\ O(A_L) / phi G phi^-1.  Since
+    (u, s) = (u, 1)(1, s) and G is cyclic, those are the orbits of the
+    group generated by the left moves x -> u x and the one right move
+    x -> x g, so each isometry costs |O(L) image| + 1 compositions.
     """
     nf = ns_form(d, t)
     if g.generator.domain != nf.form:
         raise InvalidIsometryError("G does not act on this family member")
     own = isometry_group(nf.form)
-    right = g.image_elements()
     total = 0
     for e in genus_representatives(d, t):
         phi = isometry_between(nf.form, ns_form(e, t).form)
         if phi is None:
             raise RuntimeError("genus member lost its form isometry")
-        ambient = tuple(phi.compose(x) for x in own)
-        total += _double_coset_count(ambient, o_lambda_image(e, t), right)
+        moves = [u.compose for u in o_lambda_image(e, t)]
+        moves.append(lambda x: x.compose(g.generator))
+        ambient = (phi.compose(x) for x in own)
+        total += len(_orbits(ambient, lambda x: x.images, moves))
     return total
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 from k3fm.cli import SWEEP_FIELDS, main
-from k3fm.discforms import ns_form, structure_invariants
+from k3fm.discforms import isometry_between, isometry_group, ns_form, structure_invariants
+from k3fm.errors import InvalidParameterError
 from k3fm.intmath import distinct_primes, totient, xgcd
 from k3fm.lagrangians import (
     GSpec,
@@ -27,7 +28,7 @@ from k3fm.lagrangians import (
     subgroup_generated_by,
     units_action,
 )
-from k3fm.lattices import RationalVector, ns_gram, overlattice
+from k3fm.lattices import RationalVector, genus_representatives, ns_gram, overlattice
 from k3fm.surfaces import (
     HTClass,
     MukaiVector,
@@ -40,6 +41,7 @@ from k3fm.surfaces import (
     jacobian_compose,
     jacobian_index,
     jspecial_torsor_exists,
+    o_lambda_image,
 )
 
 T_RANGE = range(1, 25)
@@ -526,6 +528,51 @@ def test_criterion_06c_fm_counting_noncyclic_grid():
         above_one += oracle > 1
     assert above_one == 31
     _report(6, "Fourier-Mukai counts on the gcd(2d, t) > 1 grid, t <= 12", start)
+
+
+# 6d. fm counts for every cyclic G that GSpec accepts, not only {+-1}:
+#     every cell with t <= 20 and every distinct image <sigma> in O(A_d),
+#     with the least admissible abstract order.  The group data (O(A_d),
+#     the genus, phi, the O(L) images) come from the library; the double
+#     cosets are split by this file's own partition, with the right action
+#     given by every element of G rather than by its generator.
+def test_criterion_06d_fm_counting_every_cyclic_group():
+    start = time.perf_counter()
+    orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
+    groups = not_sign = larger = 0
+    for t in range(1, 21):
+        for d in range(t):
+            form = ns_form(d, t).form
+            own = isometry_group(form)
+            sign = {s.images for s in GSpec.sign_group(form).image_elements()}
+            seen = set()
+            for sigma in own:
+                k = sigma.order()
+                n = next((n for n in orders if n % k == 0), None)
+                if n is None:
+                    continue
+                try:
+                    g = GSpec(sigma, n)
+                except InvalidParameterError:
+                    continue
+                right = g.image_elements()
+                image = frozenset(s.images for s in right)
+                if image in seen:
+                    continue
+                seen.add(image)
+                groups += 1
+                not_sign += image != sign
+                larger += len(image) > 2
+                oracle = 0
+                for e in genus_representatives(d, t):
+                    phi = isometry_between(form, ns_form(e, t).form)
+                    ambient = [phi.compose(x) for x in own]
+                    oracle += _double_coset_partition(
+                        ambient, o_lambda_image(e, t), right, lambda a, b: a.compose(b)
+                    )
+                assert fm_count(d, t, g) == oracle, (d, t, k)
+    assert (groups, not_sign, larger) == (234, 24, 23)
+    _report(6, "Fourier-Mukai counts for every cyclic G, t <= 20", start)
 
 
 # 7. Jacobian calculus laws over k in [0, 4t).

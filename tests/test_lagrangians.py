@@ -34,6 +34,7 @@ from k3fm.lagrangians import (
     subgroup_generated_by,
     units_action,
 )
+from k3fm.surfaces import SurfaceModel, de_counts
 
 GRID = [(d, t) for t in range(1, 17) for d in range(t)]
 
@@ -259,6 +260,19 @@ def test_g_orbits_sign_group_on_elements():
     ]
 
 
+def test_g_orbits_sorts_orbits_reached_from_a_partial_list():
+    # neither least member (5,) nor (10,) is passed, and in either input
+    # order the orbits come back listed by their least member
+    by_coords = {w.coords: w for w in enumerate_lagrangian_elements(1, 5)}
+    g = GSpec.sign_group(ns_form(1, 5).form)
+    for given in ([(20,), (15,)], [(15,), (20,)]):
+        orbits = g_orbits([by_coords[c] for c in given], g)
+        assert [[w.coords for w in orbit] for orbit in orbits] == [
+            [(5,), (20,)],
+            [(10,), (15,)],
+        ]
+
+
 def test_g_orbits_sign_group_on_subgroups():
     # -id fixes every subgroup, so orbits are singletons
     subs = enumerate_lagrangian_subgroups(6, 6)
@@ -336,6 +350,8 @@ def test_squarefree_giant_t_stays_cheap():
     assert involution(t, t, involution(t, t, L)) == L
     w = LagrangianElement(L.generator)
     assert subgroup_generated_by(t, t, w) == L
+    assert double_quotient(t, t, GSpec.sign_group(ns_form(t, t).form))[0] == 64
+    assert de_counts(SurfaceModel.general(t, t)) == (5898240, 128)
 
 
 def test_element_budget(monkeypatch):

@@ -1,6 +1,8 @@
 """Repository hygiene: nothing that .gitignore lists is tracked, so build
-output cannot slip back into version control."""
+output cannot slip back into version control, and the benchmark harness
+still finds every name it wraps."""
 
+import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
@@ -25,3 +27,22 @@ def test_no_ignored_file_is_tracked():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == "", f"tracked but ignored:\n{listed.stdout}"
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    path = ROOT / "perfbench" / "tracing.py"
+    if not path.is_file():
+        pytest.skip("perfbench/ is not in this tree")
+    from k3fm import surfaces
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = surfaces.isometry_between
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert surfaces.isometry_between is not original
+    finally:
+        tracer.uninstall()
+    assert surfaces.isometry_between is original
