@@ -32,6 +32,7 @@ from .lagrangians import (
     SELECT_V,
     SELECT_VPRIME,
     GSpec,
+    _subgroup,
     canonical_pair,
     count_lagrangians,
     enumerate_lagrangian_elements,
@@ -250,14 +251,7 @@ def _cmd_pair(args):
 
 def _cmd_involution(args):
     d, t = args.d, args.t
-    selector = _parse_selector(args.selector, d, t)
-    source = None
-    for cand in enumerate_lagrangian_subgroups(d, t):
-        if cand.selector == selector:
-            source = cand
-            break
-    if source is None:
-        raise InvalidSubgroupError("selector did not match any subgroup")
+    source = _subgroup(d, t, _parse_selector(args.selector, d, t))
     image = involution(d, t, source)
     payload = {
         "d": d,
@@ -443,6 +437,24 @@ def _verify_cell(d: int, t: int, row: dict):
         )
     if row["fm"] is not None and row["fm"] < 1:
         raise SweepVerifyError(f"cell d={d} t={t}: fm={row['fm']} < 1")
+    if row["fm"] is not None and gcd(d, t) == 1:
+        jacobians = _jacobian_class_count(d, t)
+        if row["fm"] != jacobians:
+            raise SweepVerifyError(
+                f"cell d={d} t={t}: fm={row['fm']} but {jacobians}"
+                " classes of Jacobians"
+            )
+
+
+def _jacobian_class_count(d: int, t: int) -> int:
+    """FM partners when gcd(d, t) = 1, where every partner is a Jacobian
+    J^k, k in (Z/t)*, and J^k = J^l exactly when l = +-k or l = +-(dk)^-1
+    mod t: the number of distinct min(k, -k, j, -j) mod t, j = (dk)^-1."""
+    classes = set()
+    for k in units_mod(t):
+        j = pow(d * k, -1, t)
+        classes.add(min(k, -k % t, j, -j % t))
+    return len(classes)
 
 
 def _sweep_workers(jobs: int, n_cells: int) -> int:

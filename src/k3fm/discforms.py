@@ -16,7 +16,7 @@ only.  Callers who need the other sign can negate q-values on output.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 
@@ -35,6 +35,7 @@ from .lattices import (
     RationalVector,
     dual_generators,
     ns_gram,
+    rank2_isometries,
     smith_normal_form,
 )
 
@@ -362,6 +363,23 @@ class LatticeForm:
             coords.append(int(val) % self.diag[i])
         return DFElement(self.form, tuple(coords))
 
+    def induced_isometry(self, mat: IntMatrix) -> DFIsometry:
+        """The validated isometry of L*/L induced by an integer isometry
+        ``mat`` of L.  With U G V = D the Smith form, generator i is
+        v_i / n_i, and coordinate j of its image is (U G mat v_i)_j / n_i
+        mod n_j, an exact division when mat keeps L*."""
+        if mat.dim != self.lattice.rank:
+            raise InvalidIsometryError("matrix size does not match the lattice rank")
+        ugm = (IntMatrix(self.u_rows) @ self.lattice.gram @ mat).entries
+        images = []
+        for gen, n in zip(self.gens, self.form.orders):
+            v = [int(x * n) for x in gen.coords]
+            quot = [divmod(sum(a * b for a, b in zip(row, v)), n) for row in ugm]
+            if any(r for _, r in quot):
+                raise InvalidIsometryError("matrix does not preserve the dual lattice")
+            images.append([q for (q, _), n_j in zip(quot, self.diag) if n_j != 1])
+        return as_isometry(self.form, self.form, images)
+
     def lift(self, elem: DFElement) -> RationalVector:
         """A dual vector representing the class of ``elem``."""
         if elem.form != self.form:
@@ -429,6 +447,15 @@ class NSForm:
         """Class of a F* + b H* (the dual-basis coordinates of the family)."""
         vec = a * self.fstar + b * self.hstar
         return self.lf.element_from_dual(vec)
+
+    @cached_property
+    def lattice_isometries(self) -> tuple[tuple[IntMatrix, DFIsometry], ...]:
+        """(M, induced isometry of A) for each self-isometry M of the
+        lattice in the (H, F) basis, computed once per cached bundle."""
+        return tuple(
+            (mat, self.lf.induced_isometry(mat))
+            for mat in rank2_isometries(self.d, self.d, self.t)
+        )
 
 
 @lru_cache(maxsize=4096)

@@ -17,7 +17,6 @@ from . import budget
 from .discforms import (
     DFElement,
     DFIsometry,
-    as_isometry,
     identity_isometry,
     isometry_between,
     isometry_group,
@@ -33,14 +32,7 @@ from .errors import (
     OutOfScopeError,
 )
 from .intmath import close_units_subgroup, distinct_primes, is_prime, totient, units_mod
-from .lattices import (
-    IntMatrix,
-    RationalVector,
-    genus_representatives,
-    isotropic_rays,
-    ns_gram,
-    rank2_isometries,
-)
+from .lattices import RationalVector, genus_representatives
 from .lagrangians import (
     GSpec,
     _orbits,
@@ -274,53 +266,30 @@ def allowed_G_orders(rk_t: int) -> tuple[int, ...]:
     )
 
 
-def _mat_vec(mat: IntMatrix, vec: RationalVector) -> RationalVector:
-    return RationalVector(
-        tuple(
-            sum((Fraction(row[j]) * vec.coords[j] for j in range(len(row))), Fraction(0))
-            for row in mat.entries
-        )
-    )
-
-
-def _action_on_form(d: int, t: int, mat: IntMatrix) -> DFIsometry:
-    """Image in O(A) of a lattice self-isometry, validated."""
-    lf = ns_form(d, t).lf
-    images = tuple(
-        lf.element_from_dual(_mat_vec(mat, gen)).coords for gen in lf.gens
-    )
-    return as_isometry(lf.form, lf.form, images)
-
-
 def o_lambda_image(d: int, t: int) -> tuple[DFIsometry, ...]:
-    """The image of the full lattice isometry group in O(A)."""
-    out = {}
-    for mat in rank2_isometries(d, d, t):
-        iso = _action_on_form(d, t, mat)
-        out[iso.images] = iso
+    """The image of the full lattice isometry group in O(A): the distinct
+    isometries in ``ns_form(d, t).lattice_isometries``, sorted."""
+    out = {iso.images: iso for _, iso in ns_form(d, t).lattice_isometries}
     return tuple(out[k] for k in sorted(out))
 
 
 def o_plus_image(d: int, t: int) -> tuple[DFIsometry, ...]:
     """Image in O(A) of the lattice isometries preserving the ample cone.
 
-    A self-isometry preserves the ample cone exactly when it maps the
-    fibre class F to a fibration class: F itself, or F' when F' is one
-    (no isometry moves F anywhere else, and -F, -F' pair negatively with
+    A self-isometry preserves the ample cone exactly when its F-column is
+    a fibration class: F = (0, 1), or F' = (t/m, -d/m) when F' is one (no
+    isometry moves F anywhere else, and -F, -F' pair negatively with
     ample classes).
     """
-    ns = ns_gram(d, t)
-    f_ray, fprime_ray = isotropic_rays(ns)
-    nef_rays = {f_ray.coords}
+    m = gcd(d, t)
+    nef_rays = {(0, 1)}
     if fibration_count(d, t) == 2:
-        nef_rays.add(fprime_ray.coords)
-    out = {}
-    for mat in rank2_isometries(d, d, t):
-        f_image = tuple(Fraction(mat.entries[i][1]) for i in range(2))
-        if f_image not in nef_rays:
-            continue
-        iso = _action_on_form(d, t, mat)
-        out[iso.images] = iso
+        nef_rays.add((t // m, -d // m))
+    out = {
+        iso.images: iso
+        for mat, iso in ns_form(d, t).lattice_isometries
+        if mat.column(1) in nef_rays
+    }
     return tuple(out[k] for k in sorted(out))
 
 

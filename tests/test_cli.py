@@ -246,6 +246,26 @@ def test_sweep_verify_passes(capsys):
     assert len(out.strip("\n").split("\n")) == 13
 
 
+def test_sweep_verify_up_to_t12(capsys):
+    code, _, _ = run_cli(
+        ["sweep", "--t-min", "1", "--t-max", "12", "--verify"], capsys
+    )
+    assert code == 0
+
+
+def test_sweep_verify_checks_fm_when_m_is_one(capsys, monkeypatch):
+    # gcd(d, t) = 1 cells compare fm with the count of Jacobian classes
+    monkeypatch.setattr(
+        "k3fm.cli.fm_count", lambda d, t, g: fm_count(d, t, g) + 1
+    )
+    code, out, err = run_cli(
+        ["sweep", "--t-min", "1", "--t-max", "12", "--verify"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "classes of Jacobians" in err
+
+
 def test_sweep_formula_only_nulls(capsys):
     code, out, _ = run_cli(
         ["sweep", "--t-min", "1", "--t-max", "3", "--formula-only", "--json"],

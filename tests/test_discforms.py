@@ -189,6 +189,18 @@ def test_lift_rejects_foreign_element():
         ns_form(1, 5).lf.lift(ns_form(2, 5).vbar)
 
 
+def test_induced_isometry_validates():
+    lf = ns_form(1, 5).lf
+    assert lf.induced_isometry(IntMatrix.identity(2)) == identity_isometry(lf.form)
+    for bad in (
+        IntMatrix.identity(3),  # wrong size
+        IntMatrix.from_rows([[1, 1], [0, 1]]),  # does not keep L*
+        IntMatrix.from_rows([[2, 0], [0, 2]]),  # keeps L*, not q
+    ):
+        with pytest.raises(InvalidIsometryError):
+            lf.induced_isometry(bad)
+
+
 # --------------------------------------------------------------- validation
 
 

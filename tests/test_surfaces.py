@@ -19,6 +19,7 @@ from k3fm.errors import (
     OutOfScopeError,
 )
 from k3fm.lagrangians import GSpec
+from k3fm.lattices import RationalVector, isotropic_rays, ns_gram, rank2_isometries
 from k3fm.surfaces import (
     HTClass,
     J_1728,
@@ -306,6 +307,52 @@ def test_o_images_structure():
             for x in lam:
                 for y in lam:
                     assert x.compose(y).images in ol
+
+
+def test_induced_isometry_matches_dual_vector_route():
+    # the integer map against the Fraction route: M gen_i as a dual vector
+    for t in range(1, 31):
+        for d in range(-t, 2 * t):
+            nf = ns_form(d, t)
+            lf = nf.lf
+            pairs = nf.lattice_isometries
+            assert [mat for mat, _ in pairs] == list(rank2_isometries(d, d, t))
+            nef = isotropic_rays(ns_gram(d, t))[: fibration_count(d, t)]
+            full, plus = set(), set()
+            for mat, iso in pairs:
+                m = mat.entries
+                images = tuple(
+                    lf.element_from_dual(RationalVector(tuple(
+                        sum(m[i][k] * g.coords[k] for k in range(2))
+                        for i in range(2)
+                    ))).coords
+                    for g in lf.gens
+                )
+                assert lf.induced_isometry(mat).images == iso.images == images
+                full.add(images)
+                if RationalVector.make(mat.column(1)) in nef:
+                    plus.add(images)
+            assert [s.images for s in o_lambda_image(d, t)] == sorted(full)
+            assert [s.images for s in o_plus_image(d, t)] == sorted(plus), (d, t)
+
+
+def test_lattice_isometries_computed_once_per_bundle(monkeypatch):
+    calls = []
+
+    def counted(d, e, t):
+        calls.append((d, e, t))
+        return rank2_isometries(d, e, t)
+
+    monkeypatch.setattr("k3fm.discforms.rank2_isometries", counted)
+    ns_form.cache_clear()
+    g = _sign(1, 5)
+    o_lambda_image(1, 5)
+    o_plus_image(1, 5)
+    aut_orders(1, 5, g)
+    assert calls == [(1, 1, 5)]
+    ns_form.cache_clear()
+    o_lambda_image(1, 5)
+    assert calls == [(1, 1, 5)] * 2
 
 
 def test_aut_orders_frozen():
