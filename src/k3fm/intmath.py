@@ -85,31 +85,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def solve_linear_congruence(a: int, b: int, n: int) -> tuple[int, int] | None:
-    """Solutions c of c*a = b (mod n), n >= 1, as (c0, step) meaning
-    c = c0 (mod step); None when unsolvable."""
-    if n == 1:
-        return 0, 1
-    a %= n
-    b %= n
-    g, inv, _ = xgcd(a, n)
-    if b % g:
-        return None
-    step = n // g
-    c0 = (b // g) * inv % step
-    return c0, step
-
-
-def crt_combine(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
-    """Intersect c = r1 (mod m1) with c = r2 (mod m2); None when empty."""
-    g, u, _ = xgcd(m1, m2)
-    if (r2 - r1) % g:
-        return None
-    l = m1 // g * m2
-    c = (r1 + (r2 - r1) // g * u % (m2 // g) * m1) % l
-    return c, l
-
-
 def units_mod(n: int) -> tuple[int, ...]:
     """The unit group of Z/n as sorted residues (n = 1 gives (0,))."""
     if n < 1:

@@ -11,12 +11,20 @@ is what keeps squarefree t with many prime factors (t around 510510)
 cheap: subgroups are never materialized unless asked for.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import gcd, isqrt
 
 from . import budget, kernels
-from .discforms import DFElement, DFIsometry, _kernel_setup, neg_identity, ns_form
+from .discforms import (
+    DFElement,
+    DFIsometry,
+    _kernel_setup,
+    as_isometry,
+    b_eval,
+    neg_identity,
+    ns_form,
+)
 from .errors import (
     CapacityError,
     InvalidElementError,
@@ -24,7 +32,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSubgroupError,
 )
-from .intmath import crt_combine, distinct_primes, solve_linear_congruence, totient
+from .intmath import distinct_primes, factorize, totient
 
 # The family's surfaces have rank-two Picard lattices, so the
 # transcendental rank is fixed at 22 - 2.
@@ -87,6 +95,8 @@ class LagrangianSubgroup:
             raise InvalidSubgroupError("generator does not have order t")
         if not self.generator.is_isotropic():
             raise InvalidSubgroupError("generator is not isotropic")
+        if self.generator.form != ns_form(self.d, self.t).form:
+            raise InvalidSubgroupError("generator does not live in this family group")
 
     def elements(self) -> tuple[DFElement, ...]:
         """All t elements, materialized.  Avoid for very large t."""
@@ -101,42 +111,19 @@ class LagrangianSubgroup:
         )
 
     def contains(self, elem: DFElement) -> bool:
-        return _in_cyclic(elem, self.generator)
-
-
-def _prime_power_in(t: int, p: int) -> int:
-    pk = 1
-    while t % p == 0:
-        pk *= p
-        t //= p
-    return pk
+        """Whether ``elem`` lies in L.  L is isotropic with |L|^2 = |A| in a
+        nondegenerate form, so L = L-perp: x is in L iff b(x, generator) = 0."""
+        return b_eval(elem, self.generator) == 0
 
 
 def _idempotents(t: int) -> dict[int, int]:
     """c_p = 1 mod p^k, 0 mod t/p^k, for each prime power p^k || t."""
     out = {}
-    for p in distinct_primes(t):
-        pk = _prime_power_in(t, p)
+    for p, k in factorize(t).items():
+        pk = p**k
         cof = t // pk
         out[p] = cof * pow(cof, -1, pk) % t
     return out
-
-
-def _in_cyclic(x: DFElement, g: DFElement) -> bool:
-    """Whether x is a multiple of g, by solving s*g = x coordinatewise."""
-    if x.form != g.form:
-        raise InvalidElementError("elements live in different groups")
-    res, mod = 0, 1
-    for gi, xi, n in zip(g.coords, x.coords, x.form.orders):
-        sol = solve_linear_congruence(gi, xi, n)
-        if sol is None:
-            return False
-        c0, step = sol
-        merged = crt_combine(res, mod, c0, step)
-        if merged is None:
-            return False
-        res, mod = merged
-    return True
 
 
 def count_lagrangians(d: int, t: int) -> tuple[int, int]:
@@ -153,14 +140,10 @@ def canonical_pair(d: int, t: int) -> tuple[LagrangianElement, LagrangianElement
     return LagrangianElement(nf.vbar), LagrangianElement(nf.vprime)
 
 
-def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
-    """Exact scan of the group for isotropic order-t elements.
-
-    Sorted by coordinates.  The group has t^2 elements, so this is
-    budgeted; use count_lagrangians past the budget.
-    """
-    nf = ns_form(d, t)
-    form = nf.form
+def _lagrangian_coords(d: int, t: int) -> list[tuple[int, ...]]:
+    """Coordinate tuples of the isotropic order-t elements, sorted: one
+    budgeted scan of the group, which has t^2 elements."""
+    form = ns_form(d, t).form
     cap = budget.element_cap()
     if form.size > cap:
         raise CapacityError(
@@ -169,12 +152,22 @@ def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
             cap,
         )
     if form.rank == 0:
-        return [LagrangianElement(form.zero())]
+        return [()]
     n1, n2, den, q1, q2, b12 = _kernel_setup(form, form)[:6]
     hits = kernels.scan_isotropic_elements(n1, n2, q1, q2, b12, den, t)
     if form.rank == 1:
-        return [LagrangianElement(form.element((c2,))) for _, c2 in hits]
-    return [LagrangianElement(form.element(c)) for c in hits]
+        return [(c2,) for _, c2 in hits]
+    return hits
+
+
+def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
+    """Exact scan of the group for isotropic order-t elements.
+
+    Sorted by coordinates.  The group has t^2 elements, so this is
+    budgeted; use count_lagrangians past the budget.
+    """
+    form = ns_form(d, t).form
+    return [LagrangianElement(form.element(c)) for c in _lagrangian_coords(d, t)]
 
 
 def _subgroup(d: int, t: int, selector) -> LagrangianSubgroup:
@@ -209,28 +202,31 @@ def enumerate_lagrangian_subgroups(d: int, t: int) -> list[LagrangianSubgroup]:
 def subgroup_generated_by(d: int, t: int, w: LagrangianElement) -> LagrangianSubgroup:
     """The Lagrangian subgroup <w>, classified prime by prime.
 
-    At each prime p | m the p-part of w must be a multiple of the p-part
-    of vbar or of vprime; those are the only possibilities for a valid
-    Lagrangian element.
+    At each prime p | m the p-part of w lies in the p-part of <vbar> or of
+    <vprime>, the only Lagrangian subgroups of A_p.  A Lagrangian subgroup
+    is its own orthogonal complement (L = L-perp, as |L|^2 = |A| and the
+    form is nondegenerate), so membership is b(x, generator) = 0, at each
+    p and for <w> itself.
     """
+    return _generated_subgroup(d, t, w.elem)
+
+
+def _generated_subgroup(d: int, t: int, elem: DFElement) -> LagrangianSubgroup:
     nf = ns_form(d, t)
-    if w.elem.form != nf.form:
-        raise InvalidElementError("element does not live in this family group")
-    m = gcd(d, t)
     idem = _idempotents(t)
     selector = []
-    for p in distinct_primes(m):
-        wp = idem[p] * w.elem
-        if _in_cyclic(wp, idem[p] * nf.vbar):
+    for p in distinct_primes(gcd(d, t)):
+        wp = idem[p] * elem
+        if b_eval(wp, idem[p] * nf.vbar) == 0:
             selector.append((p, SELECT_V))
-        elif _in_cyclic(wp, idem[p] * nf.vprime):
+        elif b_eval(wp, idem[p] * nf.vprime) == 0:
             selector.append((p, SELECT_VPRIME))
         else:
             raise InvalidSubgroupError(
                 f"p-part at {p} generates neither canonical subgroup"
             )
     sub = _subgroup(d, t, tuple(selector))
-    if not _in_cyclic(w.elem, sub.generator):
+    if not sub.contains(elem):
         raise InvalidSubgroupError(
             "element is not in the subgroup its selector names"
         )
@@ -263,7 +259,9 @@ class GSpec:
     """A cyclic Hodge-isometry group, given by its image on the
     discriminant group plus its abstract (even) order.
 
-    The abstract order may exceed the image's order: the kernel acts
+    The generator is validated as an isometry of the discriminant form
+    once, here, so the images it produces need no further checks.  The
+    abstract order may exceed the image's order: the kernel acts
     trivially on the discriminant group.  Orders are constrained by the
     transcendental rank of the family (20): even, at most 2 * 20^2, with
     totient dividing 20.
@@ -271,11 +269,13 @@ class GSpec:
 
     generator: DFIsometry
     order: int
+    _powers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gen = self.generator
         if gen.domain != gen.codomain:
             raise InvalidIsometryError("generator must be an automorphism")
+        as_isometry(gen.domain, gen.codomain, gen.images)
         if self.order < 2 or self.order % 2:
             raise InvalidParameterError("group order must be even and >= 2")
         if self.order > 2 * TRANSCENDENTAL_RANK**2 or TRANSCENDENTAL_RANK % totient(self.order):
@@ -283,19 +283,15 @@ class GSpec:
                 f"order {self.order} is not realizable at transcendental "
                 f"rank {TRANSCENDENTAL_RANK}"
             )
-        img_order = gen.order()
-        if self.order % img_order:
+        powers = [gen]
+        while not powers[-1].is_identity():
+            powers.append(gen.compose(powers[-1]))
+        object.__setattr__(self, "_powers", tuple(powers))
+        if self.order % len(powers):
             raise InvalidParameterError(
                 "abstract order must be a multiple of the image's order"
             )
-        power = gen
-        minus = neg_identity(gen.domain)
-        seen_minus = power.images == minus.images
-        for _ in range(img_order - 1):
-            power = gen.compose(power)
-            if power.images == minus.images:
-                seen_minus = True
-        if not seen_minus:
+        if neg_identity(gen.domain).images not in {s.images for s in powers}:
             raise InvalidParameterError("group image must contain -id")
 
     @classmethod
@@ -305,26 +301,17 @@ class GSpec:
 
     @property
     def kernel_order(self) -> int:
-        return self.order // self.generator.order()
+        return self.order // len(self._powers)
 
     def image_elements(self) -> tuple[DFIsometry, ...]:
-        out = [self.generator]
-        while not out[-1].is_identity():
-            out.append(self.generator.compose(out[-1]))
-        return tuple(out)
+        """The image of G: sigma, sigma^2, ..., the identity."""
+        return self._powers
 
 
-def _orbit_key(item):
-    if isinstance(item, LagrangianElement):
-        return item.coords
-    return item.selector
-
-
-def _apply_to_item(sigma: DFIsometry, item):
-    if isinstance(item, LagrangianElement):
-        return LagrangianElement(sigma.apply(item.elem))
-    image_gen = LagrangianElement(sigma.apply(item.generator))
-    return subgroup_generated_by(item.d, item.t, image_gen)
+def _coordinate_move(sigma: DFIsometry):
+    """c -> sigma(c) on coordinate tuples, reduced mod the generator orders."""
+    orders = sigma.codomain.orders
+    return lambda c: tuple(x % n for x, n in zip(sigma._map(c), orders))
 
 
 def _orbits(items, key, moves):
@@ -359,17 +346,33 @@ def g_orbits(items, g: GSpec):
     """Partition Lagrangian elements or subgroups, and everything their
     G-orbits reach, into orbits of the cyclic group G.
 
-    Each orbit is sorted by coordinates (elements) or selector
+    Elements are walked as coordinate tuples; the caller's objects are
+    returned and only images it did not pass are wrapped.  GSpec checked
+    that sigma is an isometry, so no image needs another check.  A
+    subgroup L moves to <sigma(generator)>, classified by L = L-perp as in
+    subgroup_generated_by.  Each orbit is sorted by coordinates (elements) or selector
     (subgroups), and the orbits are listed by their least member.
     """
     items = list(items)
+    sigma = g.generator
     for item in items:
         form = item.elem.form if isinstance(item, LagrangianElement) else item.generator.form
-        if form != g.generator.domain:
+        if form != sigma.domain:
             raise InvalidIsometryError(
                 "group generator does not act on these items"
             )
-    return _orbits(items, _orbit_key, [lambda x: _apply_to_item(g.generator, x)])
+    if not all(isinstance(item, LagrangianElement) for item in items):
+        move = lambda L: _generated_subgroup(L.d, L.t, sigma.apply(L.generator))
+        return _orbits(items, lambda L: L.selector, [move])
+    given = {w.coords: w for w in items}
+    orbits = _orbits(given, lambda c: c, [_coordinate_move(sigma)])
+    return tuple(
+        tuple(
+            given[c] if c in given else LagrangianElement(sigma.domain.element(c))
+            for c in orbit
+        )
+        for orbit in orbits
+    )
 
 
 def double_quotient(d: int, t: int, g: GSpec):

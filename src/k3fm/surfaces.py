@@ -35,8 +35,10 @@ from .intmath import close_units_subgroup, distinct_primes, is_prime, totient, u
 from .lattices import RationalVector, genus_representatives
 from .lagrangians import (
     GSpec,
+    _coordinate_move,
+    _lagrangian_coords,
     _orbits,
-    enumerate_lagrangian_elements,
+    count_lagrangians,
     enumerate_lagrangian_subgroups,
     g_orbits,
 )
@@ -310,12 +312,13 @@ def aut_orders(d: int, t: int, g: GSpec) -> tuple[int, int]:
 
 
 def _de_closed_form(d: int, t: int):
-    """(2^(omega(m)-1) phi(t), 2^omega(m)), the T-general DE counts; None
-    for t <= 2, where the closed form does not apply."""
+    """The T-general DE counts: half the Lagrangian elements (-1 pairs
+    them off) and every Lagrangian subgroup (-1 fixes each); None for
+    t <= 2, where the closed form does not apply."""
     if t <= 2:
         return None
-    subs = 1 << len(distinct_primes(gcd(d, t)))
-    return subs * totient(t) // 2, subs
+    elements, subgroups = count_lagrangians(d, t)
+    return elements // 2, subgroups
 
 
 def de_counts(model: SurfaceModel) -> tuple[int, int]:
@@ -324,8 +327,9 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     The first number is the count of G-orbits of Lagrangian elements, the
     second of G-orbits of Lagrangian subgroups.  For T-general members
     with t > 2 the closed forms 2^(omega(m)-1) phi(t) and 2^omega(m)
-    apply; enumeration is cross-checked against them inside the element
-    budget and trusted beyond it.
+    apply.  Inside the element budget the first number is the orbit count
+    of G on the scanned coordinate tuples, cross-checked against the
+    closed form where it applies; beyond the budget the form is trusted.
     """
     d, t = model.d, model.t
     subs = enumerate_lagrangian_subgroups(d, t)
@@ -334,7 +338,16 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     if closed is not None and closed[1] != de_orbits:
         raise RuntimeError("orbit count disagrees with the closed form")
     if ns_form(d, t).form.size <= budget.element_cap():
-        de = len(g_orbits(enumerate_lagrangian_elements(d, t), model.G))
+        coords = _lagrangian_coords(d, t)
+        known, step = set(coords), _coordinate_move(model.G.generator)
+
+        def move(c):
+            image = step(c)
+            if image not in known:
+                raise RuntimeError("G moved a Lagrangian element off the scan")
+            return image
+
+        de = len(_orbits(coords, lambda c: c, [move]))
         if closed is not None and de != closed[0]:
             raise RuntimeError("element orbit count disagrees with the closed form")
         return de, de_orbits

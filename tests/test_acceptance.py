@@ -12,6 +12,7 @@ import functools
 import json
 import time
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from k3fm.cli import SWEEP_FIELDS, main
@@ -24,6 +25,7 @@ from k3fm.lagrangians import (
     canonical_pair,
     enumerate_lagrangian_elements,
     enumerate_lagrangian_subgroups,
+    g_orbits,
     involution,
     subgroup_generated_by,
     units_action,
@@ -215,6 +217,100 @@ def test_criterion_05_de_formulas():
         assert de == 2**omega * totient(t) // 2, (d, t)
         assert orbits == 2**omega, (d, t)
     _report(5, "derived-elliptic-structure formulas on 2 < t <= 24", start)
+
+
+def _cyclic_groups(t_max):
+    """Every cell with t <= t_max and every distinct cyclic image <sigma> in
+    O(A_d) that GSpec accepts, with the least admissible abstract order,
+    as (d, t, O(A_d), G)."""
+    orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
+    for t in range(1, t_max + 1):
+        for d in range(t):
+            own = isometry_group(ns_form(d, t).form)
+            seen = set()
+            for sigma in own:
+                k = sigma.order()
+                n = next((n for n in orders if n % k == 0), None)
+                if n is None:
+                    continue
+                try:
+                    g = GSpec(sigma, n)
+                except InvalidParameterError:
+                    continue
+                image = frozenset(s.images for s in g.image_elements())
+                if image not in seen:
+                    seen.add(image)
+                    yield d, t, own, g
+
+
+def _cycles(points, step):
+    """Orbits of a bijection of the finite set ``points``, each a sorted
+    tuple, as a sorted list; every point must be moved into ``points``."""
+    left, out = set(points), []
+    while left:
+        cycle, x = [], min(left)
+        while x in left:
+            left.remove(x)
+            cycle.append(x)
+            x = step(x)
+        assert x == cycle[0]
+        out.append(tuple(sorted(cycle)))
+    return sorted(out)
+
+
+# 5b. DE counts for every cyclic G that GSpec accepts, not only {+-1}: every
+#     cell with t <= 16.  The isotropic elements of order t are listed here
+#     by brute force over the generator presentation of A_d, and G's
+#     generator is applied by this file's own arithmetic; the element
+#     orbits must match the first DE count and g_orbits' partition, and the
+#     orbits on the subgroups they generate must match the second count.
+def test_criterion_05b_de_counts_every_cyclic_group():
+    start = time.perf_counter()
+    groups = not_sign = 0
+    for d, t, _, g in _cyclic_groups(16):
+        form = ns_form(d, t).form
+        sign = {s.images for s in GSpec.sign_group(form).image_elements()}
+        not_sign += {s.images for s in g.image_elements()} != sign
+        n, q, b = form.orders, form.q_gen, form.b_matrix
+        r = len(n)
+
+        def order(c):
+            out = 1
+            for ci, ni in zip(c, n):
+                k = ni // gcd(ni, ci)
+                out = out * k // gcd(out, k)
+            return out
+
+        def isotropic(c):
+            total = sum(c[i] * c[i] * q[i] for i in range(r))
+            total += sum(2 * c[i] * c[j] * b[i][j] for i in range(r) for j in range(i + 1, r))
+            return total % 2 == 0
+
+        def sigma(c):
+            return tuple(
+                sum(ci * img[j] for ci, img in zip(c, g.generator.images)) % n[j]
+                for j in range(r)
+            )
+
+        box = product(*(range(ni) for ni in n))
+        lagrangian = [c for c in box if order(c) == t and isotropic(c)]
+        orbits = _cycles(lagrangian, sigma)
+
+        def span(c):
+            return tuple(sorted({tuple(s * ci % ni for ci, ni in zip(c, n)) for s in range(t)}))
+
+        def move_span(s):
+            return tuple(sorted(sigma(c) for c in s))
+
+        span_orbits = _cycles({span(c) for c in lagrangian}, move_span)
+        b_group = frozenset({1 % t, (-1) % t}) if t > 1 else frozenset({0})
+        model = SurfaceModel(d, t, g, b_group, b_group, t_general=False)
+        assert de_counts(model) == (len(orbits), len(span_orbits)), (d, t)
+        partition = g_orbits(enumerate_lagrangian_elements(d, t), g)
+        assert [tuple(w.coords for w in o) for o in partition] == orbits, (d, t)
+        groups += 1
+    assert (groups, not_sign) == (151, 15)
+    _report(5, "derived-elliptic-structure counts for every cyclic G, t <= 16", start)
 
 
 # --- criterion 6 oracle: everything below is built from scratch ---------
@@ -538,39 +634,23 @@ def test_criterion_06c_fm_counting_noncyclic_grid():
 #     given by every element of G rather than by its generator.
 def test_criterion_06d_fm_counting_every_cyclic_group():
     start = time.perf_counter()
-    orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
     groups = not_sign = larger = 0
-    for t in range(1, 21):
-        for d in range(t):
-            form = ns_form(d, t).form
-            own = isometry_group(form)
-            sign = {s.images for s in GSpec.sign_group(form).image_elements()}
-            seen = set()
-            for sigma in own:
-                k = sigma.order()
-                n = next((n for n in orders if n % k == 0), None)
-                if n is None:
-                    continue
-                try:
-                    g = GSpec(sigma, n)
-                except InvalidParameterError:
-                    continue
-                right = g.image_elements()
-                image = frozenset(s.images for s in right)
-                if image in seen:
-                    continue
-                seen.add(image)
-                groups += 1
-                not_sign += image != sign
-                larger += len(image) > 2
-                oracle = 0
-                for e in genus_representatives(d, t):
-                    phi = isometry_between(form, ns_form(e, t).form)
-                    ambient = [phi.compose(x) for x in own]
-                    oracle += _double_coset_partition(
-                        ambient, o_lambda_image(e, t), right, lambda a, b: a.compose(b)
-                    )
-                assert fm_count(d, t, g) == oracle, (d, t, k)
+    for d, t, own, g in _cyclic_groups(20):
+        form = ns_form(d, t).form
+        sign = {s.images for s in GSpec.sign_group(form).image_elements()}
+        right = g.image_elements()
+        image = {s.images for s in right}
+        groups += 1
+        not_sign += image != sign
+        larger += len(image) > 2
+        oracle = 0
+        for e in genus_representatives(d, t):
+            phi = isometry_between(form, ns_form(e, t).form)
+            ambient = [phi.compose(x) for x in own]
+            oracle += _double_coset_partition(
+                ambient, o_lambda_image(e, t), right, lambda a, b: a.compose(b)
+            )
+        assert fm_count(d, t, g) == oracle, (d, t, len(image))
     assert (groups, not_sign, larger) == (234, 24, 23)
     _report(6, "Fourier-Mukai counts for every cyclic G, t <= 20", start)
 

@@ -3,12 +3,10 @@ from hypothesis import given, strategies as st
 
 from k3fm.intmath import (
     close_units_subgroup,
-    crt_combine,
     distinct_primes,
     factorize,
     is_prime,
     omega,
-    solve_linear_congruence,
     totient,
     units_mod,
     xgcd,
@@ -48,31 +46,6 @@ def test_xgcd_bezout(a, b):
     assert a * x + b * y == g
     if a or b:
         assert a % g == 0 and b % g == 0
-
-
-@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 40))
-def test_solve_linear_congruence_matches_scan(a, b, n):
-    got = solve_linear_congruence(a, b, n)
-    brute = [x for x in range(n) if (a * x - b) % n == 0]
-    if got is None:
-        assert brute == []
-    else:
-        c0, step = got
-        assert brute == list(range(c0, n, step))
-
-
-@given(st.integers(0, 20), st.integers(1, 21), st.integers(0, 20), st.integers(1, 21))
-def test_crt_combine_matches_scan(r1, m1, r2, m2):
-    got = crt_combine(r1 % m1, m1, r2 % m2, m2)
-    limit = m1 * m2
-    brute = [
-        x for x in range(limit) if x % m1 == r1 % m1 and x % m2 == r2 % m2
-    ]
-    if got is None:
-        assert brute == []
-    else:
-        r, mod = got
-        assert brute == list(range(r, limit, mod))
 
 
 def test_units_mod():

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3fm.discforms import identity_isometry, isometry_group, neg_identity, ns_form
+from k3fm.discforms import (
+    DFIsometry,
+    identity_isometry,
+    isometry_between,
+    isometry_group,
+    neg_identity,
+    ns_form,
+)
 from k3fm.errors import (
     CapacityError,
     InvalidElementError,
@@ -117,6 +124,27 @@ def test_classification_round_trip():
             assert w.coords in {x.coords for x in L.lagrangian_generators()}
 
 
+def _multiples(g, t):
+    """The coordinates of s g for s in [0, t)."""
+    orders = g.form.orders
+    return {tuple(s * c % n for c, n in zip(g.coords, orders)) for s in range(t)}
+
+
+def test_membership_against_multiples():
+    # contains tests b(x, generator) = 0, which is membership only because
+    # L = L-perp; here membership is read off the list of multiples
+    for t in range(1, 17):
+        for d in range(-t, 2 * t):
+            form = ns_form(d, t).form
+            for L in enumerate_lagrangian_subgroups(d, t):
+                members = _multiples(L.generator, t)
+                for x in form.elements():
+                    assert L.contains(x) == (x.coords in members), (d, t, x.coords)
+            for w in enumerate_lagrangian_elements(d, t):
+                sub = subgroup_generated_by(d, t, w)
+                assert w.coords in _multiples(sub.generator, t), (d, t, w.coords)
+
+
 def test_classification_rejects_foreign_element():
     w = enumerate_lagrangian_elements(1, 5)[0]
     with pytest.raises(InvalidElementError):
@@ -133,6 +161,9 @@ def test_selector_validation():
         LagrangianSubgroup(
             6, 6, ((2, SELECT_V), (3, SELECT_V)), 2 * nf.vbar
         )  # generator order 3, not 6
+    with pytest.raises(InvalidSubgroupError):
+        # isotropic of order 6, but in the group of (0, 6), not of (6, 6)
+        LagrangianSubgroup(6, 6, ((2, SELECT_V), (3, SELECT_V)), ns_form(0, 6).vbar)
 
 
 def test_involution_is_an_involution():
@@ -232,19 +263,32 @@ def test_gspec_validation():
 
 def test_gspec_rejects_non_automorphism():
     f15, f45 = ns_form(1, 5).form, ns_form(4, 5).form
-    from k3fm.discforms import isometry_between
-
     phi = isometry_between(f15, f45)
     with pytest.raises(InvalidIsometryError):
         GSpec(phi, 2)
+    # x -> 7x is an automorphism of A = Z/25 of order 4 whose square is
+    # -id, but it does not preserve q
+    with pytest.raises(InvalidIsometryError):
+        GSpec(DFIsometry(f15, f15, ((7,),)), 4)
 
 
-def test_gspec_image_elements():
+def test_gspec_image_elements(monkeypatch):
     form = ns_form(0, 5).form
     g = GSpec.sign_group(form, 4)
     imgs = g.image_elements()
     assert len(imgs) == 2
     assert imgs[-1].is_identity()
+    # the image <sigma> is walked once, at construction: sigma^2, sigma^3
+    # and sigma^4 = id cost three compositions, whatever is asked later
+    sigma4 = next(s for s in isometry_group(form) if s.order() == 4)
+    calls = []
+    compose = DFIsometry.compose
+    monkeypatch.setattr(
+        DFIsometry, "compose", lambda a, b: calls.append(1) or compose(a, b)
+    )
+    g = GSpec(sigma4, 8)
+    assert (len(g.image_elements()), g.kernel_order, len(g.image_elements())) == (4, 2, 4)
+    assert len(calls) == 3
 
 
 # ----------------------------------------------------------------- orbits

@@ -1,6 +1,7 @@
 """Repository hygiene: nothing that .gitignore lists is tracked, so build
-output cannot slip back into version control, and the benchmark harness
-still finds every name it wraps."""
+output cannot slip back into version control, the benchmark harness
+still finds every name it wraps, and the benchmark's sweep check passes
+on the t = 3..30 sweep."""
 
 import importlib.util
 import shutil
@@ -29,15 +30,20 @@ def test_no_ignored_file_is_tracked():
     assert listed.stdout == "", f"tracked but ignored:\n{listed.stdout}"
 
 
-def test_benchmark_tracer_installs_and_uninstalls():
-    path = ROOT / "perfbench" / "tracing.py"
+def _load_perfbench(name):
+    path = ROOT / "perfbench" / f"{name}.py"
     if not path.is_file():
         pytest.skip("perfbench/ is not in this tree")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    tracing = _load_perfbench("tracing")
     from k3fm import surfaces
 
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     original = surfaces.isometry_between
     tracer = tracing.Tracer()
     try:
@@ -46,3 +52,17 @@ def test_benchmark_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert surfaces.isometry_between is original
+
+
+def test_sweep_passes_the_benchmark_checks(tmp_path, capsys):
+    # the benchmark's own checks: closed forms recomputed without k3fm, and
+    # FM counts recorded in perfbench/expected.json
+    checks = _load_perfbench("checks")
+    from k3fm.cli import main
+
+    csv_path = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--t-min", "3", "--t-max", "30", "--out", str(csv_path)])
+    out = capsys.readouterr().out
+    cells = [(d, t) for t in range(3, 31) for d in range(t)]
+    errors = checks.check_sweep(rc, out, csv_path.read_text(), cells, checks.Expected())
+    assert errors == []
