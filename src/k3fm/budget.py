@@ -2,8 +2,9 @@
 
 Both caps are measured by the size of the finite group being scanned:
 
-* element scans walk all of A, so they allow |A| up to ``ELEMENT_CAP``
-  (for the rank-two family |A| = t^2, i.e. t <= 2000 by default);
+* element scans allow |A| up to ``ELEMENT_CAP`` (for the rank-two
+  family |A| = t^2, i.e. t <= 2000 by default), although they visit
+  only the elements killed by the order they look for;
 * isometry enumeration is quartic-ish in the generator orders and gets
   the much smaller ``ISOMETRY_CAP``.
 

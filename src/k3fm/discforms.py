@@ -189,7 +189,9 @@ class DFIsometry:
     """Group isomorphism preserving q, stored by generator images.
 
     ``images[i]`` is the coordinate tuple (in the codomain) of the image of
-    the i-th domain generator.
+    the i-th domain generator.  The shape is checked: one image per domain
+    generator, one coordinate per codomain generator.  Nothing else is;
+    ``as_isometry`` validates the map.
     """
 
     domain: FiniteQuadForm
@@ -197,6 +199,10 @@ class DFIsometry:
     images: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if len(self.images) != self.domain.rank or any(
+            len(img) != self.codomain.rank for img in self.images
+        ):
+            raise InvalidIsometryError("image shape does not match generator counts")
         object.__setattr__(
             self,
             "images",
@@ -306,14 +312,10 @@ def as_isometry(domain: FiniteQuadForm, codomain: FiniteQuadForm, images) -> DFI
     Raises InvalidIsometryError when the images do not define a
     q-preserving group automorphism (or isomorphism onto the codomain).
     """
-    images = tuple(tuple(int(x) for x in img) for img in images)
-    if len(images) != domain.rank or any(
-        len(img) != codomain.rank for img in images
-    ):
-        raise InvalidIsometryError("image shape does not match generator counts")
-    images = tuple(
-        tuple(c % n for c, n in zip(img, codomain.orders)) for img in images
+    iso = DFIsometry(
+        domain, codomain, tuple(tuple(int(x) for x in img) for img in images)
     )
+    images = iso.images
     for i, img in enumerate(images):
         n = domain.orders[i]
         for c, cn in zip(img, codomain.orders):
@@ -331,7 +333,7 @@ def as_isometry(domain: FiniteQuadForm, codomain: FiniteQuadForm, images) -> DFI
                 raise InvalidIsometryError(
                     f"pairing not preserved on generators ({i}, {j})"
                 )
-    return DFIsometry(domain, codomain, images)
+    return iso
 
 
 @dataclass(frozen=True)

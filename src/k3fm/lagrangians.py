@@ -142,7 +142,8 @@ def canonical_pair(d: int, t: int) -> tuple[LagrangianElement, LagrangianElement
 
 def _lagrangian_coords(d: int, t: int) -> list[tuple[int, ...]]:
     """Coordinate tuples of the isotropic order-t elements, sorted: one
-    budgeted scan of the group, which has t^2 elements."""
+    scan of the elements killed by t.  The budget is still checked on the
+    whole group, which has t^2 elements."""
     form = ns_form(d, t).form
     cap = budget.element_cap()
     if form.size > cap:
@@ -163,8 +164,9 @@ def _lagrangian_coords(d: int, t: int) -> list[tuple[int, ...]]:
 def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
     """Exact scan of the group for isotropic order-t elements.
 
-    Sorted by coordinates.  The group has t^2 elements, so this is
-    budgeted; use count_lagrangians past the budget.
+    Sorted by coordinates.  The scan visits only the elements killed by
+    t, but the budget is checked on the whole group, which has t^2
+    elements; use count_lagrangians past the budget.
     """
     form = ns_form(d, t).form
     return [LagrangianElement(form.element(c)) for c in _lagrangian_coords(d, t)]

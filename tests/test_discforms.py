@@ -33,6 +33,7 @@ from k3fm.errors import (
     InvalidIsometryError,
     InvalidParameterError,
 )
+from k3fm.lagrangians import GSpec
 from k3fm.lattices import IntMatrix, Lattice, RationalVector, ns_gram
 
 GRID = [(d, t) for t in range(1, 13) for d in range(t)]
@@ -391,8 +392,25 @@ def test_isometry_compose_order_inverse():
     neg = neg_identity(form)
     assert neg.order() == 2
     assert neg.compose(neg).is_identity()
-    with pytest.raises(InvalidIsometryError):
-        DFIsometry(form, ns_form(1, 5).form, ((1, 0), (0, 1))).order()
+    with pytest.raises(InvalidIsometryError, match="automorphism"):
+        DFIsometry(form, ns_form(5, 5).form, ((1, 0), (0, 1))).order()
+
+
+def test_isometry_image_shape_is_checked():
+    # images are not cut or padded to fit: one per domain generator, each
+    # with one coordinate per codomain generator
+    form = ns_form(1, 5).form
+    for images in (((24, 5, 9),), ((1,), (2,)), (), ((),)):
+        with pytest.raises(InvalidIsometryError, match="shape"):
+            DFIsometry(form, form, images)
+        with pytest.raises(InvalidIsometryError, match="shape"):
+            GSpec(DFIsometry(form, form, images), 2)
+    with pytest.raises(InvalidIsometryError, match="shape"):
+        DFIsometry(ns_form(0, 5).form, form, ((1, 0), (0, 1)))
+    assert DFIsometry(form, form, ((49,),)).images == ((24,),)
+    trivial = ns_form(1, 1).form
+    assert trivial.rank == 0
+    assert DFIsometry(trivial, trivial, ()).images == ()
 
 
 def test_order_of_a_non_automorphism_stops_at_group_size():
