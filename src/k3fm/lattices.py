@@ -18,7 +18,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSubgroupError,
 )
-from .intmath import lcm
+from .intmath import lcm, units_mod
 
 
 @dataclass(frozen=True)
@@ -480,25 +480,23 @@ def is_isometric_rank2(d: int, e: int, t: int) -> bool:
 def genus_representatives(d: int, t: int) -> tuple[int, ...]:
     """One e in [0, t) per isometry class in the genus of the (d, t) lattice.
 
-    Candidates share the invariant gcd(2e, t) = gcd(2d, t); genus
-    membership is decided by discriminant-form isometry (all these
-    lattices share signature (1, 1)), and classes are split off with the
-    exact rank-two isometry test.  The least e of each class represents it.
+    The genus is {d u^2 mod t : u a unit mod t}.  Over Z_p the basis
+    (uH, u^-1 F) of the (d, t) lattice has the Gram matrix of the
+    (d u^2, t) one (add to u a multiple of t prime to p if p does not
+    divide t), and H -> H + kF shows that only e mod t matters.  Conversely
+    a p-adic isometry sends F to a unit times F or F'; the pairing
+    equations give e = d w^2 mod the p-part of t in both cases, and CRT
+    joins the primes.  For e, r in [0, t), an isometry with F -> +-F forces
+    e = r, and one with F -> +-F' (rank2_isometries) needs e/m and r/m
+    inverse mod t/m, m = gcd(d, t).  So a class is {e} or
+    {e, m ((e/m)^-1 mod t/m)}, and its least member represents it.
     """
-    from .discforms import isometry_between, ns_form  # deferred: avoids cycle
-
     if t < 1:
         raise InvalidParameterError(f"t must be a positive integer, got {t}")
-    a = gcd(2 * d, t)
-    base = ns_form(d, t)
-    members = []
-    for e in range(t):
-        if gcd(2 * e, t) != a:
-            continue
-        if isometry_between(ns_form(e, t).form, base.form) is not None:
-            members.append(e)
-    reps: list[int] = []
-    for e in members:
-        if not any(is_isometric_rank2(r, e, t) for r in reps):
-            reps.append(e)
-    return tuple(reps)
+    m = gcd(d, t)
+    reps = set()
+    for e in {d * u * u % t for u in units_mod(t)}:
+        if gcd(e // m, t // m) == 1:
+            e = min(e, m * pow(e // m, -1, t // m))
+        reps.add(e)
+    return tuple(sorted(reps))

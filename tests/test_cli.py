@@ -214,6 +214,17 @@ def test_exit_code_capacity(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_genus_is_not_budgeted(capsys, monkeypatch):
+    # genus is arithmetic in t; fm still enumerates O(A) under the cap
+    monkeypatch.setenv("K3FM_BUDGET", "10")
+    code, out, err = run_cli(["genus", "--d", "1", "--t", "200"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("representatives=")
+    code, out, err = run_cli(["fm", "--d", "1", "--t", "200"], capsys)
+    assert code == 3
+    assert "budget" in err
+
+
 def test_exit_code_verify_failure(capsys, monkeypatch):
     def boom(d, t, row):
         raise SweepVerifyError(f"cell d={d} t={t}: forced mismatch")

@@ -158,8 +158,9 @@ def test_element_scan_matches_brute_scan():
 
 
 def _genus_pairs(d, t):
-    """(source, target) of every isometry search genus_representatives(d, t)
-    hands to the kernel: equal group shapes, distinct forms."""
+    """(source, target) of every form pair of (d, t) with equal group
+    shapes, distinct forms and the gcd(2e, t) = gcd(2d, t) invariant: the
+    `first_only` searches a brute genus search would make."""
     target = ns_form(d, t).form
     for e in range(t):
         if gcd(2 * e, t) == gcd(2 * d, t):

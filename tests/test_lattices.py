@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3fm.discforms import isometry_between, ns_form
 from k3fm.errors import (
     InvalidElementError,
     InvalidLatticeError,
@@ -180,3 +181,33 @@ def test_genus_representatives_known():
     for d, t in [(2, 12), (3, 9), (5, 8)]:
         reps = genus_representatives(d, t)
         assert any(is_isometric_rank2(d, e, t) for e in reps)
+
+
+def test_genus_matches_form_isometry_search():
+    # the search the closed form replaced: members are the e whose
+    # discriminant form is isometric to that of d (all these lattices have
+    # signature (1, 1)), split into classes by the rank-two isometry test
+    for t in range(1, 31):
+        for d in range(-t, 2 * t):
+            base = ns_form(d, t).form
+            members = [
+                e
+                for e in range(t)
+                if isometry_between(ns_form(e, t).form, base) is not None
+            ]
+            reps = []
+            for e in members:
+                if not any(is_isometric_rank2(r, e, t) for r in reps):
+                    reps.append(e)
+            assert genus_representatives(d, t) == tuple(reps), (d, t)
+
+
+def test_genus_past_the_isometry_budget():
+    # t = 10007 is prime and 3 mod 4: the genus of d = 1 is the quadratic
+    # residues, and e ~ e^-1 pairs them up except where e^2 = 1
+    p = 10007
+    squares = {x * x % p for x in range(1, p)}
+    fixed = sum(1 for e in squares if e * e % p == 1)
+    reps = genus_representatives(1, p)
+    assert len(reps) == (len(squares) + fixed) // 2 == 2502
+    assert set(reps) <= squares

@@ -1,8 +1,10 @@
 """Repository hygiene: nothing that .gitignore lists is tracked, so build
 output cannot slip back into version control, the benchmark harness
-still finds every name it wraps, and the benchmark's sweep check passes
-on the t = 3..30 sweep."""
+still finds every name it wraps, the benchmark's sweep check passes
+on the t = 3..30 sweep, and the lattice layer does not reach up into
+the discriminant forms built on it."""
 
+import ast
 import importlib.util
 import shutil
 import subprocess
@@ -66,3 +68,17 @@ def test_sweep_passes_the_benchmark_checks(tmp_path, capsys):
     cells = [(d, t) for t in range(3, 31) for d in range(t)]
     errors = checks.check_sweep(rc, out, csv_path.read_text(), cells, checks.Expected())
     assert errors == []
+
+
+def test_lattices_imports_nothing_from_discforms():
+    # discforms builds on lattices; an import back, even a deferred one,
+    # makes a cycle
+    tree = ast.parse((ROOT / "src" / "k3fm" / "lattices.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any("discforms" in n.split(".") for n in names), ast.unparse(node)

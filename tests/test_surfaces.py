@@ -454,6 +454,13 @@ def test_fm_count_frozen():
         assert fm_count(d, 1, _sign(d, 1)) == 1
 
 
+def test_fm_count_checks_each_genus_member(monkeypatch):
+    # 2 is not a square mod 5, so A_2 is not isometric to A_1
+    monkeypatch.setattr("k3fm.surfaces.genus_representatives", lambda d, t: (1, 2))
+    with pytest.raises(RuntimeError, match="genus member lost its form isometry"):
+        fm_count(1, 5, _sign(1, 5))
+
+
 def test_fm_count_larger_group_merges():
     assert fm_count(0, 5, GSpec(_sigma4(), 4)) == 1
 
