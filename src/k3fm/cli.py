@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import gcd, isqrt
 
 from .discforms import as_isometry, ns_form, structure_invariants
@@ -514,7 +514,13 @@ _HANDLERS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Sharing is safe: ``parse_args`` makes a fresh namespace per call and
+    leaves the parser unchanged, and help text is laid out when printed.
+    """
     parser = argparse.ArgumentParser(
         prog="k3fm",
         description=(

@@ -58,24 +58,26 @@ class FiniteQuadForm:
                 raise InvalidParameterError("generator orders must be >= 2")
             if i and n % self.orders[i - 1]:
                 raise InvalidParameterError("orders must ascend by divisibility")
-        for i in range(r):
-            q = self.q_gen[i]
-            if not (0 <= q < 2):
-                raise InvalidParameterError("q-values must lie in [0, 2)")
-            n = self.orders[i]
-            if (n * q) % 1 or (n * n * q) % 2:
-                raise InvalidParameterError("q is not well defined on Z/n_i")
-            if len(self.b_matrix[i]) != r:
+        for row in self.b_matrix:
+            if len(row) != r:
                 raise InvalidParameterError("b matrix must be square")
-            if (self.b_matrix[i][i] - q) % 1:
+        # the checks below run on the numerators over one denominator
+        den, qn, bn = self._int_view
+        for i, n in enumerate(self.orders):
+            q = qn[i]
+            if not (0 <= q < 2 * den):
+                raise InvalidParameterError("q-values must lie in [0, 2)")
+            if (n * q) % den or (n * n * q) % (2 * den):
+                raise InvalidParameterError("q is not well defined on Z/n_i")
+            if (bn[i][i] - q) % den:
                 raise InvalidParameterError("b(g, g) must equal q(g) mod 1")
             for j in range(r):
-                bij = self.b_matrix[i][j]
-                if not (0 <= bij < 1):
+                bij = bn[i][j]
+                if not (0 <= bij < den):
                     raise InvalidParameterError("b-values must lie in [0, 1)")
-                if bij != self.b_matrix[j][i]:
+                if bij != bn[j][i]:
                     raise InvalidParameterError("b must be symmetric")
-                if (n * bij) % 1:
+                if (n * bij) % den:
                     raise InvalidParameterError("b is not well defined on Z/n_i")
 
     @classmethod
@@ -97,26 +99,44 @@ class FiniteQuadForm:
             s *= n
         return s
 
+    @cached_property
+    def _int_view(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(den, q numerators, b numerators): every q- and b-value over one
+        common denominator, q numerators in [0, 2 den), b ones in [0, den)."""
+        den = 1
+        for q in self.q_gen:
+            den = lcm(den, q.denominator)
+        for row in self.b_matrix:
+            for x in row:
+                den = lcm(den, x.denominator)
+        return (
+            den,
+            tuple(q.numerator * (den // q.denominator) for q in self.q_gen),
+            tuple(
+                tuple(x.numerator * (den // x.denominator) for x in row)
+                for row in self.b_matrix
+            ),
+        )
+
     def q(self, coords) -> Fraction:
-        total = Fraction(0)
+        den, qn, bn = self._int_view
+        total = 0
         for i, c in enumerate(coords):
             if c:
-                total += c * c * self.q_gen[i]
-        for i in range(len(coords)):
-            for j in range(i + 1, len(coords)):
-                if coords[i] and coords[j]:
-                    total += 2 * coords[i] * coords[j] * self.b_matrix[i][j]
-        return total % 2
+                total += c * c * qn[i]
+                for j in range(i + 1, len(coords)):
+                    total += 2 * c * coords[j] * bn[i][j]
+        return Fraction(total % (2 * den), den)
 
     def b(self, coords1, coords2) -> Fraction:
-        total = Fraction(0)
+        den, _, bn = self._int_view
+        total = 0
         for i, c in enumerate(coords1):
-            if not c:
-                continue
-            for j, e in enumerate(coords2):
-                if e:
-                    total += c * e * self.b_matrix[i][j]
-        return total % 1
+            if c:
+                row = bn[i]
+                for j, e in enumerate(coords2):
+                    total += c * e * row[j]
+        return Fraction(total % den, den)
 
     def zero(self) -> "DFElement":
         return DFElement(self, (0,) * self.rank)
@@ -130,13 +150,8 @@ class FiniteQuadForm:
             yield DFElement(self, coords)
 
     def denominator(self) -> int:
-        den = 1
-        for q in self.q_gen:
-            den = lcm(den, q.denominator)
-        for row in self.b_matrix:
-            for x in row:
-                den = lcm(den, x.denominator)
-        return den
+        """The least common denominator of every q- and b-value."""
+        return self._int_view[0]
 
 
 @dataclass(frozen=True)
@@ -338,7 +353,13 @@ def as_isometry(domain: FiniteQuadForm, codomain: FiniteQuadForm, images) -> DFI
 
 @dataclass(frozen=True)
 class LatticeForm:
-    """Discriminant form of an even lattice, with converters both ways."""
+    """Discriminant form of an even lattice, with converters both ways.
+
+    With U G V = D the Smith form of the Gram matrix G, generator i of the
+    form is v_i / n_i, for v_i the column of V at the i-th invariant
+    n_i > 1.  A dual vector x has U G x = D V^-1 x, so the coordinates of
+    its class are the entries of U G x at those invariants, mod n_i.
+    """
 
     lattice: Lattice
     form: FiniteQuadForm
@@ -346,37 +367,50 @@ class LatticeForm:
     u_rows: tuple[tuple[int, ...], ...]
     gens: tuple[RationalVector, ...]  # rational lifts of the form generators
 
+    @cached_property
+    def _ug(self) -> tuple[tuple[int, ...], ...]:
+        return (IntMatrix(self.u_rows) @ self.lattice.gram).entries
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """The integer columns v_i of V behind the generators v_i / n_i."""
+        return tuple(
+            tuple(int(x * n) for x in gen.coords)
+            for gen, n in zip(self.gens, self.form.orders)
+        )
+
+    def _class_of(self, gx) -> DFElement:
+        """Class of the dual vector x with G x = ``gx``, an integer vector."""
+        return DFElement(
+            self.form,
+            tuple(
+                sum(a * b for a, b in zip(row, gx))
+                for row, n in zip(self.u_rows, self.diag)
+                if n != 1
+            ),
+        )
+
     def element_from_dual(self, vec) -> DFElement:
         """Class in L*/L of a dual vector given in L's basis coordinates."""
         if not isinstance(vec, RationalVector):
             vec = RationalVector.make(vec)
         if not self.lattice.in_dual(vec):
             raise InvalidElementError("vector is not in the dual lattice")
-        g = self.lattice.gram.entries
-        n = self.lattice.rank
-        dual_coords = [
-            sum(g[i][j] * vec.coords[j] for j in range(n)) for i in range(n)
-        ]
-        coords = []
-        for i in range(n):
-            if self.diag[i] == 1:
-                continue
-            val = sum(self.u_rows[i][j] * dual_coords[j] for j in range(n))
-            coords.append(int(val) % self.diag[i])
-        return DFElement(self.form, tuple(coords))
+        return self._class_of(
+            [int(sum(a * b for a, b in zip(row, vec.coords)))
+             for row in self.lattice.gram.entries]
+        )
 
     def induced_isometry(self, mat: IntMatrix) -> DFIsometry:
         """The validated isometry of L*/L induced by an integer isometry
-        ``mat`` of L.  With U G V = D the Smith form, generator i is
-        v_i / n_i, and coordinate j of its image is (U G mat v_i)_j / n_i
-        mod n_j, an exact division when mat keeps L*."""
+        ``mat`` of L.  Coordinate j of the image of generator i is
+        (U G mat v_i)_j / n_i mod n_j, an exact division when mat keeps L*."""
         if mat.dim != self.lattice.rank:
             raise InvalidIsometryError("matrix size does not match the lattice rank")
-        ugm = (IntMatrix(self.u_rows) @ self.lattice.gram @ mat).entries
         images = []
-        for gen, n in zip(self.gens, self.form.orders):
-            v = [int(x * n) for x in gen.coords]
-            quot = [divmod(sum(a * b for a, b in zip(row, v)), n) for row in ugm]
+        for v, n in zip(self._columns, self.form.orders):
+            mv = [sum(a * b for a, b in zip(row, v)) for row in mat.entries]
+            quot = [divmod(sum(a * b for a, b in zip(row, mv)), n) for row in self._ug]
             if any(r for _, r in quot):
                 raise InvalidIsometryError("matrix does not preserve the dual lattice")
             images.append([q for (q, _), n_j in zip(quot, self.diag) if n_j != 1])
@@ -396,28 +430,33 @@ class LatticeForm:
 def from_lattice(lat) -> LatticeForm:
     """Discriminant form A = L*/L of an even lattice, via Smith normal form.
 
-    Generators are the columns of the SNF transform V scaled by the
-    invariant factors; unit factors are dropped.
+    Generators are the columns v_i of the SNF transform V scaled by the
+    invariant factors n_i; unit factors are dropped.  The form is read off
+    the integers v_i G v_j: q_i = v_i G v_i / n_i^2 mod 2 and
+    b_ij = v_i G v_j / (n_i n_j) mod 1.
     """
     if isinstance(lat, NSLattice):
         lat = lat.to_lattice()
     d_mat, u_mat, v_mat = smith_normal_form(lat.gram)
     n = lat.rank
     diag = tuple(d_mat.entries[i][i] for i in range(n))
-    gens = []
-    orders = []
-    for i in range(n):
-        if diag[i] == 1:
-            continue
-        col = v_mat.column(i)
-        gens.append(RationalVector(tuple(Fraction(x, diag[i]) for x in col)))
-        orders.append(diag[i])
-    q_gen = tuple(g.square(lat.gram) % 2 for g in gens)
-    b_matrix = tuple(
-        tuple(x.pair(lat.gram, y) % 1 for y in gens) for x in gens
+    orders = tuple(x for x in diag if x != 1)
+    cols = [v_mat.column(i) for i in range(n) if diag[i] != 1]
+    gram = lat.gram.entries
+    gv = [[sum(a * b for a, b in zip(row, c)) for row in gram] for c in cols]
+    vgv = [[sum(a * b for a, b in zip(c, w)) for w in gv] for c in cols]
+    q_gen = tuple(
+        Fraction(vgv[i][i] % (2 * ni * ni), ni * ni) for i, ni in enumerate(orders)
     )
-    form = FiniteQuadForm(tuple(orders), q_gen, b_matrix)
-    return LatticeForm(lat, form, diag, u_mat.entries, tuple(gens))
+    b_matrix = tuple(
+        tuple(Fraction(x % (ni * nj), ni * nj) for x, nj in zip(vgv[i], orders))
+        for i, ni in enumerate(orders)
+    )
+    gens = tuple(
+        RationalVector(tuple(Fraction(x, ni) for x in c)) for c, ni in zip(cols, orders)
+    )
+    form = FiniteQuadForm(orders, q_gen, b_matrix)
+    return LatticeForm(lat, form, diag, u_mat.entries, gens)
 
 
 @dataclass(frozen=True)
@@ -467,10 +506,9 @@ def ns_form(d: int, t: int) -> NSForm:
     lf = from_lattice(ns)
     fstar, hstar = dual_generators(ns)
     m = gcd(d, t)
-    vbar = lf.element_from_dual(RationalVector((Fraction(0), Fraction(1, t))))
-    vprime = lf.element_from_dual(
-        RationalVector((Fraction(1, m), Fraction(-d, t * m)))
-    )
+    # G (0, 1/t) = (1, 0) and G (1/m, -d/(t m)) = (d/m, t/m)
+    vbar = lf._class_of((1, 0))
+    vprime = lf._class_of((d // m, t // m))
     return NSForm(d, t, lf, fstar, hstar, vbar, vprime)
 
 
@@ -576,21 +614,18 @@ def _kernel_setup(struct_form: FiniteQuadForm, value_form: FiniteQuadForm):
     ``struct_form`` supplies the group and the form candidate images are
     evaluated in; ``value_form`` supplies the values to hit.
     """
-    den = lcm(struct_form.denominator(), value_form.denominator())
+    s_den, s_q, s_b = struct_form._int_view
+    v_den, v_q, v_b = value_form._int_view
+    den = lcm(s_den, v_den)
+    s_k, v_k = den // s_den, den // v_den
     if struct_form.rank == 1:
         n1, n2 = 1, struct_form.orders[0]
-        q1, q2, b12 = 0, int(struct_form.q_gen[0] * den) % (2 * den), 0
-        w1 = 0
-        w2 = int(value_form.q_gen[0] * den) % (2 * den)
-        w12 = 0
+        q1, q2, b12 = 0, s_q[0] * s_k, 0
+        w1, w2, w12 = 0, v_q[0] * v_k, 0
     else:
         n1, n2 = struct_form.orders
-        q1 = int(struct_form.q_gen[0] * den) % (2 * den)
-        q2 = int(struct_form.q_gen[1] * den) % (2 * den)
-        b12 = int(struct_form.b_matrix[0][1] * den) % den
-        w1 = int(value_form.q_gen[0] * den) % (2 * den)
-        w2 = int(value_form.q_gen[1] * den) % (2 * den)
-        w12 = int(value_form.b_matrix[0][1] * den) % den
+        q1, q2, b12 = s_q[0] * s_k, s_q[1] * s_k, s_b[0][1] * s_k
+        w1, w2, w12 = v_q[0] * v_k, v_q[1] * v_k, v_b[0][1] * v_k
     primes1 = distinct_primes(n1)
     primes2 = tuple(p for p in distinct_primes(n2) if n1 % p)
     return n1, n2, den, q1, q2, b12, w1, w2, w12, primes1, primes2

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k3fm
-from k3fm.cli import SWEEP_FIELDS, SweepVerifyError, _sweep_workers, main
+from k3fm.cli import SWEEP_FIELDS, SweepVerifyError, _sweep_workers, build_parser, main
 from k3fm.discforms import ns_form, structure_invariants
 from k3fm.lagrangians import GSpec, count_lagrangians
 from k3fm.lattices import genus_representatives
@@ -179,6 +179,57 @@ def test_console_script_installed():
         )
         assert proc.returncode == 2, (command, proc.stderr)
         assert proc.stderr.startswith("k3fm: ")
+
+
+# ------------------------------------------------------------ parser reuse
+
+# One of each outcome main() has: a table and a JSON answer, an argparse
+# rejection (missing --t), invalid input, an exceeded budget, and a valid
+# request again after all of them.
+REUSE_SEQUENCE = [
+    ["disc", "--d", "3", "--t", "4"],
+    ["pair", "--d", "2", "--t", "5", "--json"],
+    ["fm", "--d", "1"],
+    ["disc", "--d", "1", "--t", "0"],
+    ["fm", "--d", "0", "--t", "101"],
+    ["disc", "--d", "3", "--t", "4"],
+]
+
+
+def _run_sequence(capsys):
+    seen = []
+    for argv in REUSE_SEQUENCE:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        seen.append((code, out.out, out.err))
+    return seen
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
+    shared = _run_sequence(capsys)
+    assert [code for code, _, _ in shared] == [0, 0, ("SystemExit", 2), 2, 3, 0]
+    assert shared[0] == shared[-1]
+    monkeypatch.setattr("k3fm.cli.build_parser", build_parser.__wrapped__)
+    assert _run_sequence(capsys) == shared
+
+
+def test_import_builds_no_parser():
+    src = Path(k3fm.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import k3fm.cli; print(k3fm.cli.build_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 # ----------------------------------------------------------------- errors

@@ -34,7 +34,7 @@ from k3fm.errors import (
     InvalidParameterError,
 )
 from k3fm.lagrangians import GSpec
-from k3fm.lattices import IntMatrix, Lattice, RationalVector, ns_gram
+from k3fm.lattices import IntMatrix, Lattice, RationalVector, isotropic_rays, ns_gram
 
 GRID = [(d, t) for t in range(1, 13) for d in range(t)]
 
@@ -200,6 +200,61 @@ def test_induced_isometry_validates():
     ):
         with pytest.raises(InvalidIsometryError):
             lf.induced_isometry(bad)
+
+
+def test_ns_form_matches_fraction_route():
+    """from_lattice reads q and b off integer SNF data, and ns_form takes
+    vbar and vprime as classes of integer vectors; the Fraction route
+    they replaced is rebuilt here from public pieces."""
+    for t in range(1, 61):
+        for d in range(-t, 2 * t):
+            nf = ns_form(d, t)
+            lf, ns = nf.lf, ns_gram(d, t)
+            gram = ns.gram
+            assert nf.form.q_gen == tuple(g.square(gram) % 2 for g in lf.gens)
+            assert nf.form.b_matrix == tuple(
+                tuple(x.pair(gram, y) % 1 for y in lf.gens) for x in lf.gens
+            )
+            f, fprime = isotropic_rays(ns)
+            assert nf.vbar == lf.element_from_dual(Fraction(1, t) * f)
+            assert nf.vprime == lf.element_from_dual(Fraction(1, t) * fprime)
+
+
+def _fraction_q(form, x):
+    r = form.rank
+    total = sum((x[i] * x[i] * form.q_gen[i] for i in range(r)), Fraction(0))
+    total += sum(
+        (2 * x[i] * x[j] * form.b_matrix[i][j]
+         for i in range(r) for j in range(i + 1, r)),
+        Fraction(0),
+    )
+    return total % 2
+
+
+def _fraction_b(form, x, y):
+    r = form.rank
+    return sum(
+        (x[i] * y[j] * form.b_matrix[i][j] for i in range(r) for j in range(r)),
+        Fraction(0),
+    ) % 1
+
+
+def test_integer_q_and_b_match_fraction_sums():
+    """q and b on integer numerators against Fraction sums: q on every
+    element, b of every element with the generators, vbar and vprime,
+    and b on every pair of elements when t <= 6."""
+    for t in range(1, 13):
+        for d in range(-t, 2 * t):
+            nf = ns_form(d, t)
+            form = nf.form
+            elems = [e.coords for e in form.elements()]
+            r = form.rank
+            units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+            partners = elems if t <= 6 else units + [nf.vbar.coords, nf.vprime.coords]
+            for x in elems:
+                assert form.q(x) == _fraction_q(form, x)
+                for y in partners:
+                    assert form.b(x, y) == _fraction_b(form, x, y)
 
 
 # --------------------------------------------------------------- validation
