@@ -26,6 +26,7 @@ from .errors import (
     InvalidElementError,
     InvalidIsometryError,
     InvalidParameterError,
+    OutOfScopeError,
 )
 from .intmath import distinct_primes, lcm
 from .lattices import (
@@ -206,7 +207,8 @@ class DFIsometry:
     ``images[i]`` is the coordinate tuple (in the codomain) of the image of
     the i-th domain generator.  The shape is checked: one image per domain
     generator, one coordinate per codomain generator.  Nothing else is;
-    ``as_isometry`` validates the map.
+    ``as_isometry`` validates the map.  ``powers()`` walks the cyclic
+    group of an automorphism once; ``order()`` and ``inverse()`` read it.
     """
 
     domain: FiniteQuadForm
@@ -255,28 +257,28 @@ class DFIsometry:
             return False
         return self.images == _identity_images(self.domain)
 
-    def order(self) -> int:
+    def powers(self) -> tuple["DFIsometry", ...]:
+        """sigma, sigma^2, ..., the identity: the cyclic group sigma
+        generates, walked once."""
         if self.domain != self.codomain:
-            raise InvalidIsometryError("order requires an automorphism")
+            raise InvalidIsometryError("powers require an automorphism")
         # No automorphism of a nontrivial finite group has order >= |G|
         # (Horosevskii 1974): once self^n is not the identity for some
         # n + 1 >= |G|, the map is not an automorphism.
-        power = self
-        n = 1
-        while not power.is_identity():
-            if n + 1 >= self.domain.size:
+        powers = [self]
+        while not powers[-1].is_identity():
+            if len(powers) + 1 >= self.domain.size:
                 raise RuntimeError("automorphism order runaway (not an isometry?)")
-            power = self.compose(power)
-            n += 1
-        return n
+            powers.append(self.compose(powers[-1]))
+        return tuple(powers)
+
+    def order(self) -> int:
+        return len(self.powers())
 
     def inverse(self) -> "DFIsometry":
         if self.domain == self.codomain:
-            n = self.order()
-            power = identity_isometry(self.domain)
-            for _ in range(n - 1):
-                power = self.compose(power)
-            return power
+            powers = self.powers()
+            return powers[-2] if len(powers) > 1 else powers[0]
         table = {}
         for elem in self.domain.elements():
             table[self.apply(elem).coords] = elem.coords
@@ -631,19 +633,13 @@ def _kernel_setup(struct_form: FiniteQuadForm, value_form: FiniteQuadForm):
     return n1, n2, den, q1, q2, b12, w1, w2, w12, primes1, primes2
 
 
-def _wrap_isometry(domain, codomain, rank, hit) -> DFIsometry:
-    a, c, b, d = hit
-    if rank == 1:
-        return DFIsometry(domain, codomain, ((d,),))
-    return DFIsometry(domain, codomain, ((a, c), (b, d)))
-
-
 def isometry_group(form: FiniteQuadForm, cap: int | None = None) -> tuple[DFIsometry, ...]:
     """All automorphisms of the group preserving q (hence also b).
 
     Enumeration: candidate generator images with the right annihilating
     order, filtered by q on generators, pairing across generators and
-    surjectivity prime by prime.  Budgeted by |A|.
+    surjectivity prime by prime.  Budgeted by |A|.  Forms of rank <= 2
+    only (the family's A is Z/a + Z/b); rank > 2 raises OutOfScopeError.
     """
     return _isometries(form, form, cap, first_only=False)
 
@@ -655,6 +651,7 @@ def isometry_between(
 
     The generator orders must agree exactly (they are the group's Smith
     invariants, so this loses nothing).  Equal forms give the identity.
+    A ``source`` of rank > 2 raises OutOfScopeError.
     """
     isos = _isometries(source, target, cap, first_only=True)
     return isos[0] if isos else None
@@ -662,7 +659,11 @@ def isometry_between(
 
 def _isometries(source, target, cap, first_only) -> tuple[DFIsometry, ...]:
     """Isometries from ``source`` onto ``target``, sorted by images; at
-    most one when ``first_only``."""
+    most one when ``first_only``.  A ``source`` of rank > 2 raises
+    OutOfScopeError before any other check.
+    """
+    if source.rank > 2:
+        raise OutOfScopeError("isometries are enumerated for forms of rank <= 2")
     if source.orders != target.orders:
         return ()
     if cap is None:
@@ -677,53 +678,10 @@ def _isometries(source, target, cap, first_only) -> tuple[DFIsometry, ...]:
         return (identity_isometry(source),)
     if source.rank == 0:
         return (DFIsometry(source, target, ()),)
-    if source.rank > 2:
-        return _isometries_generic(source, target, first_only)
     args = _kernel_setup(target, source)
     hits = kernels.scan_isometries(*args, first_only=first_only)
-    isos = [_wrap_isometry(source, target, source.rank, h) for h in hits]
+    isos = [
+        DFIsometry(source, target, ((d,),) if source.rank == 1 else ((a, c), (b, d)))
+        for a, c, b, d in hits
+    ]
     return tuple(sorted(isos, key=lambda s: s.images))
-
-
-def _isometries_generic(source, target, first_only):
-    """Backtracking enumeration for forms with three or more generators.
-
-    Rare path; budget was already checked by the caller.
-    """
-    all_elems = list(target.elements())
-    candidates = []
-    for i in range(source.rank):
-        n = source.orders[i]
-        want = source.q_gen[i]
-        candidates.append(
-            [
-                e
-                for e in all_elems
-                if all((n * c) % cn == 0 for c, cn in zip(e.coords, target.orders))
-                and e.q() == want
-            ]
-        )
-    out = []
-    chosen: list[DFElement] = []
-
-    def rec(i):
-        if out and first_only:
-            return
-        if i == source.rank:
-            images = tuple(e.coords for e in chosen)
-            if _surjective_all_primes(source, target, images):
-                out.append(DFIsometry(source, target, images))
-            return
-        for e in candidates[i]:
-            ok = True
-            for j in range(i):
-                if target.b(chosen[j].coords, e.coords) != source.b_matrix[j][i]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(e)
-                rec(i + 1)
-                chosen.pop()
-
-    rec(0)
-    return tuple(sorted(out, key=lambda s: s.images))

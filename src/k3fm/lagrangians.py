@@ -285,10 +285,8 @@ class GSpec:
                 f"order {self.order} is not realizable at transcendental "
                 f"rank {TRANSCENDENTAL_RANK}"
             )
-        powers = [gen]
-        while not powers[-1].is_identity():
-            powers.append(gen.compose(powers[-1]))
-        object.__setattr__(self, "_powers", tuple(powers))
+        powers = gen.powers()
+        object.__setattr__(self, "_powers", powers)
         if self.order % len(powers):
             raise InvalidParameterError(
                 "abstract order must be a multiple of the image's order"

@@ -6,6 +6,7 @@ with it everywhere on small groups.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from k3fm.errors import (
     InvalidElementError,
     InvalidIsometryError,
     InvalidParameterError,
+    OutOfScopeError,
 )
 from k3fm.lagrangians import GSpec
 from k3fm.lattices import IntMatrix, Lattice, RationalVector, isotropic_rays, ns_gram
@@ -340,6 +342,11 @@ def test_isometry_group_is_a_group():
         for g in group:
             as_isometry(form, form, g.images)  # revalidates q and bijectivity
             assert g.compose(g.inverse()).is_identity()
+            powers = g.powers()
+            assert powers[-1].is_identity()
+            assert len(powers) == g.order()
+            inverse = powers[-2] if len(powers) > 1 else identity_isometry(form)
+            assert g.inverse() == inverse
             for h in group:
                 assert g.compose(h).images in keys
 
@@ -382,41 +389,28 @@ def test_isometry_between_same_form_is_identity():
     assert phi is not None and phi.is_identity()
 
 
-def test_generic_rank3_isometry_group():
-    # diag(2,2,2): q marks the standard basis, only permutations survive
+def test_rank3_isometries_are_out_of_scope():
+    # every form of the family, and every primary part of one, has rank
+    # <= 2; a rank-3 form is refused before the orders, the budget and the
+    # equal-forms shortcut are looked at
     form = from_lattice(_diag_lattice(2, 2, 2)).form
     assert form.orders == (2, 2, 2)
-    group = isometry_group(form)
-    assert len(group) == 6
-    for g in group:
-        as_isometry(form, form, g.images)
-
-
-def test_generic_rank3_isometry_between():
-    source = from_lattice(_diag_lattice(2, 2, 8)).form
-    # same form rewritten on the basis (g1, g2, g1 + g3)
-    half, eighth = Fraction(1, 2), Fraction(1, 8)
-    target = FiniteQuadForm.make(
-        (2, 2, 8),
-        (half, half, half + eighth),
-        (
-            (half, 0, half),
-            (0, half, 0),
-            (half, 0, half + eighth),
-        ),
-    )
-    phi = isometry_between(source, target)
-    assert phi is not None
-    for e in source.elements():
-        assert phi.apply(e).q() == e.q()
-    assert isometry_between(
-        source,
-        FiniteQuadForm.make(
-            (2, 2, 8),
-            (half, half, 3 * eighth),
-            ((half, 0, 0), (0, half, 0), (0, 0, 3 * eighth)),
-        ),
-    ) is None
+    other = from_lattice(_diag_lattice(2, 2, 8)).form
+    for call in (
+        lambda: isometry_group(form),
+        lambda: isometry_group(form, cap=1),
+        lambda: isometry_between(form, form),
+        lambda: isometry_between(form, form, cap=1),
+        lambda: isometry_between(form, other),
+        lambda: isometry_between(other, other, cap=1),
+    ):
+        with pytest.raises(OutOfScopeError, match="rank <= 2"):
+            call()
+    # diag(2,2,2): q marks the standard basis, so the isometries are the
+    # six permutations, and as_isometry still accepts each of them
+    for perm in permutations(range(3)):
+        images = tuple(tuple(int(j == p) for j in range(3)) for p in perm)
+        assert as_isometry(form, form, images).images == images
 
 
 def test_as_isometry_rejections():

@@ -258,6 +258,7 @@ def test_gspec_validation():
     with pytest.raises(InvalidParameterError):
         GSpec(sigma4, 6)  # 6 is not a multiple of the image order 4
     assert GSpec(sigma4, 4).kernel_order == 1
+    assert GSpec(sigma4, 4).image_elements() == sigma4.powers()
     assert GSpec(sigma4, 8).kernel_order == 2
 
 
