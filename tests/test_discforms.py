@@ -389,28 +389,50 @@ def test_isometry_between_same_form_is_identity():
     assert phi is not None and phi.is_identity()
 
 
-def test_rank3_isometries_are_out_of_scope():
+def test_generic_rank3_isometry_group():
     # every form of the family, and every primary part of one, has rank
     # <= 2; a rank-3 form is refused before the orders, the budget and the
     # equal-forms shortcut are looked at
     form = from_lattice(_diag_lattice(2, 2, 2)).form
     assert form.orders == (2, 2, 2)
-    other = from_lattice(_diag_lattice(2, 2, 8)).form
-    for call in (
-        lambda: isometry_group(form),
-        lambda: isometry_group(form, cap=1),
-        lambda: isometry_between(form, form),
-        lambda: isometry_between(form, form, cap=1),
-        lambda: isometry_between(form, other),
-        lambda: isometry_between(other, other, cap=1),
-    ):
+    for cap in (None, 1):
         with pytest.raises(OutOfScopeError, match="rank <= 2"):
-            call()
+            isometry_group(form, cap=cap)
     # diag(2,2,2): q marks the standard basis, so the isometries are the
     # six permutations, and as_isometry still accepts each of them
     for perm in permutations(range(3)):
         images = tuple(tuple(int(j == p) for j in range(3)) for p in perm)
         assert as_isometry(form, form, images).images == images
+
+
+def test_generic_rank3_isometry_between():
+    source = from_lattice(_diag_lattice(2, 2, 8)).form
+    # same form rewritten on the basis (g1, g2, g1 + g3)
+    half, eighth = Fraction(1, 2), Fraction(1, 8)
+    target = FiniteQuadForm.make(
+        (2, 2, 8),
+        (half, half, half + eighth),
+        (
+            (half, 0, half),
+            (0, half, 0),
+            (half, 0, half + eighth),
+        ),
+    )
+    diag222 = from_lattice(_diag_lattice(2, 2, 2)).form
+    for call in (
+        lambda: isometry_between(source, target),
+        lambda: isometry_between(source, source),
+        lambda: isometry_between(source, source, cap=1),
+        lambda: isometry_between(diag222, source),
+        lambda: isometry_between(diag222, diag222, cap=1),
+    ):
+        with pytest.raises(OutOfScopeError, match="rank <= 2"):
+            call()
+    # the isometry the search used to find is still accepted when given:
+    # g3 = (g1 + g3) - g1
+    phi = as_isometry(source, target, ((1, 0, 0), (0, 1, 0), (1, 0, 1)))
+    for e in source.elements():
+        assert phi.apply(e).q() == e.q()
 
 
 def test_as_isometry_rejections():
