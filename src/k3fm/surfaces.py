@@ -386,28 +386,54 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     """Number of Fourier-Mukai partners, by the double-coset formula:
     one summand O(L) \\ O(A_L) / G per isometry class L in the genus.
 
-    The O(L) image is computed from the actual lattice isometries, not
+    The O(L) image H is computed from the actual lattice isometries, not
     from a closed-form rule.  For a genus member L with form A_L, any one
-    isometry phi: A -> A_L gives Isom(A, A_L) = phi O(A), and the summand
-    counts the orbits of x -> u x s on that set (u in the O(L) image, s in
-    G), which are the double cosets O(L) \\ O(A_L) / phi G phi^-1.  Since
-    (u, s) = (u, 1)(1, s) and G is cyclic, those are the orbits of the
-    group generated by the left moves x -> u x and the one right move
-    x -> x g, so each isometry costs |O(L) image| + 1 compositions.
+    isometry phi: A -> A_L gives X = Isom(A, A_L) = phi O(A), and the
+    summand counts the double cosets H \\ X / G.  H acts freely on X, so
+    there are |O(A)| / |H| left cosets H x, and the image of G permutes
+    them by H x -> H x s.  Burnside's lemma counts the orbits as
+    (1 / |G image|) * sum over s of fix(s), with
+    fix(s) = #{x in X : x s in H x} / |H|.
+
+    The identity and -id are free terms: -id commutes with every x, and
+    -id lies in H (the lattice isometry -1 induces it), so x (-id) =
+    (-id) x lies in H x and fix(+-id) = |O(A)| / |H|.  Only the other
+    elements of G's image label the cosets and move them, so G = {+-1}
+    composes no isometries at all.
     """
     nf = ns_form(d, t)
     if g.generator.domain != nf.form:
         raise InvalidIsometryError("G does not act on this family member")
     own = isometry_group(nf.form)
+    central = {identity_isometry(nf.form).images, neg_identity(nf.form).images}
+    image = g.image_elements()
+    moving = [s for s in image if s.images not in central]
     total = 0
     for e in genus_representatives(d, t):
-        phi = isometry_between(nf.form, ns_form(e, t).form)
+        form_e = ns_form(e, t).form
+        phi = isometry_between(nf.form, form_e)
         if phi is None:
             raise RuntimeError("genus member lost its form isometry")
-        moves = [u.compose for u in o_lambda_image(e, t)]
-        moves.append(lambda x: x.compose(g.generator))
-        ambient = (phi.compose(x) for x in own)
-        total += len(_orbits(ambient, lambda x: x.images, moves))
+        h = o_lambda_image(e, t)
+        if neg_identity(form_e).images not in {u.images for u in h}:
+            raise RuntimeError("O(L) image does not contain -id")
+        if len(own) % len(h):
+            raise RuntimeError("O(L) image size does not divide |O(A)|")
+        fixed = (len(image) - len(moving)) * len(own)
+        if moving:
+            coset, reps = {}, []
+            for x in (phi.compose(y) for y in own):
+                if x.images not in coset:
+                    reps.append(x)
+                    for u in h:
+                        coset[u.compose(x).images] = x.images
+            for s in moving:
+                fixed += len(h) * sum(
+                    coset[x.compose(s).images] == x.images for x in reps
+                )
+        if fixed % (len(h) * len(image)):
+            raise RuntimeError("Burnside sum is not a multiple of |H| |G image|")
+        total += fixed // (len(h) * len(image))
     return total
 
 

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3fm.discforms import identity_isometry, isometry_group, neg_identity, ns_form
+from k3fm import cli
+from k3fm.discforms import (
+    DFIsometry,
+    identity_isometry,
+    isometry_between,
+    isometry_group,
+    neg_identity,
+    ns_form,
+)
 from k3fm.errors import (
     CapacityError,
     InvalidIsometryError,
@@ -18,8 +26,14 @@ from k3fm.errors import (
     NotApplicableError,
     OutOfScopeError,
 )
-from k3fm.lagrangians import GSpec
-from k3fm.lattices import RationalVector, isotropic_rays, ns_gram, rank2_isometries
+from k3fm.lagrangians import GSpec, _orbits
+from k3fm.lattices import (
+    RationalVector,
+    genus_representatives,
+    isotropic_rays,
+    ns_gram,
+    rank2_isometries,
+)
 from k3fm.surfaces import (
     HTClass,
     J_1728,
@@ -474,6 +488,101 @@ def test_fm_count_at_least_one():
     for t in range(1, 11):
         for d in range(t):
             assert fm_count(d, t, _sign(d, t)) >= 1
+
+
+def _walk_fm(d, t, g):
+    """The double cosets O(L) \\ Isom(A, A_L) / G walked one isometry at a
+    time: orbits of the left moves x -> u x (u in the O(L) image) and the
+    right move x -> x sigma, |O(L) image| + 1 compositions per isometry."""
+    nf = ns_form(d, t)
+    own = isometry_group(nf.form)
+    total = 0
+    for e in genus_representatives(d, t):
+        phi = isometry_between(nf.form, ns_form(e, t).form)
+        moves = [u.compose for u in o_lambda_image(e, t)]
+        moves.append(lambda x: x.compose(g.generator))
+        ambient = (phi.compose(x) for x in own)
+        total += len(_orbits(ambient, lambda x: x.images, moves))
+    return total
+
+
+def test_fm_count_matches_double_coset_walk():
+    cells = [(d, t) for t in range(2, 31) for d in range(-t, 2 * t)]
+    assert len(cells) == 1392
+    for d, t in cells:
+        g = _sign(d, t)
+        assert fm_count(d, t, g) == _walk_fm(d, t, g), (d, t)
+    groups = 0
+    for t in range(2, 13):
+        for d in range(-t, 2 * t):
+            seen = set()
+            for sigma in isometry_group(ns_form(d, t).form):
+                try:
+                    g = GSpec(sigma, 4)
+                except InvalidParameterError:
+                    continue
+                image = frozenset(s.images for s in g.image_elements())
+                if len(image) == 4 and image not in seen:
+                    seen.add(image)
+                    groups += 1
+                    assert fm_count(d, t, g) == _walk_fm(d, t, g), (d, t, sigma)
+    assert groups == 12
+
+
+def test_fm_count_is_the_jacobian_count_when_m_is_one():
+    cells = [(d, t) for t in range(3, 61) for d in range(t) if gcd(d, t) == 1]
+    assert len(cells) == 1100
+    for d, t in cells:
+        assert fm_count(d, t, _sign(d, t)) == cli._jacobian_class_count(d, t), (d, t)
+
+
+def test_fm_count_checks_the_o_lambda_image(monkeypatch):
+    real = o_lambda_image
+    form = ns_form(0, 5).form
+    central = {identity_isometry(form).images, neg_identity(form).images}
+    assert len(isometry_group(form)) == 8 and len(real(0, 5)) == 4
+
+    def without_neg(e, t):
+        neg = neg_identity(ns_form(e, t).form).images
+        return tuple(u for u in real(e, t) if u.images != neg)
+
+    monkeypatch.setattr("k3fm.surfaces.o_lambda_image", without_neg)
+    with pytest.raises(RuntimeError, match="does not contain -id"):
+        fm_count(0, 5, _sign(0, 5))
+
+    def three_of_four(e, t):
+        image = real(e, t)
+        drop = next(u for u in image if u.images not in central)
+        return tuple(u for u in image if u is not drop)
+
+    monkeypatch.setattr("k3fm.surfaces.o_lambda_image", three_of_four)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        fm_count(0, 5, _sign(0, 5))
+
+    # +-id with two isometries that do not close up to a group of order 4
+    sigma = next(s for s in isometry_group(form) if s.images == ((2, 0), (0, 3)))
+    swap = next(s for s in isometry_group(form) if s.images == ((0, 1), (1, 0)))
+    not_a_group = (identity_isometry(form), neg_identity(form), sigma, swap)
+    monkeypatch.setattr("k3fm.surfaces.o_lambda_image", lambda e, t: not_a_group)
+    with pytest.raises(RuntimeError, match="Burnside sum"):
+        fm_count(0, 5, GSpec(sigma, 4))
+
+
+def test_fm_count_composes_nothing_for_the_sign_group(monkeypatch):
+    groups = {(d, t): _sign(d, t) for d, t in ((0, 30), (1, 29))}
+    calls = []
+    real = DFIsometry.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(DFIsometry, "compose", counted)
+    assert fm_count(0, 30, groups[0, 30]) == 16
+    assert fm_count(1, 29, groups[1, 29]) == cli._jacobian_class_count(1, 29)
+    assert calls == []
+    fm_count(0, 5, GSpec(_sigma4(), 4))
+    assert calls
 
 
 # ------------------------------------------------------------ order bounds
