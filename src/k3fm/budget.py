@@ -11,11 +11,13 @@ Both caps are measured by the size of the finite group being scanned:
 Setting the environment variable ``K3FM_BUDGET`` to a positive integer
 overrides both caps with that value.  The variable is read at call time,
 not import time, so tests and long-running processes can adjust it.
+``require`` is the one gate every budgeted enumeration passes, and the
+only place that raises ``CapacityError``.
 """
 
 import os
 
-from .errors import InvalidParameterError
+from .errors import CapacityError, InvalidParameterError
 
 DEFAULT_ELEMENT_CAP = 4_000_000
 DEFAULT_ISOMETRY_CAP = 10_000
@@ -48,3 +50,14 @@ def isometry_cap() -> int:
     """Largest |A| an isometry enumeration may visit."""
     override = _env_budget()
     return DEFAULT_ISOMETRY_CAP if override is None else override
+
+
+def require(size: int, cap: int, kind: str) -> None:
+    """Raise CapacityError, naming ``cap``, when a ``kind`` enumeration
+    over a group of ``size`` elements would exceed it."""
+    if size > cap:
+        raise CapacityError(
+            f"{kind} enumeration budget is |A| <= {cap} "
+            f"(K3FM_BUDGET overrides); got |A| = {size}",
+            cap,
+        )

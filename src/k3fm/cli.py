@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache, partial
 from math import gcd, isqrt
 
-from .discforms import as_isometry, ns_form, structure_invariants
+from .discforms import DFIsometry, ns_form, structure_invariants
 from .errors import (
     CapacityError,
     InvalidParameterError,
@@ -107,7 +107,7 @@ def _parse_g(d: int, t: int, args) -> GSpec:
     if getattr(args, "g_gen", None) is None:
         return GSpec.sign_group(form, order=args.g_order)
     images = _parse_images(args.g_gen)
-    return GSpec(as_isometry(form, form, images), args.g_order)
+    return GSpec(DFIsometry(form, form, images), args.g_order)
 
 
 def _parse_selector(text, d: int, t: int):

@@ -22,7 +22,6 @@ from math import gcd
 
 from . import budget, kernels
 from .errors import (
-    CapacityError,
     InvalidElementError,
     InvalidIsometryError,
     InvalidParameterError,
@@ -633,7 +632,7 @@ def _kernel_setup(struct_form: FiniteQuadForm, value_form: FiniteQuadForm):
     return n1, n2, den, q1, q2, b12, w1, w2, w12, primes1, primes2
 
 
-def isometry_group(form: FiniteQuadForm, cap: int | None = None) -> tuple[DFIsometry, ...]:
+def isometry_group(form: FiniteQuadForm) -> tuple[DFIsometry, ...]:
     """All automorphisms of the group preserving q (hence also b).
 
     Enumeration: candidate generator images with the right annihilating
@@ -641,23 +640,21 @@ def isometry_group(form: FiniteQuadForm, cap: int | None = None) -> tuple[DFIsom
     surjectivity prime by prime.  Budgeted by |A|.  Forms of rank <= 2
     only (the family's A is Z/a + Z/b); rank > 2 raises OutOfScopeError.
     """
-    return _isometries(form, form, cap, first_only=False)
+    return _isometries(form, form, first_only=False)
 
 
-def isometry_between(
-    source: FiniteQuadForm, target: FiniteQuadForm, cap: int | None = None
-) -> DFIsometry | None:
+def isometry_between(source: FiniteQuadForm, target: FiniteQuadForm) -> DFIsometry | None:
     """One isometry from ``source`` onto ``target`` or None.
 
     The generator orders must agree exactly (they are the group's Smith
     invariants, so this loses nothing).  Equal forms give the identity.
     A ``source`` of rank > 2 raises OutOfScopeError.
     """
-    isos = _isometries(source, target, cap, first_only=True)
+    isos = _isometries(source, target, first_only=True)
     return isos[0] if isos else None
 
 
-def _isometries(source, target, cap, first_only) -> tuple[DFIsometry, ...]:
+def _isometries(source, target, first_only) -> tuple[DFIsometry, ...]:
     """Isometries from ``source`` onto ``target``, sorted by images; at
     most one when ``first_only``.  A ``source`` of rank > 2 raises
     OutOfScopeError before any other check.
@@ -666,14 +663,7 @@ def _isometries(source, target, cap, first_only) -> tuple[DFIsometry, ...]:
         raise OutOfScopeError("isometries are enumerated for forms of rank <= 2")
     if source.orders != target.orders:
         return ()
-    if cap is None:
-        cap = budget.isometry_cap()
-    if source.size > cap:
-        raise CapacityError(
-            f"isometry enumeration budget is |A| <= {cap} "
-            f"(K3FM_BUDGET overrides); got |A| = {source.size}",
-            cap,
-        )
+    budget.require(source.size, budget.isometry_cap(), "isometry")
     if first_only and source == target:
         return (identity_isometry(source),)
     if source.rank == 0:

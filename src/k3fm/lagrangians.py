@@ -26,7 +26,6 @@ from .discforms import (
     ns_form,
 )
 from .errors import (
-    CapacityError,
     InvalidElementError,
     InvalidIsometryError,
     InvalidParameterError,
@@ -145,13 +144,7 @@ def _lagrangian_coords(d: int, t: int) -> list[tuple[int, ...]]:
     scan of the elements killed by t.  The budget is still checked on the
     whole group, which has t^2 elements."""
     form = ns_form(d, t).form
-    cap = budget.element_cap()
-    if form.size > cap:
-        raise CapacityError(
-            f"element enumeration budget is |A| <= {cap} "
-            f"(K3FM_BUDGET overrides); got |A| = {form.size}",
-            cap,
-        )
+    budget.require(form.size, budget.element_cap(), "element")
     if form.rank == 0:
         return [()]
     n1, n2, den, q1, q2, b12 = _kernel_setup(form, form)[:6]
@@ -272,6 +265,7 @@ class GSpec:
     generator: DFIsometry
     order: int
     _powers: tuple = field(init=False, repr=False, compare=False)
+    _moving: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gen = self.generator
@@ -291,8 +285,13 @@ class GSpec:
             raise InvalidParameterError(
                 "abstract order must be a multiple of the image's order"
             )
-        if neg_identity(gen.domain).images not in {s.images for s in powers}:
+        neg = neg_identity(gen.domain).images
+        if neg not in {s.images for s in powers}:
             raise InvalidParameterError("group image must contain -id")
+        central = (neg, powers[-1].images)
+        object.__setattr__(
+            self, "_moving", tuple(s for s in powers if s.images not in central)
+        )
 
     @classmethod
     def sign_group(cls, form, order: int = 2) -> "GSpec":
@@ -306,6 +305,10 @@ class GSpec:
     def image_elements(self) -> tuple[DFIsometry, ...]:
         """The image of G: sigma, sigma^2, ..., the identity."""
         return self._powers
+
+    def moving_elements(self) -> tuple[DFIsometry, ...]:
+        """The image elements other than +-id, in image order."""
+        return self._moving
 
 
 def _coordinate_move(sigma: DFIsometry):

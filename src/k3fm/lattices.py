@@ -224,7 +224,6 @@ class Lattice:
     """Even nondegenerate lattice given by its Gram matrix."""
 
     gram: IntMatrix
-    basis_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         n = self.gram.dim
@@ -235,12 +234,6 @@ class Lattice:
                 raise InvalidLatticeError("lattice must be even (odd diagonal entry)")
         if self.gram.det() == 0:
             raise InvalidLatticeError("Gram matrix must be nondegenerate")
-        if not self.basis_labels:
-            object.__setattr__(
-                self, "basis_labels", tuple(f"e{i+1}" for i in range(n))
-            )
-        elif len(self.basis_labels) != n:
-            raise InvalidLatticeError("one basis label per basis vector required")
 
     @property
     def rank(self) -> int:
@@ -289,7 +282,7 @@ class NSLattice:
         return -self.t * self.t
 
     def to_lattice(self) -> Lattice:
-        return Lattice(self.gram, ("H", "F"))
+        return Lattice(self.gram)
 
 
 def ns_gram(d: int, t: int) -> NSLattice:
@@ -358,34 +351,15 @@ def row_hnf(rows, n: int) -> list[list[int]]:
     return basis
 
 
-def _close_classes(lattice: Lattice, gens: list[RationalVector]) -> list[RationalVector]:
-    """Finite subgroup of L*/L generated by the given dual vectors.
-
-    Representatives have coordinates reduced into [0, 1)."""
-
-    def reduce(vec: RationalVector) -> tuple[Fraction, ...]:
-        return tuple(c - (c // 1) for c in vec.coords)
-
-    zero = tuple(Fraction(0) for _ in range(lattice.rank))
-    seen = {zero}
-    frontier = [zero]
-    gen_coords = [reduce(g) for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_coords:
-            y = tuple((a + b) % 1 for a, b in zip(x, g))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return [RationalVector(c) for c in sorted(seen)]
-
-
 def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
     """Even overlattice T + <gens> determined by an isotropic subgroup of A_T.
 
     ``subgroup_gens`` are rational vectors in T's basis whose classes
     generate an isotropic subgroup H of the discriminant group; the result
-    L satisfies det(L) * |H|^2 = det(T).
+    L satisfies det(L) * |H|^2 = det(T).  Each generator is checked to be
+    isotropic; H is then isotropic exactly when L pairs integrally, which
+    is checked on L's basis.  |H| is the index [L : T], read off L's
+    basis without listing H.
     """
     gens = [
         g if isinstance(g, RationalVector) else RationalVector.make(g)
@@ -402,14 +376,6 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
             raise InvalidSubgroupError(
                 f"generator {tuple(map(str, g.coords))} is not isotropic"
             )
-    classes = _close_classes(t_lat, gens)
-    for x in classes:
-        if x.square(t_lat.gram) % 2 != 0:
-            raise InvalidSubgroupError(
-                "subgroup closure is not isotropic (pairing obstruction)"
-            )
-    order = len(classes)
-
     den = 1
     for g in gens:
         for c in g.coords:
@@ -433,6 +399,8 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
             row.append(int(val))
         entries.append(row)
     result = Lattice(IntMatrix.from_rows(entries))
+    # L = (1/den) span(basis_rows) contains T = Z^n with index |H|
+    order = den ** t_lat.rank // abs(IntMatrix.from_rows(basis_rows).det())
     if result.det() * order * order != t_lat.det():
         raise RuntimeError("overlattice determinant identity violated (internal)")
     return result

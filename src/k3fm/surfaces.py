@@ -17,14 +17,12 @@ from . import budget
 from .discforms import (
     DFElement,
     DFIsometry,
-    identity_isometry,
     isometry_between,
     isometry_group,
     neg_identity,
     ns_form,
 )
 from .errors import (
-    CapacityError,
     InvalidIsometryError,
     InvalidMukaiVectorError,
     InvalidParameterError,
@@ -133,16 +131,8 @@ class SurfaceModel:
                 raise InvalidParameterError(
                     "order-6 B needs an isotrivial fibration with j = 0"
                 )
-        if self.t_general:
-            allowed = {
-                identity_isometry(nf.form).images,
-                neg_identity(nf.form).images,
-            }
-            for s in self.G.image_elements():
-                if s.images not in allowed:
-                    raise InvalidParameterError(
-                        "T-general surfaces admit only {+-1} as G"
-                    )
+        if self.t_general and self.G.moving_elements():
+            raise InvalidParameterError("T-general surfaces admit only {+-1} as G")
 
     @classmethod
     def general(cls, d: int, t: int) -> "SurfaceModel":
@@ -329,7 +319,8 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     with t > 2 the closed forms 2^(omega(m)-1) phi(t) and 2^omega(m)
     apply.  Inside the element budget the first number is the orbit count
     of G on the scanned coordinate tuples, cross-checked against the
-    closed form where it applies; beyond the budget the form is trusted.
+    closed form where it applies.  Beyond the budget the closed form is
+    trusted where it applies; elsewhere the scan raises CapacityError.
     """
     d, t = model.d, model.t
     subs = enumerate_lagrangian_subgroups(d, t)
@@ -337,27 +328,21 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     closed = _de_closed_form(d, t) if model.t_general else None
     if closed is not None and closed[1] != de_orbits:
         raise RuntimeError("orbit count disagrees with the closed form")
-    if ns_form(d, t).form.size <= budget.element_cap():
-        coords = _lagrangian_coords(d, t)
-        known, step = set(coords), _coordinate_move(model.G.generator)
-
-        def move(c):
-            image = step(c)
-            if image not in known:
-                raise RuntimeError("G moved a Lagrangian element off the scan")
-            return image
-
-        de = len(_orbits(coords, lambda c: c, [move]))
-        if closed is not None and de != closed[0]:
-            raise RuntimeError("element orbit count disagrees with the closed form")
-        return de, de_orbits
-    if closed is not None:
+    if closed is not None and ns_form(d, t).form.size > budget.element_cap():
         return closed[0], de_orbits
-    raise CapacityError(
-        f"element enumeration budget is |A| <= {budget.element_cap()} "
-        f"(K3FM_BUDGET overrides) and no closed form applies here",
-        budget.element_cap(),
-    )
+    coords = _lagrangian_coords(d, t)
+    known, step = set(coords), _coordinate_move(model.G.generator)
+
+    def move(c):
+        image = step(c)
+        if image not in known:
+            raise RuntimeError("G moved a Lagrangian element off the scan")
+        return image
+
+    de = len(_orbits(coords, lambda c: c, [move]))
+    if closed is not None and de != closed[0]:
+        raise RuntimeError("element orbit count disagrees with the closed form")
+    return de, de_orbits
 
 
 def ht_classify(d: int, t: int, t_general: bool) -> HTClass:
@@ -398,16 +383,17 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     The identity and -id are free terms: -id commutes with every x, and
     -id lies in H (the lattice isometry -1 induces it), so x (-id) =
     (-id) x lies in H x and fix(+-id) = |O(A)| / |H|.  Only the other
-    elements of G's image label the cosets and move them, so G = {+-1}
-    composes no isometries at all.
+    elements of G's image (``g.moving_elements()``) label the cosets and
+    move them, so G = {+-1} composes no isometries at all.
     """
     nf = ns_form(d, t)
     if g.generator.domain != nf.form:
         raise InvalidIsometryError("G does not act on this family member")
     own = isometry_group(nf.form)
-    central = {identity_isometry(nf.form).images, neg_identity(nf.form).images}
-    image = g.image_elements()
-    moving = [s for s in image if s.images not in central]
+    # -id has the same images on every form with nf.form's generator
+    # orders, which isometry_between checks for each genus member
+    neg = neg_identity(nf.form).images
+    image, moving = g.image_elements(), g.moving_elements()
     total = 0
     for e in genus_representatives(d, t):
         form_e = ns_form(e, t).form
@@ -415,7 +401,7 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
         if phi is None:
             raise RuntimeError("genus member lost its form isometry")
         h = o_lambda_image(e, t)
-        if neg_identity(form_e).images not in {u.images for u in h}:
+        if neg not in {u.images for u in h}:
             raise RuntimeError("O(L) image does not contain -id")
         if len(own) % len(h):
             raise RuntimeError("O(L) image size does not divide |O(A)|")

@@ -389,15 +389,23 @@ def test_isometry_between_same_form_is_identity():
     assert phi is not None and phi.is_identity()
 
 
-def test_generic_rank3_isometry_group():
+def _set_budget(monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("K3FM_BUDGET", value)
+
+
+def test_generic_rank3_isometry_group(monkeypatch):
     # every form of the family, and every primary part of one, has rank
     # <= 2; a rank-3 form is refused before the orders, the budget and the
-    # equal-forms shortcut are looked at
+    # equal-forms shortcut are looked at ("0" would be refused if read)
     form = from_lattice(_diag_lattice(2, 2, 2)).form
     assert form.orders == (2, 2, 2)
-    for cap in (None, 1):
+    for value in (None, "1", "0"):
+        _set_budget(monkeypatch, value)
         with pytest.raises(OutOfScopeError, match="rank <= 2"):
-            isometry_group(form, cap=cap)
+            isometry_group(form)
     # diag(2,2,2): q marks the standard basis, so the isometries are the
     # six permutations, and as_isometry still accepts each of them
     for perm in permutations(range(3)):
@@ -405,7 +413,7 @@ def test_generic_rank3_isometry_group():
         assert as_isometry(form, form, images).images == images
 
 
-def test_generic_rank3_isometry_between():
+def test_generic_rank3_isometry_between(monkeypatch):
     source = from_lattice(_diag_lattice(2, 2, 8)).form
     # same form rewritten on the basis (g1, g2, g1 + g3)
     half, eighth = Fraction(1, 2), Fraction(1, 8)
@@ -419,15 +427,12 @@ def test_generic_rank3_isometry_between():
         ),
     )
     diag222 = from_lattice(_diag_lattice(2, 2, 2)).form
-    for call in (
-        lambda: isometry_between(source, target),
-        lambda: isometry_between(source, source),
-        lambda: isometry_between(source, source, cap=1),
-        lambda: isometry_between(diag222, source),
-        lambda: isometry_between(diag222, diag222, cap=1),
-    ):
-        with pytest.raises(OutOfScopeError, match="rank <= 2"):
-            call()
+    pairs = ((source, target), (source, source), (diag222, source), (diag222, diag222))
+    for value in (None, "1", "0"):
+        _set_budget(monkeypatch, value)
+        for src, dst in pairs:
+            with pytest.raises(OutOfScopeError, match="rank <= 2"):
+                isometry_between(src, dst)
     # the isometry the search used to find is still accepted when given:
     # g3 = (g1 + g3) - g1
     phi = as_isometry(source, target, ((1, 0, 0), (0, 1, 0), (1, 0, 1)))
@@ -450,12 +455,13 @@ def test_as_isometry_rejections():
         as_isometry(big, form, ((1,), (2,)))  # different groups
 
 
-def test_isometry_budget():
+def test_isometry_budget(monkeypatch):
     form = ns_form(0, 5).form
-    with pytest.raises(CapacityError):
-        isometry_group(form, cap=3)
-    with pytest.raises(CapacityError):
-        isometry_between(form, form, cap=3)
+    monkeypatch.setenv("K3FM_BUDGET", "3")
+    for call in (isometry_group, lambda f: isometry_between(f, f)):
+        with pytest.raises(CapacityError) as info:
+            call(form)
+        assert info.value.budget == 3
 
 
 def test_isometry_compose_order_inverse():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +132,44 @@ def test_overlattice_rejects_bad_input():
         # F*/1 has q != 0 for d = 1
         bad = ns_gram(1, 5).to_lattice()
         overlattice(bad, [RationalVector((Fraction(1, 5), Fraction(-2, 25)))])
+
+
+def _class_closure(gens):
+    """Brute oracle: the subgroup of T*/T the dual vectors generate, one
+    representative per class with coordinates reduced into [0, 1)."""
+    zero = tuple(Fraction(0) for _ in gens[0].coords)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % 1 for a, b in zip(x, g.coords))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return [RationalVector(c) for c in seen]
+
+
+def test_overlattice_index_matches_class_closure():
+    # overlattice neither lists H nor tests its classes: it is refused
+    # exactly when some class of H has odd square, and otherwise the
+    # index it reads off L's basis is |H|
+    outcomes = {True: 0, False: 0}
+    for t in range(1, 8):
+        for d in range(-t, 2 * t):
+            lat = ns_gram(d, t).to_lattice()
+            lf = ns_form(d, t).lf
+            lifts = [lf.lift(e) for e in lf.form.elements() if e.is_isotropic()]
+            for pair in combinations_with_replacement(lifts, 2):
+                closure = _class_closure(pair)
+                isotropic = all(x.square(lat.gram) % 2 == 0 for x in closure)
+                outcomes[isotropic] += 1
+                if not isotropic:
+                    with pytest.raises(InvalidSubgroupError):
+                        overlattice(lat, pair)
+                    continue
+                over = overlattice(lat, pair)
+                assert over.det() * len(closure) ** 2 == lat.det()
+    assert sum(outcomes.values()) == 2355 and outcomes[False] > 0
 
 
 def _isometric_closed_form(d, e, t):

@@ -1,8 +1,9 @@
 """Repository hygiene: nothing that .gitignore lists is tracked, so build
 output cannot slip back into version control, the benchmark harness
 still finds every name it wraps, the benchmark's sweep check passes
-on the t = 3..30 sweep, and the lattice layer does not reach up into
-the discriminant forms built on it."""
+on the t = 3..30 sweep, the lattice layer does not reach up into the
+discriminant forms built on it, and no module imports a name it never
+uses."""
 
 import ast
 import importlib.util
@@ -82,3 +83,20 @@ def test_lattices_imports_nothing_from_discforms():
         else:
             continue
         assert not any("discforms" in n.split(".") for n in names), ast.unparse(node)
+
+
+def test_modules_use_every_name_they_import():
+    # pyflakes' unused-import check, which the project does not depend on;
+    # __init__.py imports to re-export
+    for path in sorted((ROOT / "src" / "k3fm").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name}: {sorted(imported - used)}"

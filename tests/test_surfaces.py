@@ -288,6 +288,24 @@ def test_model_t_general_restricts_g():
     SurfaceModel(0, 5, g4, b, b, t_general=False)
 
 
+def test_moving_elements_at_t_2():
+    # at (0, 2), A = (Z/2)^2 and -id = id: the swap is not central, although
+    # its image has only two elements, the size of {+-1} elsewhere
+    form = ns_form(0, 2).form
+    swap = DFIsometry(form, form, ((0, 1), (1, 0)))
+    g = GSpec(swap, 2)
+    assert len(g.image_elements()) == 2
+    assert g.moving_elements() == (swap,)
+    b = frozenset({1})
+    with pytest.raises(InvalidParameterError, match="T-general"):
+        SurfaceModel(0, 2, g, b, b, t_general=True)
+    SurfaceModel(0, 2, g, b, b, t_general=False)
+    for d, t in ((0, 2), (1, 2), (0, 5), (6, 6)):
+        assert _sign(d, t).moving_elements() == ()
+    sigma = _sigma4()
+    assert GSpec(sigma, 4).moving_elements() == (sigma, sigma.powers()[2])
+
+
 # ---------------------------------------------------------- isometry images
 
 
@@ -583,6 +601,23 @@ def test_fm_count_composes_nothing_for_the_sign_group(monkeypatch):
     assert calls == []
     fm_count(0, 5, GSpec(_sigma4(), 4))
     assert calls
+
+
+def test_fm_count_builds_neg_identity_once(monkeypatch):
+    # once per call, not once per genus class: (1, 29) has eight classes
+    groups = {(d, t): _sign(d, t) for d, t in ((0, 30), (1, 29))}
+    assert len(genus_representatives(1, 29)) == 8
+    calls = []
+
+    def counted(form):
+        calls.append(form)
+        return neg_identity(form)
+
+    monkeypatch.setattr("k3fm.surfaces.neg_identity", counted)
+    for (d, t), g in groups.items():
+        calls.clear()
+        fm_count(d, t, g)
+        assert calls == [ns_form(d, t).form], (d, t)
 
 
 # ------------------------------------------------------------ order bounds
