@@ -6,7 +6,12 @@ Both caps are measured by the size of the finite group being scanned:
   family |A| = t^2, i.e. t <= 2000 by default), although they visit
   only the elements killed by the order they look for;
 * isometry enumeration is quartic-ish in the generator orders and gets
-  the much smaller ``ISOMETRY_CAP``.
+  the much smaller ``ISOMETRY_CAP``.  FM counts enumerate isometries on
+  each p-primary part A_p of A separately, so there the cap bounds the
+  largest |A_p| = p^(2k), p^k the exact power of p in t: at the default
+  cap ``fm --d 30 --t 30030`` runs (largest part 169), while
+  ``fm --d 0 --t 101`` (one part of 10,201) and any sweep reaching a
+  prime t > 100 exit with the capacity error.
 
 Setting the environment variable ``K3FM_BUDGET`` to a positive integer
 overrides both caps with that value.  The variable is read at call time,

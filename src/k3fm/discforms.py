@@ -491,6 +491,12 @@ class NSForm:
         return self.lf.element_from_dual(vec)
 
     @cached_property
+    def primary_parts(self) -> tuple["PrimaryPart", ...]:
+        """``primary_decomposition`` of the form, computed once per cached
+        bundle."""
+        return primary_decomposition(self.form)
+
+    @cached_property
     def lattice_isometries(self) -> tuple[tuple[IntMatrix, DFIsometry], ...]:
         """(M, induced isometry of A) for each self-isometry M of the
         lattice in the (H, F) basis, computed once per cached bundle."""
@@ -571,15 +577,35 @@ class PrimaryPart:
             coords[i] = part_elem.coords[pos] * self.cofactors[pos]
         return DFElement(self.parent, tuple(coords))
 
+    def restrict(self, iso: DFIsometry) -> DFIsometry:
+        """The isometry of this part that an isometry of the parent form
+        induces: a group automorphism keeps each p-primary part."""
+        return DFIsometry(
+            self.form,
+            self.form,
+            tuple(
+                self.project(iso.apply(self.embed(self.form.element(unit)))).coords
+                for unit in _identity_images(self.form)
+            ),
+        )
+
 
 def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
     """Orthogonal p-primary pieces of the form, ordered by prime.
 
     The part at p is generated by the classes m_i g_i where n_i = p^a m_i
-    with p not dividing m_i; q and b restrict accordingly.
+    with p not dividing m_i; q and b restrict accordingly.  The values are
+    read off the parent's integer view: over its denominator den, the
+    numerators are q_i m_i^2 mod 2 den and b_ij m_i m_j mod den.  A form
+    of prime-power order is its own single part.
     """
+    primes = distinct_primes(form.size)
+    if len(primes) == 1:
+        whole = tuple(range(form.rank))
+        return (PrimaryPart(primes[0], form, form, whole, (1,) * form.rank),)
+    den, qn, bn = form._int_view
     parts = []
-    for p in distinct_primes(form.size):
+    for p in primes:
         indices = []
         part_orders = []
         cofactors = []
@@ -593,11 +619,12 @@ def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
                 part_orders.append(pk)
                 cofactors.append(n)
         q_gen = tuple(
-            (form.q_gen[i] * m * m) % 2 for i, m in zip(indices, cofactors)
+            Fraction(qn[i] * m * m % (2 * den), den)
+            for i, m in zip(indices, cofactors)
         )
         b_matrix = tuple(
             tuple(
-                (form.b_matrix[i][j] * mi * mj) % 1
+                Fraction(bn[i][j] * mi * mj % den, den)
                 for j, mj in zip(indices, cofactors)
             )
             for i, mi in zip(indices, cofactors)

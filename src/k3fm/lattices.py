@@ -382,9 +382,8 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
             den = lcm(den, c.denominator)
     rows = [[den if j == i else 0 for j in range(t_lat.rank)] for i in range(t_lat.rank)]
     rows += [[int(c * den) for c in g.coords] for g in gens]
+    # the rows include den * I, so the echelon basis always has full rank
     basis_rows = row_hnf(rows, t_lat.rank)
-    if len(basis_rows) != t_lat.rank:
-        raise InvalidSubgroupError("overlattice basis is not full rank")
     basis = [RationalVector(tuple(Fraction(x, den) for x in row)) for row in basis_rows]
 
     entries = []

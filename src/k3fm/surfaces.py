@@ -11,7 +11,7 @@ groups B and Btilde as unit subgroups, and the T-general flag.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import budget
 from .discforms import (
@@ -378,45 +378,62 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     there are |O(A)| / |H| left cosets H x, and the image of G permutes
     them by H x -> H x s.  Burnside's lemma counts the orbits as
     (1 / |G image|) * sum over s of fix(s), with
-    fix(s) = #{x in X : x s in H x} / |H|.
+    |H| fix(s) = sum over h in H of #{x in X : h x = x s}.
 
     The identity and -id are free terms: -id commutes with every x, and
     -id lies in H (the lattice isometry -1 induces it), so x (-id) =
     (-id) x lies in H x and fix(+-id) = |O(A)| / |H|.  Only the other
-    elements of G's image (``g.moving_elements()``) label the cosets and
-    move them, so G = {+-1} composes no isometries at all.
+    elements of G's image (``g.moving_elements()``) need isometries, so
+    G = {+-1} composes none.
+
+    Nothing builds or walks the whole O(A).  A = (+)_p A_p is orthogonal
+    and every isometry keeps each p-primary part, so O(A) = prod_p O(A_p),
+    X = prod_p phi_p O(A_p) for any isometries phi_p: A_p -> A_{L,p}, and
+    #{x in X : h x = x s} is the product over p of the same count on the
+    parts, with h and s restricted.  Every enumeration runs on one part,
+    so the isometry budget bounds the largest |A_p|, not |A|.
     """
     nf = ns_form(d, t)
     if g.generator.domain != nf.form:
         raise InvalidIsometryError("G does not act on this family member")
-    own = isometry_group(nf.form)
+    parts = nf.primary_parts
+    own = [isometry_group(part.form) for part in parts]
+    order = prod(len(group) for group in own)
     # -id has the same images on every form with nf.form's generator
-    # orders, which isometry_between checks for each genus member
+    # orders, which isometry_between checks part by part for each member
     neg = neg_identity(nf.form).images
     image, moving = g.image_elements(), g.moving_elements()
+    moving_parts = [[part.restrict(s) for part in parts] for s in moving]
     total = 0
     for e in genus_representatives(d, t):
-        form_e = ns_form(e, t).form
-        phi = isometry_between(nf.form, form_e)
-        if phi is None:
+        parts_e = ns_form(e, t).primary_parts
+        phis = [isometry_between(a.form, b.form) for a, b in zip(parts, parts_e)]
+        if None in phis:
             raise RuntimeError("genus member lost its form isometry")
         h = o_lambda_image(e, t)
         if neg not in {u.images for u in h}:
             raise RuntimeError("O(L) image does not contain -id")
-        if len(own) % len(h):
+        if order % len(h):
             raise RuntimeError("O(L) image size does not divide |O(A)|")
-        fixed = (len(image) - len(moving)) * len(own)
+        fixed = (len(image) - len(moving)) * order
         if moving:
-            coset, reps = {}, []
-            for x in (phi.compose(y) for y in own):
-                if x.images not in coset:
-                    reps.append(x)
-                    for u in h:
-                        coset[u.compose(x).images] = x.images
-            for s in moving:
-                fixed += len(h) * sum(
-                    coset[x.compose(s).images] == x.images for x in reps
-                )
+            xs = [[phi.compose(y) for y in group] for phi, group in zip(phis, own)]
+            h_parts = [[part.restrict(u) for part in parts_e] for u in h]
+            for s_parts in moving_parts:
+                right = [
+                    [x.compose(s).images for x in x_p] for s, x_p in zip(s_parts, xs)
+                ]
+                term = 0
+                for u_parts in h_parts:
+                    count = 1
+                    for u, x_p, r in zip(u_parts, xs, right):
+                        count *= sum(u.compose(x).images == xr for x, xr in zip(x_p, r))
+                    term += count
+                if term % len(h):
+                    raise RuntimeError(
+                        "moving Burnside term is not a multiple of |H|"
+                    )
+                fixed += term
         if fixed % (len(h) * len(image)):
             raise RuntimeError("Burnside sum is not a multiple of |H| |G image|")
         total += fixed // (len(h) * len(image))

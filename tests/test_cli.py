@@ -266,13 +266,30 @@ def test_exit_code_capacity(capsys, monkeypatch):
 
 
 def test_genus_is_not_budgeted(capsys, monkeypatch):
-    # genus is arithmetic in t; fm still enumerates O(A) under the cap
+    # genus is arithmetic in t; fm still enumerates O(A_p) on each
+    # p-primary part under the cap (here parts of 2^6 and 5^4 elements)
     monkeypatch.setenv("K3FM_BUDGET", "10")
     code, out, err = run_cli(["genus", "--d", "1", "--t", "200"], capsys)
     assert (code, err) == (0, "")
     assert out.startswith("representatives=")
     code, out, err = run_cli(["fm", "--d", "1", "--t", "200"], capsys)
     assert code == 3
+    assert "budget" in err
+
+
+def test_fm_budget_bounds_the_largest_primary_part(capsys, monkeypatch):
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    # |A| = 30030^2 / 30, but no part exceeds 13^2 = 169 elements
+    code, out, err = run_cli(["fm", "--d", "30", "--t", "30030"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("fm=")
+    # t = 101 is prime: one part of 101^2 = 10,201 > 10,000 elements
+    code, out, err = run_cli(["fm", "--d", "0", "--t", "101"], capsys)
+    assert (code, out) == (3, "")
+    assert "budget" in err
+    argv = ["sweep", "--t-min", "100", "--t-max", "101", "--d-max", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
     assert "budget" in err
 
 

@@ -16,6 +16,7 @@ from k3fm.discforms import (
     DFElement,
     DFIsometry,
     FiniteQuadForm,
+    PrimaryPart,
     as_isometry,
     b_eval,
     from_lattice,
@@ -35,6 +36,7 @@ from k3fm.errors import (
     InvalidParameterError,
     OutOfScopeError,
 )
+from k3fm.intmath import distinct_primes
 from k3fm.lagrangians import GSpec
 from k3fm.lattices import IntMatrix, Lattice, RationalVector, isotropic_rays, ns_gram
 
@@ -311,6 +313,70 @@ def test_primary_decomposition_reassembles():
                 for x in p.form.elements():
                     for y in r.form.elements():
                         assert b_eval(p.embed(x), r.embed(y)) == 0
+
+
+def _fraction_primary_decomposition(form):
+    """The Fraction construction primary_decomposition used before it
+    read the parent's integer view: q_i m_i^2 mod 2, b_ij m_i m_j mod 1."""
+    parts = []
+    for p in distinct_primes(form.size):
+        indices, part_orders, cofactors = [], [], []
+        for i, n in enumerate(form.orders):
+            pk = 1
+            while n % p == 0:
+                pk, n = pk * p, n // p
+            if pk > 1:
+                indices.append(i)
+                part_orders.append(pk)
+                cofactors.append(n)
+        q_gen = tuple((form.q_gen[i] * m * m) % 2 for i, m in zip(indices, cofactors))
+        b_matrix = tuple(
+            tuple((form.b_matrix[i][j] * mi * mj) % 1 for j, mj in zip(indices, cofactors))
+            for i, mi in zip(indices, cofactors)
+        )
+        part = FiniteQuadForm(tuple(part_orders), q_gen, b_matrix)
+        parts.append(PrimaryPart(p, part, form, tuple(indices), tuple(cofactors)))
+    return tuple(parts)
+
+
+def test_primary_decomposition_matches_fraction_route():
+    cells = [(d, t) for t in range(1, 31) for d in range(-t, 2 * t)]
+    for d, t in cells:
+        form = ns_form(d, t).form
+        assert primary_decomposition(form) == _fraction_primary_decomposition(form), (d, t)
+    # a form whose q and b carry different denominators in each part
+    third, sixth, five_12 = Fraction(1, 3), Fraction(1, 6), Fraction(5, 12)
+    form = FiniteQuadForm.make(
+        (6, 12), (third, five_12), ((third, sixth), (sixth, five_12))
+    )
+    assert primary_decomposition(form) == _fraction_primary_decomposition(form)
+
+
+def test_primary_parts_are_cached_on_the_bundle():
+    ns_form.cache_clear()
+    nf = ns_form(6, 12)
+    parts = nf.primary_parts
+    assert parts == primary_decomposition(nf.form)
+    assert ns_form(6, 12).primary_parts is parts
+    ns_form.cache_clear()
+    assert ns_form(6, 12).primary_parts is not parts
+
+
+def test_restrict_agrees_with_the_whole_isometry():
+    """sigma(x) is the sum over p of the embedded restrictions applied to
+    the projections of x, for every isometry of the whole form."""
+    for d, t in [(6, 6), (0, 6), (5, 12), (2, 10), (0, 12), (3, 18)]:
+        form = ns_form(d, t).form
+        parts = primary_decomposition(form)
+        for sigma in isometry_group(form):
+            local = [part.restrict(sigma) for part in parts]
+            for part, s in zip(parts, local):
+                as_isometry(part.form, part.form, s.images)
+            for x in form.elements():
+                back = form.zero()
+                for part, s in zip(parts, local):
+                    back = back + part.embed(s.apply(part.project(x)))
+                assert back == sigma.apply(x), (d, t, sigma.images, x.coords)
 
 
 def test_primary_part_rejects_foreign_elements():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +171,28 @@ def test_overlattice_index_matches_class_closure():
                 over = overlattice(lat, pair)
                 assert over.det() * len(closure) ** 2 == lat.det()
     assert sum(outcomes.values()) == 2355 and outcomes[False] > 0
+
+
+def test_overlattice_rows_always_have_full_rank():
+    # overlattice puts den * I under the generator rows, so the echelon
+    # basis has full rank for any generators; no rank check is needed
+    sets_tried = 0
+    for t in range(1, 11):
+        for d in range(-t, 2 * t):
+            lf = ns_form(d, t).lf
+            lifts = [lf.lift(e) for e in lf.form.elements() if e.is_isotropic()]
+            sets = [(x,) for x in lifts]
+            sets += list(combinations_with_replacement(lifts, 2))
+            for gens in sets:
+                den = 1
+                for g in gens:
+                    for c in g.coords:
+                        den = den * c.denominator // gcd(den, c.denominator)
+                rows = [[den, 0], [0, den]]
+                rows += [[int(c * den) for c in g.coords] for g in gens]
+                assert len(row_hnf(rows, 2)) == 2, (d, t, gens)
+            sets_tried += len(sets)
+    assert sets_tried == 11823
 
 
 def _isometric_closed_form(d, e, t):

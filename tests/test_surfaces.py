@@ -26,6 +26,7 @@ from k3fm.errors import (
     NotApplicableError,
     OutOfScopeError,
 )
+from k3fm.intmath import distinct_primes
 from k3fm.lagrangians import GSpec, _orbits
 from k3fm.lattices import (
     RationalVector,
@@ -547,6 +548,31 @@ def test_fm_count_matches_double_coset_walk():
     assert groups == 12
 
 
+def test_fm_count_multiplies_the_part_counts(monkeypatch):
+    # With H = G's own image as the only genus class, h x = x s has
+    # solutions on every primary part, so each moving term is a product
+    # of local counts; the walk over H \ O(A) / G is the oracle.  (With
+    # the real O(L) images these cells have no such term.)
+    checked = 0
+    for d, t in ((0, 10), (5, 10), (0, 26), (13, 26)):
+        own = isometry_group(ns_form(d, t).form)
+        for sigma in own:
+            try:
+                g = GSpec(sigma, 4)
+            except InvalidParameterError:
+                continue
+            if not g.moving_elements():
+                continue
+            h = g.image_elements()
+            monkeypatch.setattr("k3fm.surfaces.genus_representatives", lambda d, t: (d,))
+            monkeypatch.setattr("k3fm.surfaces.o_lambda_image", lambda e, t: h)
+            moves = [u.compose for u in h] + [lambda x: x.compose(sigma)]
+            walk = len(_orbits(own, lambda x: x.images, moves))
+            assert fm_count(d, t, g) == walk, (d, t, sigma.images)
+            checked += 1
+    assert checked == 12
+
+
 def test_fm_count_is_the_jacobian_count_when_m_is_one():
     cells = [(d, t) for t in range(3, 61) for d in range(t) if gcd(d, t) == 1]
     assert len(cells) == 1100
@@ -584,6 +610,79 @@ def test_fm_count_checks_the_o_lambda_image(monkeypatch):
     monkeypatch.setattr("k3fm.surfaces.o_lambda_image", lambda e, t: not_a_group)
     with pytest.raises(RuntimeError, match="Burnside sum"):
         fm_count(0, 5, GSpec(sigma, 4))
+
+
+def test_fm_count_checks_each_moving_term(monkeypatch):
+    # |O(A)| = 24 and sigma has 12 commuting isometries; a fake H of size
+    # 8 holding sigma but not sigma^-1 gives the term 12 for sigma
+    form = ns_form(0, 13).form
+    group = isometry_group(form)
+    assert len(group) == 24
+    sigma = next(s for s in group if s.images == ((5, 0), (0, 8)))
+    keep = {identity_isometry(form).images, neg_identity(form).images, sigma.images}
+    others = [s for s in group if s.images not in keep | {sigma.inverse().images}]
+    fake = tuple(s for s in group if s.images in keep) + tuple(others[:5])
+    monkeypatch.setattr("k3fm.surfaces.o_lambda_image", lambda e, t: fake)
+    with pytest.raises(RuntimeError, match="moving Burnside term"):
+        fm_count(0, 13, GSpec(sigma, 4))
+
+
+def _part_group_order(d, t):
+    order = 1
+    for part in ns_form(d, t).primary_parts:
+        order *= len(isometry_group(part.form))
+    return order
+
+
+def test_part_isometry_groups_multiply_to_the_whole_group():
+    # O(A) = prod_p O(A_p); the scan over the whole group is the oracle
+    for t in range(2, 31):
+        for d in range(-t, 2 * t):
+            whole = len(isometry_group(ns_form(d, t).form))
+            assert _part_group_order(d, t) == whole, (d, t)
+
+
+def test_cyclic_odd_part_groups_have_two_to_the_omega():
+    # probe P5: for gcd(2d, t) = 1, A = Z/t^2 and O(A) = {l : l^2 = 1}
+    cells = [(d, t) for t in range(3, 80, 2) for d in range(t) if gcd(2 * d, t) == 1]
+    cells += [(1, 1001), (2, 15015), (4, 255255)]
+    for d, t in cells:
+        assert _part_group_order(d, t) == 2 ** len(distinct_primes(t)), (d, t)
+
+
+def test_fm_count_is_the_jacobian_count_past_the_old_wall(monkeypatch):
+    # |A| = t^2 is far above the default isometry budget; every part is
+    # under it.  fm is constant on a genus, so one d per genus of units.
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    for t, genera in ((210, 8), (1001, 8), (1155, 16)):
+        cells = [d for d in range(1, 100) if gcd(d, t) == 1]
+        seen = set()
+        for d in cells:
+            genus = genus_representatives(d, t)
+            if genus in seen:
+                continue
+            seen.add(genus)
+            assert fm_count(d, t, _sign(d, t)) == cli._jacobian_class_count(d, t), (d, t)
+        assert len(seen) == genera, t
+
+
+def test_fm_count_enumerates_isometries_on_parts_only(monkeypatch):
+    sizes = []
+
+    def recording(real):
+        def wrapper(form, *rest):
+            sizes.append(form.size)
+            return real(form, *rest)
+        return wrapper
+
+    monkeypatch.setattr("k3fm.surfaces.isometry_group", recording(isometry_group))
+    monkeypatch.setattr("k3fm.surfaces.isometry_between", recording(isometry_between))
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    for d, t in ((0, 30), (0, 100)):
+        sizes.clear()
+        largest = max(part.form.size for part in ns_form(d, t).primary_parts)
+        fm_count(d, t, _sign(d, t))
+        assert sizes and max(sizes) == largest < ns_form(d, t).form.size, (d, t)
 
 
 def test_fm_count_composes_nothing_for_the_sign_group(monkeypatch):
