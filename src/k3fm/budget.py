@@ -1,6 +1,6 @@
 """Enumeration budgets.
 
-Both caps are measured by the size of the finite group being scanned:
+Each cap is compared with the size of what a search visits:
 
 * element scans allow |A| up to ``ELEMENT_CAP`` (for the rank-two
   family |A| = t^2, i.e. t <= 2000 by default), although they visit
@@ -12,6 +12,12 @@ Both caps are measured by the size of the finite group being scanned:
   cap ``fm --d 30 --t 30030`` runs (largest part 169), while
   ``fm --d 0 --t 101`` (one part of 10,201) and any sweep reaching a
   prime t > 100 exit with the capacity error.
+* an FM count's genus walk searches every part once per genus class,
+  and the genus is enumerated over the phi(t) units mod t, which also
+  bound the number of classes; phi(t) * sum_p |A_p| must stay within
+  ``ELEMENT_CAP``.  Every t <= 100 stays under 10^6 there, and the walks
+  nearest the default cap take about 0.2 s; ``fm --d 1 --t 8633``
+  (89 * 97, both parts under the isometry cap) is refused.
 
 Setting the environment variable ``K3FM_BUDGET`` to a positive integer
 overrides both caps with that value.  The variable is read at call time,
@@ -57,12 +63,14 @@ def isometry_cap() -> int:
     return DEFAULT_ISOMETRY_CAP if override is None else override
 
 
-def require(size: int, cap: int, kind: str) -> None:
-    """Raise CapacityError, naming ``cap``, when a ``kind`` enumeration
-    over a group of ``size`` elements would exceed it."""
+def require(size: int, cap: int, what: str) -> None:
+    """Raise CapacityError, naming ``cap``, when ``size`` exceeds it.
+
+    ``what`` names the measured quantity and the scan it bounds, e.g.
+    "|A| for an element scan"."""
     if size > cap:
         raise CapacityError(
-            f"{kind} enumeration budget is |A| <= {cap} "
-            f"(K3FM_BUDGET overrides); got |A| = {size}",
+            f"{what} is {size}, over the enumeration budget of {cap} "
+            "(K3FM_BUDGET overrides)",
             cap,
         )

@@ -596,16 +596,11 @@ def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
     The part at p is generated by the classes m_i g_i where n_i = p^a m_i
     with p not dividing m_i; q and b restrict accordingly.  The values are
     read off the parent's integer view: over its denominator den, the
-    numerators are q_i m_i^2 mod 2 den and b_ij m_i m_j mod den.  A form
-    of prime-power order is its own single part.
+    numerators are q_i m_i^2 mod 2 den and b_ij m_i m_j mod den.
     """
-    primes = distinct_primes(form.size)
-    if len(primes) == 1:
-        whole = tuple(range(form.rank))
-        return (PrimaryPart(primes[0], form, form, whole, (1,) * form.rank),)
     den, qn, bn = form._int_view
     parts = []
-    for p in primes:
+    for p in distinct_primes(form.size):
         indices = []
         part_orders = []
         cofactors = []
@@ -690,7 +685,12 @@ def _isometries(source, target, first_only) -> tuple[DFIsometry, ...]:
         raise OutOfScopeError("isometries are enumerated for forms of rank <= 2")
     if source.orders != target.orders:
         return ()
-    budget.require(source.size, budget.isometry_cap(), "isometry")
+    group = " + ".join(f"Z/{n}" for n in source.orders)
+    budget.require(
+        source.size,
+        budget.isometry_cap(),
+        f"the order of {group}, whose isometries are enumerated,",
+    )
     if first_only and source == target:
         return (identity_isometry(source),)
     if source.rank == 0:

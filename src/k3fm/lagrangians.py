@@ -144,7 +144,7 @@ def _lagrangian_coords(d: int, t: int) -> list[tuple[int, ...]]:
     scan of the elements killed by t.  The budget is still checked on the
     whole group, which has t^2 elements."""
     form = ns_form(d, t).form
-    budget.require(form.size, budget.element_cap(), "element")
+    budget.require(form.size, budget.element_cap(), "|A| for an element scan")
     if form.rank == 0:
         return [()]
     n1, n2, den, q1, q2, b12 = _kernel_setup(form, form)[:6]

@@ -367,6 +367,18 @@ def ht_classify(d: int, t: int, t_general: bool) -> HTClass:
     return HTClass.Inconclusive
 
 
+def _inverses(group: tuple[DFIsometry, ...]) -> dict:
+    """y^-1 for every automorphism y in ``group``, keyed by y's images:
+    one power walk per cyclic subgroup not already covered."""
+    inverse = {}
+    for y in group:
+        if y.images not in inverse:
+            powers = y.powers()
+            for i, z in enumerate(powers):
+                inverse[z.images] = powers[(len(powers) - 2 - i) % len(powers)]
+    return inverse
+
+
 def fm_count(d: int, t: int, g: GSpec) -> int:
     """Number of Fourier-Mukai partners, by the double-coset formula:
     one summand O(L) \\ O(A_L) / G per isometry class L in the genus.
@@ -390,20 +402,50 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     and every isometry keeps each p-primary part, so O(A) = prod_p O(A_p),
     X = prod_p phi_p O(A_p) for any isometries phi_p: A_p -> A_{L,p}, and
     #{x in X : h x = x s} is the product over p of the same count on the
-    parts, with h and s restricted.  Every enumeration runs on one part,
-    so the isometry budget bounds the largest |A_p|, not |A|.
+    parts, with h and s restricted.  For x_p = phi_p y, h_p x_p = x_p s_p
+    exactly when h_p phi_p = phi_p k with k = y s_p y^-1, so each part's
+    count is read from a tally of the conjugates k of s_p over O(A_p),
+    made once per s and moved by phi_p for each genus class: a class
+    costs |H| + (number of conjugates) compositions per part and per s,
+    never a walk over X.  Every isometry enumeration runs on one part,
+    so the isometry budget bounds the largest |A_p|, not |A|; the genus
+    walk, one search per part and class, is budgeted as
+    phi(t) * sum_p |A_p| elements (phi(t) bounds the number of classes).
     """
     nf = ns_form(d, t)
     if g.generator.domain != nf.form:
         raise InvalidIsometryError("G does not act on this family member")
     parts = nf.primary_parts
     own = [isometry_group(part.form) for part in parts]
+    budget.require(
+        totient(t) * sum(part.form.size for part in parts),
+        budget.element_cap(),
+        "phi(t) * sum of |A_p| for the FM genus walk",
+    )
     order = prod(len(group) for group in own)
     # -id has the same images on every form with nf.form's generator
     # orders, which isometry_between checks part by part for each member
     neg = neg_identity(nf.form).images
     image, moving = g.image_elements(), g.moving_elements()
-    moving_parts = [[part.restrict(s) for part in parts] for s in moving]
+    # s and s^-1 fix the same cosets; the image is cyclic and listed as
+    # sigma, ..., sigma^n, so moving[j] and moving[-1 - j] are inverse and
+    # only the first half is counted, each term twice but a middle one.
+    # For each such s and part: the distinct y s_p y^-1 over y in O(A_p),
+    # each with how many y give it
+    half = moving[: (len(moving) + 1) // 2]
+    weights = [1 if 2 * j + 1 == len(moving) else 2 for j in range(len(half))]
+    tallies = []
+    if moving:
+        inverses = [_inverses(group) for group in own]
+        for s in half:
+            tally = []
+            for part, group, inverse in zip(parts, own, inverses):
+                s_p, conjugates = part.restrict(s), {}
+                for y in group:
+                    k = y.compose(s_p).compose(inverse[y.images])
+                    conjugates.setdefault(k.images, [k, 0])[1] += 1
+                tally.append(conjugates.values())
+            tallies.append(tally)
     total = 0
     for e in genus_representatives(d, t):
         parts_e = ns_form(e, t).primary_parts
@@ -417,23 +459,28 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
             raise RuntimeError("O(L) image size does not divide |O(A)|")
         fixed = (len(image) - len(moving)) * order
         if moving:
-            xs = [[phi.compose(y) for y in group] for phi, group in zip(phis, own)]
-            h_parts = [[part.restrict(u) for part in parts_e] for u in h]
-            for s_parts in moving_parts:
-                right = [
-                    [x.compose(s).images for x in x_p] for s, x_p in zip(s_parts, xs)
+            # for x = phi y, h x = x s exactly when h phi = phi (y s y^-1)
+            lefts = [
+                [
+                    part.restrict(u).compose(phi).images
+                    for part, phi in zip(parts_e, phis)
                 ]
-                term = 0
-                for u_parts in h_parts:
-                    count = 1
-                    for u, x_p, r in zip(u_parts, xs, right):
-                        count *= sum(u.compose(x).images == xr for x, xr in zip(x_p, r))
-                    term += count
+                for u in h
+            ]
+            for weight, tally in zip(weights, tallies):
+                rights = [
+                    {phi.compose(k).images: n for k, n in conjugates}
+                    for phi, conjugates in zip(phis, tally)
+                ]
+                term = sum(
+                    prod(right.get(key, 0) for right, key in zip(rights, keys))
+                    for keys in lefts
+                )
                 if term % len(h):
                     raise RuntimeError(
                         "moving Burnside term is not a multiple of |H|"
                     )
-                fixed += term
+                fixed += weight * term
         if fixed % (len(h) * len(image)):
             raise RuntimeError("Burnside sum is not a multiple of |H| |G image|")
         total += fixed // (len(h) * len(image))

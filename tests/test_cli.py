@@ -293,6 +293,28 @@ def test_fm_budget_bounds_the_largest_primary_part(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_fm_budget_bounds_the_genus_walk(capsys, monkeypatch):
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    # 8633 = 89 * 97: both parts are under the isometry cap, but the walk
+    # over the genus is phi(t) * (89^2 + 97^2) = 146,403,840 > 4,000,000
+    code, out, err = run_cli(["fm", "--d", "1", "--t", "8633"], capsys)
+    assert (code, out) == (3, "")
+    assert "genus walk is 146403840" in err
+    # 3565 = 5 * 23 * 31 walks 3,999,600, just under the cap
+    code, out, err = run_cli(["fm", "--d", "1", "--t", "3565"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("fm=")
+
+
+def test_capacity_message_names_the_scanned_part(capsys, monkeypatch):
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    # |A| = 1000^2; the part at 5 is cyclic of order 5^6
+    code, out, err = run_cli(["fm", "--d", "6", "--t", "1000"], capsys)
+    assert (code, out) == (3, "")
+    assert "the order of Z/15625, whose isometries are enumerated, is 15625" in err
+    assert "1000000" not in err
+
+
 def test_exit_code_verify_failure(capsys, monkeypatch):
     def boom(d, t, row):
         raise SweepVerifyError(f"cell d={d} t={t}: forced mismatch")

@@ -554,7 +554,7 @@ def test_fm_count_multiplies_the_part_counts(monkeypatch):
     # of local counts; the walk over H \ O(A) / G is the oracle.  (With
     # the real O(L) images these cells have no such term.)
     checked = 0
-    for d, t in ((0, 10), (5, 10), (0, 26), (13, 26)):
+    for d, t in ((0, 10), (5, 10), (0, 26), (13, 26), (0, 65), (0, 85)):
         own = isometry_group(ns_form(d, t).form)
         for sigma in own:
             try:
@@ -570,7 +570,7 @@ def test_fm_count_multiplies_the_part_counts(monkeypatch):
             walk = len(_orbits(own, lambda x: x.images, moves))
             assert fm_count(d, t, g) == walk, (d, t, sigma.images)
             checked += 1
-    assert checked == 12
+    assert checked == 20
 
 
 def test_fm_count_is_the_jacobian_count_when_m_is_one():
