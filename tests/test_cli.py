@@ -287,6 +287,10 @@ def test_fm_budget_bounds_the_largest_primary_part(capsys, monkeypatch):
     code, out, err = run_cli(["fm", "--d", "0", "--t", "101"], capsys)
     assert (code, out) == (3, "")
     assert "budget" in err
+    # the error names the part: |A| = 1000^2, the part at 5 is Z/5^6
+    code, out, err = run_cli(["fm", "--d", "6", "--t", "1000"], capsys)
+    assert (code, out) == (3, "")
+    assert "the order of Z/15625, whose isometries are enumerated, is 15625" in err
     argv = ["sweep", "--t-min", "100", "--t-max", "101", "--d-max", "1"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")
@@ -304,15 +308,6 @@ def test_fm_budget_bounds_the_genus_walk(capsys, monkeypatch):
     code, out, err = run_cli(["fm", "--d", "1", "--t", "3565"], capsys)
     assert (code, err) == (0, "")
     assert out.startswith("fm=")
-
-
-def test_capacity_message_names_the_scanned_part(capsys, monkeypatch):
-    monkeypatch.delenv("K3FM_BUDGET", raising=False)
-    # |A| = 1000^2; the part at 5 is cyclic of order 5^6
-    code, out, err = run_cli(["fm", "--d", "6", "--t", "1000"], capsys)
-    assert (code, out) == (3, "")
-    assert "the order of Z/15625, whose isometries are enumerated, is 15625" in err
-    assert "1000000" not in err
 
 
 def test_exit_code_verify_failure(capsys, monkeypatch):
