@@ -6,18 +6,25 @@ Each cap is compared with the size of what a search visits:
   family |A| = t^2, i.e. t <= 2000 by default), although they visit
   only the elements killed by the order they look for;
 * isometry enumeration is quartic-ish in the generator orders and gets
-  the much smaller ``ISOMETRY_CAP``.  FM counts enumerate isometries on
+  the much smaller ``ISOMETRY_CAP``.  FM counts search isometries on
   each p-primary part A_p of A separately, so there the cap bounds the
   largest |A_p| = p^(2k), p^k the exact power of p in t: at the default
   cap ``fm --d 30 --t 30030`` runs (largest part 169), while
   ``fm --d 0 --t 101`` (one part of 10,201) and any sweep reaching a
-  prime t > 100 exit with the capacity error.
+  prime t > 100 exit with the capacity error.  For G = {+-1} no
+  isometry group is enumerated (|O(A_p)| is read off the part's shape),
+  so there the cap bounds only the search that matches each genus
+  class to A part by part; a G with other elements also enumerates
+  O(A_p) on every part.
 * an FM count's genus walk searches every part once per genus class,
-  and the genus is enumerated over the phi(t) units mod t, which also
-  bound the number of classes; phi(t) * sum_p |A_p| must stay within
-  ``ELEMENT_CAP``.  Every t <= 100 stays under 10^6 there, and the walks
-  nearest the default cap take about 0.2 s; ``fm --d 1 --t 8633``
-  (89 * 97, both parts under the isometry cap) is refused.
+  and the genus is enumerated over the phi(t/m) units mod t/m,
+  m = gcd(d, t), which also bound the number of classes;
+  phi(t/m) * sum_p |A_p| must stay within ``ELEMENT_CAP``.  Every
+  t <= 100 stays under 10^6 there, and ``fm --d 1 --t 3565``, a walk
+  just under the default cap, takes about 0.07 s.  ``fm --d 1 --t 8633``
+  (89 * 97, both parts under the isometry cap) is refused, while
+  ``fm --d 0 --t 510510`` (one genus class, a walk of sum_p p^2) runs;
+  it was refused while the walk was counted as phi(t) * sum_p |A_p|.
 
 Setting the environment variable ``K3FM_BUDGET`` to a positive integer
 overrides both caps with that value.  The variable is read at call time,

@@ -497,6 +497,28 @@ class NSForm:
         return primary_decomposition(self.form)
 
     @cached_property
+    def o_lambda_order(self) -> int:
+        """|H|, the order of the image of O(L) in O(A), from the integer
+        matrices alone, computed once per cached bundle.
+
+        Lattice isometries M and N induce the same map on L*/L exactly
+        when (M - N) Gram^-1 is integral.  Gram^-1 = adj(Gram) / -t^2 with
+        adj(Gram) = [[0, -t], [-t, 2d]], so M is keyed by M adj(Gram) mod
+        t^2 and |H| is the number of distinct keys.  The key of -I must
+        be among them.
+        """
+        d, t = self.d, self.t
+        n = t * t
+
+        def key(rows):
+            return tuple(((-t * y) % n, (2 * d * y - t * x) % n) for x, y in rows)
+
+        keys = {key(mat.entries) for mat in rank2_isometries(d, d, t)}
+        if key(((-1, 0), (0, -1))) not in keys:
+            raise RuntimeError("O(L) image does not contain -id")
+        return len(keys)
+
+    @cached_property
     def lattice_isometries(self) -> tuple[tuple[IntMatrix, DFIsometry], ...]:
         """(M, induced isometry of A) for each self-isometry M of the
         lattice in the (H, F) basis, computed once per cached bundle."""
@@ -654,6 +676,17 @@ def _kernel_setup(struct_form: FiniteQuadForm, value_form: FiniteQuadForm):
     return n1, n2, den, q1, q2, b12, w1, w2, w12, primes1, primes2
 
 
+def require_isometry_budget(form: FiniteQuadForm) -> None:
+    """Raise CapacityError when |form| is over the isometry budget: the
+    gate of every isometry enumeration, also run ahead of one."""
+    group = " + ".join(f"Z/{n}" for n in form.orders)
+    budget.require(
+        form.size,
+        budget.isometry_cap(),
+        f"the order of {group}, whose isometries are enumerated,",
+    )
+
+
 def isometry_group(form: FiniteQuadForm) -> tuple[DFIsometry, ...]:
     """All automorphisms of the group preserving q (hence also b).
 
@@ -685,12 +718,7 @@ def _isometries(source, target, first_only) -> tuple[DFIsometry, ...]:
         raise OutOfScopeError("isometries are enumerated for forms of rank <= 2")
     if source.orders != target.orders:
         return ()
-    group = " + ".join(f"Z/{n}" for n in source.orders)
-    budget.require(
-        source.size,
-        budget.isometry_cap(),
-        f"the order of {group}, whose isometries are enumerated,",
-    )
+    require_isometry_budget(source)
     if first_only and source == target:
         return (identity_isometry(source),)
     if source.rank == 0:

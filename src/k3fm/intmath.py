@@ -31,9 +31,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation {p: multiplicity} of n >= 1 by trial division."""
+    """Prime factorisation {p: multiplicity} of n >= 1 by trial division.
+
+    A perfect square is factored through its root, so |A| = t^2 costs a
+    trial division up to sqrt(t), not up to t."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
+    root = isqrt(n)
+    if n > 1 and root * root == n:
+        return {p: 2 * k for p, k in factorize(root).items()}
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

@@ -271,7 +271,10 @@ class GSpec:
         gen = self.generator
         if gen.domain != gen.codomain:
             raise InvalidIsometryError("generator must be an automorphism")
-        as_isometry(gen.domain, gen.codomain, gen.images)
+        # -id is an isometry of every finite quadratic form
+        neg = neg_identity(gen.domain).images
+        if gen.images != neg:
+            as_isometry(gen.domain, gen.codomain, gen.images)
         if self.order < 2 or self.order % 2:
             raise InvalidParameterError("group order must be even and >= 2")
         if self.order > 2 * TRANSCENDENTAL_RANK**2 or TRANSCENDENTAL_RANK % totient(self.order):
@@ -285,7 +288,6 @@ class GSpec:
             raise InvalidParameterError(
                 "abstract order must be a multiple of the image's order"
             )
-        neg = neg_identity(gen.domain).images
         if neg not in {s.images for s in powers}:
             raise InvalidParameterError("group image must contain -id")
         central = (neg, powers[-1].images)

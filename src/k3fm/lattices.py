@@ -447,7 +447,10 @@ def is_isometric_rank2(d: int, e: int, t: int) -> bool:
 def genus_representatives(d: int, t: int) -> tuple[int, ...]:
     """One e in [0, t) per isometry class in the genus of the (d, t) lattice.
 
-    The genus is {d u^2 mod t : u a unit mod t}.  Over Z_p the basis
+    The genus is {d u^2 mod t : u a unit mod t}, walked as
+    {m ((d/m) u^2 mod t/m) : u a unit mod t/m}, m = gcd(d, t): the same
+    set, since d u^2 = m (d/m) u^2 and the units mod t reach every unit
+    mod t/m, in phi(t/m) steps instead of phi(t).  Over Z_p the basis
     (uH, u^-1 F) of the (d, t) lattice has the Gram matrix of the
     (d u^2, t) one (add to u a multiple of t prime to p if p does not
     divide t), and H -> H + kF shows that only e mod t matters.  Conversely
@@ -461,9 +464,10 @@ def genus_representatives(d: int, t: int) -> tuple[int, ...]:
     if t < 1:
         raise InvalidParameterError(f"t must be a positive integer, got {t}")
     m = gcd(d, t)
+    n = t // m
     reps = set()
-    for e in {d * u * u % t for u in units_mod(t)}:
-        if gcd(e // m, t // m) == 1:
-            e = min(e, m * pow(e // m, -1, t // m))
+    for e in {m * (d // m * u * u % n) for u in units_mod(n)}:
+        if gcd(e // m, n) == 1:
+            e = min(e, m * pow(e // m, -1, n))
         reps.add(e)
     return tuple(sorted(reps))

@@ -8,10 +8,11 @@ supplied declaratively: the cyclic isometry group G as a GSpec, the twist
 groups B and Btilde as unit subgroups, and the T-general flag.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 from . import budget
 from .discforms import (
@@ -21,6 +22,7 @@ from .discforms import (
     isometry_group,
     neg_identity,
     ns_form,
+    require_isometry_budget,
 )
 from .errors import (
     InvalidIsometryError,
@@ -379,50 +381,91 @@ def _inverses(group: tuple[DFIsometry, ...]) -> dict:
     return inverse
 
 
+def _part_order(part) -> int:
+    """|O(A_p)| for a p-primary part of a family form, from its shape.
+
+    The part is Z/p^a (+) Z/p^b with a = min(v_p(2d), k) and b = 2k - a,
+    p^k the exact power of p in t (a = 0 when the part is cyclic).  Over
+    Z_p, scaling F by the unit (t/p^k)^-1 shows A_p(d, t) = A(d mod p^k,
+    p^k), so the tests check this table against ``isometry_group`` on
+    every (d, p^k) with p^k <= 100, which is every part the default
+    isometry budget admits.  Shapes the family does not produce raise
+    RuntimeError.
+    """
+    p = part.prime
+    pa, pb = ((1,) + part.form.orders)[-2:]  # p^a <= p^b
+    if p > 2:
+        if pa == 1:
+            return 2
+        return 2 * (p - 1) * pa // p if pa == pb else 4 * pa
+    ratio = pb // pa  # 2^(b - a)
+    if pa == 1 or ratio.bit_length() % 2 == 0:
+        raise RuntimeError(f"no family 2-part has the shape Z/{pa} + Z/{pb}")
+    if ratio == 1 and pa == 2:
+        # the automorphisms of (Z/2)^2 permute its three nonzero elements
+        # freely; the isometries permute those of equal q among themselves
+        values = Counter(part.form.q(c) for c in ((1, 0), (0, 1), (1, 1)))
+        return prod(factorial(n) for n in values.values())
+    if ratio == 1:
+        return pa
+    if ratio == 4:
+        return 2 if pa == 2 else 2 * pa
+    return 4 if pa == 2 else 4 * pa
+
+
 def fm_count(d: int, t: int, g: GSpec) -> int:
     """Number of Fourier-Mukai partners, by the double-coset formula:
     one summand O(L) \\ O(A_L) / G per isometry class L in the genus.
 
-    The O(L) image H is computed from the actual lattice isometries, not
-    from a closed-form rule.  For a genus member L with form A_L, any one
-    isometry phi: A -> A_L gives X = Isom(A, A_L) = phi O(A), and the
-    summand counts the double cosets H \\ X / G.  H acts freely on X, so
-    there are |O(A)| / |H| left cosets H x, and the image of G permutes
-    them by H x -> H x s.  Burnside's lemma counts the orbits as
+    For a genus member L with form A_L, any one isometry phi: A -> A_L
+    gives X = Isom(A, A_L) = phi O(A), and the summand counts the double
+    cosets H \\ X / G, with H the image of O(L) in O(A_L).  H acts freely
+    on X, so there are |O(A)| / |H| left cosets H x, and the image of G
+    permutes them by H x -> H x s.  Burnside's lemma counts the orbits as
     (1 / |G image|) * sum over s of fix(s), with
     |H| fix(s) = sum over h in H of #{x in X : h x = x s}.
 
     The identity and -id are free terms: -id commutes with every x, and
     -id lies in H (the lattice isometry -1 induces it), so x (-id) =
-    (-id) x lies in H x and fix(+-id) = |O(A)| / |H|.  Only the other
-    elements of G's image (``g.moving_elements()``) need isometries, so
-    G = {+-1} composes none.
+    (-id) x lies in H x and fix(+-id) = |O(A)| / |H|.  For G = {+-1}
+    these are all the terms, and only the two orders are needed:
+    |O(A)| = prod_p |O(A_p)| from each p-primary part's shape
+    (``_part_order``), and |H| from the integer lattice isometries
+    (``NSForm.o_lambda_order``).  No isometry group is enumerated and no
+    isometry of A is built.
 
-    Nothing builds or walks the whole O(A).  A = (+)_p A_p is orthogonal
-    and every isometry keeps each p-primary part, so O(A) = prod_p O(A_p),
-    X = prod_p phi_p O(A_p) for any isometries phi_p: A_p -> A_{L,p}, and
-    #{x in X : h x = x s} is the product over p of the same count on the
-    parts, with h and s restricted.  For x_p = phi_p y, h_p x_p = x_p s_p
-    exactly when h_p phi_p = phi_p k with k = y s_p y^-1, so each part's
-    count is read from a tally of the conjugates k of s_p over O(A_p),
-    made once per s and moved by phi_p for each genus class: a class
-    costs |H| + (number of conjugates) compositions per part and per s,
-    never a walk over X.  Every isometry enumeration runs on one part,
-    so the isometry budget bounds the largest |A_p|, not |A|; the genus
-    walk, one search per part and class, is budgeted as
-    phi(t) * sum_p |A_p| elements (phi(t) bounds the number of classes).
+    The other elements of G's image (``g.moving_elements()``) need the
+    isometries themselves, so only then are O(A_p) enumerated on each
+    part (their orders must match the table) and H listed by
+    ``o_lambda_image`` (its size must match |H|).  An isometry keeps
+    each p-primary part, so O(A) = prod_p O(A_p), X = prod_p phi_p
+    O(A_p) for any isometries phi_p: A_p -> A_{L,p}, and
+    #{x in X : h x = x s} is the product over p of the same count on
+    the parts, with h and s restricted.  For x_p = phi_p y,
+    h_p x_p = x_p s_p exactly when h_p phi_p = phi_p k with
+    k = y s_p y^-1, so each part's count is read from a tally of the
+    conjugates k of s_p over O(A_p), made once per s and moved by phi_p
+    for each genus class: a class costs |H| + (number of conjugates)
+    compositions per part and per s, never a walk over X.
+
+    Every genus class is matched to A part by part by
+    ``isometry_between``, for every G.  The isometry budget bounds each
+    |A_p|, checked before any class is searched, not |A|; the genus walk
+    is budgeted as phi(t/m) * sum_p |A_p| elements, phi(t/m) bounding
+    the number of classes (``genus_representatives``).
     """
     nf = ns_form(d, t)
     if g.generator.domain != nf.form:
         raise InvalidIsometryError("G does not act on this family member")
     parts = nf.primary_parts
-    own = [isometry_group(part.form) for part in parts]
+    for part in parts:
+        require_isometry_budget(part.form)
     budget.require(
-        totient(t) * sum(part.form.size for part in parts),
+        totient(t // nf.m) * sum(part.form.size for part in parts),
         budget.element_cap(),
-        "phi(t) * sum of |A_p| for the FM genus walk",
+        "phi(t/m) * sum of |A_p| for the FM genus walk",
     )
-    order = prod(len(group) for group in own)
+    order = prod(_part_order(part) for part in parts)
     # -id has the same images on every form with nf.form's generator
     # orders, which isometry_between checks part by part for each member
     neg = neg_identity(nf.form).images
@@ -436,6 +479,9 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     weights = [1 if 2 * j + 1 == len(moving) else 2 for j in range(len(half))]
     tallies = []
     if moving:
+        own = [isometry_group(part.form) for part in parts]
+        if prod(len(group) for group in own) != order:
+            raise RuntimeError("part isometry groups disagree with their orders")
         inverses = [_inverses(group) for group in own]
         for s in half:
             tally = []
@@ -448,17 +494,21 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
             tallies.append(tally)
     total = 0
     for e in genus_representatives(d, t):
-        parts_e = ns_form(e, t).primary_parts
+        nf_e = ns_form(e, t)
+        parts_e = nf_e.primary_parts
         phis = [isometry_between(a.form, b.form) for a, b in zip(parts, parts_e)]
         if None in phis:
             raise RuntimeError("genus member lost its form isometry")
-        h = o_lambda_image(e, t)
-        if neg not in {u.images for u in h}:
-            raise RuntimeError("O(L) image does not contain -id")
-        if order % len(h):
+        size = nf_e.o_lambda_order
+        if order % size:
             raise RuntimeError("O(L) image size does not divide |O(A)|")
         fixed = (len(image) - len(moving)) * order
         if moving:
+            h = o_lambda_image(e, t)
+            if len(h) != size:
+                raise RuntimeError("O(L) image disagrees with its order")
+            if neg not in {u.images for u in h}:
+                raise RuntimeError("O(L) image does not contain -id")
             # for x = phi y, h x = x s exactly when h phi = phi (y s y^-1)
             lefts = [
                 [
@@ -476,14 +526,14 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
                     prod(right.get(key, 0) for right, key in zip(rights, keys))
                     for keys in lefts
                 )
-                if term % len(h):
+                if term % size:
                     raise RuntimeError(
                         "moving Burnside term is not a multiple of |H|"
                     )
                 fixed += weight * term
-        if fixed % (len(h) * len(image)):
+        if fixed % (size * len(image)):
             raise RuntimeError("Burnside sum is not a multiple of |H| |G image|")
-        total += fixed // (len(h) * len(image))
+        total += fixed // (size * len(image))
     return total
 
 

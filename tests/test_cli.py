@@ -11,6 +11,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,35 @@ def test_fm_budget_bounds_the_genus_walk(capsys, monkeypatch):
     code, out, err = run_cli(["fm", "--d", "1", "--t", "3565"], capsys)
     assert (code, err) == (0, "")
     assert out.startswith("fm=")
+
+
+def test_fm_genus_walk_runs_over_the_units_mod_t_over_m(capsys, monkeypatch):
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    # m = t: one genus class, a walk of phi(1) * sum_p p^2, not phi(t) * ...
+    code, out, err = run_cli(["fm", "--d", "0", "--t", "510510"], capsys)
+    assert (code, out, err) == (0, "fm=2949120\n", "")
+
+
+def test_fm_refuses_a_large_prime_t_at_once(capsys, monkeypatch):
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(["fm", "--d", "1", "--t", "100000007"], capsys)
+    assert (code, out) == (3, "")
+    assert "budget" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_non_isometry_g_gen_is_refused(capsys):
+    # x -> 7x is an automorphism of Z/25 of order 4, but it breaks q
+    for cmd in ("fm", "de"):
+        argv = [cmd, "--d", "1", "--t", "5", "--g-gen", "7", "--g-order", "4"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err == "k3fm: q not preserved on generator 0\n", argv
+    # -id passes without the check, in either spelling
+    for images in ("24", "-1"):
+        argv = ["fm", "--d", "1", "--t", "5", "--g-gen", images]
+        assert run_cli(argv, capsys) == (0, "fm=2\n", "")
 
 
 def test_exit_code_verify_failure(capsys, monkeypatch):

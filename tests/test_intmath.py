@@ -19,6 +19,13 @@ def test_factorize_known():
     assert factorize(510510) == {2: 1, 3: 1, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1}
 
 
+def test_factorize_squares_through_the_root():
+    for n in range(1, 2001):
+        assert factorize(n * n) == {p: 2 * k for p, k in factorize(n).items()}, n
+    # t^2 for a prime t near 10^8 costs a trial division up to 10^4
+    assert factorize(100000007**2) == {100000007: 2}
+
+
 def test_omega_and_primes():
     assert distinct_primes(1) == ()
     assert distinct_primes(60) == (2, 3, 5)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from k3fm.discforms import (
     DFIsometry,
+    as_isometry,
     identity_isometry,
     isometry_between,
     isometry_group,
@@ -260,6 +261,24 @@ def test_gspec_validation():
     assert GSpec(sigma4, 4).kernel_order == 1
     assert GSpec(sigma4, 4).image_elements() == sigma4.powers()
     assert GSpec(sigma4, 8).kernel_order == 2
+
+
+def test_sign_group_is_not_revalidated(monkeypatch):
+    # -id is an isometry of every form; any other generator is validated
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return as_isometry(*args)
+
+    monkeypatch.setattr("k3fm.lagrangians.as_isometry", counted)
+    for d, t in ((1, 5), (0, 30), (6, 6), (0, 1)):
+        GSpec.sign_group(ns_form(d, t).form)
+        GSpec.sign_group(ns_form(d, t).form, 4)
+    assert calls == []
+    sigma4 = next(s for s in isometry_group(ns_form(0, 5).form) if s.order() == 4)
+    GSpec(sigma4, 4)
+    assert len(calls) == 1
 
 
 def test_gspec_rejects_non_automorphism():

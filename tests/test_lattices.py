@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3fm.discforms import isometry_between, ns_form
+from k3fm.intmath import units_mod
 from k3fm.errors import (
     InvalidElementError,
     InvalidLatticeError,
@@ -262,6 +263,32 @@ def test_genus_matches_form_isometry_search():
                 if not any(is_isometric_rank2(r, e, t) for r in reps):
                     reps.append(e)
             assert genus_representatives(d, t) == tuple(reps), (d, t)
+
+
+def _genus_over_units_mod_t(d, t):
+    """The genus walked over all phi(t) units mod t, reduced as in
+    ``genus_representatives``."""
+    m = gcd(d, t)
+    reps = set()
+    for e in {d * u * u % t for u in units_mod(t)}:
+        if gcd(e // m, t // m) == 1:
+            e = min(e, m * pow(e // m, -1, t // m))
+        reps.add(e)
+    return tuple(sorted(reps))
+
+
+def test_genus_walks_the_units_mod_t_over_m(monkeypatch):
+    # d u^2 mod t = m ((d/m) u^2 mod t/m): the same set, in phi(t/m) steps
+    for t in range(1, 101):
+        for d in range(-t, 2 * t):
+            assert genus_representatives(d, t) == _genus_over_units_mod_t(d, t), (d, t)
+    walked = []
+    monkeypatch.setattr(
+        "k3fm.lattices.units_mod", lambda n: walked.append(n) or units_mod(n)
+    )
+    assert genus_representatives(0, 510510) == (0,)
+    assert genus_representatives(6, 30) == (6, 24)
+    assert walked == [1, 5]
 
 
 def test_genus_past_the_isometry_budget():

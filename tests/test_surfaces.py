@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 from k3fm import cli
 from k3fm.discforms import (
     DFIsometry,
+    FiniteQuadForm,
+    NSForm,
     identity_isometry,
     isometry_between,
     isometry_group,
     neg_identity,
     ns_form,
+    primary_decomposition,
 )
 from k3fm.errors import (
     CapacityError,
@@ -57,6 +60,7 @@ from k3fm.surfaces import (
     jacobian_index,
     jspecial_torsor_exists,
     mukai_divisibility,
+    _part_order,
     o_lambda_image,
     o_plus_image,
     second_fibration_jacobian,
@@ -585,14 +589,38 @@ def test_fm_count_checks_the_o_lambda_image(monkeypatch):
     form = ns_form(0, 5).form
     central = {identity_isometry(form).images, neg_identity(form).images}
     assert len(isometry_group(form)) == 8 and len(real(0, 5)) == 4
+    sigma = next(s for s in isometry_group(form) if s.images == ((2, 0), (0, 3)))
+    swap = next(s for s in isometry_group(form) if s.images == ((0, 1), (1, 0)))
 
-    def without_neg(e, t):
-        neg = neg_identity(ns_form(e, t).form).images
-        return tuple(u for u in real(e, t) if u.images != neg)
+    # G = {+-1} reads |H| off the integer isometries; without -I they
+    # have no -id
+    real_rank2 = rank2_isometries
+    minus_one = ((-1, 0), (0, -1))
+    monkeypatch.setattr(
+        "k3fm.discforms.rank2_isometries",
+        lambda d, e, t: tuple(m for m in real_rank2(d, e, t) if m.entries != minus_one),
+    )
+    ns_form.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="does not contain -id"):
+            fm_count(0, 5, _sign(0, 5))
+    finally:
+        monkeypatch.undo()
+        ns_form.cache_clear()
 
-    monkeypatch.setattr("k3fm.surfaces.o_lambda_image", without_neg)
-    with pytest.raises(RuntimeError, match="does not contain -id"):
+    monkeypatch.setattr(NSForm, "o_lambda_order", property(lambda nf: 3))
+    with pytest.raises(RuntimeError, match="does not divide"):
         fm_count(0, 5, _sign(0, 5))
+    monkeypatch.undo()
+
+    # a moving G lists H, which must have |H| elements and hold -id
+    def swapped_for_neg(e, t):
+        neg = neg_identity(ns_form(e, t).form).images
+        return tuple(sigma if u.images == neg else u for u in real(e, t))
+
+    monkeypatch.setattr("k3fm.surfaces.o_lambda_image", swapped_for_neg)
+    with pytest.raises(RuntimeError, match="does not contain -id"):
+        fm_count(0, 5, GSpec(sigma, 4))
 
     def three_of_four(e, t):
         image = real(e, t)
@@ -600,12 +628,10 @@ def test_fm_count_checks_the_o_lambda_image(monkeypatch):
         return tuple(u for u in image if u is not drop)
 
     monkeypatch.setattr("k3fm.surfaces.o_lambda_image", three_of_four)
-    with pytest.raises(RuntimeError, match="does not divide"):
-        fm_count(0, 5, _sign(0, 5))
+    with pytest.raises(RuntimeError, match="disagrees with its order"):
+        fm_count(0, 5, GSpec(sigma, 4))
 
     # +-id with two isometries that do not close up to a group of order 4
-    sigma = next(s for s in isometry_group(form) if s.images == ((2, 0), (0, 3)))
-    swap = next(s for s in isometry_group(form) if s.images == ((0, 1), (1, 0)))
     not_a_group = (identity_isometry(form), neg_identity(form), sigma, swap)
     monkeypatch.setattr("k3fm.surfaces.o_lambda_image", lambda e, t: not_a_group)
     with pytest.raises(RuntimeError, match="Burnside sum"):
@@ -623,8 +649,48 @@ def test_fm_count_checks_each_moving_term(monkeypatch):
     others = [s for s in group if s.images not in keep | {sigma.inverse().images}]
     fake = tuple(s for s in group if s.images in keep) + tuple(others[:5])
     monkeypatch.setattr("k3fm.surfaces.o_lambda_image", lambda e, t: fake)
+    monkeypatch.setattr(NSForm, "o_lambda_order", property(lambda nf: len(fake)))
     with pytest.raises(RuntimeError, match="moving Burnside term"):
         fm_count(0, 13, GSpec(sigma, 4))
+
+
+def test_fm_count_checks_the_part_groups_against_their_orders(monkeypatch):
+    # a moving G enumerates O(A_p); the table must agree with the scan
+    monkeypatch.setattr("k3fm.surfaces._part_order", lambda part: 4)
+    with pytest.raises(RuntimeError, match="disagree with their orders"):
+        fm_count(0, 5, GSpec(_sigma4(), 4))
+
+
+def test_part_order_matches_the_isometry_scan():
+    # A_p(d, t) is A(d mod p^k, p^k), so the forms (d, p^k) with
+    # p^k <= 100 are every part the default isometry budget admits
+    checked = 0
+    for q in range(2, 101):
+        if len(distinct_primes(q)) != 1:
+            continue
+        for d in range(q):
+            (part,) = ns_form(d, q).primary_parts
+            assert _part_order(part) == len(isometry_group(part.form)), (d, q)
+            checked += 1
+    assert checked == 1375
+
+
+def test_part_order_reads_q_on_the_klein_group_and_refuses_other_shapes():
+    half = Fraction(1, 2)
+    # the form v: q = 1 on all three nonzero elements, so O = S_3
+    (v,) = primary_decomposition(FiniteQuadForm.make((2, 2), (1, 1), ((1, half), (half, 1))))
+    assert _part_order(v) == len(isometry_group(v.form)) == 6
+    for orders, q in (((4,), (Fraction(1, 4),)), ((2, 4), (1, Fraction(1, 2)))):
+        b = [[q[i] if i == j else 0 for j in range(len(q))] for i in range(len(q))]
+        (part,) = primary_decomposition(FiniteQuadForm.make(orders, q, b))
+        with pytest.raises(RuntimeError, match="no family 2-part"):
+            _part_order(part)
+
+
+def test_o_lambda_order_matches_the_image():
+    for t in range(1, 61):
+        for e in range(t):
+            assert ns_form(e, t).o_lambda_order == len(o_lambda_image(e, t)), (e, t)
 
 
 def _part_group_order(d, t):
@@ -686,20 +752,28 @@ def test_fm_count_enumerates_isometries_on_parts_only(monkeypatch):
 
 
 def test_fm_count_composes_nothing_for_the_sign_group(monkeypatch):
+    # nor enumerates O(A_p) or lists the O(L) images: the orders suffice
     groups = {(d, t): _sign(d, t) for d, t in ((0, 30), (1, 29))}
     calls = []
-    real = DFIsometry.compose
 
-    def counted(self, other):
-        calls.append(1)
-        return real(self, other)
+    def recording(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(DFIsometry, "compose", counted)
+    monkeypatch.setattr(DFIsometry, "compose", recording("compose", DFIsometry.compose))
+    monkeypatch.setattr(
+        "k3fm.surfaces.isometry_group", recording("group", isometry_group)
+    )
+    monkeypatch.setattr(
+        "k3fm.surfaces.o_lambda_image", recording("image", o_lambda_image)
+    )
     assert fm_count(0, 30, groups[0, 30]) == 16
     assert fm_count(1, 29, groups[1, 29]) == cli._jacobian_class_count(1, 29)
     assert calls == []
     fm_count(0, 5, GSpec(_sigma4(), 4))
-    assert calls
+    assert set(calls) == {"compose", "group", "image"}
 
 
 def test_fm_count_builds_neg_identity_once(monkeypatch):
