@@ -11,7 +11,9 @@ candidate returns (``tests/test_kernels.py`` keeps that scan as the
 oracle):
 
 - the element scan walks only the elements killed by ``order``, since
-  an element of that order is one of them;
+  an element of that order is one of them, and tests q only on the
+  pairs whose coordinate orders give that order: the admissible second
+  coordinates are listed once per order of the first coordinate;
 - the isometry scan lists the images of the first generator, which do
   not depend on the image of the second, once per call.
 
@@ -30,21 +32,31 @@ def scan_isotropic_elements(n1, n2, q1, q2, b12, den, order):
     Returned in lexicographic order.  An element of order ``order`` has
     order * c_i = 0 mod n_i, so c_i runs over the multiples of
     n_i / gcd(n_i, order) only: n1 n2 / gcd(n1, order) gcd(n2, order)
-    candidates instead of n1 n2.
+    candidates instead of n1 n2.  The pair has order lcm(o1, o2), o_i the
+    order of c_i, so the second coordinates are listed once with o2 and
+    their q-term, and for each distinct o1 (a divisor of n1) the ones with
+    lcm(o1, o2) = ``order`` are picked once; q is tested only on those.
     """
     two_den = 2 * den
     step1 = n1 // gcd(n1, order)
     step2 = n2 // gcd(n2, order)
+    seconds = [
+        (c2, n2 // gcd(n2, c2), c2 * c2 % two_den * q2 % two_den)
+        for c2 in range(0, n2, step2)
+    ]
+    second_orders = {o2 for _, o2, _ in seconds}
+    admissible = {}  # o1 -> the entries of ``seconds`` with lcm(o1, o2) = order
     hits = []
     for c1 in range(0, n1, step1):
         o1 = n1 // gcd(n1, c1)
+        candidates = admissible.get(o1)
+        if candidates is None:
+            fits = {o2 for o2 in second_orders if o1 * o2 == order * gcd(o1, o2)}
+            candidates = admissible[o1] = [e for e in seconds if e[1] in fits]
         head = c1 * c1 % two_den * q1 % two_den
         cross = 2 * c1 * b12 % two_den
-        for c2 in range(0, n2, step2):
-            o2 = n2 // gcd(n2, c2)
-            if o1 * o2 != order * gcd(o1, o2):
-                continue
-            if (head + c2 * c2 % two_den * q2 + cross * c2) % two_den == 0:
+        for c2, _, term in candidates:
+            if (head + term + cross * c2) % two_den == 0:
                 hits.append((c1, c2))
     return hits
 

@@ -678,13 +678,14 @@ def _kernel_setup(struct_form: FiniteQuadForm, value_form: FiniteQuadForm):
 
 def require_isometry_budget(form: FiniteQuadForm) -> None:
     """Raise CapacityError when |form| is over the isometry budget: the
-    gate of every isometry enumeration, also run ahead of one."""
-    group = " + ".join(f"Z/{n}" for n in form.orders)
-    budget.require(
-        form.size,
-        budget.isometry_cap(),
-        f"the order of {group}, whose isometries are enumerated,",
-    )
+    gate of every isometry enumeration, also run ahead of one.  The text
+    naming the group is built only for a form over the cap."""
+    cap = budget.isometry_cap()
+    if form.size > cap:
+        group = " + ".join(f"Z/{n}" for n in form.orders)
+        budget.require(
+            form.size, cap, f"the order of {group}, whose isometries are enumerated,"
+        )
 
 
 def isometry_group(form: FiniteQuadForm) -> tuple[DFIsometry, ...]:

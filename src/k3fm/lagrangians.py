@@ -12,8 +12,10 @@ cheap: subgroups are never materialized unless asked for.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
+from operator import mul
 
 from . import budget, kernels
 from .discforms import (
@@ -21,7 +23,6 @@ from .discforms import (
     DFIsometry,
     _kernel_setup,
     as_isometry,
-    b_eval,
     neg_identity,
     ns_form,
 )
@@ -111,8 +112,28 @@ class LagrangianSubgroup:
 
     def contains(self, elem: DFElement) -> bool:
         """Whether ``elem`` lies in L.  L is isotropic with |L|^2 = |A| in a
-        nondegenerate form, so L = L-perp: x is in L iff b(x, generator) = 0."""
-        return b_eval(elem, self.generator) == 0
+        nondegenerate form, so L = L-perp: x is in L iff b(x, generator) = 0,
+        one integer dot product."""
+        if elem.form != self.generator.form:
+            raise InvalidElementError("elements live in different groups")
+        return self._has(elem.coords)
+
+    @cached_property
+    def _pairing(self) -> tuple[int, ...]:
+        return _functional(self.generator.form, self.generator.coords)
+
+    def _has(self, coords) -> bool:
+        """``contains`` on a coordinate tuple of the generator's group."""
+        den = self.generator.form._int_view[0]
+        return sum(map(mul, self._pairing, coords)) % den == 0
+
+
+def _functional(form, coords) -> tuple[int, ...]:
+    """The integer functional f with b(x, y) = (f . x) / den mod 1 for y
+    the element with coordinates ``coords``, den the form's common
+    denominator: f = B y mod den, B the b numerator matrix."""
+    den, _, bn = form._int_view
+    return tuple(sum(map(mul, row, coords)) % den for row in bn)
 
 
 def _idempotents(t: int) -> dict[int, int]:
@@ -201,31 +222,60 @@ def subgroup_generated_by(d: int, t: int, w: LagrangianElement) -> LagrangianSub
     <vprime>, the only Lagrangian subgroups of A_p.  A Lagrangian subgroup
     is its own orthogonal complement (L = L-perp, as |L|^2 = |A| and the
     form is nondegenerate), so membership is b(x, generator) = 0, at each
-    p and for <w> itself.
+    p and for <w> itself.  Each test is an integer dot product with a
+    functional read off the form's b numerators (``_classifier``), the
+    path ``g_orbits`` takes for subgroups too.
     """
-    return _generated_subgroup(d, t, w.elem)
+    if w.elem.form != ns_form(d, t).form:
+        raise InvalidElementError("elements live in different groups")
+    return _classifier(d, t, {})(w.coords)
 
 
-def _generated_subgroup(d: int, t: int, elem: DFElement) -> LagrangianSubgroup:
+def _classifier(d: int, t: int, known: dict):
+    """coords -> the Lagrangian subgroup generated by the Lagrangian
+    element with those coordinates.
+
+    With c_p the CRT idempotent of p, b(c_p x, c_p y) = c_p^2 b(x, y), so
+    the p-part of x lies in that of <vbar> exactly when x pairs to 0 with
+    c_p^2 vbar: one dot product mod den per canonical subgroup and prime.
+    ``known`` maps selectors to subgroups already built; ``_subgroup``
+    runs only for a selector not in it, and the result is added.
+    """
     nf = ns_form(d, t)
+    form = nf.form
+    den = form._int_view[0]
     idem = _idempotents(t)
-    selector = []
-    for p in distinct_primes(gcd(d, t)):
-        wp = idem[p] * elem
-        if b_eval(wp, idem[p] * nf.vbar) == 0:
-            selector.append((p, SELECT_V))
-        elif b_eval(wp, idem[p] * nf.vprime) == 0:
-            selector.append((p, SELECT_VPRIME))
-        else:
-            raise InvalidSubgroupError(
-                f"p-part at {p} generates neither canonical subgroup"
-            )
-    sub = _subgroup(d, t, tuple(selector))
-    if not sub.contains(elem):
-        raise InvalidSubgroupError(
-            "element is not in the subgroup its selector names"
+    tests = [
+        (
+            p,
+            _functional(form, (idem[p] ** 2 * nf.vbar).coords),
+            _functional(form, (idem[p] ** 2 * nf.vprime).coords),
         )
-    return sub
+        for p in distinct_primes(gcd(d, t))
+    ]
+
+    def classify(coords) -> LagrangianSubgroup:
+        selector = []
+        for p, at_v, at_vprime in tests:
+            if sum(map(mul, at_v, coords)) % den == 0:
+                selector.append((p, SELECT_V))
+            elif sum(map(mul, at_vprime, coords)) % den == 0:
+                selector.append((p, SELECT_VPRIME))
+            else:
+                raise InvalidSubgroupError(
+                    f"p-part at {p} generates neither canonical subgroup"
+                )
+        selector = tuple(selector)
+        sub = known.get(selector)
+        if sub is None:
+            sub = known[selector] = _subgroup(d, t, selector)
+        if not sub._has(coords):
+            raise InvalidSubgroupError(
+                "element is not in the subgroup its selector names"
+            )
+        return sub
+
+    return classify
 
 
 def involution(d: int, t: int, sub: LagrangianSubgroup) -> LagrangianSubgroup:
@@ -314,9 +364,12 @@ class GSpec:
 
 
 def _coordinate_move(sigma: DFIsometry):
-    """c -> sigma(c) on coordinate tuples, reduced mod the generator orders."""
-    orders = sigma.codomain.orders
-    return lambda c: tuple(x % n for x, n in zip(sigma._map(c), orders))
+    """c -> sigma(c) on coordinate tuples.  Sigma's images are read once
+    as an integer matrix, whose row j holds coordinate j of every
+    generator image, so coordinate j of the image is one dot product
+    reduced mod the j-th generator order."""
+    rows = tuple(zip(zip(*sigma.images), sigma.codomain.orders))
+    return lambda c: tuple([sum(map(mul, row, c)) % n for row, n in rows])
 
 
 def _orbits(items, key, moves):
@@ -354,9 +407,13 @@ def g_orbits(items, g: GSpec):
     Elements are walked as coordinate tuples; the caller's objects are
     returned and only images it did not pass are wrapped.  GSpec checked
     that sigma is an isometry, so no image needs another check.  A
-    subgroup L moves to <sigma(generator)>, classified by L = L-perp as in
-    subgroup_generated_by.  Each orbit is sorted by coordinates (elements) or selector
-    (subgroups), and the orbits are listed by their least member.
+    subgroup L moves to <sigma(generator)>: sigma acts on the generator's
+    coordinates as an integer matrix, and the image is classified by
+    integer functionals as in subgroup_generated_by.  The subgroup with
+    the image's selector is taken from ``items`` when one is there, and
+    built only for a selector not seen before.  All subgroups must belong
+    to one (d, t).  Each orbit is sorted by coordinates (elements) or
+    selector (subgroups), and the orbits are listed by their least member.
     """
     items = list(items)
     sigma = g.generator
@@ -366,11 +423,16 @@ def g_orbits(items, g: GSpec):
             raise InvalidIsometryError(
                 "group generator does not act on these items"
             )
+    step = _coordinate_move(sigma)
     if not all(isinstance(item, LagrangianElement) for item in items):
-        move = lambda L: _generated_subgroup(L.d, L.t, sigma.apply(L.generator))
+        d, t = items[0].d, items[0].t
+        if any((L.d, L.t) != (d, t) for L in items):
+            raise InvalidSubgroupError("subgroups belong to different (d, t)")
+        classify = _classifier(d, t, {L.selector: L for L in items})
+        move = lambda L: classify(step(L.generator.coords))
         return _orbits(items, lambda L: L.selector, [move])
     given = {w.coords: w for w in items}
-    orbits = _orbits(given, lambda c: c, [_coordinate_move(sigma)])
+    orbits = _orbits(given, lambda c: c, [step])
     return tuple(
         tuple(
             given[c] if c in given else LagrangianElement(sigma.domain.element(c))

@@ -405,20 +405,10 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
     return result
 
 
-def rank2_isometries(d: int, e: int, t: int) -> tuple[IntMatrix, ...]:
-    """All isometries from the (e, t) lattice onto the (d, t) lattice.
-
-    Matrices are written in the (H, F) bases: column 0 is the image of the
-    degree-2e class, column 1 the image of its fibre class.  An isometry
-    must carry the fibre ray into one of the two isotropic rays {F, F'} up
-    to sign; for each of those four choices the image of H is forced by
-    the pairing equations, so the search space is finite and tiny.
-    """
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
-    src = ns_gram(e, t)
-    dst = ns_gram(d, t)
-    m = dst.m
+def _rank2_candidates(d: int, e: int, t: int) -> list[tuple[tuple[int, int], ...]]:
+    """The rows of the isometries the pairing equations force, one per
+    choice of the image of the fibre class among +-F and +-F'."""
+    m = gcd(d, t)
     found = []
     for eps in (1, -1):
         # image of the fibre class is eps * F
@@ -430,13 +420,34 @@ def rank2_isometries(d: int, e: int, t: int) -> tuple[IntMatrix, ...]:
             x = eps * e // m
             y = eps * (m * m - e * d) // (m * t)
             found.append(((x, eps * t // m), (y, -eps * d // m)))
+    return found
+
+
+def rank2_isometries(d: int, e: int, t: int) -> tuple[IntMatrix, ...]:
+    """All isometries from the (e, t) lattice onto the (d, t) lattice.
+
+    Matrices are written in the (H, F) bases: column 0 is the image of the
+    degree-2e class, column 1 the image of its fibre class.  An isometry
+    must carry the fibre ray into one of the two isotropic rays {F, F'} up
+    to sign; for each of those four choices the image of H is forced by
+    the pairing equations, so the search space is finite and tiny.  Each
+    candidate P is checked, P^T Gram_d P = Gram_e, on plain integers:
+    columns u, v pair to 2d u0 v0 + t (u0 v1 + u1 v0).
+    """
+    if t < 1:
+        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    want = ((2 * e, t), (t, 0))
     out = []
-    for rows in found:
-        p = IntMatrix.from_rows(rows)
-        if (p.transpose() @ dst.gram @ p).entries != src.gram.entries:
+    for rows in dict.fromkeys(_rank2_candidates(d, e, t)):
+        cols = tuple(zip(*rows))
+        gram = tuple(
+            tuple(2 * d * u[0] * v[0] + t * (u[0] * v[1] + u[1] * v[0]) for v in cols)
+            for u in cols
+        )
+        if gram != want:
             raise RuntimeError("isometry candidate failed Gram check (internal)")
-        out.append(p)
-    return tuple(dict.fromkeys(out))
+        out.append(IntMatrix(rows))
+    return tuple(out)
 
 
 def is_isometric_rank2(d: int, e: int, t: int) -> bool:

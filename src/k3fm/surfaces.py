@@ -466,9 +466,6 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
         "phi(t/m) * sum of |A_p| for the FM genus walk",
     )
     order = prod(_part_order(part) for part in parts)
-    # -id has the same images on every form with nf.form's generator
-    # orders, which isometry_between checks part by part for each member
-    neg = neg_identity(nf.form).images
     image, moving = g.image_elements(), g.moving_elements()
     # s and s^-1 fix the same cosets; the image is cyclic and listed as
     # sigma, ..., sigma^n, so moving[j] and moving[-1 - j] are inverse and
@@ -479,6 +476,9 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     weights = [1 if 2 * j + 1 == len(moving) else 2 for j in range(len(half))]
     tallies = []
     if moving:
+        # -id has the same images on every form with nf.form's generator
+        # orders, which isometry_between checks part by part for each member
+        neg = neg_identity(nf.form).images
         own = [isometry_group(part.form) for part in parts]
         if prod(len(group) for group in own) != order:
             raise RuntimeError("part isometry groups disagree with their orders")

@@ -157,6 +157,21 @@ def test_element_scan_matches_brute_scan():
             ), (d, t, order)
 
 
+def test_element_scan_matches_brute_scan_on_mixed_first_orders():
+    # cells with n1 > 1 whose first coordinates take several orders, so
+    # the scan builds several candidate lists; every divisor of t as order
+    for d, t in ((30, 200), (6, 144), (12, 360)):
+        form = ns_form(d, t).form
+        n1, n2, den, q1, q2, b12 = _form_data(d, t)
+        assert (n1, n2) == form.orders and n1 > 1
+        assert len({n1 // gcd(n1, c1) for c1 in range(n1)}) > 2
+        for order in (k for k in range(1, t + 1) if t % k == 0):
+            args = (n1, n2, q1, q2, b12, den, order)
+            assert kernels.scan_isotropic_elements(*args) == (
+                _brute_scan_isotropic_elements(*args)
+            ), (d, t, order)
+
+
 def _genus_pairs(d, t):
     """(source, target) of every form pair of (d, t) with equal group
     shapes, distinct forms and the gcd(2e, t) = gcd(2d, t) invariant: the

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from k3fm.discforms import (
     DFIsometry,
     as_isometry,
+    b_eval,
     identity_isometry,
     isometry_between,
     isometry_group,
@@ -32,6 +33,9 @@ from k3fm.lagrangians import (
     GSpec,
     LagrangianElement,
     LagrangianSubgroup,
+    _classifier,
+    _idempotents,
+    _subgroup,
     canonical_pair,
     count_lagrangians,
     double_quotient,
@@ -144,6 +148,55 @@ def test_membership_against_multiples():
             for w in enumerate_lagrangian_elements(d, t):
                 sub = subgroup_generated_by(d, t, w)
                 assert w.coords in _multiples(sub.generator, t), (d, t, w.coords)
+
+
+def _oracle_generated_subgroup(d, t, elem):
+    """The classification as it was before integer functionals: Fraction
+    pairings of DFElement p-parts, and membership by b_eval."""
+    nf = ns_form(d, t)
+    idem = _idempotents(t)
+    selector = []
+    for p in distinct_primes(gcd(d, t)):
+        wp = idem[p] * elem
+        if b_eval(wp, idem[p] * nf.vbar) == 0:
+            selector.append((p, SELECT_V))
+        elif b_eval(wp, idem[p] * nf.vprime) == 0:
+            selector.append((p, SELECT_VPRIME))
+        else:
+            raise InvalidSubgroupError(
+                f"p-part at {p} generates neither canonical subgroup"
+            )
+    sub = _subgroup(d, t, tuple(selector))
+    if b_eval(elem, sub.generator) != 0:
+        raise InvalidSubgroupError(
+            "element is not in the subgroup its selector names"
+        )
+    return sub
+
+
+def test_classification_matches_fraction_oracle():
+    checked = 0
+    for t in range(1, 31):
+        for d in range(-t, 2 * t):
+            for w in enumerate_lagrangian_elements(d, t):
+                got = subgroup_generated_by(d, t, w)
+                assert got == _oracle_generated_subgroup(d, t, w.elem), (d, t, w.coords)
+                checked += 1
+    assert checked == 23_328
+
+
+def test_classifier_keeps_both_subgroup_checks():
+    # (2, 6): m = 2, A = Z/2 + Z/18.  The 2-part of (0, 1) pairs to nonzero
+    # with both canonical 2-parts; (0, 2) classifies as all-V but pairs
+    # to nonzero with the generator of <vbar>
+    classify = _classifier(2, 6, {})
+    with pytest.raises(InvalidSubgroupError, match="neither canonical subgroup"):
+        classify((0, 1))
+    with pytest.raises(
+        InvalidSubgroupError, match="not in the subgroup its selector names"
+    ):
+        classify((0, 2))
+    assert classify(ns_form(2, 6).vbar.coords).selector == ((2, SELECT_V),)
 
 
 def test_classification_rejects_foreign_element():
@@ -376,6 +429,67 @@ def _valid_order(img_order):
     while totient(n) and 20 % totient(n):
         n *= 2
     return n
+
+
+def _oracle_subgroup_partition(subs, sigma):
+    """Selectors of the orbits of <sigma> on ``subs``, walked by the
+    Fraction oracle: each orbit of a cyclic group is a cycle of sigma."""
+    d, t = subs[0].d, subs[0].t
+    seen, parts = set(), []
+    for L in subs:
+        cycle = []
+        while L.selector not in seen:
+            seen.add(L.selector)
+            cycle.append(L.selector)
+            L = _oracle_generated_subgroup(d, t, sigma.apply(L.generator))
+        if cycle:
+            parts.append(tuple(sorted(cycle)))
+    return sorted(parts)
+
+
+def _check_subgroup_orbits(subs, g):
+    orbits = g_orbits(subs, g)
+    got = [tuple(L.selector for L in orbit) for orbit in orbits]
+    assert got == _oracle_subgroup_partition(subs, g.generator)
+    # every image is one of the passed objects, looked up by selector
+    ids = {id(L) for L in subs}
+    assert all(id(L) in ids for orbit in orbits for L in orbit)
+    return orbits
+
+
+def test_g_orbits_subgroups_match_oracle_under_sign_group():
+    for t in range(1, 31):
+        for d in range(-t, 2 * t):
+            subs = enumerate_lagrangian_subgroups(d, t)
+            _check_subgroup_orbits(subs, GSpec.sign_group(ns_form(d, t).form))
+
+
+def test_g_orbits_subgroups_match_oracle_on_cyclic_groups():
+    # every distinct cyclic image <sigma> GSpec accepts on t <= 20, with
+    # the least admissible abstract order: criterion 06d's 234 groups
+    orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
+    groups = moved = 0
+    for t in range(1, 21):
+        for d in range(t):
+            subs = enumerate_lagrangian_subgroups(d, t)
+            seen = set()
+            for sigma in isometry_group(ns_form(d, t).form):
+                k = sigma.order()
+                n = next((n for n in orders if n % k == 0), None)
+                if n is None:
+                    continue
+                try:
+                    g = GSpec(sigma, n)
+                except InvalidParameterError:
+                    continue
+                image = frozenset(s.images for s in g.image_elements())
+                if image in seen:
+                    continue
+                seen.add(image)
+                groups += 1
+                moved += len(_check_subgroup_orbits(subs, g)) < len(subs)
+    assert groups == 234
+    assert moved > 0
 
 
 def test_g_orbits_rejects_mismatched_group():

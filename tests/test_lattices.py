@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3fm import lattices
 from k3fm.discforms import isometry_between, ns_form
 from k3fm.intmath import units_mod
 from k3fm.errors import (
@@ -225,6 +226,18 @@ def test_rank2_isometries_verify_gram():
         for mat in rank2_isometries(d, e, t):
             assert mat.transpose() @ dst @ mat == src
             assert abs(mat.det()) == 1
+
+
+def test_rank2_isometries_raise_on_a_bad_candidate(monkeypatch):
+    # the Gram check runs on every candidate the pairing equations give;
+    # a candidate that is not an isometry must be refused, not returned
+    real = lattices._rank2_candidates
+    monkeypatch.setattr(
+        lattices, "_rank2_candidates",
+        lambda d, e, t: real(d, e, t) + [((1, 1), (0, 1))],
+    )
+    with pytest.raises(RuntimeError, match="Gram check"):
+        rank2_isometries(1, 1, 5)
 
 
 def test_isometry_group_structure():

@@ -14,6 +14,7 @@ from k3fm.discforms import (
     DFIsometry,
     FiniteQuadForm,
     NSForm,
+    as_isometry,
     identity_isometry,
     isometry_between,
     isometry_group,
@@ -777,9 +778,13 @@ def test_fm_count_composes_nothing_for_the_sign_group(monkeypatch):
 
 
 def test_fm_count_builds_neg_identity_once(monkeypatch):
-    # once per call, not once per genus class: (1, 29) has eight classes
-    groups = {(d, t): _sign(d, t) for d, t in ((0, 30), (1, 29))}
+    # -id is needed only to check the O(L) images a moving G lists: none
+    # is built under +-1, also over many genus classes ((1, 29) has
+    # eight), and one per call under an order-4 G
     assert len(genus_representatives(1, 29)) == 8
+    form = ns_form(0, 5).form
+    quarter = GSpec(as_isometry(form, form, ((2, 0), (0, 3))), 4)
+    assert len(quarter.image_elements()) == 4
     calls = []
 
     def counted(form):
@@ -787,10 +792,13 @@ def test_fm_count_builds_neg_identity_once(monkeypatch):
         return neg_identity(form)
 
     monkeypatch.setattr("k3fm.surfaces.neg_identity", counted)
-    for (d, t), g in groups.items():
+    for d, t in ((0, 30), (1, 29)):
         calls.clear()
-        fm_count(d, t, g)
-        assert calls == [ns_form(d, t).form], (d, t)
+        fm_count(d, t, _sign(d, t))
+        assert calls == [], (d, t)
+    calls.clear()
+    fm_count(0, 5, quarter)
+    assert calls == [form]
 
 
 # ------------------------------------------------------------ order bounds
