@@ -119,6 +119,10 @@ class FiniteQuadForm:
         )
 
     def q(self, coords) -> Fraction:
+        return Fraction(self.q_numerator(coords), self._int_view[0])
+
+    def q_numerator(self, coords) -> int:
+        """q(coords) times the common denominator, in [0, 2 den)."""
         den, qn, bn = self._int_view
         total = 0
         for i, c in enumerate(coords):
@@ -126,7 +130,7 @@ class FiniteQuadForm:
                 total += c * c * qn[i]
                 for j in range(i + 1, len(coords)):
                     total += 2 * c * coords[j] * bn[i][j]
-        return Fraction(total % (2 * den), den)
+        return total % (2 * den)
 
     def b(self, coords1, coords2) -> Fraction:
         den, _, bn = self._int_view
@@ -196,7 +200,7 @@ class DFElement:
         return self.form.q(self.coords)
 
     def is_isotropic(self) -> bool:
-        return self.q() == 0
+        return self.form.q_numerator(self.coords) == 0
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,8 @@ class LagrangianSubgroup:
             raise InvalidSubgroupError("generator does not have order t")
         if not self.generator.is_isotropic():
             raise InvalidSubgroupError("generator is not isotropic")
-        if self.generator.form != ns_form(self.d, self.t).form:
+        form = ns_form(self.d, self.t).form
+        if self.generator.form is not form and self.generator.form != form:
             raise InvalidSubgroupError("generator does not live in this family group")
 
     def elements(self) -> tuple[DFElement, ...]:
@@ -370,6 +371,39 @@ def _coordinate_move(sigma: DFIsometry):
     reduced mod the j-th generator order."""
     rows = tuple(zip(zip(*sigma.images), sigma.codomain.orders))
     return lambda c: tuple([sum(map(mul, row, c)) % n for row, n in rows])
+
+
+def _coordinate_images(sigma: DFIsometry, points) -> list:
+    """[sigma(c) for c in points] on coordinate tuples, in one pass.  On
+    rank two sigma's 2x2 integer matrix is inlined; other ranks take the
+    per-coordinate dot products of ``_coordinate_move``."""
+    if sigma.domain.rank != 2:
+        return list(map(_coordinate_move(sigma), points))
+    (a, c), (b, d) = sigma.images
+    n1, n2 = sigma.codomain.orders
+    return [((a * x + b * y) % n1, (c * x + d * y) % n2) for x, y in points]
+
+
+def _cycle_count(sigma: DFIsometry, points) -> int:
+    """Number of orbits of <sigma> on ``points``, a list of distinct
+    coordinate tuples that sigma must map onto itself: the cycles of the
+    index permutation i -> index of sigma(points[i]).  Raises
+    RuntimeError when an image is not in ``points``."""
+    index = {c: i for i, c in enumerate(points)}
+    try:
+        perm = [index[c] for c in _coordinate_images(sigma, points)]
+    except KeyError:
+        raise RuntimeError("G moved a Lagrangian element off the scan") from None
+    seen = bytearray(len(perm))
+    cycles = 0
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        cycles += 1
+        while not seen[i]:
+            seen[i] = 1
+            i = perm[i]
+    return cycles
 
 
 def _orbits(items, key, moves):

@@ -35,9 +35,8 @@ from .intmath import close_units_subgroup, distinct_primes, is_prime, totient, u
 from .lattices import RationalVector, genus_representatives
 from .lagrangians import (
     GSpec,
-    _coordinate_move,
+    _cycle_count,
     _lagrangian_coords,
-    _orbits,
     count_lagrangians,
     enumerate_lagrangian_subgroups,
     g_orbits,
@@ -109,9 +108,8 @@ class SurfaceModel:
         bt = frozenset(x % self.t for x in self.Btilde)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "Btilde", bt)
-        units = set(units_mod(self.t))
         for name, grp in (("B", b), ("Btilde", bt)):
-            if not grp or not grp <= units:
+            if not grp or any(gcd(x, self.t) != 1 for x in grp):
                 raise InvalidParameterError(f"{name} must consist of units mod t")
             if close_units_subgroup(self.t, grp) != grp:
                 raise InvalidParameterError(f"{name} is not closed under products")
@@ -173,21 +171,25 @@ def jacobian_class_canonical(k: int, t: int) -> int:
 def coprime_jacobian_classes(t: int, b_group) -> tuple[int, tuple[int, ...]]:
     """Isomorphism classes of coprime Jacobians: cosets of B in (Z/t)*.
 
-    Returns (phi(t)/|B|, canonical representatives).  The paper's count
-    excludes t = 1, 2, where every twist is trivial.
+    Returns (phi(t)/|B|, canonical representatives): one ascending pass
+    over the units, each unit not yet seen is the least member of its
+    coset u B and marks that coset.  The paper's count excludes t = 1,
+    2, where every twist is trivial.
     """
     if t <= 2:
         raise OutOfScopeError("coprime Jacobian classes need t > 2")
     b = frozenset(x % t for x in b_group)
-    units = units_mod(t)
-    if not b or not b <= set(units):
+    if not b or any(gcd(x, t) != 1 for x in b):
         raise InvalidParameterError("B must consist of units mod t")
     if close_units_subgroup(t, b) != b:
         raise InvalidParameterError("B is not closed under products")
     if (-1) % t not in b:
         raise InvalidParameterError("B must contain -1")
-    cosets = _orbits(units, int, [lambda u, x=x: u * x % t for x in b])
-    reps = [coset[0] for coset in cosets]
+    seen, reps = set(), []
+    for u in units_mod(t):
+        if u not in seen:
+            reps.append(u)
+            seen.update(u * x % t for x in b)
     if len(reps) != totient(t) // len(b):
         raise RuntimeError("coset count disagrees with phi(t)/|B|")
     return len(reps), tuple(reps)
@@ -319,10 +321,11 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     The first number is the count of G-orbits of Lagrangian elements, the
     second of G-orbits of Lagrangian subgroups.  For T-general members
     with t > 2 the closed forms 2^(omega(m)-1) phi(t) and 2^omega(m)
-    apply.  Inside the element budget the first number is the orbit count
-    of G on the scanned coordinate tuples, cross-checked against the
-    closed form where it applies.  Beyond the budget the closed form is
-    trusted where it applies; elsewhere the scan raises CapacityError.
+    apply.  Inside the element budget the first number is the number of
+    cycles of G's generator sigma on the scanned coordinate tuples (G is
+    cyclic, so its orbits are sigma's cycles), checked against the closed
+    form where it applies.  Beyond the budget the closed form is trusted
+    where it applies; elsewhere the scan raises CapacityError.
     """
     d, t = model.d, model.t
     subs = enumerate_lagrangian_subgroups(d, t)
@@ -332,16 +335,7 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
         raise RuntimeError("orbit count disagrees with the closed form")
     if closed is not None and ns_form(d, t).form.size > budget.element_cap():
         return closed[0], de_orbits
-    coords = _lagrangian_coords(d, t)
-    known, step = set(coords), _coordinate_move(model.G.generator)
-
-    def move(c):
-        image = step(c)
-        if image not in known:
-            raise RuntimeError("G moved a Lagrangian element off the scan")
-        return image
-
-    de = len(_orbits(coords, lambda c: c, [move]))
+    de = _cycle_count(model.G.generator, _lagrangian_coords(d, t))
     if closed is not None and de != closed[0]:
         raise RuntimeError("element orbit count disagrees with the closed form")
     return de, de_orbits

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from k3fm.discforms import (
     DFIsometry,
+    FiniteQuadForm,
     as_isometry,
     b_eval,
     identity_isometry,
@@ -207,17 +208,31 @@ def test_classification_rejects_foreign_element():
 
 def test_selector_validation():
     nf = ns_form(6, 6)
-    with pytest.raises(InvalidSubgroupError):
+    both = ((2, SELECT_V), (3, SELECT_V))
+    with pytest.raises(InvalidSubgroupError, match="selector primes"):
         LagrangianSubgroup(6, 6, ((2, SELECT_V),), nf.vbar)  # missing prime 3
-    with pytest.raises(InvalidSubgroupError):
+    with pytest.raises(InvalidSubgroupError, match="V or Vprime"):
         LagrangianSubgroup(6, 6, ((2, "W"), (3, SELECT_V)), nf.vbar)
-    with pytest.raises(InvalidSubgroupError):
-        LagrangianSubgroup(
-            6, 6, ((2, SELECT_V), (3, SELECT_V)), 2 * nf.vbar
-        )  # generator order 3, not 6
-    with pytest.raises(InvalidSubgroupError):
+    with pytest.raises(InvalidSubgroupError, match="order t"):
+        LagrangianSubgroup(6, 6, both, 2 * nf.vbar)  # generator order 3, not 6
+    with pytest.raises(InvalidSubgroupError, match="not isotropic"):
+        # order 6 in A = Z/6 + Z/6, with q = 1/6
+        LagrangianSubgroup(6, 6, both, nf.form.element((0, 1)))
+    with pytest.raises(InvalidSubgroupError, match="this family group"):
         # isotropic of order 6, but in the group of (0, 6), not of (6, 6)
-        LagrangianSubgroup(6, 6, ((2, SELECT_V), (3, SELECT_V)), ns_form(0, 6).vbar)
+        LagrangianSubgroup(6, 6, both, ns_form(0, 6).vbar)
+    # q = 1 is not isotropic: q lives in Q/2Z, not Q/Z
+    form = ns_form(0, 6).form
+    q_one = form.element((1, 3))
+    assert (q_one.order(), q_one.q(), q_one.is_isotropic()) == (6, 1, False)
+    with pytest.raises(InvalidSubgroupError, match="not isotropic"):
+        LagrangianSubgroup(0, 6, both, q_one)
+    with pytest.raises(InvalidElementError, match="not isotropic"):
+        LagrangianElement(q_one)
+    # an equal form that is another object passes the form check
+    twin = FiniteQuadForm(nf.form.orders, nf.form.q_gen, nf.form.b_matrix)
+    assert twin is not nf.form
+    LagrangianSubgroup(6, 6, both, twin.element(nf.vbar.coords))
 
 
 def test_involution_is_an_involution():

@@ -30,8 +30,16 @@ from k3fm.errors import (
     NotApplicableError,
     OutOfScopeError,
 )
-from k3fm.intmath import distinct_primes
-from k3fm.lagrangians import GSpec, _orbits
+from k3fm import surfaces
+from k3fm.intmath import close_units_subgroup, distinct_primes, units_mod
+from k3fm.lagrangians import (
+    GSpec,
+    _coordinate_images,
+    _coordinate_move,
+    _cycle_count,
+    _lagrangian_coords,
+    _orbits,
+)
 from k3fm.lattices import (
     RationalVector,
     genus_representatives,
@@ -136,6 +144,32 @@ def test_coprime_jacobian_classes_rejections():
         coprime_jacobian_classes(7, {1, 2, 6})  # not closed
     with pytest.raises(InvalidParameterError):
         coprime_jacobian_classes(10, {1, 5, 9})  # 5 is not a unit
+
+
+def test_coprime_jacobian_classes_check_the_coset_count(monkeypatch):
+    # a walk that misses the coset {1, -1} must not go unnoticed
+    monkeypatch.setattr(surfaces, "units_mod", lambda t: units_mod(t)[1:-1])
+    with pytest.raises(RuntimeError, match="coset count disagrees"):
+        coprime_jacobian_classes(7, {1, 6})
+
+
+def _admissible_twist_groups(t):
+    """Every subgroup <g, -1> of (Z/t)* of order 2, 4 or 6."""
+    groups = {close_units_subgroup(t, {g, t - 1}) for g in units_mod(t)}
+    return sorted((sorted(b) for b in groups if len(b) in (2, 4, 6)))
+
+
+def test_coprime_jacobian_classes_match_the_coset_walk():
+    # the orbit walk the one-pass coset scan replaced, as the oracle
+    checked = 0
+    for t in range(3, 61):
+        units = units_mod(t)
+        for b in _admissible_twist_groups(t):
+            cosets = _orbits(units, int, [lambda u, x=x: u * x % t for x in b])
+            reps = tuple(coset[0] for coset in cosets)
+            assert coprime_jacobian_classes(t, b) == (len(reps), reps), (t, b)
+            checked += 1
+    assert checked == 130
 
 
 # --------------------------------------------------------- special torsors
@@ -270,6 +304,21 @@ def test_model_validation_rejections():
     with pytest.raises(InvalidParameterError):
         SurfaceModel(1, 5, _sign(1, 5), frozenset({1, 4}), frozenset({1, 4}),
                      isotrivial_j="weird")
+
+
+def test_model_twist_groups_must_be_units():
+    b = frozenset({1, 9})
+    for bad_b, bad_bt, name in [
+        (frozenset(), b, "B"),
+        (frozenset({1, 5, 9}), frozenset({1, 5, 9}), "B"),  # 5 is not a unit
+        (b, frozenset({1, 5, 9}), "Btilde"),
+        (frozenset({11, 19}), frozenset({10}), "Btilde"),  # 10 = 0 mod 10
+    ]:
+        with pytest.raises(InvalidParameterError, match=f"^{name} must consist of units"):
+            SurfaceModel(1, 10, _sign(1, 10), bad_b, bad_bt)
+    # residues are reduced mod t first; at t = 1 the only residue, 0, is a unit
+    assert SurfaceModel(1, 10, _sign(1, 10), frozenset({11, 19}), b).B == b
+    SurfaceModel(0, 1, _sign(0, 1), frozenset({5}), frozenset({0}))
 
 
 def test_model_isotrivial_constraints():
@@ -450,6 +499,80 @@ def test_de_counts_capacity(monkeypatch):
 def test_de_counts_big_squarefree():
     t = 510510
     assert de_counts(SurfaceModel.general(t, t)) == (5898240, 128)
+
+
+def test_de_counts_raises_when_g_leaves_the_scan(monkeypatch):
+    # -1 maps the dropped element's negative onto it, off the list
+    scan = surfaces._lagrangian_coords
+    monkeypatch.setattr(surfaces, "_lagrangian_coords", lambda d, t: scan(d, t)[1:])
+    with pytest.raises(RuntimeError, match="off the scan"):
+        de_counts(SurfaceModel.general(0, 5))
+
+
+def test_de_counts_checks_the_element_count_against_the_closed_form(monkeypatch):
+    scan = surfaces._lagrangian_coords
+
+    def without_a_pair(d, t):
+        coords = scan(d, t)
+        negative = tuple(-c % n for c, n in zip(coords[0], ns_form(d, t).form.orders))
+        return [c for c in coords if c not in (coords[0], negative)]
+
+    monkeypatch.setattr(surfaces, "_lagrangian_coords", without_a_pair)
+    for d, t in [(0, 5), (1, 7), (4, 10)]:  # rank 2, rank 1, m = 2
+        with pytest.raises(RuntimeError, match="element orbit count disagrees"):
+            de_counts(SurfaceModel.general(d, t))
+
+
+def test_de_counts_checks_the_subgroup_count_against_the_closed_form(monkeypatch):
+    subgroups = surfaces.enumerate_lagrangian_subgroups
+    monkeypatch.setattr(
+        surfaces, "enumerate_lagrangian_subgroups", lambda d, t: subgroups(d, t)[1:]
+    )
+    with pytest.raises(RuntimeError, match="^orbit count disagrees"):
+        de_counts(SurfaceModel.general(6, 6))
+
+
+def _check_cycle_count(sigma, coords):
+    """The cycle count against the sorted orbit walk it replaced, and the
+    batch images against the one-point move."""
+    step = _coordinate_move(sigma)
+    assert _coordinate_images(sigma, coords) == [step(c) for c in coords]
+    walk = len(_orbits(coords, lambda c: c, [step]))
+    assert _cycle_count(sigma, coords) == walk
+    return walk
+
+
+def test_cycle_count_matches_the_orbit_walk_on_general_cells():
+    ranks = set()
+    for t in range(3, 31):
+        for d in range(t):
+            model = SurfaceModel.general(d, t)
+            walk = _check_cycle_count(model.G.generator, _lagrangian_coords(d, t))
+            assert de_counts(model)[0] == walk, (d, t)
+            ranks.add(ns_form(d, t).form.rank)
+    assert ranks == {1, 2}
+
+
+def test_cycle_count_matches_the_orbit_walk_on_order_four_groups():
+    # every isometry keeps the Lagrangian elements, so each is checked;
+    # the reflections of A(0, t) have non-symmetric matrices
+    groups = isometries = 0
+    for t in (5, 13, 17):
+        for d in range(t):
+            form = ns_form(d, t).form
+            coords = _lagrangian_coords(d, t)
+            for sigma in isometry_group(form):
+                walk = _check_cycle_count(sigma, coords)
+                isometries += 1
+                if sigma.order() != 4:
+                    continue
+                g = GSpec(sigma, 4)  # sigma^2 = -id at odd t
+                b = frozenset({1, t - 1})
+                model = SurfaceModel(d, t, g, b, b, t_general=False)
+                assert de_counts(model)[0] == walk
+                groups += 1
+    assert groups == 6  # two order-4 rotations of A(0, t) for each t = 1 mod 4
+    assert isometries == 128  # 2(t - 1) on A(0, t), +-1 on the cyclic groups
 
 
 # -------------------------------------------------------------- classifier
