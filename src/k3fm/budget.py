@@ -13,13 +13,14 @@ Each cap is compared with the size of what a search visits:
   ``fm --d 0 --t 101`` (one part of 10,201) and any sweep reaching a
   prime t > 100 exit with the capacity error.  For G = {+-1} no
   isometry group is enumerated (|O(A_p)| is read off the part's shape),
-  so there the cap bounds only the search that matches each genus
-  class to A part by part; a G with other elements also enumerates
-  O(A_p) on every part.
-* an FM count's genus walk searches every part once per genus class,
-  and the genus is enumerated over the phi(t/m) units mod t/m,
-  m = gcd(d, t), which also bound the number of classes;
-  phi(t/m) * sum_p |A_p| must stay within ``ELEMENT_CAP``.  Every
+  so there the cap bounds only the search that anchors each genus
+  class's parts onto those of the genus's least member; a G with other
+  elements also enumerates O(A_p) on every part.
+* an FM count's genus walk visits every genus class, and each class's
+  parts are searched at most once per cached ``ns_form`` bundle; the
+  genus is enumerated over the phi(t/m) units mod t/m, m = gcd(d, t),
+  which also bound the number of classes, and the walk is held to
+  phi(t/m) * sum_p |A_p| <= ``ELEMENT_CAP`` on every call.  Every
   t <= 100 stays under 10^6 there, and ``fm --d 1 --t 3565``, a walk
   just under the default cap, takes about 0.07 s.  ``fm --d 1 --t 8633``
   (89 * 97, both parts under the isometry cap) is refused, while

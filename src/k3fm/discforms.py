@@ -14,7 +14,7 @@ isotropy, no subgroup lattice and no orbit counts, so it is documentation
 only.  Callers who need the other sign can negate q-values on output.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -471,6 +471,10 @@ class NSForm:
 
     ``vbar`` is the class of F/t (the fibre ray scaled to order t) and
     ``vprime`` the class of F'/t for the second isotropic ray F'.
+    ``anchors`` maps a genus member r of the same t to this bundle's
+    per-part isometries onto the primary parts of r's bundle (None when
+    some part has none); ``surfaces.fm_count`` fills it, so the entries
+    go with the bundle when the ``ns_form`` cache drops it.
     """
 
     d: int
@@ -480,6 +484,7 @@ class NSForm:
     hstar: RationalVector
     vbar: DFElement
     vprime: DFElement
+    anchors: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -682,13 +687,14 @@ def _kernel_setup(struct_form: FiniteQuadForm, value_form: FiniteQuadForm):
 
 def require_isometry_budget(form: FiniteQuadForm) -> None:
     """Raise CapacityError when |form| is over the isometry budget: the
-    gate of every isometry enumeration, also run ahead of one.  The text
-    naming the group is built only for a form over the cap."""
+    gate of every isometry scan, whether it searches for one isometry or
+    enumerates them all, also run ahead of one.  The text naming the
+    group is built only for a form over the cap."""
     cap = budget.isometry_cap()
     if form.size > cap:
         group = " + ".join(f"Z/{n}" for n in form.orders)
         budget.require(
-            form.size, cap, f"the order of {group}, whose isometries are enumerated,"
+            form.size, cap, f"the order of {group}, a group scanned for isometries,"
         )
 
 

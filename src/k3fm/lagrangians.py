@@ -187,20 +187,29 @@ def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
     return [LagrangianElement(form.element(c)) for c in _lagrangian_coords(d, t)]
 
 
-def _subgroup(d: int, t: int, selector) -> LagrangianSubgroup:
+def _subgroup(d: int, t: int, selector, idem=None) -> LagrangianSubgroup:
     """The subgroup a per-prime selector names.
 
-    Its generator is assembled with the CRT idempotents of t, so the
-    all-V subgroup is exactly <vbar> and the all-Vprime one is <vprime>.
+    Its generator is a vbar + b vprime with a and b sums of the CRT
+    idempotents of t (``idem``, computed when not passed): a takes the
+    primes not dividing m = gcd(d, t) and those selecting V, b those
+    selecting Vprime.  So the all-V subgroup is exactly <vbar> and the
+    all-Vprime one is <vprime>.  The coordinates are one integer
+    combination, reduced once into a DFElement.
     """
     nf = ns_form(d, t)
     m = gcd(d, t)
-    idem = _idempotents(t)
-    forced = sum((c for p, c in idem.items() if m % p), 0)
-    gen = forced * nf.vbar if t > 1 else nf.form.zero()
+    if idem is None:
+        idem = _idempotents(t)
+    a = sum(c for p, c in idem.items() if m % p)
+    b = 0
     for p, c in selector:
-        gen = gen + idem[p] * (nf.vbar if c == SELECT_V else nf.vprime)
-    return LagrangianSubgroup(d, t, selector, gen)
+        if c == SELECT_V:
+            a += idem[p]
+        else:
+            b += idem[p]
+    coords = tuple(a * x + b * y for x, y in zip(nf.vbar.coords, nf.vprime.coords))
+    return LagrangianSubgroup(d, t, selector, DFElement(nf.form, coords))
 
 
 def enumerate_lagrangian_subgroups(d: int, t: int) -> list[LagrangianSubgroup]:
@@ -210,8 +219,9 @@ def enumerate_lagrangian_subgroups(d: int, t: int) -> list[LagrangianSubgroup]:
     Never enumerates elements, hence no budget.
     """
     primes = distinct_primes(gcd(d, t))
+    idem = _idempotents(t)
     return [
-        _subgroup(d, t, tuple(zip(primes, choice)))
+        _subgroup(d, t, tuple(zip(primes, choice)), idem)
         for choice in product((SELECT_V, SELECT_VPRIME), repeat=len(primes))
     ]
 
@@ -269,7 +279,7 @@ def _classifier(d: int, t: int, known: dict):
         selector = tuple(selector)
         sub = known.get(selector)
         if sub is None:
-            sub = known[selector] = _subgroup(d, t, selector)
+            sub = known[selector] = _subgroup(d, t, selector, idem)
         if not sub._has(coords):
             raise InvalidSubgroupError(
                 "element is not in the subgroup its selector names"

@@ -407,6 +407,21 @@ def _part_order(part) -> int:
     return 4 if pa == 2 else 4 * pa
 
 
+def _anchor(nf, r0: int):
+    """Isometries from each primary part of the bundle ``nf`` onto the
+    same part of ``ns_form(r0, nf.t)``, or None when some part has none.
+    Searched once per bundle and r0 and kept in ``nf.anchors``."""
+    anchors = nf.anchors
+    if r0 not in anchors:
+        targets = ns_form(r0, nf.t).primary_parts
+        phis = tuple(
+            isometry_between(a.form, b.form)
+            for a, b in zip(nf.primary_parts, targets)
+        )
+        anchors[r0] = None if None in phis else phis
+    return anchors[r0]
+
+
 def fm_count(d: int, t: int, g: GSpec) -> int:
     """Number of Fourier-Mukai partners, by the double-coset formula:
     one summand O(L) \\ O(A_L) / G per isometry class L in the genus.
@@ -442,11 +457,18 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     for each genus class: a class costs |H| + (number of conjugates)
     compositions per part and per s, never a walk over X.
 
-    Every genus class is matched to A part by part by
-    ``isometry_between``, for every G.  The isometry budget bounds each
-    |A_p|, checked before any class is searched, not |A|; the genus walk
-    is budgeted as phi(t/m) * sum_p |A_p| elements, phi(t/m) bounding
-    the number of classes (``genus_representatives``).
+    Every genus class is certified isometric to A part by part, for
+    every G, through anchors: isometry is transitive, so it is enough
+    that each member's parts map isometrically onto those of one fixed
+    member, the least one r0 (``genus_representatives(d, t)[0]``).  Each
+    bundle searches its anchors onto r0 with ``isometry_between`` once
+    and keeps them (``_anchor``), and a class counts only when both A's
+    and its own anchors were found.  A moving G still searches the
+    phi_p: A_p -> A_{L,p} it composes with.  The isometry budget bounds
+    each |A_p|, not |A|, and the genus walk is budgeted as phi(t/m) *
+    sum_p |A_p| elements, phi(t/m) bounding the number of classes
+    (``genus_representatives``); both gates run on every call, before
+    any anchor is read or searched.
     """
     nf = ns_form(d, t)
     if g.generator.domain != nf.form:
@@ -471,7 +493,7 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     tallies = []
     if moving:
         # -id has the same images on every form with nf.form's generator
-        # orders, which isometry_between checks part by part for each member
+        # orders, which the anchors check part by part for each member
         neg = neg_identity(nf.form).images
         own = [isometry_group(part.form) for part in parts]
         if prod(len(group) for group in own) != order:
@@ -486,18 +508,22 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
                     conjugates.setdefault(k.images, [k, 0])[1] += 1
                 tally.append(conjugates.values())
             tallies.append(tally)
+    reps = genus_representatives(d, t)
+    anchored = _anchor(nf, reps[0]) is not None
     total = 0
-    for e in genus_representatives(d, t):
+    for e in reps:
         nf_e = ns_form(e, t)
-        parts_e = nf_e.primary_parts
-        phis = [isometry_between(a.form, b.form) for a, b in zip(parts, parts_e)]
-        if None in phis:
+        if not anchored or _anchor(nf_e, reps[0]) is None:
             raise RuntimeError("genus member lost its form isometry")
         size = nf_e.o_lambda_order
         if order % size:
             raise RuntimeError("O(L) image size does not divide |O(A)|")
         fixed = (len(image) - len(moving)) * order
         if moving:
+            parts_e = nf_e.primary_parts
+            phis = [isometry_between(a.form, b.form) for a, b in zip(parts, parts_e)]
+            if None in phis:
+                raise RuntimeError("genus member lost its form isometry")
             h = o_lambda_image(e, t)
             if len(h) != size:
                 raise RuntimeError("O(L) image disagrees with its order")

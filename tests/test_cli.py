@@ -291,7 +291,7 @@ def test_fm_budget_bounds_the_largest_primary_part(capsys, monkeypatch):
     # the error names the part: |A| = 1000^2, the part at 5 is Z/5^6
     code, out, err = run_cli(["fm", "--d", "6", "--t", "1000"], capsys)
     assert (code, out) == (3, "")
-    assert "the order of Z/15625, whose isometries are enumerated, is 15625" in err
+    assert "the order of Z/15625, a group scanned for isometries, is 15625" in err
     argv = ["sweep", "--t-min", "100", "--t-max", "101", "--d-max", "1"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")

@@ -2,6 +2,7 @@
 vectors, fibration predicates, automorphism and partner counts, and the
 headline classifier."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -620,6 +621,82 @@ def test_fm_count_checks_each_genus_member(monkeypatch):
     monkeypatch.setattr("k3fm.surfaces.genus_representatives", lambda d, t: (1, 2))
     with pytest.raises(RuntimeError, match="genus member lost its form isometry"):
         fm_count(1, 5, _sign(1, 5))
+
+
+def test_fm_count_checks_the_least_genus_member(monkeypatch):
+    # every class is anchored onto the least member; 2 is not in the
+    # genus of (1, 5), so neither 1 nor 2 itself has an anchor onto it
+    monkeypatch.setattr("k3fm.surfaces.genus_representatives", lambda d, t: (2,))
+    with pytest.raises(RuntimeError, match="genus member lost its form isometry"):
+        fm_count(1, 5, _sign(1, 5))
+
+
+def _recording_between(monkeypatch):
+    calls = []
+
+    def wrapper(source, target):
+        phi = isometry_between(source, target)
+        calls.append((source, phi))
+        return phi
+
+    monkeypatch.setattr("k3fm.surfaces.isometry_between", wrapper)
+    return calls
+
+
+def test_fm_count_searches_each_bundle_part_once_in_a_sweep(monkeypatch):
+    # the t = 3..30 sweep in row order: each bundle anchors each of its
+    # parts once onto the least member of its genus (1,800 searches when
+    # every cell matched every class again)
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    ns_form.cache_clear()
+    calls = _recording_between(monkeypatch)
+    cells = [(d, t) for t in range(3, 31) for d in range(t)]
+    for d, t in cells:
+        fm_count(d, t, _sign(d, t))
+    part_of = {
+        id(part.form): (d, t, part.prime)
+        for d, t in cells
+        for part in ns_form(d, t).primary_parts
+    }
+    searched = Counter(part_of[id(source)] for source, _ in calls)
+    assert len(calls) == sum(searched.values()) == 738
+    assert max(searched.values()) == 1
+    assert all(phi is not None for _, phi in calls)
+    assert sum(phi.is_identity() for _, phi in calls) == 395
+
+
+def test_fm_count_anchors_live_on_the_cached_bundle(monkeypatch):
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    ns_form.cache_clear()
+    calls = _recording_between(monkeypatch)
+    assert genus_representatives(1, 5) == (1, 4)
+    assert fm_count(4, 5, _sign(4, 5)) == 2
+    # one part each for 4 and 1, onto the parts of 1
+    assert len(calls) == 2
+    assert set(ns_form(4, 5).anchors) == set(ns_form(1, 5).anchors) == {1}
+    calls.clear()
+    assert fm_count(1, 5, _sign(1, 5)) == 2
+    assert calls == []
+    # the gates run before any anchor is read: a cached anchor lets nothing
+    # past a smaller budget
+    monkeypatch.setenv("K3FM_BUDGET", "10")
+    with pytest.raises(CapacityError):
+        fm_count(1, 5, _sign(1, 5))
+    monkeypatch.delenv("K3FM_BUDGET")
+    ns_form.cache_clear()
+    assert ns_form(1, 5).anchors == {}
+    assert fm_count(1, 5, _sign(1, 5)) == 2
+    assert len(calls) == 2
+
+
+def test_fm_count_moving_terms_search_their_own_isometries(monkeypatch):
+    # with the anchors of (0, 5) cached, a moving G still needs phi_p
+    g = GSpec(_sigma4(), 4)
+    assert fm_count(0, 5, g) == 1
+    monkeypatch.setattr("k3fm.surfaces.isometry_between", lambda source, target: None)
+    assert fm_count(0, 5, _sign(0, 5)) == 2
+    with pytest.raises(RuntimeError, match="genus member lost its form isometry"):
+        fm_count(0, 5, g)
 
 
 def test_fm_count_larger_group_merges():
