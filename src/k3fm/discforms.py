@@ -27,12 +27,14 @@ from .errors import (
     InvalidParameterError,
     OutOfScopeError,
 )
-from .intmath import distinct_primes, lcm
+from .intmath import distinct_primes, factorize, lcm
 from .lattices import (
     IntMatrix,
     Lattice,
     NSLattice,
     RationalVector,
+    _rank2_isometry_rows,
+    _snf2,
     dual_generators,
     ns_gram,
     rank2_isometries,
@@ -258,7 +260,7 @@ class DFIsometry:
     def is_identity(self) -> bool:
         if self.domain != self.codomain:
             return False
-        return self.images == _identity_images(self.domain)
+        return self.images == _identity_images(self.domain.rank)
 
     def powers(self) -> tuple["DFIsometry", ...]:
         """sigma, sigma^2, ..., the identity: the cyclic group sigma
@@ -294,19 +296,29 @@ class DFIsometry:
         return DFIsometry(self.codomain, self.domain, tuple(images))
 
 
-def _identity_images(form: FiniteQuadForm) -> tuple[tuple[int, ...], ...]:
-    r = form.rank
-    return tuple(tuple(1 if j == i else 0 for j in range(r)) for i in range(r))
+def _units(r: int, one: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(one if j == i else 0 for j in range(r)) for i in range(r))
+
+
+# the generator images of +-id on forms of rank 0, 1 and 2, the family's
+_IDENTITY_IMAGES = tuple(_units(r, 1) for r in range(3))
+_NEG_IDENTITY_IMAGES = tuple(_units(r, -1) for r in range(3))
+
+
+def _identity_images(rank: int, sign: int = 1) -> tuple[tuple[int, ...], ...]:
+    """The unit coordinate tuples times ``sign``, +-id's generator images
+    before reduction: a shared constant up to rank 2, built above it."""
+    if rank < len(_IDENTITY_IMAGES):
+        return (_IDENTITY_IMAGES if sign == 1 else _NEG_IDENTITY_IMAGES)[rank]
+    return _units(rank, sign)
 
 
 def identity_isometry(form: FiniteQuadForm) -> DFIsometry:
-    return DFIsometry(form, form, _identity_images(form))
+    return DFIsometry(form, form, _identity_images(form.rank))
 
 
 def neg_identity(form: FiniteQuadForm) -> DFIsometry:
-    return DFIsometry(
-        form, form, tuple(tuple(-x for x in img) for img in _identity_images(form))
-    )
+    return DFIsometry(form, form, _identity_images(form.rank, -1))
 
 
 def _surjective_all_primes(domain, codomain, images) -> bool:
@@ -364,25 +376,30 @@ class LatticeForm:
     form is v_i / n_i, for v_i the column of V at the i-th invariant
     n_i > 1.  A dual vector x has U G x = D V^-1 x, so the coordinates of
     its class are the entries of U G x at those invariants, mod n_i.
+
+    Only integers are kept at construction.  The rational generators
+    ``gens`` and the product U G are computed on first read and then kept
+    on this object, so they live and die with the ``ns_form`` bundle that
+    holds it.
     """
 
     lattice: Lattice
     form: FiniteQuadForm
     diag: tuple[int, ...]  # full SNF diagonal, unit entries included
     u_rows: tuple[tuple[int, ...], ...]
-    gens: tuple[RationalVector, ...]  # rational lifts of the form generators
+    columns: tuple[tuple[int, ...], ...]  # the integer columns v_i of V, n_i > 1
+
+    @cached_property
+    def gens(self) -> tuple[RationalVector, ...]:
+        """Rational lifts v_i / n_i of the form generators."""
+        return tuple(
+            RationalVector(tuple(Fraction(x, n) for x in col))
+            for col, n in zip(self.columns, self.form.orders)
+        )
 
     @cached_property
     def _ug(self) -> tuple[tuple[int, ...], ...]:
         return (IntMatrix(self.u_rows) @ self.lattice.gram).entries
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """The integer columns v_i of V behind the generators v_i / n_i."""
-        return tuple(
-            tuple(int(x * n) for x in gen.coords)
-            for gen, n in zip(self.gens, self.form.orders)
-        )
 
     def _class_of(self, gx) -> DFElement:
         """Class of the dual vector x with G x = ``gx``, an integer vector."""
@@ -413,7 +430,7 @@ class LatticeForm:
         if mat.dim != self.lattice.rank:
             raise InvalidIsometryError("matrix size does not match the lattice rank")
         images = []
-        for v, n in zip(self._columns, self.form.orders):
+        for v, n in zip(self.columns, self.form.orders):
             mv = [sum(a * b for a, b in zip(row, v)) for row in mat.entries]
             quot = [divmod(sum(a * b for a, b in zip(row, mv)), n) for row in self._ug]
             if any(r for _, r in quot):
@@ -438,16 +455,24 @@ def from_lattice(lat) -> LatticeForm:
     Generators are the columns v_i of the SNF transform V scaled by the
     invariant factors n_i; unit factors are dropped.  The form is read off
     the integers v_i G v_j: q_i = v_i G v_i / n_i^2 mod 2 and
-    b_ij = v_i G v_j / (n_i n_j) mod 1.
+    b_ij = v_i G v_j / (n_i n_j) mod 1.  A rank-2 lattice takes the
+    plain-int ``_snf2``, every other rank ``smith_normal_form``; both give
+    the same (D, U, V).
     """
     if isinstance(lat, NSLattice):
         lat = lat.to_lattice()
-    d_mat, u_mat, v_mat = smith_normal_form(lat.gram)
     n = lat.rank
-    diag = tuple(d_mat.entries[i][i] for i in range(n))
-    orders = tuple(x for x in diag if x != 1)
-    cols = [v_mat.column(i) for i in range(n) if diag[i] != 1]
     gram = lat.gram.entries
+    if n == 2:
+        diag, u_rows, v_rows = _snf2(*gram[0], *gram[1])
+    else:
+        d_mat, u_mat, v_mat = smith_normal_form(lat.gram)
+        diag = tuple(d_mat.entries[i][i] for i in range(n))
+        u_rows, v_rows = u_mat.entries, v_mat.entries
+    orders = tuple(x for x in diag if x != 1)
+    cols = tuple(
+        tuple(row[i] for row in v_rows) for i in range(n) if diag[i] != 1
+    )
     gv = [[sum(a * b for a, b in zip(row, c)) for row in gram] for c in cols]
     vgv = [[sum(a * b for a, b in zip(c, w)) for w in gv] for c in cols]
     q_gen = tuple(
@@ -457,11 +482,8 @@ def from_lattice(lat) -> LatticeForm:
         tuple(Fraction(x % (ni * nj), ni * nj) for x, nj in zip(vgv[i], orders))
         for i, ni in enumerate(orders)
     )
-    gens = tuple(
-        RationalVector(tuple(Fraction(x, ni) for x in c)) for c, ni in zip(cols, orders)
-    )
     form = FiniteQuadForm(orders, q_gen, b_matrix)
-    return LatticeForm(lat, form, diag, u_mat.entries, gens)
+    return LatticeForm(lat, form, diag, u_rows, cols)
 
 
 @dataclass(frozen=True)
@@ -469,21 +491,22 @@ class NSForm:
     """Discriminant form of the rank-two family member, with the canonical
     dual classes cached.
 
-    ``vbar`` is the class of F/t (the fibre ray scaled to order t) and
-    ``vprime`` the class of F'/t for the second isotropic ray F'.
+    The form is built with the bundle, so a bad (d, t) raises at once.
+    Everything else is computed on first read and then kept on the
+    bundle, so the ``ns_form`` cache drops it with the bundle: ``vbar``,
+    the class of F/t (the fibre ray scaled to order t), ``vprime``, the
+    class of F'/t for the second isotropic ray F', the dual generators
+    ``fstar`` and ``hstar``, t's factorisation ``t_factors``, the
+    primary parts and the orders and isometries of O(L).  A genus member
+    that ``surfaces.fm_count`` only counts costs its SNF, form and parts.
     ``anchors`` maps a genus member r of the same t to this bundle's
     per-part isometries onto the primary parts of r's bundle (None when
-    some part has none); ``surfaces.fm_count`` fills it, so the entries
-    go with the bundle when the ``ns_form`` cache drops it.
+    some part has none); ``surfaces.fm_count`` fills it.
     """
 
     d: int
     t: int
     lf: LatticeForm
-    fstar: RationalVector
-    hstar: RationalVector
-    vbar: DFElement
-    vprime: DFElement
     anchors: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -494,6 +517,30 @@ class NSForm:
     def form(self) -> FiniteQuadForm:
         return self.lf.form
 
+    @cached_property
+    def fstar(self) -> RationalVector:
+        return dual_generators(ns_gram(self.d, self.t))[0]
+
+    @cached_property
+    def hstar(self) -> RationalVector:
+        return dual_generators(ns_gram(self.d, self.t))[1]
+
+    @cached_property
+    def vbar(self) -> DFElement:
+        # G (0, 1/t) = (1, 0)
+        return self.lf._class_of((1, 0))
+
+    @cached_property
+    def vprime(self) -> DFElement:
+        # G (1/m, -d/(t m)) = (d/m, t/m)
+        m = self.m
+        return self.lf._class_of((self.d // m, self.t // m))
+
+    @cached_property
+    def t_factors(self) -> dict[int, int]:
+        """{p: k} for t = prod p^k; |A| = t^2 has the same primes."""
+        return factorize(self.t)
+
     def fh(self, a: int, b: int) -> DFElement:
         """Class of a F* + b H* (the dual-basis coordinates of the family)."""
         vec = a * self.fstar + b * self.hstar
@@ -502,13 +549,14 @@ class NSForm:
     @cached_property
     def primary_parts(self) -> tuple["PrimaryPart", ...]:
         """``primary_decomposition`` of the form, computed once per cached
-        bundle."""
-        return primary_decomposition(self.form)
+        bundle from t's primes."""
+        return _decompose(self.form, sorted(self.t_factors))
 
     @cached_property
     def o_lambda_order(self) -> int:
         """|H|, the order of the image of O(L) in O(A), from the integer
-        matrices alone, computed once per cached bundle.
+        rows of the lattice isometries alone, computed once per cached
+        bundle.
 
         Lattice isometries M and N induce the same map on L*/L exactly
         when (M - N) Gram^-1 is integral.  Gram^-1 = adj(Gram) / -t^2 with
@@ -522,7 +570,7 @@ class NSForm:
         def key(rows):
             return tuple(((-t * y) % n, (2 * d * y - t * x) % n) for x, y in rows)
 
-        keys = {key(mat.entries) for mat in rank2_isometries(d, d, t)}
+        keys = {key(rows) for rows in _rank2_isometry_rows(d, d, t)}
         if key(((-1, 0), (0, -1))) not in keys:
             raise RuntimeError("O(L) image does not contain -id")
         return len(keys)
@@ -540,14 +588,7 @@ class NSForm:
 @lru_cache(maxsize=4096)
 def ns_form(d: int, t: int) -> NSForm:
     """Cached discriminant-form bundle for the (d, t) member."""
-    ns = ns_gram(d, t)
-    lf = from_lattice(ns)
-    fstar, hstar = dual_generators(ns)
-    m = gcd(d, t)
-    # G (0, 1/t) = (1, 0) and G (1/m, -d/(t m)) = (d/m, t/m)
-    vbar = lf._class_of((1, 0))
-    vprime = lf._class_of((d // m, t // m))
-    return NSForm(d, t, lf, fstar, hstar, vbar, vprime)
+    return NSForm(d, t, from_lattice(ns_gram(d, t)))
 
 
 def structure_invariants(d: int, t: int) -> tuple[int, int]:
@@ -616,7 +657,7 @@ class PrimaryPart:
             self.form,
             tuple(
                 self.project(iso.apply(self.embed(self.form.element(unit)))).coords
-                for unit in _identity_images(self.form)
+                for unit in _identity_images(self.form.rank)
             ),
         )
 
@@ -629,9 +670,15 @@ def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
     read off the parent's integer view: over its denominator den, the
     numerators are q_i m_i^2 mod 2 den and b_ij m_i m_j mod den.
     """
+    return _decompose(form, distinct_primes(form.size))
+
+
+def _decompose(form: FiniteQuadForm, primes) -> tuple[PrimaryPart, ...]:
+    """``primary_decomposition`` over ``primes``, the ascending primes of
+    |form|."""
     den, qn, bn = form._int_view
     parts = []
-    for p in distinct_primes(form.size):
+    for p in primes:
         indices = []
         part_orders = []
         cofactors = []

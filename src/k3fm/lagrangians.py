@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSubgroupError,
 )
-from .intmath import distinct_primes, factorize, totient
+from .intmath import distinct_primes, totient
 
 # The family's surfaces have rank-two Picard lattices, so the
 # transcendental rank is fixed at 22 - 2.
@@ -137,14 +137,21 @@ def _functional(form, coords) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, coords)) % den for row in bn)
 
 
-def _idempotents(t: int) -> dict[int, int]:
-    """c_p = 1 mod p^k, 0 mod t/p^k, for each prime power p^k || t."""
+def _idempotents(t: int, factors: dict[int, int]) -> dict[int, int]:
+    """c_p = 1 mod p^k, 0 mod t/p^k, for each prime power p^k || t, from
+    t's factorisation ``factors`` (``NSForm.t_factors``)."""
     out = {}
-    for p, k in factorize(t).items():
+    for p, k in factors.items():
         pk = p**k
         cof = t // pk
         out[p] = cof * pow(cof, -1, pk) % t
     return out
+
+
+def _primes_of_m(nf) -> tuple[int, ...]:
+    """The primes of m = gcd(d, t), ascending, read off t's factorisation."""
+    m = nf.m
+    return tuple(p for p in sorted(nf.t_factors) if m % p == 0)
 
 
 def count_lagrangians(d: int, t: int) -> tuple[int, int]:
@@ -200,7 +207,7 @@ def _subgroup(d: int, t: int, selector, idem=None) -> LagrangianSubgroup:
     nf = ns_form(d, t)
     m = gcd(d, t)
     if idem is None:
-        idem = _idempotents(t)
+        idem = _idempotents(t, nf.t_factors)
     a = sum(c for p, c in idem.items() if m % p)
     b = 0
     for p, c in selector:
@@ -218,8 +225,9 @@ def enumerate_lagrangian_subgroups(d: int, t: int) -> list[LagrangianSubgroup]:
 
     Never enumerates elements, hence no budget.
     """
-    primes = distinct_primes(gcd(d, t))
-    idem = _idempotents(t)
+    nf = ns_form(d, t)
+    idem = _idempotents(t, nf.t_factors)
+    primes = _primes_of_m(nf)
     return [
         _subgroup(d, t, tuple(zip(primes, choice)), idem)
         for choice in product((SELECT_V, SELECT_VPRIME), repeat=len(primes))
@@ -255,14 +263,14 @@ def _classifier(d: int, t: int, known: dict):
     nf = ns_form(d, t)
     form = nf.form
     den = form._int_view[0]
-    idem = _idempotents(t)
+    idem = _idempotents(t, nf.t_factors)
     tests = [
         (
             p,
             _functional(form, (idem[p] ** 2 * nf.vbar).coords),
             _functional(form, (idem[p] ** 2 * nf.vprime).coords),
         )
-        for p in distinct_primes(gcd(d, t))
+        for p in _primes_of_m(nf)
     ]
 
     def classify(coords) -> LagrangianSubgroup:

@@ -5,7 +5,10 @@ A lattice is stored as a Gram matrix over a fixed basis.  All arithmetic is
 exact: integer matrices use Python ints, dual vectors use Fractions.  The
 Smith normal form here returns both transformation matrices and pivots on
 the smallest nonzero entry in absolute value, so its output is
-deterministic and safe to pin in tests.
+deterministic and safe to pin in tests.  ``_snf2`` is the same reduction
+unrolled for a 2x2 matrix of plain ints, the rank of every family
+lattice; it builds no IntMatrix, and the tests hold its (D, U, V) equal
+to ``smith_normal_form``'s, the oracle it must match.
 """
 
 from dataclasses import dataclass, field
@@ -178,6 +181,58 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 u[k][j] = -u[k][j]
 
     return IntMatrix.from_rows(a), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+
+
+def _snf2(a: int, b: int, c: int, e: int):
+    """``smith_normal_form`` of [[a, b], [c, e]] on plain ints: returns
+    ((d1, d2), U rows, V rows) with U [[a, b], [c, e]] V = diag(d1, d2).
+
+    The same pivot rule, unrolled: the first entry of least nonzero
+    absolute value in row order moves to the corner, then the corner
+    reduces its row and column, and a bottom-right entry it does not
+    divide is folded into the top row.  So the result equals the generic
+    routine's, transforms included.
+    """
+    u00, u01, u10, u11 = 1, 0, 0, 1
+    v00, v01, v10, v11 = 1, 0, 0, 1
+    while True:
+        piv, best = -1, 0
+        if a:
+            piv, best = 0, abs(a)
+        if b and (piv < 0 or abs(b) < best):
+            piv, best = 1, abs(b)
+        if c and (piv < 0 or abs(c) < best):
+            piv, best = 2, abs(c)
+        if e and (piv < 0 or abs(e) < best):
+            piv, best = 3, abs(e)
+        if piv < 0:
+            break  # zero matrix
+        if piv >= 2:  # swap the rows
+            a, b, c, e = c, e, a, b
+            u00, u01, u10, u11 = u10, u11, u00, u01
+        if piv & 1:  # swap the columns
+            a, b, c, e = b, a, e, c
+            v00, v01, v10, v11 = v01, v00, v11, v10
+        q = c // a
+        if q:
+            c, e = c - q * a, e - q * b
+            u10, u11 = u10 - q * u00, u11 - q * u01
+        q = b // a
+        if q:
+            b, e = b - q * a, e - q * c
+            v01, v11 = v01 - q * v00, v11 - q * v10
+        if b or c:
+            continue
+        if e % a == 0:
+            break
+        # fold the bottom row into the top one (b = c = 0 here)
+        b = e
+        u00, u01 = u00 + u10, u01 + u11
+    if a < 0:
+        a, u00, u01 = -a, -u00, -u01
+    if e < 0:
+        e, u10, u11 = -e, -u10, -u11
+    return (a, e), ((u00, u01), (u10, u11)), ((v00, v01), (v10, v11))
 
 
 @dataclass(frozen=True)
@@ -423,16 +478,11 @@ def _rank2_candidates(d: int, e: int, t: int) -> list[tuple[tuple[int, int], ...
     return found
 
 
-def rank2_isometries(d: int, e: int, t: int) -> tuple[IntMatrix, ...]:
-    """All isometries from the (e, t) lattice onto the (d, t) lattice.
+def _rank2_isometry_rows(d: int, e: int, t: int) -> list[tuple[tuple[int, int], ...]]:
+    """The rows of ``rank2_isometries(d, e, t)``, as plain int tuples.
 
-    Matrices are written in the (H, F) bases: column 0 is the image of the
-    degree-2e class, column 1 the image of its fibre class.  An isometry
-    must carry the fibre ray into one of the two isotropic rays {F, F'} up
-    to sign; for each of those four choices the image of H is forced by
-    the pairing equations, so the search space is finite and tiny.  Each
-    candidate P is checked, P^T Gram_d P = Gram_e, on plain integers:
-    columns u, v pair to 2d u0 v0 + t (u0 v1 + u1 v0).
+    Each distinct candidate P is checked, P^T Gram_d P = Gram_e, on plain
+    integers: columns u, v pair to 2d u0 v0 + t (u0 v1 + u1 v0).
     """
     if t < 1:
         raise InvalidParameterError(f"t must be a positive integer, got {t}")
@@ -446,8 +496,21 @@ def rank2_isometries(d: int, e: int, t: int) -> tuple[IntMatrix, ...]:
         )
         if gram != want:
             raise RuntimeError("isometry candidate failed Gram check (internal)")
-        out.append(IntMatrix(rows))
-    return tuple(out)
+        out.append(rows)
+    return out
+
+
+def rank2_isometries(d: int, e: int, t: int) -> tuple[IntMatrix, ...]:
+    """All isometries from the (e, t) lattice onto the (d, t) lattice.
+
+    Matrices are written in the (H, F) bases: column 0 is the image of the
+    degree-2e class, column 1 the image of its fibre class.  An isometry
+    must carry the fibre ray into one of the two isotropic rays {F, F'} up
+    to sign; for each of those four choices the image of H is forced by
+    the pairing equations, so the search space is finite and tiny.  Every
+    candidate passes a Gram check first (``_rank2_isometry_rows``).
+    """
+    return tuple(IntMatrix(rows) for rows in _rank2_isometry_rows(d, e, t))
 
 
 def is_isometric_rank2(d: int, e: int, t: int) -> bool:

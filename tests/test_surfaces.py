@@ -43,6 +43,7 @@ from k3fm.lagrangians import (
 )
 from k3fm.lattices import (
     RationalVector,
+    _rank2_isometry_rows,
     genus_representatives,
     isotropic_rays,
     ns_gram,
@@ -793,13 +794,13 @@ def test_fm_count_checks_the_o_lambda_image(monkeypatch):
     sigma = next(s for s in isometry_group(form) if s.images == ((2, 0), (0, 3)))
     swap = next(s for s in isometry_group(form) if s.images == ((0, 1), (1, 0)))
 
-    # G = {+-1} reads |H| off the integer isometries; without -I they
+    # G = {+-1} reads |H| off the integer isometry rows; without -I they
     # have no -id
-    real_rank2 = rank2_isometries
+    real_rows = _rank2_isometry_rows
     minus_one = ((-1, 0), (0, -1))
     monkeypatch.setattr(
-        "k3fm.discforms.rank2_isometries",
-        lambda d, e, t: tuple(m for m in real_rank2(d, e, t) if m.entries != minus_one),
+        "k3fm.discforms._rank2_isometry_rows",
+        lambda d, e, t: [rows for rows in real_rows(d, e, t) if rows != minus_one],
     )
     ns_form.cache_clear()
     try:
