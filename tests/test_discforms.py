@@ -7,6 +7,7 @@ with it everywhere on small groups.
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,17 @@ from k3fm.errors import (
 )
 from k3fm.intmath import distinct_primes
 from k3fm.lagrangians import GSpec
-from k3fm.lattices import IntMatrix, Lattice, RationalVector, isotropic_rays, ns_gram
+from k3fm.lattices import (
+    IntMatrix,
+    Lattice,
+    RationalVector,
+    dual_generators,
+    genus_representatives,
+    isotropic_rays,
+    ns_gram,
+    smith_normal_form,
+)
+from k3fm.surfaces import fm_count
 
 GRID = [(d, t) for t in range(1, 13) for d in range(t)]
 
@@ -222,6 +233,97 @@ def test_ns_form_matches_fraction_route():
             f, fprime = isotropic_rays(ns)
             assert nf.vbar == lf.element_from_dual(Fraction(1, t) * f)
             assert nf.vprime == lf.element_from_dual(Fraction(1, t) * fprime)
+
+
+def _eager_bundle(d, t):
+    """The route ns_form took before the 2x2 SNF and the lazy pieces:
+    the generic smith_normal_form, and every piece built with the bundle."""
+    ns = ns_gram(d, t)
+    lat = ns.to_lattice()
+    d_mat, u_mat, v_mat = smith_normal_form(lat.gram)
+    n = lat.rank
+    diag = tuple(d_mat.entries[i][i] for i in range(n))
+    orders = tuple(x for x in diag if x != 1)
+    cols = [v_mat.column(i) for i in range(n) if diag[i] != 1]
+    gram = lat.gram.entries
+    gv = [[sum(a * b for a, b in zip(row, c)) for row in gram] for c in cols]
+    vgv = [[sum(a * b for a, b in zip(c, w)) for w in gv] for c in cols]
+    q_gen = tuple(
+        Fraction(vgv[i][i] % (2 * ni * ni), ni * ni) for i, ni in enumerate(orders)
+    )
+    b_matrix = tuple(
+        tuple(Fraction(x % (ni * nj), ni * nj) for x, nj in zip(vgv[i], orders))
+        for i, ni in enumerate(orders)
+    )
+    gens = tuple(
+        RationalVector(tuple(Fraction(x, ni) for x in c)) for c, ni in zip(cols, orders)
+    )
+    form = FiniteQuadForm(orders, q_gen, b_matrix)
+    fstar, hstar = dual_generators(ns)
+    m = gcd(d, t)
+
+    def class_of(gx):
+        return DFElement(
+            form,
+            tuple(
+                sum(a * b for a, b in zip(row, gx))
+                for row, ni in zip(u_mat.entries, diag)
+                if ni != 1
+            ),
+        )
+
+    return {
+        "form": form,
+        "diag": diag,
+        "u_rows": u_mat.entries,
+        "gens": gens,
+        "fstar": fstar,
+        "hstar": hstar,
+        "vbar": class_of((1, 0)),
+        "vprime": class_of((d // m, t // m)),
+        "parts": primary_decomposition(form),
+    }
+
+
+def _assert_lazy_pieces_match(nf, want):
+    assert nf.lf.gens == want["gens"]
+    for name in ("fstar", "hstar", "vbar", "vprime"):
+        assert getattr(nf, name) == want[name], name
+
+
+def test_ns_form_matches_the_eager_generic_route():
+    ns_form.cache_clear()
+    for t in range(1, 61):
+        for d in range(-t, 2 * t):
+            nf, want = ns_form(d, t), _eager_bundle(d, t)
+            form = want["form"]
+            assert nf.form.orders == form.orders, (d, t)
+            assert nf.form.q_gen == form.q_gen, (d, t)
+            assert nf.form.b_matrix == form.b_matrix, (d, t)
+            assert nf.form._int_view == form._int_view, (d, t)
+            assert (nf.lf.diag, nf.lf.u_rows) == (want["diag"], want["u_rows"]), (d, t)
+            _assert_lazy_pieces_match(nf, want)
+            assert nf.primary_parts == want["parts"], (d, t)
+    ns_form.cache_clear()
+
+
+def test_fm_count_leaves_genus_members_unexpanded():
+    # a genus member that fm_count only counts costs its SNF, form and
+    # parts; the dual classes and rational generators wait for a reader
+    ns_form.cache_clear()
+    d, t = 7, 47
+    assert fm_count(d, t, GSpec.sign_group(ns_form(d, t).form)) == 12
+    others = [e for e in genus_representatives(d, t) if e != d]
+    assert others
+    for e in others:
+        nf = ns_form(e, t)
+        assert nf.primary_parts
+        assert not {"vbar", "vprime", "fstar", "hstar"} & set(vars(nf)), e
+        assert "gens" not in vars(nf.lf), e
+    assert ns_form.cache_info().misses == len(others) + 1
+    for e in others:
+        _assert_lazy_pieces_match(ns_form(e, t), _eager_bundle(e, t))
+    ns_form.cache_clear()
 
 
 def _fraction_q(form, x):

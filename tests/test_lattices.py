@@ -55,6 +55,26 @@ def test_snf_known_3x3():
     assert abs(u.det()) == 1 and abs(v.det()) == 1
 
 
+def _generic_snf2(a, b, c, e):
+    d_mat, u, v = smith_normal_form(IntMatrix.from_rows([[a, b], [c, e]]))
+    return (d_mat.entries[0][0], d_mat.entries[1][1]), u.entries, v.entries
+
+
+def test_snf2_equals_the_generic_routine_on_family_grams():
+    # from_lattice takes _snf2 for rank 2; its transforms fix every printed
+    # coordinate, so D, U and V must all be the generic routine's
+    for t in range(1, 201):
+        for d in range(-t, 2 * t):
+            assert lattices._snf2(2 * d, t, t, 0) == _generic_snf2(2 * d, t, t, 0), (d, t)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-40, 40), min_size=4, max_size=4))
+def test_snf2_equals_the_generic_routine(entries):
+    # any 2x2 integer matrix, singular ones included
+    assert lattices._snf2(*entries) == _generic_snf2(*entries)
+
+
 @settings(max_examples=60)
 @given(
     st.lists(

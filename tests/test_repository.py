@@ -2,8 +2,8 @@
 output cannot slip back into version control, the benchmark harness
 still finds every name it wraps, the benchmark's sweep check passes
 on the t = 3..30 sweep, the lattice layer does not reach up into the
-discriminant forms built on it, and no module imports a name it never
-uses."""
+discriminant forms built on it, no module imports a name it never uses,
+and no process-lifetime memo hides outside the two known ones."""
 
 import ast
 import importlib.util
@@ -100,3 +100,48 @@ def test_modules_use_every_name_they_import():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name}: {sorted(imported - used)}"
+
+
+MEMOS = ("cache", "lru_cache")
+
+
+def _memo_sites(tree):
+    """(decorated function or None, line) for each use of functools' cache
+    or lru_cache in a module, bound by either import form."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(a.asname or a.name for a in node.names if a.name in MEMOS)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+
+    def is_memo(node):
+        if isinstance(node, ast.Name):
+            return node.id in names and isinstance(node.ctx, ast.Load)
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in MEMOS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        )
+
+    decorated = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                decorated[id(target)] = node.name
+    return [
+        (decorated.get(id(node)), node.lineno) for node in ast.walk(tree) if is_memo(node)
+    ]
+
+
+def test_only_two_process_lifetime_memos():
+    # a memo outside the ns_form cache would stay warm across the
+    # benchmark's cold passes, which clear only ns_form; build_parser's
+    # parser holds no results
+    found = []
+    for path in sorted((ROOT / "src" / "k3fm").glob("*.py")):
+        for func, line in _memo_sites(ast.parse(path.read_text())):
+            found.append((path.stem, func or f"line {line}"))
+    assert sorted(found) == [("cli", "build_parser"), ("discforms", "ns_form")]
