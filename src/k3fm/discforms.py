@@ -4,8 +4,11 @@ arise on discriminant groups L*/L of even lattices.
 Groups are presented by generator orders (n1 | n2 | ..., the Smith normal
 form invariants), q by its values on the generators, and the induced
 bilinear pairing b: A x A -> Q/Z by its generator matrix.  Elements are
-coordinate tuples reduced into [0, n_i).  Everything is a Fraction or an
-int; q-values are reduced into [0, 2), b-values into [0, 1).
+coordinate tuples reduced into [0, n_i).  A form stores integers only:
+every q- and b-value on the generators as a numerator over one least
+common denominator, q numerators in [0, 2 den), b ones in [0, den).
+Fractions appear only where a value is read out (``q``, ``b``,
+``q_gen``, ``b_matrix``) or passed in (``FiniteQuadForm.make``).
 
 Sign convention: every computation in this package runs on the
 Neron-Severi side.  The transcendental-lattice discriminant form is the
@@ -17,8 +20,9 @@ only.  Callers who need the other sign can negate q-values on output.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
-from math import gcd
+from itertools import chain, product
+from math import gcd, lcm
+from operator import mul
 
 from . import budget, kernels
 from .errors import (
@@ -27,15 +31,13 @@ from .errors import (
     InvalidParameterError,
     OutOfScopeError,
 )
-from .intmath import distinct_primes, factorize, lcm
+from .intmath import distinct_primes, factorize
 from .lattices import (
     IntMatrix,
     Lattice,
     NSLattice,
     RationalVector,
-    _rank2_isometry_rows,
     _snf2,
-    dual_generators,
     ns_gram,
     rank2_isometries,
     smith_normal_form,
@@ -45,26 +47,36 @@ from .lattices import (
 @dataclass(frozen=True)
 class FiniteQuadForm:
     """Finite quadratic form on (+) Z/n_i, generator orders ascending by
-    divisibility, all of them > 1."""
+    divisibility, all of them > 1.
+
+    The values on the generators are integer numerators over ``den``, the
+    least common denominator of them all: q(g_i) = qn[i] / den in [0, 2)
+    and b(g_i, g_j) = bn[i][j] / den in [0, 1).  ``den`` must be in lowest
+    terms, so two forms are equal exactly when their values are.  ``make``
+    builds a form from rational values, and ``q_gen`` and ``b_matrix``
+    read them back as Fractions.
+    """
 
     orders: tuple[int, ...]
-    q_gen: tuple[Fraction, ...]
-    b_matrix: tuple[tuple[Fraction, ...], ...]
+    den: int
+    qn: tuple[int, ...]
+    bn: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         r = len(self.orders)
-        if len(self.q_gen) != r or len(self.b_matrix) != r:
+        if len(self.qn) != r or len(self.bn) != r:
             raise InvalidParameterError("generator data lengths disagree")
         for i, n in enumerate(self.orders):
             if n < 2:
                 raise InvalidParameterError("generator orders must be >= 2")
             if i and n % self.orders[i - 1]:
                 raise InvalidParameterError("orders must ascend by divisibility")
-        for row in self.b_matrix:
+        for row in self.bn:
             if len(row) != r:
                 raise InvalidParameterError("b matrix must be square")
-        # the checks below run on the numerators over one denominator
-        den, qn, bn = self._int_view
+        den, qn, bn = self.den, self.qn, self.bn
+        if den < 1 or gcd(den, *qn, *chain.from_iterable(bn)) != 1:
+            raise InvalidParameterError("den must be positive and in lowest terms")
         for i, n in enumerate(self.orders):
             q = qn[i]
             if not (0 <= q < 2 * den):
@@ -84,11 +96,14 @@ class FiniteQuadForm:
 
     @classmethod
     def make(cls, orders, q_gen, b_matrix) -> "FiniteQuadForm":
-        return cls(
-            tuple(int(n) for n in orders),
-            tuple(Fraction(q) % 2 for q in q_gen),
-            tuple(tuple(Fraction(x) % 1 for x in row) for row in b_matrix),
-        )
+        """The form with rational values ``q_gen`` (mod 2) and
+        ``b_matrix`` (mod 1) on generators of the given orders."""
+        q_gen = [Fraction(q) for q in q_gen]
+        b_matrix = [[Fraction(x) for x in row] for row in b_matrix]
+        den = lcm(*(x.denominator for x in chain(q_gen, *b_matrix)))
+        qn = [int(q * den) for q in q_gen]
+        bn = [[int(x * den) for x in row] for row in b_matrix]
+        return _lowest([int(n) for n in orders], den, qn, bn)
 
     @property
     def rank(self) -> int:
@@ -101,48 +116,40 @@ class FiniteQuadForm:
             s *= n
         return s
 
-    @cached_property
-    def _int_view(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(den, q numerators, b numerators): every q- and b-value over one
-        common denominator, q numerators in [0, 2 den), b ones in [0, den)."""
-        den = 1
-        for q in self.q_gen:
-            den = lcm(den, q.denominator)
-        for row in self.b_matrix:
-            for x in row:
-                den = lcm(den, x.denominator)
-        return (
-            den,
-            tuple(q.numerator * (den // q.denominator) for q in self.q_gen),
-            tuple(
-                tuple(x.numerator * (den // x.denominator) for x in row)
-                for row in self.b_matrix
-            ),
-        )
+    @property
+    def q_gen(self) -> tuple[Fraction, ...]:
+        """q on the generators, as Fractions in [0, 2)."""
+        return tuple(Fraction(q, self.den) for q in self.qn)
+
+    @property
+    def b_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """b on pairs of generators, as Fractions in [0, 1)."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.bn)
 
     def q(self, coords) -> Fraction:
-        return Fraction(self.q_numerator(coords), self._int_view[0])
+        return Fraction(self.q_numerator(coords), self.den)
 
     def q_numerator(self, coords) -> int:
-        """q(coords) times the common denominator, in [0, 2 den)."""
-        den, qn, bn = self._int_view
+        """q(coords) times ``den``, in [0, 2 den)."""
+        qn, bn = self.qn, self.bn
         total = 0
         for i, c in enumerate(coords):
             if c:
                 total += c * c * qn[i]
                 for j in range(i + 1, len(coords)):
                     total += 2 * c * coords[j] * bn[i][j]
-        return total % (2 * den)
+        return total % (2 * self.den)
 
     def b(self, coords1, coords2) -> Fraction:
-        den, _, bn = self._int_view
+        return Fraction(self.b_numerator(coords1, coords2), self.den)
+
+    def b_numerator(self, coords1, coords2) -> int:
+        """b(coords1, coords2) times ``den``, in [0, den)."""
         total = 0
-        for i, c in enumerate(coords1):
+        for c, row in zip(coords1, self.bn):
             if c:
-                row = bn[i]
-                for j, e in enumerate(coords2):
-                    total += c * e * row[j]
-        return Fraction(total % den, den)
+                total += c * sum(map(mul, row, coords2))
+        return total % self.den
 
     def zero(self) -> "DFElement":
         return DFElement(self, (0,) * self.rank)
@@ -155,9 +162,16 @@ class FiniteQuadForm:
         for coords in product(*(range(n) for n in self.orders)):
             yield DFElement(self, coords)
 
-    def denominator(self) -> int:
-        """The least common denominator of every q- and b-value."""
-        return self._int_view[0]
+
+def _lowest(orders, den, qn, bn) -> FiniteQuadForm:
+    """The form on generators of the given orders whose q numerators are
+    ``qn`` mod 2 den and b numerators ``bn`` mod den, over ``den`` brought
+    to lowest terms."""
+    qn = [q % (2 * den) for q in qn]
+    bn = [[x % den for x in row] for row in bn]
+    g = gcd(den, *qn, *chain.from_iterable(bn))
+    bn = tuple(tuple(x // g for x in row) for row in bn)
+    return FiniteQuadForm(tuple(orders), den // g, tuple(q // g for q in qn), bn)
 
 
 @dataclass(frozen=True)
@@ -357,11 +371,13 @@ def as_isometry(domain: FiniteQuadForm, codomain: FiniteQuadForm, images) -> DFI
                 )
     if not _surjective_all_primes(domain, codomain, images):
         raise InvalidIsometryError("images do not generate (map not bijective)")
+    # values compared as numerators, cross-multiplied by the denominators
+    dd, cd = domain.den, codomain.den
     for i, img in enumerate(images):
-        if codomain.q(img) != domain.q_gen[i]:
+        if codomain.q_numerator(img) * dd != domain.qn[i] * cd:
             raise InvalidIsometryError(f"q not preserved on generator {i}")
         for j in range(i + 1, domain.rank):
-            if codomain.b(img, images[j]) != domain.b_matrix[i][j]:
+            if codomain.b_numerator(img, images[j]) * dd != domain.bn[i][j] * cd:
                 raise InvalidIsometryError(
                     f"pairing not preserved on generators ({i}, {j})"
                 )
@@ -377,10 +393,10 @@ class LatticeForm:
     n_i > 1.  A dual vector x has U G x = D V^-1 x, so the coordinates of
     its class are the entries of U G x at those invariants, mod n_i.
 
-    Only integers are kept at construction.  The rational generators
-    ``gens`` and the product U G are computed on first read and then kept
-    on this object, so they live and die with the ``ns_form`` bundle that
-    holds it.
+    Only integers are kept: the form's numerators, the SNF diagonal, the
+    rows of U and the columns v_i.  The rational generators ``gens`` are
+    computed on first read and then kept on this object, so they live and
+    die with the ``ns_form`` bundle that holds it.
     """
 
     lattice: Lattice
@@ -396,10 +412,6 @@ class LatticeForm:
             RationalVector(tuple(Fraction(x, n) for x in col))
             for col, n in zip(self.columns, self.form.orders)
         )
-
-    @cached_property
-    def _ug(self) -> tuple[tuple[int, ...], ...]:
-        return (IntMatrix(self.u_rows) @ self.lattice.gram).entries
 
     def _class_of(self, gx) -> DFElement:
         """Class of the dual vector x with G x = ``gx``, an integer vector."""
@@ -425,17 +437,19 @@ class LatticeForm:
 
     def induced_isometry(self, mat: IntMatrix) -> DFIsometry:
         """The validated isometry of L*/L induced by an integer isometry
-        ``mat`` of L.  Coordinate j of the image of generator i is
-        (U G mat v_i)_j / n_i mod n_j, an exact division when mat keeps L*."""
+        ``mat`` of L.  Generator i, the class of v_i / n_i, goes to the
+        class of mat v_i / n_i, whose image under G is the integer vector
+        G mat v_i / n_i when mat keeps L*."""
         if mat.dim != self.lattice.rank:
             raise InvalidIsometryError("matrix size does not match the lattice rank")
+        gram = self.lattice.gram.entries
         images = []
         for v, n in zip(self.columns, self.form.orders):
-            mv = [sum(a * b for a, b in zip(row, v)) for row in mat.entries]
-            quot = [divmod(sum(a * b for a, b in zip(row, mv)), n) for row in self._ug]
+            mv = [sum(map(mul, row, v)) for row in mat.entries]
+            quot = [divmod(sum(map(mul, row, mv)), n) for row in gram]
             if any(r for _, r in quot):
                 raise InvalidIsometryError("matrix does not preserve the dual lattice")
-            images.append([q for (q, _), n_j in zip(quot, self.diag) if n_j != 1])
+            images.append(self._class_of([q for q, _ in quot]).coords)
         return as_isometry(self.form, self.form, images)
 
     def lift(self, elem: DFElement) -> RationalVector:
@@ -455,9 +469,10 @@ def from_lattice(lat) -> LatticeForm:
     Generators are the columns v_i of the SNF transform V scaled by the
     invariant factors n_i; unit factors are dropped.  The form is read off
     the integers v_i G v_j: q_i = v_i G v_i / n_i^2 mod 2 and
-    b_ij = v_i G v_j / (n_i n_j) mod 1.  A rank-2 lattice takes the
-    plain-int ``_snf2``, every other rank ``smith_normal_form``; both give
-    the same (D, U, V).
+    b_ij = v_i G v_j / (n_i n_j) mod 1.  Over n^2, n the largest n_i, the
+    numerators are w_i G w_j with w_i = (n / n_i) v_i.  A rank-2 lattice
+    takes the plain-int ``_snf2``, every other rank ``smith_normal_form``;
+    both give the same (D, U, V).
     """
     if isinstance(lat, NSLattice):
         lat = lat.to_lattice()
@@ -473,16 +488,11 @@ def from_lattice(lat) -> LatticeForm:
     cols = tuple(
         tuple(row[i] for row in v_rows) for i in range(n) if diag[i] != 1
     )
-    gv = [[sum(a * b for a, b in zip(row, c)) for row in gram] for c in cols]
-    vgv = [[sum(a * b for a, b in zip(c, w)) for w in gv] for c in cols]
-    q_gen = tuple(
-        Fraction(vgv[i][i] % (2 * ni * ni), ni * ni) for i, ni in enumerate(orders)
-    )
-    b_matrix = tuple(
-        tuple(Fraction(x % (ni * nj), ni * nj) for x, nj in zip(vgv[i], orders))
-        for i, ni in enumerate(orders)
-    )
-    form = FiniteQuadForm(orders, q_gen, b_matrix)
+    top = orders[-1] if orders else 1
+    ws = [[top // ni * x for x in c] for c, ni in zip(cols, orders)]
+    gw = [[sum(map(mul, row, w)) for row in gram] for w in ws]
+    wgw = [[sum(map(mul, w, g)) for g in gw] for w in ws]
+    form = _lowest(orders, top * top, [row[i] for i, row in enumerate(wgw)], wgw)
     return LatticeForm(lat, form, diag, u_rows, cols)
 
 
@@ -495,10 +505,12 @@ class NSForm:
     Everything else is computed on first read and then kept on the
     bundle, so the ``ns_form`` cache drops it with the bundle: ``vbar``,
     the class of F/t (the fibre ray scaled to order t), ``vprime``, the
-    class of F'/t for the second isotropic ray F', the dual generators
-    ``fstar`` and ``hstar``, t's factorisation ``t_factors``, the
-    primary parts and the orders and isometries of O(L).  A genus member
-    that ``surfaces.fm_count`` only counts costs its SNF, form and parts.
+    class of F'/t for the second isotropic ray F', t's factorisation
+    ``t_factors``, the primary parts and ``o_lambda_rows``, the one map
+    from the maps on A to the lattice isometries inducing them.  Dual
+    classes, as in ``fh``, are read off integer vectors G x.  A genus
+    member that ``surfaces.fm_count`` only counts costs its SNF, form and
+    parts.
     ``anchors`` maps a genus member r of the same t to this bundle's
     per-part isometries onto the primary parts of r's bundle (None when
     some part has none); ``surfaces.fm_count`` fills it.
@@ -518,14 +530,6 @@ class NSForm:
         return self.lf.form
 
     @cached_property
-    def fstar(self) -> RationalVector:
-        return dual_generators(ns_gram(self.d, self.t))[0]
-
-    @cached_property
-    def hstar(self) -> RationalVector:
-        return dual_generators(ns_gram(self.d, self.t))[1]
-
-    @cached_property
     def vbar(self) -> DFElement:
         # G (0, 1/t) = (1, 0)
         return self.lf._class_of((1, 0))
@@ -542,9 +546,9 @@ class NSForm:
         return factorize(self.t)
 
     def fh(self, a: int, b: int) -> DFElement:
-        """Class of a F* + b H* (the dual-basis coordinates of the family)."""
-        vec = a * self.fstar + b * self.hstar
-        return self.lf.element_from_dual(vec)
+        """Class of a F* + b H* (the dual-basis coordinates of the family):
+        it pairs to b with H and to a with F."""
+        return self.lf._class_of((b, a))
 
     @cached_property
     def primary_parts(self) -> tuple["PrimaryPart", ...]:
@@ -553,16 +557,16 @@ class NSForm:
         return _decompose(self.form, sorted(self.t_factors))
 
     @cached_property
-    def o_lambda_order(self) -> int:
-        """|H|, the order of the image of O(L) in O(A), from the integer
-        rows of the lattice isometries alone, computed once per cached
-        bundle.
+    def o_lambda_rows(self) -> dict:
+        """The lattice's self-isometries (``rank2_isometries``, integer rows
+        in the (H, F) basis), grouped by the map they induce on L*/L:
+        computed once per cached bundle.
 
         Lattice isometries M and N induce the same map on L*/L exactly
         when (M - N) Gram^-1 is integral.  Gram^-1 = adj(Gram) / -t^2 with
         adj(Gram) = [[0, -t], [-t, 2d]], so M is keyed by M adj(Gram) mod
-        t^2 and |H| is the number of distinct keys.  The key of -I must
-        be among them.
+        t^2, and each key lists the rows with that key.  The key of -I
+        must be among them.
         """
         d, t = self.d, self.t
         n = t * t
@@ -570,19 +574,18 @@ class NSForm:
         def key(rows):
             return tuple(((-t * y) % n, (2 * d * y - t * x) % n) for x, y in rows)
 
-        keys = {key(rows) for rows in _rank2_isometry_rows(d, d, t)}
-        if key(((-1, 0), (0, -1))) not in keys:
+        out = {}
+        for rows in rank2_isometries(d, d, t):
+            out.setdefault(key(rows), []).append(rows)
+        if key(((-1, 0), (0, -1))) not in out:
             raise RuntimeError("O(L) image does not contain -id")
-        return len(keys)
+        return out
 
-    @cached_property
-    def lattice_isometries(self) -> tuple[tuple[IntMatrix, DFIsometry], ...]:
-        """(M, induced isometry of A) for each self-isometry M of the
-        lattice in the (H, F) basis, computed once per cached bundle."""
-        return tuple(
-            (mat, self.lf.induced_isometry(mat))
-            for mat in rank2_isometries(self.d, self.d, self.t)
-        )
+    @property
+    def o_lambda_order(self) -> int:
+        """|H|, the order of the image of O(L) in O(A): the number of
+        keys of ``o_lambda_rows``."""
+        return len(self.o_lambda_rows)
 
 
 @lru_cache(maxsize=4096)
@@ -667,8 +670,8 @@ def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
 
     The part at p is generated by the classes m_i g_i where n_i = p^a m_i
     with p not dividing m_i; q and b restrict accordingly.  The values are
-    read off the parent's integer view: over its denominator den, the
-    numerators are q_i m_i^2 mod 2 den and b_ij m_i m_j mod den.
+    read off the parent's numerators: over its denominator den, the part's
+    are q_i m_i^2 mod 2 den and b_ij m_i m_j mod den, in lowest terms.
     """
     return _decompose(form, distinct_primes(form.size))
 
@@ -676,7 +679,7 @@ def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
 def _decompose(form: FiniteQuadForm, primes) -> tuple[PrimaryPart, ...]:
     """``primary_decomposition`` over ``primes``, the ascending primes of
     |form|."""
-    den, qn, bn = form._int_view
+    den, qn, bn = form.den, form.qn, form.bn
     parts = []
     for p in primes:
         indices = []
@@ -691,18 +694,10 @@ def _decompose(form: FiniteQuadForm, primes) -> tuple[PrimaryPart, ...]:
                 indices.append(i)
                 part_orders.append(pk)
                 cofactors.append(n)
-        q_gen = tuple(
-            Fraction(qn[i] * m * m % (2 * den), den)
-            for i, m in zip(indices, cofactors)
-        )
-        b_matrix = tuple(
-            tuple(
-                Fraction(bn[i][j] * mi * mj % den, den)
-                for j, mj in zip(indices, cofactors)
-            )
-            for i, mi in zip(indices, cofactors)
-        )
-        part_form = FiniteQuadForm(tuple(part_orders), q_gen, b_matrix)
+        pairs = list(zip(indices, cofactors))
+        part_qn = [qn[i] * m * m for i, m in pairs]
+        part_bn = [[bn[i][j] * mi * mj for j, mj in pairs] for i, mi in pairs]
+        part_form = _lowest(part_orders, den, part_qn, part_bn)
         parts.append(
             PrimaryPart(p, part_form, form, tuple(indices), tuple(cofactors))
         )
@@ -715,8 +710,8 @@ def _kernel_setup(struct_form: FiniteQuadForm, value_form: FiniteQuadForm):
     ``struct_form`` supplies the group and the form candidate images are
     evaluated in; ``value_form`` supplies the values to hit.
     """
-    s_den, s_q, s_b = struct_form._int_view
-    v_den, v_q, v_b = value_form._int_view
+    s_den, s_q, s_b = struct_form.den, struct_form.qn, struct_form.bn
+    v_den, v_q, v_b = value_form.den, value_form.qn, value_form.bn
     den = lcm(s_den, v_den)
     s_k, v_k = den // s_den, den // v_den
     if struct_form.rank == 1:

@@ -125,7 +125,7 @@ class LagrangianSubgroup:
 
     def _has(self, coords) -> bool:
         """``contains`` on a coordinate tuple of the generator's group."""
-        den = self.generator.form._int_view[0]
+        den = self.generator.form.den
         return sum(map(mul, self._pairing, coords)) % den == 0
 
 
@@ -133,8 +133,8 @@ def _functional(form, coords) -> tuple[int, ...]:
     """The integer functional f with b(x, y) = (f . x) / den mod 1 for y
     the element with coordinates ``coords``, den the form's common
     denominator: f = B y mod den, B the b numerator matrix."""
-    den, _, bn = form._int_view
-    return tuple(sum(map(mul, row, coords)) % den for row in bn)
+    den = form.den
+    return tuple(sum(map(mul, row, coords)) % den for row in form.bn)
 
 
 def _idempotents(t: int, factors: dict[int, int]) -> dict[int, int]:
@@ -262,7 +262,7 @@ def _classifier(d: int, t: int, known: dict):
     """
     nf = ns_form(d, t)
     form = nf.form
-    den = form._int_view[0]
+    den = form.den
     idem = _idempotents(t, nf.t_factors)
     tests = [
         (

@@ -478,10 +478,16 @@ def _rank2_candidates(d: int, e: int, t: int) -> list[tuple[tuple[int, int], ...
     return found
 
 
-def _rank2_isometry_rows(d: int, e: int, t: int) -> list[tuple[tuple[int, int], ...]]:
-    """The rows of ``rank2_isometries(d, e, t)``, as plain int tuples.
+def rank2_isometries(d: int, e: int, t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All isometries from the (e, t) lattice onto the (d, t) lattice, as
+    integer rows.
 
-    Each distinct candidate P is checked, P^T Gram_d P = Gram_e, on plain
+    Matrices are written in the (H, F) bases: column 0 is the image of the
+    degree-2e class, column 1 the image of its fibre class.  An isometry
+    must carry the fibre ray into one of the two isotropic rays {F, F'} up
+    to sign; for each of those four choices the image of H is forced by
+    the pairing equations, so the search space is finite and tiny.  Each
+    distinct candidate P is checked, P^T Gram_d P = Gram_e, on plain
     integers: columns u, v pair to 2d u0 v0 + t (u0 v1 + u1 v0).
     """
     if t < 1:
@@ -497,25 +503,7 @@ def _rank2_isometry_rows(d: int, e: int, t: int) -> list[tuple[tuple[int, int], 
         if gram != want:
             raise RuntimeError("isometry candidate failed Gram check (internal)")
         out.append(rows)
-    return out
-
-
-def rank2_isometries(d: int, e: int, t: int) -> tuple[IntMatrix, ...]:
-    """All isometries from the (e, t) lattice onto the (d, t) lattice.
-
-    Matrices are written in the (H, F) bases: column 0 is the image of the
-    degree-2e class, column 1 the image of its fibre class.  An isometry
-    must carry the fibre ray into one of the two isotropic rays {F, F'} up
-    to sign; for each of those four choices the image of H is forced by
-    the pairing equations, so the search space is finite and tiny.  Every
-    candidate passes a Gram check first (``_rank2_isometry_rows``).
-    """
-    return tuple(IntMatrix(rows) for rows in _rank2_isometry_rows(d, e, t))
-
-
-def is_isometric_rank2(d: int, e: int, t: int) -> bool:
-    """Whether the (d, t) and (e, t) lattices are isometric."""
-    return bool(rank2_isometries(d, e, t))
+    return tuple(out)
 
 
 def genus_representatives(d: int, t: int) -> tuple[int, ...]:

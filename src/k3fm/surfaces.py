@@ -11,7 +11,6 @@ groups B and Btilde as unit subgroups, and the T-general flag.
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import factorial, gcd, prod
 
 from . import budget
@@ -32,7 +31,7 @@ from .errors import (
     OutOfScopeError,
 )
 from .intmath import close_units_subgroup, distinct_primes, is_prime, totient, units_mod
-from .lattices import RationalVector, genus_representatives
+from .lattices import IntMatrix, genus_representatives
 from .lagrangians import (
     GSpec,
     _cycle_count,
@@ -218,6 +217,8 @@ def mukai_divisibility(d: int, t: int, v: MukaiVector) -> int:
 def caldararu_class(d: int, t: int, v: MukaiVector) -> DFElement:
     """Obstruction class of the moduli space attached to v: the class of
     -D/t_v, where t_v = gcd(r, s, H.D, F.D) is the divisibility of v.
+    -D/t_v pairs to -(F.D)/t_v with F and -(H.D)/t_v with H, integers
+    since t_v divides both, so it is the class fh(-(F.D)/t_v, -(H.D)/t_v).
     """
     nf = ns_form(d, t)
     if v.square(d, t) != 0:
@@ -226,9 +227,7 @@ def caldararu_class(d: int, t: int, v: MukaiVector) -> DFElement:
         )
     x, y = v.D
     t_v = mukai_divisibility(d, t, v)
-    return nf.lf.element_from_dual(
-        RationalVector((Fraction(-x, t_v), Fraction(-y, t_v)))
-    )
+    return nf.fh(-t * x // t_v, -(2 * d * x + t * y) // t_v)
 
 
 def fibration_count(d: int, t: int) -> int:
@@ -262,11 +261,24 @@ def allowed_G_orders(rk_t: int) -> tuple[int, ...]:
     )
 
 
-def o_lambda_image(d: int, t: int) -> tuple[DFIsometry, ...]:
-    """The image of the full lattice isometry group in O(A): the distinct
-    isometries in ``ns_form(d, t).lattice_isometries``, sorted."""
-    out = {iso.images: iso for _, iso in ns_form(d, t).lattice_isometries}
+def _induced_maps(d: int, t: int, f_columns=None) -> tuple[DFIsometry, ...]:
+    """The distinct maps on A induced by the lattice isometries in
+    ``ns_form(d, t).o_lambda_rows``, each validated by
+    ``induced_isometry``, sorted; only those whose F-column lies in
+    ``f_columns`` when it is given."""
+    nf = ns_form(d, t)
+    out = {}
+    for group in nf.o_lambda_rows.values():
+        for rows in group:
+            if f_columns is None or (rows[0][1], rows[1][1]) in f_columns:
+                iso = nf.lf.induced_isometry(IntMatrix(rows))
+                out[iso.images] = iso
     return tuple(out[k] for k in sorted(out))
+
+
+def o_lambda_image(d: int, t: int) -> tuple[DFIsometry, ...]:
+    """The image of the full lattice isometry group in O(A), sorted."""
+    return _induced_maps(d, t)
 
 
 def o_plus_image(d: int, t: int) -> tuple[DFIsometry, ...]:
@@ -281,12 +293,7 @@ def o_plus_image(d: int, t: int) -> tuple[DFIsometry, ...]:
     nef_rays = {(0, 1)}
     if fibration_count(d, t) == 2:
         nef_rays.add((t // m, -d // m))
-    out = {
-        iso.images: iso
-        for mat, iso in ns_form(d, t).lattice_isometries
-        if mat.column(1) in nef_rays
-    }
-    return tuple(out[k] for k in sorted(out))
+    return _induced_maps(d, t, nef_rays)
 
 
 def aut_orders(d: int, t: int, g: GSpec) -> tuple[int, int]:

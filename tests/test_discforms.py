@@ -6,8 +6,8 @@ with it everywhere on small groups.
 """
 
 from fractions import Fraction
-from itertools import permutations
-from math import gcd
+from itertools import chain, permutations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -258,8 +258,7 @@ def _eager_bundle(d, t):
     gens = tuple(
         RationalVector(tuple(Fraction(x, ni) for x in c)) for c, ni in zip(cols, orders)
     )
-    form = FiniteQuadForm(orders, q_gen, b_matrix)
-    fstar, hstar = dual_generators(ns)
+    form = FiniteQuadForm.make(orders, q_gen, b_matrix)
     m = gcd(d, t)
 
     def class_of(gx):
@@ -277,8 +276,6 @@ def _eager_bundle(d, t):
         "diag": diag,
         "u_rows": u_mat.entries,
         "gens": gens,
-        "fstar": fstar,
-        "hstar": hstar,
         "vbar": class_of((1, 0)),
         "vprime": class_of((d // m, t // m)),
         "parts": primary_decomposition(form),
@@ -287,7 +284,7 @@ def _eager_bundle(d, t):
 
 def _assert_lazy_pieces_match(nf, want):
     assert nf.lf.gens == want["gens"]
-    for name in ("fstar", "hstar", "vbar", "vprime"):
+    for name in ("vbar", "vprime"):
         assert getattr(nf, name) == want[name], name
 
 
@@ -300,7 +297,7 @@ def test_ns_form_matches_the_eager_generic_route():
             assert nf.form.orders == form.orders, (d, t)
             assert nf.form.q_gen == form.q_gen, (d, t)
             assert nf.form.b_matrix == form.b_matrix, (d, t)
-            assert nf.form._int_view == form._int_view, (d, t)
+            assert nf.form == form, (d, t)
             assert (nf.lf.diag, nf.lf.u_rows) == (want["diag"], want["u_rows"]), (d, t)
             _assert_lazy_pieces_match(nf, want)
             assert nf.primary_parts == want["parts"], (d, t)
@@ -318,7 +315,7 @@ def test_fm_count_leaves_genus_members_unexpanded():
     for e in others:
         nf = ns_form(e, t)
         assert nf.primary_parts
-        assert not {"vbar", "vprime", "fstar", "hstar"} & set(vars(nf)), e
+        assert not {"vbar", "vprime"} & set(vars(nf)), e
         assert "gens" not in vars(nf.lf), e
     assert ns_form.cache_info().misses == len(others) + 1
     for e in others:
@@ -367,19 +364,53 @@ def test_integer_q_and_b_match_fraction_sums():
 
 
 def test_form_validation_rejections():
-    half = Fraction(1, 2)
-    with pytest.raises(InvalidParameterError):
-        FiniteQuadForm((3, 2), (Fraction(2, 3), half), ((Fraction(2, 3), 0), (0, half)))
-    with pytest.raises(InvalidParameterError):
-        FiniteQuadForm((2,), (Fraction(5, 2),), ((half,),))
-    with pytest.raises(InvalidParameterError):
-        FiniteQuadForm((2,), (Fraction(1, 3),), ((Fraction(1, 3),),))
-    with pytest.raises(InvalidParameterError):
-        FiniteQuadForm(
-            (2, 2), (half, half), ((half, Fraction(0)), (half, half))
-        )
-    with pytest.raises(InvalidParameterError):
-        FiniteQuadForm((2,), (half,), ((Fraction(0),),))
+    # each case breaks one condition; the fields are numerators over den
+    cases = [
+        ((3, 2), 6, (4, 3), ((4, 0), (0, 3))),  # orders not ascending
+        ((1,), 1, (0,), ((0,),)),  # an order below 2
+        ((2,), 2, (1, 1), ((1,),)),  # q and orders of different lengths
+        ((2,), 2, (1,), ((1, 0),)),  # b not square
+        ((2,), 2, (5,), ((1,),)),  # q = 5/2 outside [0, 2)
+        ((2,), 3, (1,), ((1,),)),  # q = 1/3 not well defined on Z/2
+        ((2, 2), 2, (1, 1), ((1, 0), (1, 1))),  # b not symmetric
+        ((2,), 2, (1,), ((0,),)),  # b(g, g) != q(g) mod 1
+        ((2, 2), 2, (1, 1), ((1, 2), (2, 1))),  # b = 1 outside [0, 1)
+        ((2, 2), 4, (2, 2), ((2, 1), (1, 2))),  # b = 1/4 not well defined
+        ((2,), 4, (2,), ((2,),)),  # q = 2/4: den not in lowest terms
+        ((), 2, (), ()),  # the zero form over den 2
+        ((2,), -2, (-1,), ((-1,),)),  # a negative den
+    ]
+    for orders, den, qn, bn in cases:
+        with pytest.raises(InvalidParameterError):
+            FiniteQuadForm(orders, den, qn, bn)
+    assert FiniteQuadForm((2,), 2, (1,), ((1,),)) == FiniteQuadForm.make(
+        (2,), (Fraction(1, 2),), ((Fraction(1, 2),),)
+    )
+
+
+def test_make_rebuilds_every_family_form_in_lowest_terms():
+    """make on the Fraction views gives back each bundle form and each
+    primary part, and den is the lcm of the reduced denominators."""
+    for t in range(1, 61):
+        for d in range(-t, 2 * t):
+            nf = ns_form(d, t)
+            for f in (nf.form, *(part.form for part in nf.primary_parts)):
+                assert FiniteQuadForm.make(f.orders, f.q_gen, f.b_matrix) == f, (d, t)
+                dens = [x.denominator for x in chain(f.q_gen, *f.b_matrix)]
+                assert f.den == lcm(*dens), (d, t)
+
+
+def test_fh_matches_the_dual_generator_route():
+    # the class of a F* + b H* against element_from_dual of the Fraction
+    # vector built from dual_generators
+    for t in range(1, 31):
+        for d in range(-t, 2 * t):
+            nf = ns_form(d, t)
+            fstar, hstar = dual_generators(ns_gram(d, t))
+            pairs = [(0, 1), (1, 0)] + [(k, (3 * k + 1) % t) for k in range(0, t, 4)]
+            for a, b in pairs + [(-a, b - t) for a, b in pairs]:
+                want = nf.lf.element_from_dual(a * fstar + b * hstar)
+                assert nf.fh(a, b) == want, (d, t, a, b)
 
 
 def test_make_reduces_representatives():
@@ -436,7 +467,7 @@ def _fraction_primary_decomposition(form):
             tuple((form.b_matrix[i][j] * mi * mj) % 1 for j, mj in zip(indices, cofactors))
             for i, mi in zip(indices, cofactors)
         )
-        part = FiniteQuadForm(tuple(part_orders), q_gen, b_matrix)
+        part = FiniteQuadForm.make(tuple(part_orders), q_gen, b_matrix)
         parts.append(PrimaryPart(p, part, form, tuple(indices), tuple(cofactors)))
     return tuple(parts)
 

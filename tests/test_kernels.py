@@ -15,7 +15,7 @@ from k3fm.surfaces import SurfaceModel, de_counts, fm_count
 
 def _form_data(d, t):
     form = ns_form(d, t).form
-    den = form.denominator()
+    den = form.den
     if form.rank == 0:
         n1, n2, q1, q2, b12 = 1, 1, 0, 0, 0
     elif form.rank == 1:

@@ -230,7 +230,7 @@ def test_selector_validation():
     with pytest.raises(InvalidElementError, match="not isotropic"):
         LagrangianElement(q_one)
     # an equal form that is another object passes the form check
-    twin = FiniteQuadForm(nf.form.orders, nf.form.q_gen, nf.form.b_matrix)
+    twin = FiniteQuadForm(nf.form.orders, nf.form.den, nf.form.qn, nf.form.bn)
     assert twin is not nf.form
     LagrangianSubgroup(6, 6, both, twin.element(nf.vbar.coords))
 

@@ -42,8 +42,8 @@ from k3fm.lagrangians import (
     _orbits,
 )
 from k3fm.lattices import (
+    IntMatrix,
     RationalVector,
-    _rank2_isometry_rows,
     genus_representatives,
     isotropic_rays,
     ns_gram,
@@ -76,6 +76,7 @@ from k3fm.surfaces import (
     o_plus_image,
     second_fibration_jacobian,
 )
+from test_acceptance import _brute_matrices
 
 
 def _sign(d, t, order=2):
@@ -226,6 +227,34 @@ def test_caldararu_fibre_class_is_minus_vbar():
     for t in range(2, 13):
         for d in range(t):
             assert caldararu_class(d, t, v) == -ns_form(d, t).vbar
+
+
+def _square_zero_vectors(d, t):
+    """Primitive Mukai vectors (r, x H + y F, s) of square 0 at (d, t):
+    r s = x (d x + t y) over a small box of D, with t_v > 1 among them
+    (r = s = 0, or r = 2 with s even)."""
+    for x in (-1, 0, 2):
+        for y in (-1, 1, 3):
+            n = x * (d * x + t * y)
+            rs = [(1, n), (-1, -n), (2, n // 2)] if n else [(0, 0), (0, 1), (1, 0)]
+            for r, s in rs:
+                if r * s == n and gcd(gcd(r, s), gcd(x, y)) == 1:
+                    yield MukaiVector(r, (x, y), s)
+
+
+def test_caldararu_class_matches_the_dual_vector_route():
+    # the class of -D/t_v, read by element_from_dual off the Fraction
+    # vector, t_v = gcd(r, s, H.D, F.D) computed here
+    for t in range(1, 31):
+        for d in range(-t, 2 * t):
+            lf = ns_form(d, t).lf
+            for v in _square_zero_vectors(d, t):
+                x, y = v.D
+                t_v = gcd(gcd(v.r, v.s), gcd(2 * d * x + t * y, t * x))
+                want = lf.element_from_dual(
+                    RationalVector((Fraction(-x, t_v), Fraction(-y, t_v)))
+                )
+                assert caldararu_class(d, t, v) == want, (d, t, v)
 
 
 def test_caldararu_rejects_nonzero_square():
@@ -399,28 +428,35 @@ def test_o_images_structure():
 
 
 def test_induced_isometry_matches_dual_vector_route():
-    # the integer map against the Fraction route: M gen_i as a dual vector
+    # the integer map against the Fraction route: M gen_i as a dual vector;
+    # the rows under one key of o_lambda_rows induce one map, and distinct
+    # keys distinct maps
     for t in range(1, 31):
         for d in range(-t, 2 * t):
             nf = ns_form(d, t)
             lf = nf.lf
-            pairs = nf.lattice_isometries
-            assert [mat for mat, _ in pairs] == list(rank2_isometries(d, d, t))
+            grouped = [rows for group in nf.o_lambda_rows.values() for rows in group]
+            assert sorted(grouped) == sorted(rank2_isometries(d, d, t)), (d, t)
             nef = isotropic_rays(ns_gram(d, t))[: fibration_count(d, t)]
-            full, plus = set(), set()
-            for mat, iso in pairs:
-                m = mat.entries
-                images = tuple(
-                    lf.element_from_dual(RationalVector(tuple(
-                        sum(m[i][k] * g.coords[k] for k in range(2))
-                        for i in range(2)
-                    ))).coords
-                    for g in lf.gens
-                )
-                assert lf.induced_isometry(mat).images == iso.images == images
-                full.add(images)
-                if RationalVector.make(mat.column(1)) in nef:
-                    plus.add(images)
+            plus, maps = set(), []
+            for group in nf.o_lambda_rows.values():
+                induced = set()
+                for m in group:
+                    images = tuple(
+                        lf.element_from_dual(RationalVector(tuple(
+                            sum(m[i][k] * g.coords[k] for k in range(2))
+                            for i in range(2)
+                        ))).coords
+                        for g in lf.gens
+                    )
+                    assert lf.induced_isometry(IntMatrix(m)).images == images
+                    induced.add(images)
+                    if RationalVector.make((m[0][1], m[1][1])) in nef:
+                        plus.add(images)
+                assert len(induced) == 1, (d, t)
+                maps.append(induced.pop())
+            full = set(maps)
+            assert len(full) == len(maps) == nf.o_lambda_order, (d, t)
             assert [s.images for s in o_lambda_image(d, t)] == sorted(full)
             assert [s.images for s in o_plus_image(d, t)] == sorted(plus), (d, t)
 
@@ -796,11 +832,10 @@ def test_fm_count_checks_the_o_lambda_image(monkeypatch):
 
     # G = {+-1} reads |H| off the integer isometry rows; without -I they
     # have no -id
-    real_rows = _rank2_isometry_rows
     minus_one = ((-1, 0), (0, -1))
     monkeypatch.setattr(
-        "k3fm.discforms._rank2_isometry_rows",
-        lambda d, e, t: [rows for rows in real_rows(d, e, t) if rows != minus_one],
+        "k3fm.discforms.rank2_isometries",
+        lambda d, e, t: [rows for rows in rank2_isometries(d, e, t) if rows != minus_one],
     )
     ns_form.cache_clear()
     try:
@@ -893,6 +928,26 @@ def test_o_lambda_order_matches_the_image():
     for t in range(1, 61):
         for e in range(t):
             assert ns_form(e, t).o_lambda_order == len(o_lambda_image(e, t)), (e, t)
+
+
+def test_o_lambda_order_matches_a_brute_box_search():
+    # |H| against the distinct maps on A that the isometries of an
+    # exhaustive box search induce, each read through the Fraction route:
+    # (H, F) -> (v, w) sends the dual vector g0 H + g1 F to g0 v + g1 w
+    for t in range(1, 31):
+        for e in range(t):
+            lf = ns_form(e, t).lf
+            maps = {
+                tuple(
+                    lf.element_from_dual(RationalVector((
+                        v[0] * g.coords[0] + w[0] * g.coords[1],
+                        v[1] * g.coords[0] + w[1] * g.coords[1],
+                    ))).coords
+                    for g in lf.gens
+                )
+                for v, w in _brute_matrices(e, t)
+            }
+            assert ns_form(e, t).o_lambda_order == len(maps), (e, t)
 
 
 def _part_group_order(d, t):
