@@ -1,64 +1,86 @@
 """Scan kernels.
 
-The two hot loops: walking a two-generator group for isotropic elements
-of a given order, and enumerating form-preserving automorphisms.  The
+The two hot loops: listing the isotropic elements of a given order in a
+two-generator group, and enumerating form-preserving automorphisms.  The
 rest of the package calls them through ``kernels``.  Integers are Python
 ints throughout, so inputs of any size stay exact.
 
-Both loops skip candidates that can never be hits, and skip nothing
-else, so their output, order included, is what a plain scan of every
-candidate returns (``tests/test_kernels.py`` keeps that scan as the
-oracle):
+Their output, order included, is what a plain scan of every candidate
+returns (``tests/test_kernels.py`` keeps that scan as the oracle):
 
-- the element scan walks only the elements killed by ``order``, since
-  an element of that order is one of them, and tests q only on the
-  pairs whose coordinate orders give that order: the admissible second
-  coordinates are listed once per order of the first coordinate;
-- the isometry scan lists the images of the first generator, which do
-  not depend on the image of the second, once per call.
+- the element scan tests no element one by one: it lists the cyclic
+  subgroups of the order it looks for prime by prime, tests q once on
+  each p-part, and returns the unit multiples of a generator of every
+  subgroup whose p-parts are all isotropic.  It needs q to be well
+  defined on Z/n1 (+) Z/n2, as it is on every ``FiniteQuadForm``;
+- the isometry scan skips only candidates that can never be hits: it
+  lists the images of the first generator, which do not depend on the
+  image of the second, once per call.
 
 All q-values arrive as integer numerators over a common denominator
 ``den``: q lives in Q/2Z so numerators are reduced mod 2*den, the
 bilinear pairing lives in Q/Z so numerators are reduced mod den.
 """
 
+from itertools import repeat
 from math import gcd
+
+from .intmath import factorize
 
 
 def scan_isotropic_elements(n1, n2, q1, q2, b12, den, order):
     """Coordinates (c1, c2) over Z/n1 (+) Z/n2 of exact order ``order``
     with q(c1, c2) = (c1^2 q1 + c2^2 q2 + 2 c1 c2 b12) / den = 0 in Q/2Z.
 
-    Returned in lexicographic order.  An element of order ``order`` has
-    order * c_i = 0 mod n_i, so c_i runs over the multiples of
-    n_i / gcd(n_i, order) only: n1 n2 / gcd(n1, order) gcd(n2, order)
-    candidates instead of n1 n2.  The pair has order lcm(o1, o2), o_i the
-    order of c_i, so the second coordinates are listed once with o2 and
-    their q-term, and for each distinct o1 (a divisor of n1) the ones with
-    lcm(o1, o2) = ``order`` are picked once; q is tested only on those.
+    Returned in lexicographic order.  Precondition: q is well defined on
+    Z/n1 (+) Z/n2, as it is on every ``FiniteQuadForm``.
+
+    The elements of exact order N = ``order`` are the generators of the
+    cyclic subgroups of order N, phi(N) of them per subgroup, and
+    q(u x) = u^2 q(x), so q is zero on all generators of a subgroup or on
+    none.  A subgroup of order N is the sum of its p-parts, one cyclic
+    subgroup of order p^k per p^k || N; these are pairwise orthogonal, so
+    q of a generator is the sum of q on its p-parts, and each summand
+    lies in the p-primary part of Q/2Z: the sum is 0 exactly when every
+    summand is.  So q is tested once per p-part, and each combination of
+    isotropic p-parts contributes its unit multiples.
+
+    The p-parts lie in the N-torsion Z/g1 (+) Z/g2, g_i = gcd(n_i, N).
+    With p^a and p^b the p-parts of g1 and g2, each subgroup of order
+    p^k in Z/p^a (+) Z/p^b has one generator (x, 1), x mod p^a, when
+    b = k, and (1, y), y mod p^b, when a = k, where y is a multiple of p
+    when b = k as well.  When a, b < k no element has order N.
     """
     two_den = 2 * den
-    step1 = n1 // gcd(n1, order)
-    step2 = n2 // gcd(n2, order)
-    seconds = [
-        (c2, n2 // gcd(n2, c2), c2 * c2 % two_den * q2 % two_den)
-        for c2 in range(0, n2, step2)
-    ]
-    second_orders = {o2 for _, o2, _ in seconds}
-    admissible = {}  # o1 -> the entries of ``seconds`` with lcm(o1, o2) = order
-    hits = []
-    for c1 in range(0, n1, step1):
-        o1 = n1 // gcd(n1, c1)
-        candidates = admissible.get(o1)
-        if candidates is None:
-            fits = {o2 for o2 in second_orders if o1 * o2 == order * gcd(o1, o2)}
-            candidates = admissible[o1] = [e for e in seconds if e[1] in fits]
-        head = c1 * c1 % two_den * q1 % two_den
-        cross = 2 * c1 * b12 % two_den
-        for c2, _, term in candidates:
-            if (head + term + cross * c2) % two_den == 0:
-                hits.append((c1, c2))
-    return hits
+    g1, g2 = gcd(n1, order), gcd(n2, order)
+    primes = factorize(order)
+    gens = [(0, 0)]
+    for p, k in primes.items():
+        pk = p**k
+        pa, pb = gcd(g1, pk), gcd(g2, pk)
+        s1, s2 = n1 // pa % n1, n2 // pb % n2  # of order p^a and p^b
+        local = []
+        if pb == pk:
+            local += [(x * s1, s2) for x in range(pa)]
+        if pa == pk:
+            local += [(s1, y * s2) for y in range(0, pb, p if pb == pk else 1)]
+        local = [
+            (e1, e2) for e1, e2 in local
+            if (e1 * e1 * q1 + e2 * e2 * q2 + 2 * e1 * e2 * b12) % two_den == 0
+        ]
+        if not local:
+            return []
+        gens = [
+            ((c1 + e1) % n1, (c2 + e2) % n2) for c1, c2 in gens for e1, e2 in local
+        ]
+    units = range(order)
+    for p in primes:
+        units = [u for u in units if u % p]
+    keys = []  # (c1, c2) as c1 * n2 + c2, which sorts lexicographically
+    for c1, c2 in gens:
+        keys += [u * c1 % n1 * n2 + u * c2 % n2 for u in units]
+    keys.sort()
+    return list(map(divmod, keys, repeat(n2)))
 
 
 def scan_isometries(

@@ -722,9 +722,18 @@ def _kernel_setup(struct_form: FiniteQuadForm, value_form: FiniteQuadForm):
         n1, n2 = struct_form.orders
         q1, q2, b12 = s_q[0] * s_k, s_q[1] * s_k, s_b[0][1] * s_k
         w1, w2, w12 = v_q[0] * v_k, v_q[1] * v_k, v_b[0][1] * v_k
-    primes1 = distinct_primes(n1)
-    primes2 = tuple(p for p in distinct_primes(n2) if n1 % p)
-    return n1, n2, den, q1, q2, b12, w1, w2, w12, primes1, primes2
+    return n1, n2, den, q1, q2, b12, w1, w2, w12
+
+
+def _surjectivity_primes(n1: int, n2: int):
+    """The prime lists ``kernels.scan_isometries`` checks surjectivity at:
+    those of n1, and those of n2 that do not divide n1.  n1 divides n2,
+    so factoring n2 gives both."""
+    primes = distinct_primes(n2)
+    return (
+        tuple(p for p in primes if n1 % p == 0),
+        tuple(p for p in primes if n1 % p),
+    )
 
 
 def require_isometry_budget(form: FiniteQuadForm) -> None:
@@ -777,7 +786,8 @@ def _isometries(source, target, first_only) -> tuple[DFIsometry, ...]:
     if source.rank == 0:
         return (DFIsometry(source, target, ()),)
     args = _kernel_setup(target, source)
-    hits = kernels.scan_isometries(*args, first_only=first_only)
+    primes = _surjectivity_primes(*args[:2])
+    hits = kernels.scan_isometries(*args, *primes, first_only=first_only)
     isos = [
         DFIsometry(source, target, ((d,),) if source.rank == 1 else ((a, c), (b, d)))
         for a, c, b, d in hits

@@ -169,9 +169,10 @@ def canonical_pair(d: int, t: int) -> tuple[LagrangianElement, LagrangianElement
 
 
 def _lagrangian_coords(d: int, t: int) -> list[tuple[int, ...]]:
-    """Coordinate tuples of the isotropic order-t elements, sorted: one
-    scan of the elements killed by t.  The budget is still checked on the
-    whole group, which has t^2 elements."""
+    """Coordinate tuples of the isotropic order-t elements, sorted: the
+    unit multiples of a generator of each isotropic cyclic subgroup of
+    order t, one q-test per p-part of such a subgroup.  The element budget
+    still bounds the whole group, which has t^2 elements."""
     form = ns_form(d, t).form
     budget.require(form.size, budget.element_cap(), "|A| for an element scan")
     if form.rank == 0:
@@ -184,11 +185,12 @@ def _lagrangian_coords(d: int, t: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
-    """Exact scan of the group for isotropic order-t elements.
+    """All isotropic order-t elements of the group, exactly.
 
-    Sorted by coordinates.  The scan visits only the elements killed by
-    t, but the budget is checked on the whole group, which has t^2
-    elements; use count_lagrangians past the budget.
+    Sorted by coordinates.  They are listed as the unit multiples of one
+    generator per isotropic cyclic subgroup of order t, but the budget is
+    still checked on the whole group, which has t^2 elements; use
+    count_lagrangians past the budget.
     """
     form = ns_form(d, t).form
     return [LagrangianElement(form.element(c)) for c in _lagrangian_coords(d, t)]

@@ -1,15 +1,27 @@
 """The scan kernels work on arbitrary-precision integers: inputs past the
-int64 range give exact results.  They skip only candidates that cannot
-hit: on a grid of forms they return exactly what a scan of every
-candidate returns, order included."""
+int64 range give exact results.  On a grid of family forms, and on the
+discriminant forms of random even binary lattices, they return exactly
+what a scan of every candidate returns, order included.  The element
+kernel lists cyclic subgroups instead of scanning, so it relies on q
+being well defined on Z/n1 (+) Z/n2; the random lattices check that
+outside the (d, t) family too."""
 
 from math import gcd
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from k3fm import kernels
-from k3fm.discforms import _kernel_setup, isometry_group, ns_form
+from k3fm.discforms import (
+    _kernel_setup,
+    _surjectivity_primes,
+    from_lattice,
+    isometry_group,
+    ns_form,
+)
 from k3fm.intmath import distinct_primes
-from k3fm.lagrangians import GSpec, _lagrangian_coords
-from k3fm.lattices import genus_representatives
+from k3fm.lagrangians import GSpec, _lagrangian_coords, count_lagrangians
+from k3fm.lattices import IntMatrix, Lattice, genus_representatives
 from k3fm.surfaces import SurfaceModel, de_counts, fm_count
 
 
@@ -42,8 +54,7 @@ def test_large_values_stay_exact():
             assert kernels.scan_isotropic_elements(
                 n1, n2, q1b, q2b, b12b, denb, order
             ) == kernels.scan_isotropic_elements(n1, n2, q1, q2, b12, den, order)
-        primes1 = distinct_primes(n1)
-        primes2 = tuple(p for p in distinct_primes(n2) if n1 % p)
+        primes1, primes2 = _surjectivity_primes(n1, n2)
         small = kernels.scan_isometries(
             n1, n2, den, q1, q2, b12, q1, q2, b12, primes1, primes2
         )
@@ -64,6 +75,10 @@ def test_cells_at_the_default_budgets(monkeypatch):
     assert ns_form(30, 2000).form.size == 4_000_000
     assert len(_lagrangian_coords(30, 2000)) == 3200
     assert de_counts(SurfaceModel.general(30, 2000)) == (1600, 4)
+    # A = Z/2000 (+) Z/2000 has 3,600 cyclic subgroups of order 2000
+    assert ns_form(0, 2000).form.orders == (2000, 2000)
+    assert len(_lagrangian_coords(0, 2000)) == 3200 == count_lagrangians(0, 2000)[0]
+    assert de_counts(SurfaceModel.general(0, 2000)) == (1600, 4)
     assert genus_representatives(1, 97) == (
         1, 2, 3, 4, 6, 8, 9, 11, 12, 16, 18, 22, 24, 25,
         31, 32, 33, 35, 36, 43, 44, 47, 48, 70, 96,
@@ -172,6 +187,25 @@ def test_element_scan_matches_brute_scan_on_mixed_first_orders():
             ), (d, t, order)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(-40, 40),
+    b=st.integers(-80, 80),
+    c=st.integers(-40, 40),
+    data=st.data(),
+)
+def test_element_scan_matches_brute_scan_off_the_family(a, b, c, data):
+    # the discriminant form of any even binary lattice [[2a, b], [b, 2c]]
+    # with 2 <= |A| = |det| <= 3000; order runs over the divisors of 2 n2,
+    # so orders no element has are drawn too
+    assume(2 <= abs(4 * a * c - b * b) <= 3000)
+    form = from_lattice(Lattice(IntMatrix.from_rows([[2 * a, b], [b, 2 * c]]))).form
+    n1, n2, den, q1, q2, b12 = _kernel_setup(form, form)[:6]
+    order = data.draw(st.sampled_from([k for k in range(1, 2 * n2 + 1) if 2 * n2 % k == 0]))
+    args = (n1, n2, q1, q2, b12, den, order)
+    assert kernels.scan_isotropic_elements(*args) == _brute_scan_isotropic_elements(*args)
+
+
 def _genus_pairs(d, t):
     """(source, target) of every form pair of (d, t) with equal group
     shapes, distinct forms and the gcd(2e, t) = gcd(2d, t) invariant: the
@@ -184,12 +218,17 @@ def _genus_pairs(d, t):
                 yield source, target
 
 
+def _isometry_args(struct_form, value_form):
+    args = _kernel_setup(struct_form, value_form)
+    return args + _surjectivity_primes(*args[:2])
+
+
 def test_isometry_scan_matches_brute_scan():
     seen = set()
     for d, t in ORACLE_GRID:
         form = ns_form(d, t).form
-        calls = [(_kernel_setup(form, form), False)]
-        calls += [(_kernel_setup(tgt, src), True) for src, tgt in _genus_pairs(d, t)]
+        calls = [(_isometry_args(form, form), False)]
+        calls += [(_isometry_args(tgt, src), True) for src, tgt in _genus_pairs(d, t)]
         for args, first_only in calls:
             if (args, first_only) in seen:
                 continue
