@@ -14,10 +14,10 @@ Each cap is compared with the size of what a search visits:
   cap ``fm --d 30 --t 30030`` runs (largest part 169), while
   ``fm --d 0 --t 101`` (one part of 10,201) and any sweep reaching a
   prime t > 100 exit with the capacity error.  For G = {+-1} no
-  isometry group is enumerated (|O(A_p)| is read off the part's shape),
-  so there the cap bounds only the search that anchors each genus
-  class's parts onto those of the genus's least member; a G with other
-  elements also enumerates O(A_p) on every part.
+  isometry group is enumerated (|O(A_p)| is read off (d, t)), so there
+  the cap bounds only the search that anchors each genus class's parts
+  onto those of the genus's least member; a G with other elements also
+  enumerates O(A_p) on every part.
 * an FM count's genus walk visits every genus class, and each class's
   parts are searched at most once per cached ``ns_form`` bundle; the
   genus is enumerated over the phi(t/m) units mod t/m, m = gcd(d, t),

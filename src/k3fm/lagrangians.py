@@ -454,6 +454,21 @@ def _orbits(items, key, moves):
     return tuple(sorted(orbits, key=lambda o: key(o[0])))
 
 
+def _subgroup_move(subs, sigma: DFIsometry):
+    """L -> <sigma(generator of L)> on Lagrangian subgroups of the one
+    (d, t) that every subgroup in ``subs`` must belong to.  Sigma acts on
+    the generator's coordinates as an integer matrix, and the image is
+    classified by integer functionals as in subgroup_generated_by; the
+    subgroup with the image's selector is taken from ``subs`` when one
+    is there, and built only for a selector not seen before."""
+    d, t = subs[0].d, subs[0].t
+    if any((L.d, L.t) != (d, t) for L in subs):
+        raise InvalidSubgroupError("subgroups belong to different (d, t)")
+    classify = _classifier(d, t, {L.selector: L for L in subs})
+    step = _coordinate_move(sigma)
+    return lambda L: classify(step(L.generator.coords))
+
+
 def g_orbits(items, g: GSpec):
     """Partition Lagrangian elements or subgroups, and everything their
     G-orbits reach, into orbits of the cyclic group G.
@@ -461,13 +476,10 @@ def g_orbits(items, g: GSpec):
     Elements are walked as coordinate tuples; the caller's objects are
     returned and only images it did not pass are wrapped.  GSpec checked
     that sigma is an isometry, so no image needs another check.  A
-    subgroup L moves to <sigma(generator)>: sigma acts on the generator's
-    coordinates as an integer matrix, and the image is classified by
-    integer functionals as in subgroup_generated_by.  The subgroup with
-    the image's selector is taken from ``items`` when one is there, and
-    built only for a selector not seen before.  All subgroups must belong
-    to one (d, t).  Each orbit is sorted by coordinates (elements) or
-    selector (subgroups), and the orbits are listed by their least member.
+    subgroup L moves to <sigma(generator)> (``_subgroup_move``), and all
+    subgroups must belong to one (d, t).  Each orbit is sorted by
+    coordinates (elements) or selector (subgroups), and the orbits are
+    listed by their least member.
     """
     items = list(items)
     sigma = g.generator
@@ -477,16 +489,10 @@ def g_orbits(items, g: GSpec):
             raise InvalidIsometryError(
                 "group generator does not act on these items"
             )
-    step = _coordinate_move(sigma)
     if not all(isinstance(item, LagrangianElement) for item in items):
-        d, t = items[0].d, items[0].t
-        if any((L.d, L.t) != (d, t) for L in items):
-            raise InvalidSubgroupError("subgroups belong to different (d, t)")
-        classify = _classifier(d, t, {L.selector: L for L in items})
-        move = lambda L: classify(step(L.generator.coords))
-        return _orbits(items, lambda L: L.selector, [move])
+        return _orbits(items, lambda L: L.selector, [_subgroup_move(items, sigma)])
     given = {w.coords: w for w in items}
-    orbits = _orbits(given, lambda c: c, [step])
+    orbits = _orbits(given, lambda c: c, [_coordinate_move(sigma)])
     return tuple(
         tuple(
             given[c] if c in given else LagrangianElement(sigma.domain.element(c))
@@ -499,18 +505,13 @@ def g_orbits(items, g: GSpec):
 def double_quotient(d: int, t: int, g: GSpec):
     """Classes of Lagrangian subgroups under G and the involution jointly.
 
-    Returns (count, representatives); representatives are the least
-    subgroup of each merged class.  This is the subgroup count feeding
-    the Fourier-Mukai partner count.
+    Returns (count, representatives): one walk over the orbits of the
+    group that G's move (as in ``g_orbits``) and ``involution`` generate
+    together, and the least subgroup of each orbit by selector.
     """
-    orbits = g_orbits(enumerate_lagrangian_subgroups(d, t), g)
-    orbit_of = {L.selector: i for i, orbit in enumerate(orbits) for L in orbit}
-    image = []
-    for orbit in orbits:
-        targets = {orbit_of[involution(d, t, L).selector] for L in orbit}
-        if len(targets) != 1:
-            raise RuntimeError("involution did not map a G-orbit to a G-orbit")
-        image.append(targets.pop())
-    classes = _orbits(range(len(orbits)), lambda i: i, [image.__getitem__])
-    reps = tuple(orbits[cls[0]][0] for cls in classes)
+    if g.generator.domain != ns_form(d, t).form:
+        raise InvalidIsometryError("G does not act on this family member")
+    subs = enumerate_lagrangian_subgroups(d, t)
+    moves = [_subgroup_move(subs, g.generator), lambda L: involution(d, t, L)]
+    reps = tuple(orbit[0] for orbit in _orbits(subs, lambda L: L.selector, moves))
     return len(reps), reps

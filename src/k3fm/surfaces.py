@@ -8,10 +8,10 @@ supplied declaratively: the cyclic isometry group G as a GSpec, the twist
 groups B and Btilde as unit subgroups, and the T-general flag.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import factorial, gcd, prod
+from math import gcd, prod
+from operator import eq
 
 from . import budget
 from .discforms import (
@@ -34,6 +34,7 @@ from .intmath import close_units_subgroup, distinct_primes, is_prime, totient, u
 from .lattices import IntMatrix, genus_representatives
 from .lagrangians import (
     GSpec,
+    _coordinate_move,
     _cycle_count,
     _lagrangian_coords,
     count_lagrangians,
@@ -323,7 +324,7 @@ def _de_closed_form(d: int, t: int):
 
 
 def de_counts(model: SurfaceModel) -> tuple[int, int]:
-    """(derived elliptic structures, their count up to the involution).
+    """(derived elliptic structures, G-orbits of Lagrangian subgroups).
 
     The first number is the count of G-orbits of Lagrangian elements, the
     second of G-orbits of Lagrangian subgroups.  For T-general members
@@ -370,48 +371,29 @@ def ht_classify(d: int, t: int, t_general: bool) -> HTClass:
     return HTClass.Inconclusive
 
 
-def _inverses(group: tuple[DFIsometry, ...]) -> dict:
-    """y^-1 for every automorphism y in ``group``, keyed by y's images:
-    one power walk per cyclic subgroup not already covered."""
-    inverse = {}
-    for y in group:
-        if y.images not in inverse:
-            powers = y.powers()
-            for i, z in enumerate(powers):
-                inverse[z.images] = powers[(len(powers) - 2 - i) % len(powers)]
-    return inverse
+def _isometry_order(d: int, t_factors: dict[int, int]) -> int:
+    """|O(A)| = prod_p |O(A_p)| for the family form A(d, t), read off d
+    and the factorisation ``t_factors`` of t.
 
-
-def _part_order(part) -> int:
-    """|O(A_p)| for a p-primary part of a family form, from its shape.
-
-    The part is Z/p^a (+) Z/p^b with a = min(v_p(2d), k) and b = 2k - a,
-    p^k the exact power of p in t (a = 0 when the part is cyclic).  Over
-    Z_p, scaling F by the unit (t/p^k)^-1 shows A_p(d, t) = A(d mod p^k,
-    p^k), so the tests check this table against ``isometry_group`` on
-    every (d, p^k) with p^k <= 100, which is every part the default
-    isometry budget admits.  Shapes the family does not produce raise
-    RuntimeError.
+    For p^k the exact power of p in t, A_p is Z/p^a (+) Z/p^b with
+    p^a = gcd(2d, p^k) (a = k when d = 0) and b = 2k - a.  Over Z_p,
+    scaling F by the unit (t/p^k)^-1 shows A_p(d, t) = A(d mod p^k, p^k),
+    so the tests check this table against ``isometry_group`` on every
+    (d, p^k) with p^k <= 100, which is every part the default isometry
+    budget admits.
     """
-    p = part.prime
-    pa, pb = ((1,) + part.form.orders)[-2:]  # p^a <= p^b
-    if p > 2:
-        if pa == 1:
-            return 2
-        return 2 * (p - 1) * pa // p if pa == pb else 4 * pa
-    ratio = pb // pa  # 2^(b - a)
-    if pa == 1 or ratio.bit_length() % 2 == 0:
-        raise RuntimeError(f"no family 2-part has the shape Z/{pa} + Z/{pb}")
-    if ratio == 1 and pa == 2:
-        # the automorphisms of (Z/2)^2 permute its three nonzero elements
-        # freely; the isometries permute those of equal q among themselves
-        values = Counter(part.form.q(c) for c in ((1, 0), (0, 1), (1, 1)))
-        return prod(factorial(n) for n in values.values())
-    if ratio == 1:
-        return pa
-    if ratio == 4:
-        return 2 if pa == 2 else 2 * pa
-    return 4 if pa == 2 else 4 * pa
+    order = 1
+    for p, k in t_factors.items():
+        q = p**k
+        pa = gcd(2 * d, q)
+        if p > 2:
+            order *= 2 if pa == 1 else 2 * (p - 1) * pa // p if pa == q else 4 * pa
+        elif pa == q:  # a = b; on (Z/2)^2 it is 2 for even d, 1 for odd d
+            order *= 2 - d % 2 if pa == 2 else pa
+        else:
+            ratio = 2 if q == 2 * pa else 4  # b = a + 2, else b >= a + 4
+            order *= ratio if pa == 2 else ratio * pa
+    return order
 
 
 def _anchor(nf, r0: int):
@@ -445,24 +427,19 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     -id lies in H (the lattice isometry -1 induces it), so x (-id) =
     (-id) x lies in H x and fix(+-id) = |O(A)| / |H|.  For G = {+-1}
     these are all the terms, and only the two orders are needed:
-    |O(A)| = prod_p |O(A_p)| from each p-primary part's shape
-    (``_part_order``), and |H| from the integer lattice isometries
-    (``NSForm.o_lambda_order``).  No isometry group is enumerated and no
-    isometry of A is built.
+    |O(A)| from (d, t) (``_isometry_order``), and |H| from the integer
+    lattice isometries (``NSForm.o_lambda_order``).  No isometry group is
+    enumerated and no isometry of A is built.
 
-    The other elements of G's image (``g.moving_elements()``) need the
-    isometries themselves, so only then are O(A_p) enumerated on each
-    part (their orders must match the table) and H listed by
-    ``o_lambda_image`` (its size must match |H|).  An isometry keeps
-    each p-primary part, so O(A) = prod_p O(A_p), X = prod_p phi_p
-    O(A_p) for any isometries phi_p: A_p -> A_{L,p}, and
-    #{x in X : h x = x s} is the product over p of the same count on
-    the parts, with h and s restricted.  For x_p = phi_p y,
-    h_p x_p = x_p s_p exactly when h_p phi_p = phi_p k with
-    k = y s_p y^-1, so each part's count is read from a tally of the
-    conjugates k of s_p over O(A_p), made once per s and moved by phi_p
-    for each genus class: a class costs |H| + (number of conjugates)
-    compositions per part and per s, never a walk over X.
+    The other elements s of G's image (``g.moving_elements()``) are
+    counted from that definition.  An isometry keeps each p-primary part,
+    so O(A) = prod_p O(A_p) (the enumerated part groups must match
+    |O(A)|), X = prod_p phi_p O(A_p) for any isometries phi_p: A_p ->
+    A_{L,p}, and #{x in X : h x = x s} is the product over p of the
+    number of x_p in phi_p O(A_p) with h_p x_p = x_p s_p.  Per class,
+    the images of h_p x_p (for each h in ``o_lambda_image``, of size
+    |H|) and of x_p s_p (for each s) are listed once, by integer moves
+    on coordinates (``_coordinate_move``), and compared entry by entry.
 
     Every genus class is certified isometric to A part by part, for
     every G, through anchors: isometry is transitive, so it is enough
@@ -488,16 +465,8 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
         budget.element_cap(),
         "phi(t/m) * sum of |A_p| for the FM genus walk",
     )
-    order = prod(_part_order(part) for part in parts)
+    order = _isometry_order(d, nf.t_factors)
     image, moving = g.image_elements(), g.moving_elements()
-    # s and s^-1 fix the same cosets; the image is cyclic and listed as
-    # sigma, ..., sigma^n, so moving[j] and moving[-1 - j] are inverse and
-    # only the first half is counted, each term twice but a middle one.
-    # For each such s and part: the distinct y s_p y^-1 over y in O(A_p),
-    # each with how many y give it
-    half = moving[: (len(moving) + 1) // 2]
-    weights = [1 if 2 * j + 1 == len(moving) else 2 for j in range(len(half))]
-    tallies = []
     if moving:
         # -id has the same images on every form with nf.form's generator
         # orders, which the anchors check part by part for each member
@@ -505,16 +474,7 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
         own = [isometry_group(part.form) for part in parts]
         if prod(len(group) for group in own) != order:
             raise RuntimeError("part isometry groups disagree with their orders")
-        inverses = [_inverses(group) for group in own]
-        for s in half:
-            tally = []
-            for part, group, inverse in zip(parts, own, inverses):
-                s_p, conjugates = part.restrict(s), {}
-                for y in group:
-                    k = y.compose(s_p).compose(inverse[y.images])
-                    conjugates.setdefault(k.images, [k, 0])[1] += 1
-                tally.append(conjugates.values())
-            tallies.append(tally)
+        restricted = [[part.restrict(s) for part in parts] for s in moving]
     reps = genus_representatives(d, t)
     anchored = _anchor(nf, reps[0]) is not None
     total = 0
@@ -536,28 +496,30 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
                 raise RuntimeError("O(L) image disagrees with its order")
             if neg not in {u.images for u in h}:
                 raise RuntimeError("O(L) image does not contain -id")
-            # for x = phi y, h x = x s exactly when h phi = phi (y s y^-1)
-            lefts = [
-                [
-                    part.restrict(u).compose(phi).images
-                    for part, phi in zip(parts_e, phis)
-                ]
-                for u in h
-            ]
-            for weight, tally in zip(weights, tallies):
+            xs = [[phi.compose(y) for y in group] for phi, group in zip(phis, own)]
+            lefts = []
+            for u in h:
+                h_moves = [_coordinate_move(part.restrict(u)) for part in parts_e]
+                lefts.append([
+                    [tuple(map(move, x.images)) for x in x_p]
+                    for move, x_p in zip(h_moves, xs)
+                ])
+            x_moves = [list(map(_coordinate_move, x_p)) for x_p in xs]
+            for s_parts in restricted:
                 rights = [
-                    {phi.compose(k).images: n for k, n in conjugates}
-                    for phi, conjugates in zip(phis, tally)
+                    [tuple(map(move, s_p.images)) for move in moves]
+                    for moves, s_p in zip(x_moves, s_parts)
                 ]
+                # each part's count is the number of equal entries
                 term = sum(
-                    prod(right.get(key, 0) for right, key in zip(rights, keys))
-                    for keys in lefts
+                    prod(sum(map(eq, *pair)) for pair in zip(left, rights))
+                    for left in lefts
                 )
                 if term % size:
                     raise RuntimeError(
                         "moving Burnside term is not a multiple of |H|"
                     )
-                fixed += weight * term
+                fixed += term
         if fixed % (size * len(image)):
             raise RuntimeError("Burnside sum is not a multiple of |H| |G image|")
         total += fixed // (size * len(image))

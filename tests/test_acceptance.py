@@ -16,7 +16,13 @@ from itertools import product
 from math import gcd
 
 from k3fm.cli import SWEEP_FIELDS, main
-from k3fm.discforms import isometry_between, isometry_group, ns_form, structure_invariants
+from k3fm.discforms import (
+    DFIsometry,
+    isometry_between,
+    isometry_group,
+    ns_form,
+    structure_invariants,
+)
 from k3fm.errors import InvalidParameterError
 from k3fm.intmath import distinct_primes, totient, xgcd
 from k3fm.lagrangians import (
@@ -626,6 +632,22 @@ def test_criterion_06c_fm_counting_noncyclic_grid():
     _report(6, "Fourier-Mukai counts on the gcd(2d, t) > 1 grid, t <= 12", start)
 
 
+def _oracle_fm_g(d, t, own, right):
+    """Partner count for the cyclic G whose image is ``right``, O(A_d) =
+    ``own``: over the genus, the double cosets O(L_e) \\ phi O(A_d) / G
+    for one isometry phi: A_d -> A_e, split by this file's partition
+    with every element of G acting on the right."""
+    form = ns_form(d, t).form
+    total = 0
+    for e in genus_representatives(d, t):
+        phi = isometry_between(form, ns_form(e, t).form)
+        ambient = [phi.compose(x) for x in own]
+        total += _double_coset_partition(
+            ambient, o_lambda_image(e, t), right, lambda a, b: a.compose(b)
+        )
+    return total
+
+
 # 6d. fm counts for every cyclic G that GSpec accepts, not only {+-1}:
 #     every cell with t <= 20 and every distinct image <sigma> in O(A_d),
 #     with the least admissible abstract order.  The group data (O(A_d),
@@ -643,16 +665,37 @@ def test_criterion_06d_fm_counting_every_cyclic_group():
         groups += 1
         not_sign += image != sign
         larger += len(image) > 2
-        oracle = 0
-        for e in genus_representatives(d, t):
-            phi = isometry_between(form, ns_form(e, t).form)
-            ambient = [phi.compose(x) for x in own]
-            oracle += _double_coset_partition(
-                ambient, o_lambda_image(e, t), right, lambda a, b: a.compose(b)
-            )
-        assert fm_count(d, t, g) == oracle, (d, t, len(image))
+        assert fm_count(d, t, g) == _oracle_fm_g(d, t, own, right), (d, t, len(image))
     assert (groups, not_sign, larger) == (234, 24, 23)
     _report(6, "Fourier-Mukai counts for every cyclic G, t <= 20", start)
+
+
+# 6e. fm counts for a moving G past t = 20: cells with at least two genus
+#     classes and at least four elements of G other than +-id, each G
+#     given by its generator images (as --g-gen takes them) and its least
+#     admissible order, against the 6d oracle and a pinned count.
+MOVING_G_CELLS = [
+    ((21, 91), ((3, 0), (6, 1013)), 6, 12),
+    ((24, 99), ((2, 1089), (1, 2177)), 6, 10),
+    ((84, 90), ((5, 450), (2, 1349)), 6, 8),
+    ((66, 77), ((0, 343), (5, 195)), 10, 6),
+    ((60, 75), ((14, 75), (12, 224)), 10, 8),
+    ((80, 100), ((19, 100), (16, 99)), 10, 8),
+    ((20, 25), ((4, 25), (4, 49)), 10, 2),
+]
+
+
+def test_criterion_06e_fm_counting_moving_g_past_t_20():
+    start = time.perf_counter()
+    for (d, t), images, order, fm in MOVING_G_CELLS:
+        form = ns_form(d, t).form
+        g = GSpec(DFIsometry(form, form, images), order)
+        assert len(genus_representatives(d, t)) >= 2, (d, t)
+        assert len(g.moving_elements()) >= 4, (d, t)
+        oracle = _oracle_fm_g(d, t, isometry_group(form), g.image_elements())
+        assert oracle == fm, (d, t)
+        assert fm_count(d, t, g) == oracle, (d, t)
+    _report(6, "Fourier-Mukai counts for a moving G, 20 < t <= 100", start)
 
 
 # 7. Jacobian calculus laws over k in [0, 4t).

@@ -87,6 +87,17 @@ GOLDEN = [
         '"t_general":false,"twist_classes":2}\n',
     ),
     (
+        ["fm", "--d", "0", "--t", "97", "--g-gen", "22,0;0,75", "--g-order", "4",
+         "--json"],
+        '{"d":0,"fm":24,"g_order":4,"t":97}\n',
+    ),
+    (
+        ["de", "--d", "0", "--t", "97", "--g-gen", "22,0;0,75", "--g-order", "4",
+         "--json"],
+        '{"b_order":2,"d":0,"de":48,"de_orbits":2,"g_order":4,"t":97,'
+        '"t_general":false,"twist_classes":48}\n',
+    ),
+    (
         ["de", "--d", "1", "--t", "13", "--b-order", "4", "--json"],
         '{"b_order":4,"d":1,"de":6,"de_orbits":1,"g_order":2,"t":13,'
         '"t_general":true,"twist_classes":3}\n',

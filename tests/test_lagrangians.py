@@ -512,6 +512,9 @@ def test_g_orbits_rejects_mismatched_group():
     g = GSpec.sign_group(ns_form(2, 5).form)
     with pytest.raises(InvalidIsometryError):
         g_orbits(elems, g)
+    # double_quotient moves subgroups without g_orbits and checks G itself
+    with pytest.raises(InvalidIsometryError):
+        double_quotient(1, 5, g)
 
 
 def test_double_quotient_frozen():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from k3fm import cli
 from k3fm.discforms import (
     DFIsometry,
-    FiniteQuadForm,
     NSForm,
     as_isometry,
     identity_isometry,
@@ -21,7 +20,6 @@ from k3fm.discforms import (
     isometry_group,
     neg_identity,
     ns_form,
-    primary_decomposition,
 )
 from k3fm.errors import (
     CapacityError,
@@ -71,7 +69,7 @@ from k3fm.surfaces import (
     jacobian_index,
     jspecial_torsor_exists,
     mukai_divisibility,
-    _part_order,
+    _isometry_order,
     o_lambda_image,
     o_plus_image,
     second_fibration_jacobian,
@@ -893,7 +891,7 @@ def test_fm_count_checks_each_moving_term(monkeypatch):
 
 def test_fm_count_checks_the_part_groups_against_their_orders(monkeypatch):
     # a moving G enumerates O(A_p); the table must agree with the scan
-    monkeypatch.setattr("k3fm.surfaces._part_order", lambda part: 4)
+    monkeypatch.setattr("k3fm.surfaces._isometry_order", lambda d, factors: 4)
     with pytest.raises(RuntimeError, match="disagree with their orders"):
         fm_count(0, 5, GSpec(_sigma4(), 4))
 
@@ -906,22 +904,23 @@ def test_part_order_matches_the_isometry_scan():
         if len(distinct_primes(q)) != 1:
             continue
         for d in range(q):
-            (part,) = ns_form(d, q).primary_parts
-            assert _part_order(part) == len(isometry_group(part.form)), (d, q)
+            nf = ns_form(d, q)
+            (part,) = nf.primary_parts
+            assert _isometry_order(d, nf.t_factors) == len(isometry_group(part.form)), (d, q)
             checked += 1
     assert checked == 1375
 
 
-def test_part_order_reads_q_on_the_klein_group_and_refuses_other_shapes():
-    half = Fraction(1, 2)
-    # the form v: q = 1 on all three nonzero elements, so O = S_3
-    (v,) = primary_decomposition(FiniteQuadForm.make((2, 2), (1, 1), ((1, half), (half, 1))))
-    assert _part_order(v) == len(isometry_group(v.form)) == 6
-    for orders, q in (((4,), (Fraction(1, 4),)), ((2, 4), (1, Fraction(1, 2)))):
-        b = [[q[i] if i == j else 0 for j in range(len(q))] for i in range(len(q))]
-        (part,) = primary_decomposition(FiniteQuadForm.make(orders, q, b))
-        with pytest.raises(RuntimeError, match="no family 2-part"):
-            _part_order(part)
+def test_isometry_order_of_the_klein_group_follows_the_parity_of_d():
+    # 2 || t makes A_2 = (Z/2)^2 on every family cell; its q leaves one
+    # transposition of the nonzero elements for even d and none for odd d
+    for t in range(2, 43, 4):
+        for d in range(-t, 2 * t):
+            part = ns_form(d, t).primary_parts[0]
+            assert part.form.orders == (2, 2), (d, t)
+            order = 2 if d % 2 == 0 else 1
+            assert len(isometry_group(part.form)) == order, (d, t)
+            assert _isometry_order(d, {2: 1}) == order, (d, t)
 
 
 def test_o_lambda_order_matches_the_image():
@@ -963,6 +962,7 @@ def test_part_isometry_groups_multiply_to_the_whole_group():
         for d in range(-t, 2 * t):
             whole = len(isometry_group(ns_form(d, t).form))
             assert _part_group_order(d, t) == whole, (d, t)
+            assert _isometry_order(d, ns_form(d, t).t_factors) == whole, (d, t)
 
 
 def test_cyclic_odd_part_groups_have_two_to_the_omega():
