@@ -6,6 +6,7 @@ which is ample for the multisection indices this package targets
 (t up to a few million; 510510 = 2*3*5*7*11*13*17 factors instantly).
 """
 
+from itertools import compress
 from math import gcd, isqrt
 
 
@@ -97,7 +98,10 @@ def units_mod(n: int) -> tuple[int, ...]:
         raise ValueError(f"units_mod expects n >= 1, got {n}")
     if n == 1:
         return (0,)
-    return tuple(u for u in range(1, n) if gcd(u, n) == 1)
+    sieve = bytearray(b"\x01") * n
+    for p in factorize(n):
+        sieve[::p] = bytes(len(range(0, n, p)))
+    return tuple(compress(range(n), sieve))
 
 
 def close_units_subgroup(n: int, gens) -> frozenset[int]:

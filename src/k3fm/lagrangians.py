@@ -171,8 +171,9 @@ def canonical_pair(d: int, t: int) -> tuple[LagrangianElement, LagrangianElement
 def _lagrangian_coords(d: int, t: int) -> list[tuple[int, ...]]:
     """Coordinate tuples of the isotropic order-t elements, sorted: the
     unit multiples of a generator of each isotropic cyclic subgroup of
-    order t, one q-test per p-part of such a subgroup.  The element budget
-    still bounds the whole group, which has t^2 elements."""
+    order t, one q-test per p-part.  It backs element listings and the
+    check in ``de_counts`` that the subgroups hold every element; no count
+    walks it.  The element budget bounds the whole group (t^2 elements)."""
     form = ns_form(d, t).form
     budget.require(form.size, budget.element_cap(), "|A| for an element scan")
     if form.rank == 0:
@@ -391,39 +392,6 @@ def _coordinate_move(sigma: DFIsometry):
     reduced mod the j-th generator order."""
     rows = tuple(zip(zip(*sigma.images), sigma.codomain.orders))
     return lambda c: tuple([sum(map(mul, row, c)) % n for row, n in rows])
-
-
-def _coordinate_images(sigma: DFIsometry, points) -> list:
-    """[sigma(c) for c in points] on coordinate tuples, in one pass.  On
-    rank two sigma's 2x2 integer matrix is inlined; other ranks take the
-    per-coordinate dot products of ``_coordinate_move``."""
-    if sigma.domain.rank != 2:
-        return list(map(_coordinate_move(sigma), points))
-    (a, c), (b, d) = sigma.images
-    n1, n2 = sigma.codomain.orders
-    return [((a * x + b * y) % n1, (c * x + d * y) % n2) for x, y in points]
-
-
-def _cycle_count(sigma: DFIsometry, points) -> int:
-    """Number of orbits of <sigma> on ``points``, a list of distinct
-    coordinate tuples that sigma must map onto itself: the cycles of the
-    index permutation i -> index of sigma(points[i]).  Raises
-    RuntimeError when an image is not in ``points``."""
-    index = {c: i for i, c in enumerate(points)}
-    try:
-        perm = [index[c] for c in _coordinate_images(sigma, points)]
-    except KeyError:
-        raise RuntimeError("G moved a Lagrangian element off the scan") from None
-    seen = bytearray(len(perm))
-    cycles = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cycles += 1
-        while not seen[i]:
-            seen[i] = 1
-            i = perm[i]
-    return cycles
 
 
 def _orbits(items, key, moves):

@@ -35,7 +35,7 @@ from .lattices import IntMatrix, genus_representatives
 from .lagrangians import (
     GSpec,
     _coordinate_move,
-    _cycle_count,
+    _idempotents,
     _lagrangian_coords,
     count_lagrangians,
     enumerate_lagrangian_subgroups,
@@ -185,11 +185,12 @@ def coprime_jacobian_classes(t: int, b_group) -> tuple[int, tuple[int, ...]]:
         raise InvalidParameterError("B is not closed under products")
     if (-1) % t not in b:
         raise InvalidParameterError("B must contain -1")
-    seen, reps = set(), []
+    seen, reps = bytearray(t), []
     for u in units_mod(t):
-        if u not in seen:
+        if not seen[u]:
             reps.append(u)
-            seen.update(u * x % t for x in b)
+            for x in b:
+                seen[u * x % t] = 1
     if len(reps) != totient(t) // len(b):
         raise RuntimeError("coset count disagrees with phi(t)/|B|")
     return len(reps), tuple(reps)
@@ -323,30 +324,77 @@ def _de_closed_form(d: int, t: int):
     return elements // 2, subgroups
 
 
+def _unit_order(nf, move, g, r: int, span: int, idem: dict) -> int:
+    """ord_t(lam) for the unit lam with sigma^r(g) = lam g: ``g`` are the
+    generator coordinates of a Lagrangian subgroup in the bundle ``nf``, r
+    the length of its sigma-orbit, ``move`` sigma on coordinates.  For
+    each p^k || t, lam mod p^k comes from one coordinate j on which g's
+    p-part has order p^k: with e = gcd(g_j, n_j), lam g_j = h_j mod n_j
+    fixes lam mod n_j / e, a multiple of p^k; t's CRT idempotents ``idem``
+    combine the residues.  RuntimeError when lam g differs from sigma^r(g)
+    on some coordinate, or when lam^span != 1 (sigma has order |G image|,
+    so ord_t(lam) divides span = |G image| / r).
+    """
+    t, orders = nf.t, nf.form.orders
+    h = g
+    for _ in range(r):
+        h = move(h)
+    lam = 0
+    for p, k in nf.t_factors.items():
+        for x, y, n in zip(g, h, orders):
+            e = gcd(x, n)
+            if n // e % p**k == 0:
+                lam += y // e * pow(x // e, -1, n // e) * idem[p]
+                break
+    lam %= t
+    if any((lam * x - y) % n for x, y, n in zip(g, h, orders)):
+        raise RuntimeError("sigma^r is not a unit multiple of a subgroup generator")
+    if pow(lam, span, t) != 1 % t:
+        raise RuntimeError("orbit unit has an order not dividing |G image|/r")
+    return next(e for e in range(1, span + 1) if pow(lam, e, t) == 1 % t)
+
+
 def de_counts(model: SurfaceModel) -> tuple[int, int]:
     """(derived elliptic structures, G-orbits of Lagrangian subgroups).
 
     The first number is the count of G-orbits of Lagrangian elements, the
-    second of G-orbits of Lagrangian subgroups.  For T-general members
-    with t > 2 the closed forms 2^(omega(m)-1) phi(t) and 2^omega(m)
-    apply.  Inside the element budget the first number is the number of
-    cycles of G's generator sigma on the scanned coordinate tuples (G is
-    cyclic, so its orbits are sigma's cycles), checked against the closed
-    form where it applies.  Beyond the budget the closed form is trusted
-    where it applies; elsewhere the scan raises CapacityError.
+    second of G-orbits of Lagrangian subgroups.  Every Lagrangian element
+    generates exactly one of the 2^omega(m) Lagrangian subgroups, and G's
+    generator sigma permutes them (``g_orbits``).  For an orbit O of
+    length r, sigma^r maps each generator g of its least subgroup to
+    lam_O g for one unit lam_O mod t (``_unit_order``), so sigma's cycles
+    on the phi(t) r generators of O's subgroups number phi(t)/ord_t(lam_O)
+    (P12): de = sum over O of phi(t)/ord_t(lam_O).  No element is walked.
+
+    For T-general members with t > 2 both numbers are checked against the
+    closed forms 2^(omega(m)-1) phi(t) and 2^omega(m), and beyond the
+    element budget that is the answer.  Otherwise the scan of Lagrangian
+    elements (``_lagrangian_coords``) runs once, as the cross-check that
+    the subgroups account for every element (phi(t) generators each); it
+    is what raises CapacityError beyond the budget.
     """
     d, t = model.d, model.t
+    nf = ns_form(d, t)
     subs = enumerate_lagrangian_subgroups(d, t)
-    de_orbits = len(g_orbits(subs, model.G))
+    orbits = g_orbits(subs, model.G)
+    move, size = _coordinate_move(model.G.generator), len(model.G.image_elements())
+    idem = _idempotents(t, nf.t_factors)
+    phi = prod((p - 1) * p ** (k - 1) for p, k in nf.t_factors.items())
+    de = 0
+    for o in orbits:
+        r = len(o)
+        de += phi // _unit_order(nf, move, o[0].generator.coords, r, size // r, idem)
     closed = _de_closed_form(d, t) if model.t_general else None
-    if closed is not None and closed[1] != de_orbits:
-        raise RuntimeError("orbit count disagrees with the closed form")
-    if closed is not None and ns_form(d, t).form.size > budget.element_cap():
-        return closed[0], de_orbits
-    de = _cycle_count(model.G.generator, _lagrangian_coords(d, t))
-    if closed is not None and de != closed[0]:
-        raise RuntimeError("element orbit count disagrees with the closed form")
-    return de, de_orbits
+    if closed is not None:
+        if closed[1] != len(orbits):
+            raise RuntimeError("orbit count disagrees with the closed form")
+        if closed[0] != de:
+            raise RuntimeError("element orbit count disagrees with the closed form")
+        if nf.form.size > budget.element_cap():
+            return de, len(orbits)
+    if len(_lagrangian_coords(d, t)) != len(subs) * phi:
+        raise RuntimeError("subgroups do not account for the scanned elements")
+    return de, len(orbits)
 
 
 def ht_classify(d: int, t: int, t_general: bool) -> HTClass:

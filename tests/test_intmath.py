@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,9 @@ def test_xgcd_bezout(a, b):
 def test_units_mod():
     assert units_mod(1) == (0,)
     assert units_mod(12) == (1, 5, 7, 11)
+    # the prime sieve against the gcd filter
+    for n in range(2, 3001):
+        assert units_mod(n) == tuple(u for u in range(1, n) if gcd(u, n) == 1), n
 
 
 def test_close_units_subgroup():

@@ -29,16 +29,9 @@ from k3fm.errors import (
     NotApplicableError,
     OutOfScopeError,
 )
-from k3fm import surfaces
-from k3fm.intmath import close_units_subgroup, distinct_primes, units_mod
-from k3fm.lagrangians import (
-    GSpec,
-    _coordinate_images,
-    _coordinate_move,
-    _cycle_count,
-    _lagrangian_coords,
-    _orbits,
-)
+from k3fm import kernels, surfaces
+from k3fm.intmath import close_units_subgroup, distinct_primes, totient, units_mod
+from k3fm.lagrangians import GSpec, _coordinate_move, _lagrangian_coords, _orbits
 from k3fm.lattices import (
     IntMatrix,
     RationalVector,
@@ -538,10 +531,10 @@ def test_de_counts_big_squarefree():
 
 
 def test_de_counts_raises_when_g_leaves_the_scan(monkeypatch):
-    # -1 maps the dropped element's negative onto it, off the list
+    # the subgroups then hold one element more than the scan
     scan = surfaces._lagrangian_coords
     monkeypatch.setattr(surfaces, "_lagrangian_coords", lambda d, t: scan(d, t)[1:])
-    with pytest.raises(RuntimeError, match="off the scan"):
+    with pytest.raises(RuntimeError, match="subgroups do not account for the scanned"):
         de_counts(SurfaceModel.general(0, 5))
 
 
@@ -555,7 +548,7 @@ def test_de_counts_checks_the_element_count_against_the_closed_form(monkeypatch)
 
     monkeypatch.setattr(surfaces, "_lagrangian_coords", without_a_pair)
     for d, t in [(0, 5), (1, 7), (4, 10)]:  # rank 2, rank 1, m = 2
-        with pytest.raises(RuntimeError, match="element orbit count disagrees"):
+        with pytest.raises(RuntimeError, match="subgroups do not account for the scanned"):
             de_counts(SurfaceModel.general(d, t))
 
 
@@ -566,6 +559,35 @@ def test_de_counts_checks_the_subgroup_count_against_the_closed_form(monkeypatch
     )
     with pytest.raises(RuntimeError, match="^orbit count disagrees"):
         de_counts(SurfaceModel.general(6, 6))
+
+
+def _coordinate_images(sigma, points):
+    """[sigma(c) for c in points] on coordinate tuples, in one pass.  On
+    rank two sigma's 2x2 integer matrix is inlined; other ranks take the
+    per-coordinate dot products of ``_coordinate_move``."""
+    if sigma.domain.rank != 2:
+        return list(map(_coordinate_move(sigma), points))
+    (a, c), (b, d) = sigma.images
+    n1, n2 = sigma.codomain.orders
+    return [((a * x + b * y) % n1, (c * x + d * y) % n2) for x, y in points]
+
+
+def _cycle_count(sigma, points):
+    """Oracle for the first DE count: the number of orbits of <sigma> on
+    ``points``, a list of distinct coordinate tuples that sigma maps onto
+    itself, as the cycles of i -> index of sigma(points[i])."""
+    index = {c: i for i, c in enumerate(points)}
+    perm = [index[c] for c in _coordinate_images(sigma, points)]
+    seen = bytearray(len(perm))
+    cycles = 0
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        cycles += 1
+        while not seen[i]:
+            seen[i] = 1
+            i = perm[i]
+    return cycles
 
 
 def _check_cycle_count(sigma, coords):
@@ -609,6 +631,69 @@ def test_cycle_count_matches_the_orbit_walk_on_order_four_groups():
                 groups += 1
     assert groups == 6  # two order-4 rotations of A(0, t) for each t = 1 mod 4
     assert isometries == 128  # 2(t - 1) on A(0, t), +-1 on the cyclic groups
+
+
+def test_de_counts_match_the_cycle_count_for_every_cyclic_group():
+    # G generated by each isometry whose powers hold -id, with the least
+    # order GSpec accepts; P12 against scanning and walking sigma's cycles
+    orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
+    pairs = 0
+    for t in range(3, 41):
+        b = frozenset({1, t - 1})
+        for d in range(t):
+            coords = _lagrangian_coords(d, t)
+            for sigma in isometry_group(ns_form(d, t).form):
+                k = sigma.order()
+                n = next((n for n in orders if n % k == 0), None)
+                if n is None:
+                    continue
+                try:
+                    g = GSpec(sigma, n)
+                except InvalidParameterError:
+                    continue
+                model = SurfaceModel(d, t, g, b, b, t_general=False)
+                assert de_counts(model)[0] == _cycle_count(sigma, coords), (d, t)
+                pairs += 1
+    assert pairs == 1053
+
+
+def _moved(monkeypatch, image):
+    """Make de_counts apply ``image(c)`` in place of sigma on coordinates."""
+    monkeypatch.setattr(surfaces, "_coordinate_move", lambda sigma: image)
+
+
+def test_de_counts_raises_when_sigma_is_not_a_unit_multiple(monkeypatch):
+    # (1, 0) generates a Lagrangian subgroup of A(0, 5) = (Z/5)^2
+    _moved(monkeypatch, lambda c: (c[0], (c[1] + 1) % 5))
+    with pytest.raises(RuntimeError, match="not a unit multiple"):
+        de_counts(SurfaceModel.general(0, 5))
+
+
+def test_de_counts_raises_when_the_unit_order_does_not_divide(monkeypatch):
+    # 2 has order 4 mod 5, which does not divide |{+-1}| / 1 = 2
+    _moved(monkeypatch, lambda c: tuple(2 * x % 5 for x in c))
+    with pytest.raises(RuntimeError, match="order not dividing"):
+        de_counts(SurfaceModel.general(0, 5))
+
+
+def test_de_counts_checks_p12_against_the_closed_form(monkeypatch):
+    # lam = 1 has order 1, which divides 2, but gives phi(t) per subgroup
+    _moved(monkeypatch, lambda c: c)
+    with pytest.raises(RuntimeError, match="element orbit count disagrees"):
+        de_counts(SurfaceModel.general(0, 5))
+
+
+def test_de_counts_scans_once_within_the_budget_and_never_beyond(monkeypatch):
+    calls = []
+    scan = kernels.scan_isotropic_elements
+    monkeypatch.setattr(
+        kernels, "scan_isotropic_elements", lambda *a: calls.append(a) or scan(*a)
+    )
+    assert de_counts(SurfaceModel.general(30, 2000)) == (1600, 4)
+    assert len(calls) == 1
+    monkeypatch.setenv("K3FM_BUDGET", "100")
+    assert de_counts(SurfaceModel.general(30, 2000)) == (1600, 4)
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------------- classifier
