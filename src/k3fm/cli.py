@@ -7,6 +7,11 @@ stable and round-trip through a parse/re-dump cycle unchanged.  Exit
 codes: 0 success, 1 sweep verification mismatch, 2 invalid input,
 3 budget exceeded.
 
+``main`` parses each request once, with its subcommand's parser; argv
+that names no subcommand, or that the subcommand's parser leaves words
+over from, goes through the top-level parser for argparse's own help
+and error output.
+
 Field names and flag formats are frozen; see docs/schema.md.
 """
 
@@ -520,6 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     Sharing is safe: ``parse_args`` makes a fresh namespace per call and
     leaves the parser unchanged, and help text is laid out when printed.
+    Its ``subcommand_parsers`` maps each subcommand name to the parser
+    ``main`` hands the rest of argv to.
     """
     parser = argparse.ArgumentParser(
         prog="k3fm",
@@ -530,6 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommand_parsers = sub.choices
 
     def add_dt(sp):
         sp.add_argument("--d", type=int, required=True, help="degree parameter d")
@@ -657,9 +665,33 @@ def run(request: Request) -> tuple[int, str]:
     return 0, table + "\n"
 
 
+def _parse_argv(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """The namespace ``parser.parse_args(argv)`` gives, in one argparse pass.
+
+    For a subcommand the top-level parser only hands the rest of argv to
+    the subcommand's ``parse_known_args`` and sets ``subcommand``; this
+    makes that call directly.  Everything else, and a request the
+    subcommand's parser leaves arguments over from, goes through
+    ``parse_args``, so help and error output are argparse's own.
+    """
+    sub = parser.subcommand_parsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one request (``sys.argv[1:]`` by default); returns the exit code.
+
+    The request is parsed once, by its subcommand's parser
+    (``_parse_argv``), into the namespace ``build_parser().parse_args``
+    would give."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_argv(build_parser(), argv)
     request = Request(
         args.subcommand,
         args,

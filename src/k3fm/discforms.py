@@ -506,8 +506,9 @@ class NSForm:
     bundle, so the ``ns_form`` cache drops it with the bundle: ``vbar``,
     the class of F/t (the fibre ray scaled to order t), ``vprime``, the
     class of F'/t for the second isotropic ray F', t's factorisation
-    ``t_factors``, the primary parts and ``o_lambda_rows``, the one map
-    from the maps on A to the lattice isometries inducing them.  Dual
+    ``t_factors``, the primary parts, ``o_lambda_rows``, the one map
+    from the maps on A to the lattice isometries inducing them, and
+    ``o_lambda_maps``, those isometries with their validated maps.  Dual
     classes, as in ``fh``, are read off integer vectors G x.  A genus
     member that ``surfaces.fm_count`` only counts costs its SNF, form and
     parts.
@@ -580,6 +581,17 @@ class NSForm:
         if key(((-1, 0), (0, -1))) not in out:
             raise RuntimeError("O(L) image does not contain -id")
         return out
+
+    @cached_property
+    def o_lambda_maps(self) -> tuple:
+        """(rows, map) for every lattice isometry in ``o_lambda_rows``,
+        with the map on L*/L it induces, validated by
+        ``LatticeForm.induced_isometry``: computed once per cached bundle."""
+        return tuple(
+            (rows, self.lf.induced_isometry(IntMatrix(rows)))
+            for group in self.o_lambda_rows.values()
+            for rows in group
+        )
 
     @property
     def o_lambda_order(self) -> int:
@@ -654,13 +666,24 @@ class PrimaryPart:
 
     def restrict(self, iso: DFIsometry) -> DFIsometry:
         """The isometry of this part that an isometry of the parent form
-        induces: a group automorphism keeps each p-primary part."""
+        induces: a group automorphism keeps each p-primary part.
+
+        On coordinates: the part generator m_i g_i goes to m_i times the
+        parent image of g_i, read at this part's positions j through the
+        inverse cofactor m_j^-1 mod p^a_j, as ``embed``, ``apply`` and
+        ``project`` would."""
+        if iso.domain != self.parent or iso.codomain != self.parent:
+            raise InvalidElementError("isometry does not act on the parent form")
+        back = [
+            (j, pow(m, -1, pk), pk)
+            for j, m, pk in zip(self.indices, self.cofactors, self.form.orders)
+        ]
         return DFIsometry(
             self.form,
             self.form,
             tuple(
-                self.project(iso.apply(self.embed(self.form.element(unit)))).coords
-                for unit in _identity_images(self.form.rank)
+                tuple(m * iso.images[i][j] * inv % pk for j, inv, pk in back)
+                for i, m in zip(self.indices, self.cofactors)
             ),
         )
 

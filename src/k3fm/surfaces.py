@@ -31,7 +31,7 @@ from .errors import (
     OutOfScopeError,
 )
 from .intmath import close_units_subgroup, distinct_primes, is_prime, totient, units_mod
-from .lattices import IntMatrix, genus_representatives
+from .lattices import genus_representatives
 from .lagrangians import (
     GSpec,
     _coordinate_move,
@@ -264,17 +264,13 @@ def allowed_G_orders(rk_t: int) -> tuple[int, ...]:
 
 
 def _induced_maps(d: int, t: int, f_columns=None) -> tuple[DFIsometry, ...]:
-    """The distinct maps on A induced by the lattice isometries in
-    ``ns_form(d, t).o_lambda_rows``, each validated by
-    ``induced_isometry``, sorted; only those whose F-column lies in
-    ``f_columns`` when it is given."""
-    nf = ns_form(d, t)
+    """The distinct maps on A induced by the lattice isometries, read off
+    ``ns_form(d, t).o_lambda_maps`` (validated once per bundle), sorted;
+    only those whose F-column lies in ``f_columns`` when it is given."""
     out = {}
-    for group in nf.o_lambda_rows.values():
-        for rows in group:
-            if f_columns is None or (rows[0][1], rows[1][1]) in f_columns:
-                iso = nf.lf.induced_isometry(IntMatrix(rows))
-                out[iso.images] = iso
+    for rows, iso in ns_form(d, t).o_lambda_maps:
+        if f_columns is None or (rows[0][1], rows[1][1]) in f_columns:
+            out[iso.images] = iso
     return tuple(out[k] for k in sorted(out))
 
 

@@ -2,6 +2,7 @@
 sweep consistency with the single-cell subcommands, CSV export, the
 parallel path, and JSON output against the library's values."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -24,6 +25,7 @@ from k3fm.discforms import ns_form, structure_invariants
 from k3fm.lagrangians import GSpec, count_lagrangians
 from k3fm.lattices import genus_representatives
 from k3fm.surfaces import SurfaceModel, de_counts, fm_count
+from test_repository import _load_perfbench
 
 
 def run_cli(argv, capsys):
@@ -196,14 +198,16 @@ def test_console_script_installed():
 # ------------------------------------------------------------ parser reuse
 
 # One of each outcome main() has: a table and a JSON answer, an argparse
-# rejection (missing --t), invalid input, an exceeded budget, and a valid
-# request again after all of them.
+# rejection (missing --t), invalid input, an exceeded budget, an unknown
+# subcommand (rejected by the top-level parser), and a valid request
+# again after all of them.
 REUSE_SEQUENCE = [
     ["disc", "--d", "3", "--t", "4"],
     ["pair", "--d", "2", "--t", "5", "--json"],
     ["fm", "--d", "1"],
     ["disc", "--d", "1", "--t", "0"],
     ["fm", "--d", "0", "--t", "101"],
+    ["f", "--d", "3", "--t", "4"],
     ["disc", "--d", "3", "--t", "4"],
 ]
 
@@ -226,10 +230,120 @@ def test_build_parser_is_built_once():
 
 def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
     shared = _run_sequence(capsys)
-    assert [code for code, _, _ in shared] == [0, 0, ("SystemExit", 2), 2, 3, 0]
+    assert [code for code, _, _ in shared] == [
+        0, 0, ("SystemExit", 2), 2, 3, ("SystemExit", 2), 0
+    ]
     assert shared[0] == shared[-1]
     monkeypatch.setattr("k3fm.cli.build_parser", build_parser.__wrapped__)
     assert _run_sequence(capsys) == shared
+
+
+# ----------------------------------------------------- one parse per request
+
+# argv that main() must handle exactly as build_parser().parse_args does:
+# help, unknown and abbreviated subcommands, missing, repeated,
+# abbreviated, '='-joined and unknown flags, negative values, exclusive
+# flags, stray words, '--' and a lone '-'.
+PARITY_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["fm", "-h"],
+    ["disc", "--d", "1", "--t", "5", "--help"],
+    ["f", "--d", "1", "--t", "5"],
+    ["--d", "1", "disc"],
+    ["fm", "--d", "1"],
+    ["fm", "--t", "5", "--d", "1", "--d", "2"],
+    ["fm", "--d", "1", "--t", "5", "--js"],
+    ["de", "--d", "1", "--t", "5", "--t-gen"],
+    ["de", "--d", "1", "--t", "5", "--g", "4"],  # --g-order or --g-gen
+    ["fm", "--d=1", "--t=5", "--json"],
+    ["disc", "--d", "x", "--t", "5"],
+    ["disc", "--d", "1", "--t", "5", "--bogus"],
+    ["jac", "--t", "5", "--k", "-3"],
+    ["jac", "--t", "5", "--k", "2", "--compose", "--l", "-2"],
+    ["lagr", "--d", "0", "--t", "5", "--count", "--list"],
+    ["disc", "--d", "1", "--t", "5", "extra"],
+    ["disc", "--d", "1", "--t", "5", "--"],
+    ["disc", "--", "--d", "1", "--t", "5"],
+    ["disc", "--d", "1", "--t", "5", "-"],
+    ["sweep", "--t-min", "3", "--t-max", "4", "--jobs", "-1"],
+]
+
+
+def _outcome(parse, argv, capsys):
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def _main_namespace(monkeypatch):
+    """main() with ``run`` replaced, returning the namespace it parsed."""
+    parsed = []
+
+    def record(request):
+        parsed.append(request.params)
+        return 0, ""
+
+    monkeypatch.setattr("k3fm.cli.run", record)
+
+    def parse(argv):
+        parsed.clear()
+        assert main(argv) == 0
+        (args,) = parsed
+        return args
+
+    return parse
+
+
+def _parse_args(argv):
+    return k3fm.cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["shared", "fresh"])
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda v: " ".join(v) or "(none)")
+def test_main_parses_like_the_top_level_parser(argv, fresh, capsys, monkeypatch):
+    if fresh:
+        monkeypatch.setattr("k3fm.cli.build_parser", build_parser.__wrapped__)
+    via_main = _main_namespace(monkeypatch)
+    expected = _outcome(_parse_args, argv, capsys)
+    assert _outcome(via_main, argv, capsys) == expected
+
+
+def test_main_parses_the_query_streams_like_the_top_level_parser(monkeypatch):
+    # workloads.py imports its sibling checks.py by bare name
+    monkeypatch.setitem(sys.modules, "checks", _load_perfbench("checks"))
+    workloads = _load_perfbench("workloads")
+    via_main = _main_namespace(monkeypatch)
+    for seed in (0, 1):
+        for argv in workloads.query_stream(seed):
+            assert via_main(argv) == _parse_args(argv), (seed, argv)
+
+
+def test_a_valid_request_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(["disc", "--d", "3", "--t", "4", "--json"]) == 0
+    assert calls == ["k3fm disc"]
+    # the fallback routes: an unknown subcommand, and words left over
+    for argv, route in (
+        (["f", "--d", "3"], ["k3fm"]),
+        (["disc", "--d", "3", "--t", "4", "x"], ["k3fm disc", "k3fm", "k3fm disc"]),
+    ):
+        calls.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert calls == route, argv
+    capsys.readouterr()
 
 
 def test_import_builds_no_parser():

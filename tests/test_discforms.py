@@ -505,6 +505,11 @@ def test_restrict_agrees_with_the_whole_isometry():
             local = [part.restrict(sigma) for part in parts]
             for part, s in zip(parts, local):
                 as_isometry(part.form, part.form, s.images)
+                # the element route: embed each part generator, apply, project
+                assert s.images == tuple(
+                    part.project(sigma.apply(part.embed(part.form.element(unit)))).coords
+                    for unit in identity_isometry(part.form).images
+                )
             for x in form.elements():
                 back = form.zero()
                 for part, s in zip(parts, local):
@@ -518,6 +523,8 @@ def test_primary_part_rejects_foreign_elements():
         parts[0].project(ns_form(1, 5).vbar)
     with pytest.raises(InvalidElementError):
         parts[0].embed(ns_form(6, 6).vbar)
+    with pytest.raises(InvalidElementError):
+        parts[0].restrict(identity_isometry(ns_form(1, 5).form))
 
 
 # ---------------------------------------------------------------- isometries

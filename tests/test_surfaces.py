@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from k3fm import cli
 from k3fm.discforms import (
     DFIsometry,
+    LatticeForm,
     NSForm,
     as_isometry,
     identity_isometry,
@@ -469,6 +470,42 @@ def test_lattice_isometries_computed_once_per_bundle(monkeypatch):
     ns_form.cache_clear()
     o_lambda_image(1, 5)
     assert calls == [(1, 1, 5)] * 2
+
+
+def test_o_lambda_maps_are_validated_once_per_bundle(monkeypatch):
+    # a moving G lists the O(L) image of every genus class on every
+    # fm_count call; the maps are validated on the first and kept
+    calls = []
+    real = LatticeForm.induced_isometry
+
+    def counted(self, mat):
+        calls.append(mat)
+        return real(self, mat)
+
+    monkeypatch.setattr(LatticeForm, "induced_isometry", counted)
+    ns_form.cache_clear()
+    form = ns_form(20, 25).form
+    g = GSpec(as_isometry(form, form, ((4, 25), (4, 49))), 10)
+    reps = genus_representatives(20, 25)
+    assert len(reps) >= 2
+    assert fm_count(20, 25, g) == 2
+    validated = sum(len(ns_form(e, 25).o_lambda_maps) for e in reps)
+    assert len(calls) == validated == sum(
+        len(group) for e in reps for group in ns_form(e, 25).o_lambda_rows.values()
+    )
+    assert fm_count(20, 25, g) == 2
+    o_lambda_image(20, 25)
+    o_plus_image(20, 25)
+    assert len(calls) == validated
+    ns_form.cache_clear()
+    # every lattice isometry keeps its own validated map, also where
+    # several of them induce one map
+    for t in range(1, 13):
+        for d in range(t):
+            maps = ns_form(d, t).o_lambda_maps
+            assert sorted(rows for rows, _ in maps) == sorted(rank2_isometries(d, d, t))
+            for rows, iso in maps:
+                assert iso == real(ns_form(d, t).lf, IntMatrix(rows)), (d, t, rows)
 
 
 def test_aut_orders_frozen():
