@@ -7,10 +7,10 @@ stable and round-trip through a parse/re-dump cycle unchanged.  Exit
 codes: 0 success, 1 sweep verification mismatch, 2 invalid input,
 3 budget exceeded.
 
-``main`` parses each request once, with its subcommand's parser; argv
-that names no subcommand, or that the subcommand's parser leaves words
-over from, goes through the top-level parser for argparse's own help
-and error output.
+Each subcommand's flags are declared once, in ``SUBCOMMANDS``; the
+argparse parser is built from that table.  ``main`` reads well-formed
+argv against the table directly and hands anything else to the
+parser's ``parse_args``, for argparse's own help and error output.
 
 Field names and flag formats are frozen; see docs/schema.md.
 """
@@ -19,11 +19,13 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .discforms import DFIsometry, ns_form, structure_invariants
 from .errors import (
@@ -53,7 +55,6 @@ from .surfaces import (
     SurfaceModel,
     _de_closed_form,
     caldararu_class,
-    coprime_jacobian_classes,
     de_counts,
     fm_count,
     genus_representatives,
@@ -63,6 +64,9 @@ from .surfaces import (
     jacobian_index,
     mukai_divisibility,
 )
+
+# argparse's test for a word that is a negative number, not a flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 SWEEP_FIELDS = (
     "d",
@@ -293,7 +297,9 @@ def _cmd_de(args):
     b, j = _twist_group(t, args.b_order)
     model = SurfaceModel(d, t, g, b, b, t_general=t_general, isotrivial_j=j)
     de, de_orbits = de_counts(model)
-    twists = coprime_jacobian_classes(t, b)[0] if t > 2 else None
+    # phi(t) / |B|: B is a subgroup of (Z/t)*, checked by SurfaceModel
+    phi = prod((p - 1) * p ** (k - 1) for p, k in ns_form(d, t).t_factors.items())
+    twists = phi // len(b) if t > 2 else None
     payload = {
         "b_order": len(b),
         "d": d,
@@ -503,30 +509,104 @@ def _cmd_sweep(args):
     return rows, "\n".join(lines)
 
 
-_HANDLERS = {
-    "disc": _cmd_disc,
-    "lagr": _cmd_lagr,
-    "pair": _cmd_pair,
-    "involution": _cmd_involution,
-    "genus": _cmd_genus,
-    "fm": _cmd_fm,
-    "de": _cmd_de,
-    "ht": _cmd_ht,
-    "jac": _cmd_jac,
-    "overlattice": _cmd_overlattice,
-    "caldararu": _cmd_caldararu,
-    "sweep": _cmd_sweep,
+class Flag(NamedTuple):
+    """One flag of a subcommand; a ``bool`` flag is a store_true switch."""
+
+    name: str
+    type: type = bool
+    required: bool = False
+    default: object = None
+    help: str | None = None
+    group: str | None = None  # the flags of one group exclude each other
+
+
+_DT = (
+    Flag("--d", int, True, help="degree parameter d"),
+    Flag("--t", int, True, help="multisection index t"),
+)
+_JSON = (Flag("--json", help="emit canonical JSON"),)
+_G = (
+    Flag("--g-order", int, default=2, help="abstract order of G (even)"),
+    Flag("--g-gen", str, help="generator images, e.g. 'a,c;b,d' (default: -id)"),
+)
+_T_GENERAL = Flag("--t-general", help="declare T-general")
+
+# Each subcommand's handler, help and flags in --help order: the one
+# definition of the CLI grammar, which docs/schema.md freezes.
+SUBCOMMANDS = {
+    "disc": (_cmd_disc, "discriminant group structure and form", _DT + _JSON),
+    "lagr": (_cmd_lagr, "Lagrangian elements and subgroups", (
+        *_DT,
+        Flag("--count", help="counts only (default)", group="mode"),
+        Flag("--list", help="materialize both lists", group="mode"),
+        *_JSON,
+    )),
+    "pair": (_cmd_pair, "the canonical pair of Lagrangian classes", _DT + _JSON),
+    "involution": (_cmd_involution, "apply the selector involution", (
+        *_DT,
+        Flag("--selector", str,
+             help="subgroup selector like '2:V,3:Vprime' (default: all V)"),
+        *_JSON,
+    )),
+    "genus": (_cmd_genus, "genus representatives of the lattice", _DT + _JSON),
+    "fm": (_cmd_fm, "Fourier-Mukai partner count", _DT + _G + _JSON),
+    "de": (_cmd_de, "derived elliptic structure counts", (
+        *_DT,
+        *_G,
+        _T_GENERAL,
+        Flag("--b-order", int, default=2, help=(
+            "order of the twist group B (2, 4 or 6; 4 and 6 pin isotrivial j)")),
+        *_JSON,
+    )),
+    "ht": (_cmd_ht, "partner-location classification", (*_DT, _T_GENERAL, *_JSON)),
+    "jac": (_cmd_jac, "Jacobian index / composition / class", (
+        Flag("--t", int, True),
+        Flag("--k", int, True),
+        Flag("--index", help="index of J^k (default)", group="mode"),
+        Flag("--compose", help="J^k of J^l", group="mode"),
+        Flag("--canonical", help="canonical class of k", group="mode"),
+        Flag("--l", int, help="second operand for --compose"),
+        *_JSON,
+    )),
+    "overlattice": (_cmd_overlattice, "even overlattice from isotropic classes", (
+        *_DT,
+        Flag("--gens", str, True,
+             help="dual vectors like '1/5,0;0,1/5' (coordinates in the H,F basis)"),
+        *_JSON,
+    )),
+    "caldararu": (_cmd_caldararu, "obstruction class of a Mukai vector", (
+        *_DT,
+        Flag("--r", int, True),
+        Flag("--x", int, True, help="H coefficient of D"),
+        Flag("--y", int, True, help="F coefficient of D"),
+        Flag("--s", int, True),
+        *_JSON,
+    )),
+    "sweep": (_cmd_sweep, "batch rows over a (d, t) grid", (
+        Flag("--t-min", int, True),
+        Flag("--t-max", int, True),
+        Flag("--d-min", int),
+        Flag("--d-max", int),
+        Flag("--verify", help="run brute-force oracles per cell", group="mode"),
+        Flag("--formula-only", group="mode", help=(
+            "closed forms only; de/fm null where enumeration would be needed")),
+        Flag("--jobs", int, default=1, help="parallel worker count"),
+        Flag("--out", str, help="also write CSV here"),
+        *_JSON,
+    )),
 }
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it.
+    """The argument parser, built from ``SUBCOMMANDS`` on the first call
+    and shared after it.
 
     Sharing is safe: ``parse_args`` makes a fresh namespace per call and
     leaves the parser unchanged, and help text is laid out when printed.
-    Its ``subcommand_parsers`` maps each subcommand name to the parser
-    ``main`` hands the rest of argv to.
+    Its ``flag_lookup`` holds, per subcommand, what ``_parse_argv``
+    reads: each flag's dest and type, every dest's default, the required
+    flags and the exclusive groups.
     """
     parser = argparse.ArgumentParser(
         prog="k3fm",
@@ -537,128 +617,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parser.subcommand_parsers = sub.choices
-
-    def add_dt(sp):
-        sp.add_argument("--d", type=int, required=True, help="degree parameter d")
-        sp.add_argument("--t", type=int, required=True, help="multisection index t")
-
-    def add_json(sp):
-        sp.add_argument("--json", action="store_true", help="emit canonical JSON")
-
-    def add_g(sp):
-        sp.add_argument(
-            "--g-order", type=int, default=2, help="abstract order of G (even)"
-        )
-        sp.add_argument(
-            "--g-gen",
-            type=str,
-            default=None,
-            help="generator images, e.g. 'a,c;b,d' (default: -id)",
-        )
-
-    p = sub.add_parser("disc", help="discriminant group structure and form")
-    add_dt(p)
-    add_json(p)
-
-    p = sub.add_parser("lagr", help="Lagrangian elements and subgroups")
-    add_dt(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--count", action="store_true", help="counts only (default)")
-    mode.add_argument("--list", action="store_true", help="materialize both lists")
-    add_json(p)
-
-    p = sub.add_parser("pair", help="the canonical pair of Lagrangian classes")
-    add_dt(p)
-    add_json(p)
-
-    p = sub.add_parser("involution", help="apply the selector involution")
-    add_dt(p)
-    p.add_argument(
-        "--selector",
-        type=str,
-        default=None,
-        help="subgroup selector like '2:V,3:Vprime' (default: all V)",
-    )
-    add_json(p)
-
-    p = sub.add_parser("genus", help="genus representatives of the lattice")
-    add_dt(p)
-    add_json(p)
-
-    p = sub.add_parser("fm", help="Fourier-Mukai partner count")
-    add_dt(p)
-    add_g(p)
-    add_json(p)
-
-    p = sub.add_parser("de", help="derived elliptic structure counts")
-    add_dt(p)
-    add_g(p)
-    p.add_argument("--t-general", action="store_true", help="declare T-general")
-    p.add_argument(
-        "--b-order",
-        type=int,
-        default=2,
-        help="order of the twist group B (2, 4 or 6; 4 and 6 pin isotrivial j)",
-    )
-    add_json(p)
-
-    p = sub.add_parser("ht", help="partner-location classification")
-    add_dt(p)
-    p.add_argument("--t-general", action="store_true", help="declare T-general")
-    add_json(p)
-
-    p = sub.add_parser("jac", help="Jacobian index / composition / class")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--index", action="store_true", help="index of J^k (default)")
-    mode.add_argument("--compose", action="store_true", help="J^k of J^l")
-    mode.add_argument("--canonical", action="store_true", help="canonical class of k")
-    p.add_argument("--l", type=int, default=None, help="second operand for --compose")
-    add_json(p)
-
-    p = sub.add_parser("overlattice", help="even overlattice from isotropic classes")
-    add_dt(p)
-    p.add_argument(
-        "--gens",
-        type=str,
-        required=True,
-        help="dual vectors like '1/5,0;0,1/5' (coordinates in the H,F basis)",
-    )
-    add_json(p)
-
-    p = sub.add_parser("caldararu", help="obstruction class of a Mukai vector")
-    add_dt(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--x", type=int, required=True, help="H coefficient of D")
-    p.add_argument("--y", type=int, required=True, help="F coefficient of D")
-    p.add_argument("--s", type=int, required=True)
-    add_json(p)
-
-    p = sub.add_parser("sweep", help="batch rows over a (d, t) grid")
-    p.add_argument("--t-min", type=int, required=True)
-    p.add_argument("--t-max", type=int, required=True)
-    p.add_argument("--d-min", type=int, default=None)
-    p.add_argument("--d-max", type=int, default=None)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--verify", action="store_true", help="run brute-force oracles per cell"
-    )
-    mode.add_argument(
-        "--formula-only",
-        action="store_true",
-        help="closed forms only; de/fm null where enumeration would be needed",
-    )
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
-    p.add_argument("--out", type=str, default=None, help="also write CSV here")
-    add_json(p)
-
+    parser.flag_lookup = {}
+    for name, (_, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        groups, lookup, defaults = {}, {}, {}
+        for f in flags:
+            if f.group is not None and f.group not in groups:
+                groups[f.group] = p.add_mutually_exclusive_group()
+            target = groups.get(f.group, p)
+            if f.type is bool:
+                action = target.add_argument(f.name, action="store_true", help=f.help)
+            else:
+                action = target.add_argument(
+                    f.name, type=f.type, required=f.required, default=f.default,
+                    help=f.help,
+                )
+            lookup[f.name] = action.dest, f.type
+            defaults[action.dest] = action.default
+        required = frozenset(f.name for f in flags if f.required)
+        exclusive = [frozenset(f.name for f in flags if f.group == g) for g in groups]
+        parser.flag_lookup[name] = lookup, defaults, required, exclusive
     return parser
 
 
 def run(request: Request) -> tuple[int, str]:
-    handler = _HANDLERS[request.subcommand]
+    handler = SUBCOMMANDS[request.subcommand][0]
     payload, table = handler(request.params)
     if request.output_mode == "json":
         return 0, _json_dump(payload)
@@ -666,29 +649,48 @@ def run(request: Request) -> tuple[int, str]:
 
 
 def _parse_argv(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """The namespace ``parser.parse_args(argv)`` gives, in one argparse pass.
+    """The namespace ``parser.parse_args(argv)`` gives.
 
-    For a subcommand the top-level parser only hands the rest of argv to
-    the subcommand's ``parse_known_args`` and sets ``subcommand``; this
-    makes that call directly.  Everything else, and a request the
-    subcommand's parser leaves arguments over from, goes through
-    ``parse_args``, so help and error output are argparse's own.
+    Well-formed argv is read against ``parser.flag_lookup`` directly: a
+    subcommand, then flags spelled out in full, each at most once, each
+    value the next word, not starting with '-' unless it is a negative
+    number, and converting with the flag's type; every required flag
+    given, at most one of each exclusive group.  Anything else goes to
+    ``parse_args``, so help, errors, abbreviations, '='-joined and
+    repeated flags and '--' are argparse's own.
     """
-    sub = parser.subcommand_parsers.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            args.subcommand = argv[0]
-            return args
+    spec = parser.flag_lookup.get(argv[0]) if argv else None
+    if spec is not None:
+        lookup, defaults, required, exclusive = spec
+        values, seen = dict(defaults), set()
+        words = iter(argv[1:])
+        for word in words:
+            if word in seen or word not in lookup:
+                break
+            seen.add(word)
+            dest, kind = lookup[word]
+            if kind is bool:
+                values[dest] = True
+                continue
+            value = next(words, "-")  # a missing value is refused like a flag
+            if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+                break
+            try:
+                values[dest] = kind(value)
+            except ValueError:
+                break
+        else:
+            if required <= seen and all(len(g & seen) < 2 for g in exclusive):
+                return argparse.Namespace(subcommand=argv[0], **values)
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one request (``sys.argv[1:]`` by default); returns the exit code.
 
-    The request is parsed once, by its subcommand's parser
-    (``_parse_argv``), into the namespace ``build_parser().parse_args``
-    would give."""
+    Well-formed argv is parsed without argparse, into the namespace
+    ``build_parser().parse_args`` would give; anything else goes through
+    that call (``_parse_argv``)."""
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_argv(build_parser(), argv)

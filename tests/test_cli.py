@@ -20,11 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k3fm
-from k3fm.cli import SWEEP_FIELDS, SweepVerifyError, _sweep_workers, build_parser, main
+from k3fm.cli import (
+    SWEEP_FIELDS,
+    SweepVerifyError,
+    _sweep_workers,
+    _twist_group,
+    build_parser,
+    main,
+)
 from k3fm.discforms import ns_form, structure_invariants
+from k3fm.errors import InvalidParameterError
 from k3fm.lagrangians import GSpec, count_lagrangians
 from k3fm.lattices import genus_representatives
-from k3fm.surfaces import SurfaceModel, de_counts, fm_count
+from k3fm.surfaces import SurfaceModel, coprime_jacobian_classes, de_counts, fm_count
 from test_repository import _load_perfbench
 
 
@@ -243,7 +251,8 @@ def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
 # argv that main() must handle exactly as build_parser().parse_args does:
 # help, unknown and abbreviated subcommands, missing, repeated,
 # abbreviated, '='-joined and unknown flags, negative values, exclusive
-# flags, stray words, '--' and a lone '-'.
+# flags, stray words, '--' and a lone '-', values that are flags or are
+# missing, a flag of another subcommand, and dash, empty and signed values.
 PARITY_ARGV = [
     [],
     ["-h"],
@@ -268,6 +277,17 @@ PARITY_ARGV = [
     ["disc", "--", "--d", "1", "--t", "5"],
     ["disc", "--d", "1", "--t", "5", "-"],
     ["sweep", "--t-min", "3", "--t-max", "4", "--jobs", "-1"],
+    # the edges of main's direct read of the flag table
+    ["fm", "--d", "1", "--t", "--json"],
+    ["disc", "--d", "1", "--t"],
+    ["disc", "--d", "1", "--t", "5", "--k", "3"],
+    ["fm", "--d", "1", "--t", "5", "--g-gen", "-1,0;0,-1"],
+    ["jac", "--t", "5", "--k", "-.5"],
+    ["disc", "--d", "", "--t", "5"],
+    ["disc", "--d", "1", "--t", "5", "--json", "--json"],
+    ["jac", "--t", "5", "--k", "1", "--canonical", "--index"],
+    ["disc", "--d", "-3", "--t", "5"],
+    ["disc", "--d", "+3", "--t", "5"],
 ]
 
 
@@ -324,6 +344,8 @@ def test_main_parses_the_query_streams_like_the_top_level_parser(monkeypatch):
 
 
 def test_a_valid_request_is_parsed_once(capsys, monkeypatch):
+    # a well-formed request is read off the flag table with no argparse
+    # pass; any other argv makes exactly the calls of one parse_args
     calls = []
     real = argparse.ArgumentParser.parse_known_args
 
@@ -332,18 +354,35 @@ def test_a_valid_request_is_parsed_once(capsys, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    assert main(["disc", "--d", "3", "--t", "4", "--json"]) == 0
-    assert calls == ["k3fm disc"]
-    # the fallback routes: an unknown subcommand, and words left over
-    for argv, route in (
-        (["f", "--d", "3"], ["k3fm"]),
-        (["disc", "--d", "3", "--t", "4", "x"], ["k3fm disc", "k3fm", "k3fm disc"]),
-    ):
+
+    def route(parse, argv):
         calls.clear()
-        with pytest.raises(SystemExit):
-            main(argv)
-        assert calls == route, argv
-    capsys.readouterr()
+        with contextlib.suppress(SystemExit):
+            parse(argv)
+        capsys.readouterr()
+        return list(calls)
+
+    for argv in (
+        ["disc", "--d", "3", "--t", "4", "--json"],
+        ["jac", "--t", "5", "--k", "-3", "--compose", "--l", "-2"],
+        ["lagr", "--d", "0", "--t", "5", "--list"],
+    ):
+        assert route(main, argv) == [], argv
+    for argv, expected in (
+        (["f", "--d", "3"], ["k3fm"]),
+        (["disc", "--d", "3", "--t", "4", "x"], ["k3fm", "k3fm disc"]),
+        (["disc", "--d", "3", "--t", "4", "--json", "--json"], ["k3fm", "k3fm disc"]),
+    ):
+        assert route(main, argv) == route(_parse_args, argv) == expected, argv
+    # the benchmark's query streams are all well-formed
+    monkeypatch.setitem(sys.modules, "checks", _load_perfbench("checks"))
+    workloads = _load_perfbench("workloads")
+    via_main = _main_namespace(monkeypatch)
+    calls.clear()
+    for seed in (0, 1):
+        for argv in workloads.query_stream(seed):
+            via_main(argv)
+    assert calls == []
 
 
 def test_import_builds_no_parser():
@@ -676,3 +715,16 @@ def test_json_matches_library(cell):
     assert out["fm"]["fm"] == fm_count(d, t, GSpec.sign_group(nf.form))
     de = de_counts(SurfaceModel.general(d, t))
     assert (out["de"]["de"], out["de"]["de_orbits"]) == de
+
+
+def test_de_twist_classes_count_the_cosets_of_b():
+    # de reports phi(t)/|B|; coprime_jacobian_classes lists the cosets
+    for t in range(3, 61):
+        for order in (2, 4, 6):
+            try:
+                b, _ = _twist_group(t, order)
+            except InvalidParameterError:
+                continue
+            argv = ["de", "--d", "1", "--t", str(t), "--b-order", str(order), "--json"]
+            payload = _main_json(argv)
+            assert payload["twist_classes"] == coprime_jacobian_classes(t, b)[0], argv
