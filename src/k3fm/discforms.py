@@ -1,14 +1,16 @@
 """Finite quadratic forms q: A -> Q/2Z on finite abelian groups, as they
 arise on discriminant groups L*/L of even lattices.
 
-Groups are presented by generator orders (n1 | n2 | ..., the Smith normal
-form invariants), q by its values on the generators, and the induced
-bilinear pairing b: A x A -> Q/Z by its generator matrix.  Elements are
-coordinate tuples reduced into [0, n_i).  A form stores integers only:
-every q- and b-value on the generators as a numerator over one least
-common denominator, q numerators in [0, 2 den), b ones in [0, den).
-Fractions appear only where a value is read out (``q``, ``b``,
-``q_gen``, ``b_matrix``) or passed in (``FiniteQuadForm.make``).
+Groups are presented by generator orders (n1 | n2, the Smith normal form
+invariants; at most two, since every form here is the discriminant form
+of a rank-two lattice or a part of one), q by its values on the
+generators, and the induced bilinear pairing b: A x A -> Q/Z by its
+generator matrix.  Elements are coordinate tuples reduced into [0, n_i).
+A form stores integers only: every q- and b-value on the generators as a
+numerator over one least common denominator, q numerators in [0, 2 den),
+b ones in [0, den).  Fractions appear only where a value is read out
+(``q``, ``b``, ``q_gen``, ``b_matrix``) or passed in
+(``FiniteQuadForm.make``).  A form of rank above 2 raises OutOfScopeError.
 
 Sign convention: every computation in this package runs on the
 Neron-Severi side.  The transcendental-lattice discriminant form is the
@@ -40,14 +42,13 @@ from .lattices import (
     _snf2,
     ns_gram,
     rank2_isometries,
-    smith_normal_form,
 )
 
 
 @dataclass(frozen=True)
 class FiniteQuadForm:
-    """Finite quadratic form on (+) Z/n_i, generator orders ascending by
-    divisibility, all of them > 1.
+    """Finite quadratic form on (+) Z/n_i, at most two generators, their
+    orders ascending by divisibility, all of them > 1.
 
     The values on the generators are integer numerators over ``den``, the
     least common denominator of them all: q(g_i) = qn[i] / den in [0, 2)
@@ -64,6 +65,8 @@ class FiniteQuadForm:
 
     def __post_init__(self):
         r = len(self.orders)
+        if r > 2:
+            raise OutOfScopeError(f"forms have rank <= 2, got {r}")
         if len(self.qn) != r or len(self.bn) != r:
             raise InvalidParameterError("generator data lengths disagree")
         for i, n in enumerate(self.orders):
@@ -274,7 +277,7 @@ class DFIsometry:
     def is_identity(self) -> bool:
         if self.domain != self.codomain:
             return False
-        return self.images == _identity_images(self.domain.rank)
+        return self.images == _IDENTITY_IMAGES[self.domain.rank]
 
     def powers(self) -> tuple["DFIsometry", ...]:
         """sigma, sigma^2, ..., the identity: the cyclic group sigma
@@ -310,33 +313,24 @@ class DFIsometry:
         return DFIsometry(self.codomain, self.domain, tuple(images))
 
 
-def _units(r: int, one: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(one if j == i else 0 for j in range(r)) for i in range(r))
-
-
-# the generator images of +-id on forms of rank 0, 1 and 2, the family's
-_IDENTITY_IMAGES = tuple(_units(r, 1) for r in range(3))
-_NEG_IDENTITY_IMAGES = tuple(_units(r, -1) for r in range(3))
-
-
-def _identity_images(rank: int, sign: int = 1) -> tuple[tuple[int, ...], ...]:
-    """The unit coordinate tuples times ``sign``, +-id's generator images
-    before reduction: a shared constant up to rank 2, built above it."""
-    if rank < len(_IDENTITY_IMAGES):
-        return (_IDENTITY_IMAGES if sign == 1 else _NEG_IDENTITY_IMAGES)[rank]
-    return _units(rank, sign)
+# the generator images of id and -id on forms of rank 0, 1 and 2, before
+# reduction
+_IDENTITY_IMAGES = ((), ((1,),), ((1, 0), (0, 1)))
+_NEG_IDENTITY_IMAGES = ((), ((-1,),), ((-1, 0), (0, -1)))
 
 
 def identity_isometry(form: FiniteQuadForm) -> DFIsometry:
-    return DFIsometry(form, form, _identity_images(form.rank))
+    return DFIsometry(form, form, _IDENTITY_IMAGES[form.rank])
 
 
 def neg_identity(form: FiniteQuadForm) -> DFIsometry:
-    return DFIsometry(form, form, _identity_images(form.rank, -1))
+    return DFIsometry(form, form, _NEG_IDENTITY_IMAGES[form.rank])
 
 
 def _surjective_all_primes(domain, codomain, images) -> bool:
-    """Nakayama-style check: surjective iff surjective on A/pA for all p."""
+    """Nakayama-style check: surjective iff surjective on A/pA for all p,
+    that is, iff the map's matrix on the p-torsion generators (at most
+    2x2) has a determinant prime to p."""
     if domain.size != codomain.size:
         return False
     for p in distinct_primes(codomain.size):
@@ -464,29 +458,22 @@ class LatticeForm:
 
 
 def from_lattice(lat) -> LatticeForm:
-    """Discriminant form A = L*/L of an even lattice, via Smith normal form.
+    """Discriminant form A = L*/L of an even lattice (rank 2, as every
+    Lattice), via the Smith normal form ``_snf2`` of its Gram matrix.
 
     Generators are the columns v_i of the SNF transform V scaled by the
     invariant factors n_i; unit factors are dropped.  The form is read off
     the integers v_i G v_j: q_i = v_i G v_i / n_i^2 mod 2 and
     b_ij = v_i G v_j / (n_i n_j) mod 1.  Over n^2, n the largest n_i, the
-    numerators are w_i G w_j with w_i = (n / n_i) v_i.  A rank-2 lattice
-    takes the plain-int ``_snf2``, every other rank ``smith_normal_form``;
-    both give the same (D, U, V).
+    numerators are w_i G w_j with w_i = (n / n_i) v_i.
     """
     if isinstance(lat, NSLattice):
         lat = lat.to_lattice()
-    n = lat.rank
     gram = lat.gram.entries
-    if n == 2:
-        diag, u_rows, v_rows = _snf2(*gram[0], *gram[1])
-    else:
-        d_mat, u_mat, v_mat = smith_normal_form(lat.gram)
-        diag = tuple(d_mat.entries[i][i] for i in range(n))
-        u_rows, v_rows = u_mat.entries, v_mat.entries
+    diag, u_rows, v_rows = _snf2(*gram[0], *gram[1])
     orders = tuple(x for x in diag if x != 1)
     cols = tuple(
-        tuple(row[i] for row in v_rows) for i in range(n) if diag[i] != 1
+        tuple(row[i] for row in v_rows) for i in range(2) if diag[i] != 1
     )
     top = orders[-1] if orders else 1
     ws = [[top // ni * x for x in c] for c, ni in zip(cols, orders)]
@@ -777,8 +764,8 @@ def isometry_group(form: FiniteQuadForm) -> tuple[DFIsometry, ...]:
 
     Enumeration: candidate generator images with the right annihilating
     order, filtered by q on generators, pairing across generators and
-    surjectivity prime by prime.  Budgeted by |A|.  Forms of rank <= 2
-    only (the family's A is Z/a + Z/b); rank > 2 raises OutOfScopeError.
+    surjectivity prime by prime.  Budgeted by |A|.  Every form has rank
+    <= 2 (the family's A is Z/a + Z/b), so the images are 1x1 or 2x2.
     """
     return _isometries(form, form, first_only=False)
 
@@ -788,7 +775,6 @@ def isometry_between(source: FiniteQuadForm, target: FiniteQuadForm) -> DFIsomet
 
     The generator orders must agree exactly (they are the group's Smith
     invariants, so this loses nothing).  Equal forms give the identity.
-    A ``source`` of rank > 2 raises OutOfScopeError.
     """
     isos = _isometries(source, target, first_only=True)
     return isos[0] if isos else None
@@ -796,11 +782,9 @@ def isometry_between(source: FiniteQuadForm, target: FiniteQuadForm) -> DFIsomet
 
 def _isometries(source, target, first_only) -> tuple[DFIsometry, ...]:
     """Isometries from ``source`` onto ``target``, sorted by images; at
-    most one when ``first_only``.  A ``source`` of rank > 2 raises
-    OutOfScopeError before any other check.
+    most one when ``first_only``.  Rank 0 has the empty map; ranks 1 and
+    2 go to the two-generator scan kernel.
     """
-    if source.rank > 2:
-        raise OutOfScopeError("isometries are enumerated for forms of rank <= 2")
     if source.orders != target.orders:
         return ()
     require_isometry_budget(source)

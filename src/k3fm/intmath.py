@@ -10,27 +10,6 @@ from itertools import compress
 from math import gcd, isqrt
 
 
-def lcm(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return abs(a * b) // gcd(a, b)
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorisation {p: multiplicity} of n >= 1 by trial division.
 
@@ -61,11 +40,6 @@ def factorize(n: int) -> dict[int, int]:
 
 def distinct_primes(n: int) -> tuple[int, ...]:
     return tuple(sorted(factorize(n))) if n > 1 else ()
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors; omega(1) = 0."""
-    return len(distinct_primes(n))
 
 
 def totient(n: int) -> int:

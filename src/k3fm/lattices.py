@@ -1,37 +1,40 @@
-"""Even integer lattices, with the rank-two family [[2d, t], [t, 0]] as the
-main citizen.
+"""Even integer lattices of rank two, the family [[2d, t], [t, 0]] above
+all.
 
-A lattice is stored as a Gram matrix over a fixed basis.  All arithmetic is
-exact: integer matrices use Python ints, dual vectors use Fractions.  The
-Smith normal form here returns both transformation matrices and pivots on
-the smallest nonzero entry in absolute value, so its output is
-deterministic and safe to pin in tests.  ``_snf2`` is the same reduction
-unrolled for a 2x2 matrix of plain ints, the rank of every family
-lattice; it builds no IntMatrix, and the tests hold its (D, U, V) equal
-to ``smith_normal_form``'s, the oracle it must match.
+Rank two is an invariant, checked where each object is built: an
+IntMatrix of dimension above 2, or a Lattice of any rank but 2, raises
+OutOfScopeError.  All arithmetic is exact: integer matrices use Python
+ints, dual vectors use Fractions.  ``_snf2`` is the Smith normal form of
+a 2x2 matrix of plain ints, with both transformation matrices; it pivots
+on the smallest nonzero entry in absolute value, so its output is
+deterministic and safe to pin in tests.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import index
 
 from .errors import (
     InvalidElementError,
     InvalidLatticeError,
     InvalidParameterError,
     InvalidSubgroupError,
+    OutOfScopeError,
 )
-from .intmath import lcm, units_mod
+from .intmath import units_mod
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable square integer matrix."""
+    """Immutable square integer matrix of dimension at most 2."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         n = len(self.entries)
+        if n > 2:
+            raise OutOfScopeError(f"matrices have dimension <= 2, got {n}")
         for row in self.entries:
             if len(row) != n:
                 raise InvalidParameterError("matrix must be square")
@@ -41,25 +44,17 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        """The matrix with these rows.  Each entry must be an integer, one
+        that ``operator.index`` accepts; nothing is truncated to one."""
+        try:
+            entries = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError:
+            raise InvalidParameterError("matrix entries must be integers") from None
+        return cls(entries)
 
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.dim
-        a, b = self.entries, other.entries
-        return IntMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
@@ -67,131 +62,24 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         return self.entries == self.transpose().entries
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        n = self.dim
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-
-def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U @ mat @ V = D.
-
-    D is diagonal with nonnegative entries and d1 | d2 | ...; U and V are
-    unimodular.  The pivot at each stage is the smallest nonzero entry in
-    absolute value of the remaining block, which fixes the reduction path.
-    """
-    n = mat.dim
-    a = [list(row) for row in mat.entries]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        for j in range(n):
-            a[dst][j] += c * a[src][j]
-            u[dst][j] += c * u[src][j]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    for k in range(n):
-        while True:
-            # smallest |nonzero| entry of the trailing block becomes the pivot
-            piv = None
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    x = a[i][j]
-                    if x and (best is None or abs(x) < best):
-                        best = abs(x)
-                        piv = (i, j)
-            if piv is None:
-                break  # trailing block is zero
-            if piv != (k, k):
-                if piv[0] != k:
-                    swap_rows(k, piv[0])
-                if piv[1] != k:
-                    swap_cols(k, piv[1])
-            p = a[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                q = a[i][k] // p
-                if q:
-                    add_row(i, k, -q)
-                if a[i][k]:
-                    dirty = True
-            for j in range(k + 1, n):
-                q = a[k][j] // p
-                if q:
-                    add_col(j, k, -q)
-                if a[k][j]:
-                    dirty = True
-            if dirty:
-                continue
-            # divisibility: fold in any entry the pivot does not divide yet
-            witness = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if a[i][j] % p:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
-            if witness is None:
-                break
-            add_row(k, witness, 1)
-        if a[k][k] < 0:
-            for j in range(n):
-                a[k][j] = -a[k][j]
-                u[k][j] = -u[k][j]
-
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+        """Exact determinant, in closed form (dimension <= 2)."""
+        m = self.entries
+        if len(m) == 2:
+            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return m[0][0] if m else 1
 
 
 def _snf2(a: int, b: int, c: int, e: int):
-    """``smith_normal_form`` of [[a, b], [c, e]] on plain ints: returns
-    ((d1, d2), U rows, V rows) with U [[a, b], [c, e]] V = diag(d1, d2).
+    """Smith normal form of [[a, b], [c, e]] on plain ints: returns
+    ((d1, d2), U rows, V rows) with U [[a, b], [c, e]] V = diag(d1, d2),
+    d1 | d2, both nonnegative, U and V unimodular.
 
-    The same pivot rule, unrolled: the first entry of least nonzero
-    absolute value in row order moves to the corner, then the corner
-    reduces its row and column, and a bottom-right entry it does not
-    divide is folded into the top row.  So the result equals the generic
-    routine's, transforms included.
+    The pivot is the first entry of least nonzero absolute value in row
+    order; it moves to the corner, then reduces its row and column, and a
+    bottom-right entry it does not divide is folded into the top row.
+    The tests hold (D, U, V) equal to a generic n x n Smith routine's
+    with the same pivot rule, transforms included.
     """
     u00, u01, u10, u11 = 1, 0, 0, 1
     v00, v01, v10, v11 = 1, 0, 0, 1
@@ -276,12 +164,14 @@ class RationalVector:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Even nondegenerate lattice given by its Gram matrix."""
+    """Even nondegenerate lattice of rank 2 given by its Gram matrix."""
 
     gram: IntMatrix
 
     def __post_init__(self):
         n = self.gram.dim
+        if n != 2:
+            raise OutOfScopeError(f"lattices have rank 2, got {n}")
         if not self.gram.is_symmetric():
             raise InvalidLatticeError("Gram matrix must be symmetric")
         for i in range(n):
@@ -431,10 +321,7 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
             raise InvalidSubgroupError(
                 f"generator {tuple(map(str, g.coords))} is not isotropic"
             )
-    den = 1
-    for g in gens:
-        for c in g.coords:
-            den = lcm(den, c.denominator)
+    den = lcm(*(c.denominator for g in gens for c in g.coords))
     rows = [[den if j == i else 0 for j in range(t_lat.rank)] for i in range(t_lat.rank)]
     rows += [[int(c * den) for c in g.coords] for g in gens]
     # the rows include den * I, so the echelon basis always has full rank

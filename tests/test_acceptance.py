@@ -24,7 +24,6 @@ from k3fm.discforms import (
     structure_invariants,
 )
 from k3fm.errors import InvalidParameterError
-from k3fm.intmath import distinct_primes, totient, xgcd
 from k3fm.lagrangians import (
     GSpec,
     LagrangianElement,
@@ -61,6 +60,27 @@ def _cells():
             yield d, t
 
 
+def _primes(n):
+    """The primes dividing n >= 1, tried one candidate at a time."""
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _totient(n):
+    """The residues in [1, n] prime to n, counted."""
+    return sum(gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def _bezout(a, b):
+    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0, by extended Euclid."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
 def _report(num, label, start):
     print(f"[criterion {num:2d}] PASS {label} ({time.perf_counter() - start:.2f}s)")
 
@@ -70,9 +90,9 @@ def _report(num, label, start):
 def test_criterion_01_lagrangian_count_law():
     start = time.perf_counter()
     for d, t in _cells():
-        omega = len(distinct_primes(gcd(d, t)))
+        omega = len(_primes(gcd(d, t)))
         elems = enumerate_lagrangian_elements(d, t)
-        assert len(elems) == totient(t) * 2**omega, (d, t)
+        assert len(elems) == _totient(t) * 2**omega, (d, t)
         brute_subgroups = {
             frozenset((k * w.elem).coords for k in range(t)) for w in elems
         }
@@ -127,7 +147,7 @@ def test_criterion_03_involution_laws():
         for L in subs:
             image = involution(d, t, L)
             assert _coord_set(involution(d, t, image)) == _coord_set(L), (d, t)
-            for p in distinct_primes(t):
+            for p in _primes(t):
                 fixed = _p_part(L, p) == _p_part(image, p)
                 assert fixed == (m % p != 0), (d, t, p)
     _report(3, "involution laws (iota^2 = id, canonical swap, p-parts)", start)
@@ -170,7 +190,7 @@ def _u_witness(gram):
             if (ex, ey) == (0, 0) or gcd(ex, ey) != 1 or q(ex, ey) != 0:
                 continue
             e = (ex, ey)
-            g, s, u = xgcd(bl(e, (1, 0)), bl(e, (0, 1)))
+            g, s, u = _bezout(bl(e, (1, 0)), bl(e, (0, 1)))
             if g != 1:
                 continue
             f0 = (s, u)
@@ -218,9 +238,9 @@ def test_criterion_05_de_formulas():
     for d, t in _cells():
         if t <= 2:
             continue
-        omega = len(distinct_primes(gcd(d, t)))
+        omega = len(_primes(gcd(d, t)))
         de, orbits = de_counts(SurfaceModel.general(d, t))
-        assert de == 2**omega * totient(t) // 2, (d, t)
+        assert de == 2**omega * _totient(t) // 2, (d, t)
         assert orbits == 2**omega, (d, t)
     _report(5, "derived-elliptic-structure formulas on 2 < t <= 24", start)
 
@@ -229,7 +249,7 @@ def _cyclic_groups(t_max):
     """Every cell with t <= t_max and every distinct cyclic image <sigma> in
     O(A_d) that GSpec accepts, with the least admissible abstract order,
     as (d, t, O(A_d), G)."""
-    orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
+    orders = [n for n in range(2, 801, 2) if 20 % _totient(n) == 0]
     for t in range(1, t_max + 1):
         for d in range(t):
             own = isometry_group(ns_form(d, t).form)

@@ -6,12 +6,13 @@ with it everywhere on small groups.
 """
 
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from snf_oracle import smith_normal_form
 
 from k3fm.discforms import (
     DFElement,
@@ -47,17 +48,10 @@ from k3fm.lattices import (
     genus_representatives,
     isotropic_rays,
     ns_gram,
-    smith_normal_form,
 )
 from k3fm.surfaces import fm_count
 
 GRID = [(d, t) for t in range(1, 13) for d in range(t)]
-
-
-def _diag_lattice(*entries):
-    n = len(entries)
-    rows = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return Lattice(IntMatrix.from_rows(rows))
 
 
 # ---------------------------------------------------------------- structure
@@ -207,9 +201,9 @@ def test_lift_rejects_foreign_element():
 
 def test_induced_isometry_validates():
     lf = ns_form(1, 5).lf
-    assert lf.induced_isometry(IntMatrix.identity(2)) == identity_isometry(lf.form)
+    assert lf.induced_isometry(IntMatrix(((1, 0), (0, 1)))) == identity_isometry(lf.form)
     for bad in (
-        IntMatrix.identity(3),  # wrong size
+        IntMatrix(((1,),)),  # wrong size
         IntMatrix.from_rows([[1, 1], [0, 1]]),  # does not keep L*
         IntMatrix.from_rows([[2, 0], [0, 2]]),  # keeps L*, not q
     ):
@@ -237,15 +231,13 @@ def test_ns_form_matches_fraction_route():
 
 def _eager_bundle(d, t):
     """The route ns_form took before the 2x2 SNF and the lazy pieces:
-    the generic smith_normal_form, and every piece built with the bundle."""
-    ns = ns_gram(d, t)
-    lat = ns.to_lattice()
-    d_mat, u_mat, v_mat = smith_normal_form(lat.gram)
-    n = lat.rank
-    diag = tuple(d_mat.entries[i][i] for i in range(n))
+    the generic Smith normal form (``snf_oracle``), and every piece built
+    with the bundle."""
+    gram = ns_gram(d, t).gram.entries
+    d_mat, u_rows, v_rows = smith_normal_form(gram)
+    diag = (d_mat[0][0], d_mat[1][1])
     orders = tuple(x for x in diag if x != 1)
-    cols = [v_mat.column(i) for i in range(n) if diag[i] != 1]
-    gram = lat.gram.entries
+    cols = [tuple(row[i] for row in v_rows) for i in range(2) if diag[i] != 1]
     gv = [[sum(a * b for a, b in zip(row, c)) for row in gram] for c in cols]
     vgv = [[sum(a * b for a, b in zip(c, w)) for w in gv] for c in cols]
     q_gen = tuple(
@@ -266,7 +258,7 @@ def _eager_bundle(d, t):
             form,
             tuple(
                 sum(a * b for a, b in zip(row, gx))
-                for row, ni in zip(u_mat.entries, diag)
+                for row, ni in zip(u_rows, diag)
                 if ni != 1
             ),
         )
@@ -274,7 +266,7 @@ def _eager_bundle(d, t):
     return {
         "form": form,
         "diag": diag,
-        "u_rows": u_mat.entries,
+        "u_rows": u_rows,
         "gens": gens,
         "vbar": class_of((1, 0)),
         "vprime": class_of((d // m, t // m)),
@@ -602,48 +594,45 @@ def _set_budget(monkeypatch, value):
         monkeypatch.setenv("K3FM_BUDGET", value)
 
 
+def _diag_rows(*entries):
+    n = len(entries)
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def test_generic_rank3_isometry_group(monkeypatch):
     # every form of the family, and every primary part of one, has rank
-    # <= 2; a rank-3 form is refused before the orders, the budget and the
-    # equal-forms shortcut are looked at ("0" would be refused if read)
-    form = from_lattice(_diag_lattice(2, 2, 2)).form
-    assert form.orders == (2, 2, 2)
+    # <= 2, and no rank-3 form can be built for isometry_group to see:
+    # diag(2, 2, 2) is refused as a matrix and its discriminant form
+    # (Z/2)^3 as a form, whatever the budget ("0" would be refused if read)
+    half = Fraction(1, 2)
     for value in (None, "1", "0"):
         _set_budget(monkeypatch, value)
+        with pytest.raises(OutOfScopeError, match="dimension <= 2"):
+            from_lattice(Lattice(IntMatrix.from_rows(_diag_rows(2, 2, 2))))
         with pytest.raises(OutOfScopeError, match="rank <= 2"):
-            isometry_group(form)
-    # diag(2,2,2): q marks the standard basis, so the isometries are the
-    # six permutations, and as_isometry still accepts each of them
-    for perm in permutations(range(3)):
-        images = tuple(tuple(int(j == p) for j in range(3)) for p in perm)
-        assert as_isometry(form, form, images).images == images
+            FiniteQuadForm.make((2, 2, 2), (half,) * 3, _diag_rows(half, half, half))
+        with pytest.raises(OutOfScopeError, match="rank <= 2"):
+            FiniteQuadForm((2, 2, 2), 2, (1, 1, 1), tuple(map(tuple, _diag_rows(1, 1, 1))))
 
 
 def test_generic_rank3_isometry_between(monkeypatch):
-    source = from_lattice(_diag_lattice(2, 2, 8)).form
-    # same form rewritten on the basis (g1, g2, g1 + g3)
+    # diag(2, 2, 8) and its form rewritten on the basis (g1, g2, g1 + g3)
+    # are refused before isometry_between could be asked to match them
     half, eighth = Fraction(1, 2), Fraction(1, 8)
-    target = FiniteQuadForm.make(
-        (2, 2, 8),
-        (half, half, half + eighth),
-        (
-            (half, 0, half),
-            (0, half, 0),
-            (half, 0, half + eighth),
-        ),
-    )
-    diag222 = from_lattice(_diag_lattice(2, 2, 2)).form
-    pairs = ((source, target), (source, source), (diag222, source), (diag222, diag222))
     for value in (None, "1", "0"):
         _set_budget(monkeypatch, value)
-        for src, dst in pairs:
-            with pytest.raises(OutOfScopeError, match="rank <= 2"):
-                isometry_between(src, dst)
-    # the isometry the search used to find is still accepted when given:
-    # g3 = (g1 + g3) - g1
-    phi = as_isometry(source, target, ((1, 0, 0), (0, 1, 0), (1, 0, 1)))
-    for e in source.elements():
-        assert phi.apply(e).q() == e.q()
+        with pytest.raises(OutOfScopeError, match="dimension <= 2"):
+            from_lattice(Lattice(IntMatrix.from_rows(_diag_rows(2, 2, 8))))
+        with pytest.raises(OutOfScopeError, match="rank <= 2"):
+            FiniteQuadForm.make(
+                (2, 2, 8),
+                (half, half, half + eighth),
+                (
+                    (half, 0, half),
+                    (0, half, 0),
+                    (half, 0, half + eighth),
+                ),
+            )
 
 
 def test_as_isometry_rejections():

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from snf_oracle import det, matmul, smith_normal_form
 
 from k3fm import lattices
 from k3fm.discforms import isometry_between, ns_form
@@ -13,6 +14,7 @@ from k3fm.errors import (
     InvalidLatticeError,
     InvalidParameterError,
     InvalidSubgroupError,
+    OutOfScopeError,
 )
 from k3fm.lattices import (
     IntMatrix,
@@ -26,7 +28,6 @@ from k3fm.lattices import (
     overlattice,
     rank2_isometries,
     row_hnf,
-    smith_normal_form,
 )
 
 U_GRAM = ((0, 1), (1, 0))
@@ -34,33 +35,75 @@ U_GRAM = ((0, 1), (1, 0))
 
 def test_intmatrix_det():
     assert IntMatrix.from_rows([[2, 5], [5, 0]]).det() == -25
-    assert IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]).det() == -3
-    assert IntMatrix.identity(4).det() == 1
+    assert IntMatrix.from_rows([[1, 0], [0, 1]]).det() == 1
+    assert IntMatrix.from_rows([[-7]]).det() == -7
+    assert IntMatrix(()).det() == 1
+    # the closed form against cofactor expansion
+    for rows in ([[3, -4], [2, 9]], [[0, 6], [6, 0]], [[4, 2], [6, 3]]):
+        assert IntMatrix.from_rows(rows).det() == det(rows)
+
+
+def test_intmatrix_and_lattice_refuse_rank_other_than_two(monkeypatch):
+    # rank two is checked once, where the object is built; the budget
+    # plays no part
+    three = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    for value in (None, "1", "0"):
+        if value is None:
+            monkeypatch.delenv("K3FM_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("K3FM_BUDGET", value)
+        with pytest.raises(OutOfScopeError, match="dimension <= 2"):
+            IntMatrix.from_rows(three)
+        with pytest.raises(OutOfScopeError, match="dimension <= 2"):
+            IntMatrix(tuple(map(tuple, three)))
+        for rows in ([[2]], []):
+            with pytest.raises(OutOfScopeError, match="rank 2"):
+                Lattice(IntMatrix.from_rows(rows))
+
+
+def test_intmatrix_from_rows_takes_integers_only():
+    # an entry is never truncated: 5/2 and 2.7 are refused, not read as 2
+    for rows in (
+        [[Fraction(5, 2), 1], [1, 0]],
+        [[2.7, 1], [1, 0]],
+        [[2.0, 1], [1, 0]],
+        [["2", 1], [1, 0]],
+    ):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            IntMatrix.from_rows(rows)
+    with pytest.raises(InvalidParameterError, match="integers"):
+        Lattice(IntMatrix.from_rows([[2.7, 1], [1, 0]]))
+    # integral types that operator.index accepts are taken as they are
+    assert IntMatrix.from_rows([[True, 0], [0, 1]]).det() == 1
+    assert IntMatrix.from_rows(((2, 3), (3, 0))).entries == ((2, 3), (3, 0))
 
 
 def test_snf_family_gram():
     # gcd(2d, t) and t^2/gcd structure the diagonal
-    d_mat, u, v = smith_normal_form(IntMatrix.from_rows([[6, 4], [4, 0]]))
-    assert u @ IntMatrix.from_rows([[6, 4], [4, 0]]) @ v == d_mat
-    assert [d_mat.entries[i][i] for i in range(2)] == [2, 8]
+    gram = ((6, 4), (4, 0))
+    d_mat, u, v = smith_normal_form(gram)
+    assert matmul(u, gram, v) == d_mat
+    assert [d_mat[i][i] for i in range(2)] == [2, 8]
+    diag, u_rows, v_rows = lattices._snf2(*gram[0], *gram[1])
+    assert (diag, u_rows, v_rows) == ((2, 8), u, v)
 
 
 def test_snf_known_3x3():
-    mat = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     d_mat, u, v = smith_normal_form(mat)
-    assert u @ mat @ v == d_mat
-    diag = [d_mat.entries[i][i] for i in range(3)]
+    assert matmul(u, mat, v) == d_mat
+    diag = [d_mat[i][i] for i in range(3)]
     assert diag == [2, 2, 156]
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
 
 
 def _generic_snf2(a, b, c, e):
-    d_mat, u, v = smith_normal_form(IntMatrix.from_rows([[a, b], [c, e]]))
-    return (d_mat.entries[0][0], d_mat.entries[1][1]), u.entries, v.entries
+    d_mat, u, v = smith_normal_form([[a, b], [c, e]])
+    return (d_mat[0][0], d_mat[1][1]), u, v
 
 
 def test_snf2_equals_the_generic_routine_on_family_grams():
-    # from_lattice takes _snf2 for rank 2; its transforms fix every printed
+    # from_lattice takes _snf2; its transforms fix every printed
     # coordinate, so D, U and V must all be the generic routine's
     for t in range(1, 201):
         for d in range(-t, 2 * t):
@@ -83,11 +126,11 @@ def test_snf2_equals_the_generic_routine(entries):
     )
 )
 def test_snf_properties(rows):
-    mat = IntMatrix.from_rows(rows)
-    d_mat, u, v = smith_normal_form(mat)
-    assert u @ mat @ v == d_mat
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
-    diag = [d_mat.entries[i][i] for i in range(3)]
+    d_mat, u, v = smith_normal_form(rows)
+    assert matmul(u, rows, v) == d_mat
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert all(d_mat[i][j] == 0 for i in range(3) for j in range(3) if i != j)
+    diag = [d_mat[i][i] for i in range(3)]
     assert all(x >= 0 for x in diag)
     for i in range(2):
         if diag[i]:
@@ -244,7 +287,7 @@ def test_rank2_isometries_verify_gram():
         dst = ns_gram(d, t).gram
         for rows in rank2_isometries(d, e, t):
             mat = IntMatrix(rows)
-            assert mat.transpose() @ dst @ mat == src
+            assert matmul(mat.transpose().entries, dst.entries, rows) == src.entries
             assert abs(mat.det()) == 1
 
 

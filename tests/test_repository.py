@@ -3,7 +3,8 @@ output cannot slip back into version control, the benchmark harness
 still finds every name it wraps, the benchmark's sweep check passes
 on the t = 3..30 sweep, the lattice layer does not reach up into the
 discriminant forms built on it, no module imports a name it never uses,
-and no process-lifetime memo hides outside the two known ones."""
+the package exports exactly what its __init__ imports, and no
+process-lifetime memo hides outside the two known ones."""
 
 import ast
 import importlib.util
@@ -100,6 +101,24 @@ def test_modules_use_every_name_they_import():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name}: {sorted(imported - used)}"
+
+
+def test_all_lists_each_imported_name_once():
+    # a name deleted from a module must leave __all__ too: every listed
+    # name resolves, and the list is the set of names __init__ imports
+    import k3fm
+
+    tree = ast.parse((ROOT / "src" / "k3fm" / "__init__.py").read_text())
+    imported = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+    exported = k3fm.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(k3fm, name)] == []
+    assert set(exported) == imported
 
 
 MEMOS = ("cache", "lru_cache")
