@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 from . import budget, kernels
 from .errors import (
@@ -100,13 +100,18 @@ class FiniteQuadForm:
     @classmethod
     def make(cls, orders, q_gen, b_matrix) -> "FiniteQuadForm":
         """The form with rational values ``q_gen`` (mod 2) and
-        ``b_matrix`` (mod 1) on generators of the given orders."""
+        ``b_matrix`` (mod 1) on generators of the given orders, which must
+        be integers (``operator.index``); nothing is truncated to one."""
         q_gen = [Fraction(q) for q in q_gen]
         b_matrix = [[Fraction(x) for x in row] for row in b_matrix]
         den = lcm(*(x.denominator for x in chain(q_gen, *b_matrix)))
         qn = [int(q * den) for q in q_gen]
         bn = [[int(x * den) for x in row] for row in b_matrix]
-        return _lowest([int(n) for n in orders], den, qn, bn)
+        try:
+            orders = [index(n) for n in orders]
+        except TypeError:
+            raise InvalidParameterError("generator orders must be integers") from None
+        return _lowest(orders, den, qn, bn)
 
     @property
     def rank(self) -> int:
@@ -350,11 +355,14 @@ def as_isometry(domain: FiniteQuadForm, codomain: FiniteQuadForm, images) -> DFI
     """Validate generator images and wrap them as a DFIsometry.
 
     Raises InvalidIsometryError when the images do not define a
-    q-preserving group automorphism (or isomorphism onto the codomain).
+    q-preserving group automorphism (or isomorphism onto the codomain),
+    or when an image coordinate is not an integer (``operator.index``).
     """
-    iso = DFIsometry(
-        domain, codomain, tuple(tuple(int(x) for x in img) for img in images)
-    )
+    try:
+        images = tuple(tuple(map(index, img)) for img in images)
+    except TypeError:
+        raise InvalidIsometryError("image coordinates must be integers") from None
+    iso = DFIsometry(domain, codomain, images)
     images = iso.images
     for i, img in enumerate(images):
         n = domain.orders[i]
@@ -422,12 +430,10 @@ class LatticeForm:
         """Class in L*/L of a dual vector given in L's basis coordinates."""
         if not isinstance(vec, RationalVector):
             vec = RationalVector.make(vec)
-        if not self.lattice.in_dual(vec):
+        gx = self.lattice.dual_pairings(vec)
+        if gx is None:
             raise InvalidElementError("vector is not in the dual lattice")
-        return self._class_of(
-            [int(sum(a * b for a, b in zip(row, vec.coords)))
-             for row in self.lattice.gram.entries]
-        )
+        return self._class_of(gx)
 
     def induced_isometry(self, mat: IntMatrix) -> DFIsometry:
         """The validated isometry of L*/L induced by an integer isometry

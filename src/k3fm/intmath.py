@@ -52,18 +52,7 @@ def totient(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    p = 5
-    while p <= isqrt(n):
-        if n % p == 0 or n % (p + 2) == 0:
-            return False
-        p += 6
-    return True
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def units_mod(n: int) -> tuple[int, ...]:

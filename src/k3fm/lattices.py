@@ -4,7 +4,8 @@ all.
 Rank two is an invariant, checked where each object is built: an
 IntMatrix of dimension above 2, or a Lattice of any rank but 2, raises
 OutOfScopeError.  All arithmetic is exact: integer matrices use Python
-ints, dual vectors use Fractions.  ``_snf2`` is the Smith normal form of
+ints, and dual vectors are Fractions, tested and combined as integer
+numerators over one denominator.  ``_snf2`` is the Smith normal form of
 a 2x2 matrix of plain ints, with both transformation matrices; it pivots
 on the smallest nonzero entry in absolute value, so its output is
 deterministic and safe to pin in tests.
@@ -136,12 +137,6 @@ class RationalVector:
     def __add__(self, other: "RationalVector") -> "RationalVector":
         return RationalVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "RationalVector") -> "RationalVector":
-        return RationalVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "RationalVector":
-        return RationalVector(tuple(-a for a in self.coords))
-
     def __rmul__(self, c) -> "RationalVector":
         c = Fraction(c)
         return RationalVector(tuple(c * a for a in self.coords))
@@ -149,14 +144,8 @@ class RationalVector:
     def pair(self, gram: IntMatrix, other: "RationalVector") -> Fraction:
         """Bilinear pairing self . other with respect to gram."""
         g = gram.entries
-        total = Fraction(0)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b and g[i][j]:
-                    total += a * g[i][j] * b
-        return total
+        return sum((a * g[i][j] * b for i, a in enumerate(self.coords) if a
+                    for j, b in enumerate(other.coords) if b and g[i][j]), Fraction(0))
 
     def square(self, gram: IntMatrix) -> Fraction:
         return self.pair(gram, self)
@@ -174,9 +163,8 @@ class Lattice:
             raise OutOfScopeError(f"lattices have rank 2, got {n}")
         if not self.gram.is_symmetric():
             raise InvalidLatticeError("Gram matrix must be symmetric")
-        for i in range(n):
-            if self.gram.entries[i][i] % 2:
-                raise InvalidLatticeError("lattice must be even (odd diagonal entry)")
+        if any(row[i] % 2 for i, row in enumerate(self.gram.entries)):
+            raise InvalidLatticeError("lattice must be even (odd diagonal entry)")
         if self.gram.det() == 0:
             raise InvalidLatticeError("Gram matrix must be nondegenerate")
 
@@ -187,16 +175,33 @@ class Lattice:
     def det(self) -> int:
         return self.gram.det()
 
-    def in_dual(self, vec: RationalVector) -> bool:
-        """Whether vec (coords in this basis) pairs integrally with the lattice."""
+    def dual_pairings(self, vec: RationalVector) -> tuple[int, int] | None:
+        """G vec, the pairings of vec (coords in this basis) with the basis
+        vectors, as ints; None when vec is not in the dual lattice."""
         if len(vec.coords) != self.rank:
             raise InvalidElementError("coordinate length does not match rank")
-        g = self.gram.entries
-        for i in range(self.rank):
-            s = sum(g[i][j] * vec.coords[j] for j in range(self.rank))
-            if s.denominator != 1:
-                return False
-        return True
+        (nums,), den = _numerators((vec,))
+        return _pairings(self.gram, nums, den)
+
+    def in_dual(self, vec: RationalVector) -> bool:
+        """Whether vec (coords in this basis) pairs integrally with the lattice."""
+        return self.dual_pairings(vec) is not None
+
+
+def _numerators(vecs) -> tuple[list[tuple[int, ...]], int]:
+    """(n, den): each vector's coordinates as ints over den, the least
+    common denominator of them all."""
+    den = lcm(*(c.denominator for v in vecs for c in v.coords))
+    return [tuple(c.numerator * (den // c.denominator) for c in v.coords)
+            for v in vecs], den
+
+
+def _pairings(gram: IntMatrix, n, den: int) -> tuple[int, int] | None:
+    """G n / den as two ints, or None when n / den is not in the dual."""
+    (p, q), (_, s) = gram.entries
+    u, r = divmod(p * n[0] + q * n[1], den)
+    v, r2 = divmod(q * n[0] + s * n[1], den)
+    return None if r or r2 else (u, v)
 
 
 @dataclass(frozen=True)
@@ -257,42 +262,24 @@ def isotropic_rays(ns: NSLattice) -> tuple[RationalVector, RationalVector]:
     return f, fprime
 
 
-def row_hnf(rows, n: int) -> list[list[int]]:
-    """Hermite-style echelon basis of the integer row span of ``rows``.
-
-    Pivots are positive, strictly to the right as you go down, and entries
-    above a pivot are reduced into [0, pivot).  Deterministic.
-    """
-    mat = [list(map(int, r)) for r in rows]
-    top = 0
-    for col in range(n):
-        while True:
-            live = [i for i in range(top, len(mat)) if mat[i][col]]
-            if not live:
-                break
-            piv = min(live, key=lambda i: abs(mat[i][col]))
-            mat[top], mat[piv] = mat[piv], mat[top]
-            done = True
-            for i in range(top + 1, len(mat)):
-                q = mat[i][col] // mat[top][col]
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-                if mat[i][col]:
-                    done = False
-            if done:
-                top += 1
-                break
-    basis = [r for r in mat if any(r)][:top]
-    for i, row in enumerate(basis):
-        p = next(j for j, x in enumerate(row) if x)
-        if row[p] < 0:
-            basis[i] = [-x for x in row]
-    for i in range(len(basis) - 1, -1, -1):
-        p = next(j for j, x in enumerate(basis[i]) if x)
-        for k in range(i):
-            q = basis[k][p] // basis[i][p]
-            if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
+def row_hnf(rows) -> list[list[int]]:
+    """Hermite basis of the integer row span of ``rows``, pairs of ints:
+    [[a, b], [0, h]], a, h > 0, 0 <= b < h; below rank two, the row with
+    a = 0 or h = 0 is left out.  The form is unique, so it depends on the
+    span alone.  Each row (x, y) is folded into a running basis (a, b),
+    (0, h): Euclid on the first column leaves (a, b) and a row (0, y'),
+    and h becomes gcd(h, y')."""
+    a = b = h = 0
+    for x, y in rows:
+        while x:
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
+        h = gcd(h, y)
+    if a < 0:
+        a, b = -a, -b
+    basis = [[a, b % h if h else b]] if a else []
+    if h:
+        basis.append([0, h])
     return basis
 
 
@@ -301,47 +288,40 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
 
     ``subgroup_gens`` are rational vectors in T's basis whose classes
     generate an isotropic subgroup H of the discriminant group; the result
-    L satisfies det(L) * |H|^2 = det(T).  Each generator is checked to be
-    isotropic; H is then isotropic exactly when L pairs integrally, which
-    is checked on L's basis.  |H| is the index [L : T], read off L's
-    basis without listing H.
+    L satisfies det(L) * |H|^2 = det(T).  The generators are integer
+    numerators n over one denominator den, each checked to be dual
+    (G n = 0 mod den) and isotropic (n G n = 0 mod 2 den^2); H is then
+    isotropic exactly when L pairs integrally on its Hermite basis
+    (a, b) / den, (0, h) / den.  |H| = [L : T] = den^2 / (a h).
     """
-    gens = [
-        g if isinstance(g, RationalVector) else RationalVector.make(g)
-        for g in subgroup_gens
-    ]
-    for g in gens:
-        if len(g.coords) != t_lat.rank:
+    gens = [g if isinstance(g, RationalVector) else RationalVector.make(g)
+            for g in subgroup_gens]
+    nums, den = _numerators(gens)
+    for g, n in zip(gens, nums):
+        if len(n) != t_lat.rank:
             raise InvalidElementError("generator length does not match lattice rank")
-        if not t_lat.in_dual(g):
+        gn = _pairings(t_lat.gram, n, den)
+        if gn is None:
             raise InvalidElementError(
                 "generator does not lie in the dual lattice (non-integral pairing)"
             )
-        if g.square(t_lat.gram) % 2 != 0:
+        # n G n / den^2 = (n . G n / den) / den
+        if (n[0] * gn[0] + n[1] * gn[1]) % (2 * den):
             raise InvalidSubgroupError(
                 f"generator {tuple(map(str, g.coords))} is not isotropic"
             )
-    den = lcm(*(c.denominator for g in gens for c in g.coords))
-    rows = [[den if j == i else 0 for j in range(t_lat.rank)] for i in range(t_lat.rank)]
-    rows += [[int(c * den) for c in g.coords] for g in gens]
-    # the rows include den * I, so the echelon basis always has full rank
-    basis_rows = row_hnf(rows, t_lat.rank)
-    basis = [RationalVector(tuple(Fraction(x, den) for x in row)) for row in basis_rows]
-
-    entries = []
-    for x in basis:
-        row = []
-        for y in basis:
-            val = x.pair(t_lat.gram, y)
-            if val.denominator != 1:
-                raise InvalidSubgroupError(
-                    "overlattice pairing is not integral; subgroup invalid"
-                )
-            row.append(int(val))
-        entries.append(row)
-    result = Lattice(IntMatrix.from_rows(entries))
-    # L = (1/den) span(basis_rows) contains T = Z^n with index |H|
-    order = den ** t_lat.rank // abs(IntMatrix.from_rows(basis_rows).det())
+    # the rows include den * I, so the Hermite basis always has full rank
+    (a, b), (_, h) = row_hnf([(den, 0), (0, den), *nums])
+    (p, q), (_, s) = t_lat.gram.entries
+    den2 = den * den
+    g11, r11 = divmod(a * a * p + 2 * a * b * q + b * b * s, den2)
+    g12, r12 = divmod(h * (a * q + b * s), den2)
+    g22, r22 = divmod(h * h * s, den2)
+    if r11 or r12 or r22:
+        raise InvalidSubgroupError("overlattice pairing is not integral; subgroup invalid")
+    result = Lattice(IntMatrix(((g11, g12), (g12, g22))))
+    # L = (1/den) span(basis) contains T = Z^2 with index |H|
+    order = den2 // (a * h)
     if result.det() * order * order != t_lat.det():
         raise RuntimeError("overlattice determinant identity violated (internal)")
     return result

@@ -104,15 +104,10 @@ class SurfaceModel:
         nf = ns_form(self.d, self.t)
         if self.G.generator.domain != nf.form:
             raise InvalidIsometryError("G does not act on this family member")
-        b = frozenset(x % self.t for x in self.B)
-        bt = frozenset(x % self.t for x in self.Btilde)
+        b = _unit_subgroup("B", self.t, self.B)
+        bt = _unit_subgroup("Btilde", self.t, self.Btilde)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "Btilde", bt)
-        for name, grp in (("B", b), ("Btilde", bt)):
-            if not grp or any(gcd(x, self.t) != 1 for x in grp):
-                raise InvalidParameterError(f"{name} must consist of units mod t")
-            if close_units_subgroup(self.t, grp) != grp:
-                raise InvalidParameterError(f"{name} is not closed under products")
         if (-1) % self.t not in b:
             raise InvalidParameterError("B must contain -1")
         if not b <= bt:
@@ -144,6 +139,17 @@ class SurfaceModel:
     @property
     def m(self) -> int:
         return gcd(self.d, self.t)
+
+
+def _unit_subgroup(name: str, t: int, grp) -> frozenset:
+    """``grp`` reduced mod t, checked to be a non-empty subgroup of the
+    units mod t; ``name`` is the group's name in the error messages."""
+    g = frozenset(x % t for x in grp)
+    if not g or any(gcd(x, t) != 1 for x in g):
+        raise InvalidParameterError(f"{name} must consist of units mod t")
+    if close_units_subgroup(t, g) != g:
+        raise InvalidParameterError(f"{name} is not closed under products")
+    return g
 
 
 def jacobian_index(t: int, k: int) -> int:
@@ -178,11 +184,7 @@ def coprime_jacobian_classes(t: int, b_group) -> tuple[int, tuple[int, ...]]:
     """
     if t <= 2:
         raise OutOfScopeError("coprime Jacobian classes need t > 2")
-    b = frozenset(x % t for x in b_group)
-    if not b or any(gcd(x, t) != 1 for x in b):
-        raise InvalidParameterError("B must consist of units mod t")
-    if close_units_subgroup(t, b) != b:
-        raise InvalidParameterError("B is not closed under products")
+    b = _unit_subgroup("B", t, b_group)
     if (-1) % t not in b:
         raise InvalidParameterError("B must contain -1")
     seen, reps = bytearray(t), []

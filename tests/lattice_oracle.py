@@ -1,0 +1,112 @@
+"""Reference Hermite basis and overlattice, in the generic form the
+library's two-column ``lattices.row_hnf`` and integer ``overlattice`` are
+held to.
+
+``row_hnf`` is a pivot loop over any number of columns on plain lists of
+ints.  ``overlattice`` computes in Fractions throughout: the dual test on
+G g, the isotropy test on g G g, the Gram of L from the pairings of its
+rational basis and the index from a determinant.  It checks the same
+things in the same order and raises the same exceptions with the same
+messages as the library, so the two can be compared outcome for outcome.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from k3fm.errors import InvalidElementError, InvalidSubgroupError
+from k3fm.lattices import IntMatrix, Lattice, RationalVector
+
+
+def row_hnf(rows, n: int) -> list[list[int]]:
+    """Hermite-style echelon basis of the integer row span of ``rows``.
+
+    Pivots are positive, strictly to the right as you go down, and entries
+    above a pivot are reduced into [0, pivot).  Deterministic.
+    """
+    mat = [list(map(int, r)) for r in rows]
+    top = 0
+    for col in range(n):
+        while True:
+            live = [i for i in range(top, len(mat)) if mat[i][col]]
+            if not live:
+                break
+            piv = min(live, key=lambda i: abs(mat[i][col]))
+            mat[top], mat[piv] = mat[piv], mat[top]
+            done = True
+            for i in range(top + 1, len(mat)):
+                q = mat[i][col] // mat[top][col]
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
+                if mat[i][col]:
+                    done = False
+            if done:
+                top += 1
+                break
+    basis = [r for r in mat if any(r)][:top]
+    for i, row in enumerate(basis):
+        p = next(j for j, x in enumerate(row) if x)
+        if row[p] < 0:
+            basis[i] = [-x for x in row]
+    for i in range(len(basis) - 1, -1, -1):
+        p = next(j for j, x in enumerate(basis[i]) if x)
+        for k in range(i):
+            q = basis[k][p] // basis[i][p]
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
+    return basis
+
+
+def _in_dual(lat: Lattice, vec: RationalVector) -> bool:
+    g = lat.gram.entries
+    for i in range(lat.rank):
+        s = sum(g[i][j] * vec.coords[j] for j in range(lat.rank))
+        if s.denominator != 1:
+            return False
+    return True
+
+
+def _det(rows) -> int:
+    (a, b), (c, e) = rows
+    return a * e - b * c
+
+
+def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
+    """Even overlattice T + <gens> of an isotropic subgroup of A_T, in
+    Fractions; see ``k3fm.lattices.overlattice``."""
+    gens = [
+        g if isinstance(g, RationalVector) else RationalVector.make(g)
+        for g in subgroup_gens
+    ]
+    for g in gens:
+        if len(g.coords) != t_lat.rank:
+            raise InvalidElementError("generator length does not match lattice rank")
+        if not _in_dual(t_lat, g):
+            raise InvalidElementError(
+                "generator does not lie in the dual lattice (non-integral pairing)"
+            )
+        if g.square(t_lat.gram) % 2 != 0:
+            raise InvalidSubgroupError(
+                f"generator {tuple(map(str, g.coords))} is not isotropic"
+            )
+    den = lcm(*(c.denominator for g in gens for c in g.coords))
+    rows = [[den if j == i else 0 for j in range(t_lat.rank)] for i in range(t_lat.rank)]
+    rows += [[int(c * den) for c in g.coords] for g in gens]
+    basis_rows = row_hnf(rows, t_lat.rank)
+    basis = [RationalVector(tuple(Fraction(x, den) for x in row)) for row in basis_rows]
+
+    entries = []
+    for x in basis:
+        row = []
+        for y in basis:
+            val = x.pair(t_lat.gram, y)
+            if val.denominator != 1:
+                raise InvalidSubgroupError(
+                    "overlattice pairing is not integral; subgroup invalid"
+                )
+            row.append(int(val))
+        entries.append(row)
+    result = Lattice(IntMatrix.from_rows(entries))
+    order = den ** t_lat.rank // abs(_det(basis_rows))
+    if result.det() * order * order != t_lat.det():
+        raise RuntimeError("overlattice determinant identity violated (internal)")
+    return result

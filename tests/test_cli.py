@@ -69,6 +69,19 @@ GOLDEN = [
         ["overlattice", "--d", "0", "--t", "5", "--gens", "1/5,0"],
         "gram=0,1;1,0 det=-1 index=5\n",
     ),
+    # the Hermite basis (1/4, 3/8), (0, 1/8): a non-zero corner
+    (
+        ["overlattice", "--d", "4", "--t", "8", "--gens", "1/4,-1/8"],
+        "gram=2,1;1,0 det=-1 index=8\n",
+    ),
+    (
+        ["overlattice", "--d", "36", "--t", "45", "--gens", "0,1/5", "--json"],
+        '{"d":36,"det":-81,"gram":[[72,9],[9,0]],"index":5,"t":45}\n',
+    ),
+    (
+        ["overlattice", "--d", "0", "--t", "6", "--gens", "1/3,0;0,1/2"],
+        "gram=0,1;1,0 det=-1 index=6\n",
+    ),
     (
         ["caldararu", "--d", "2", "--t", "5", "--r", "0", "--x", "0",
          "--y", "1", "--s", "0", "--json"],
@@ -143,6 +156,34 @@ def test_golden_outputs(argv, expected, capsys):
     assert code == 0
     assert err == ""
     assert out == expected
+
+
+OVERLATTICE_REFUSALS = [
+    (["overlattice", "--d", "3", "--t", "6", "--gens", "1/2,0"],
+     "k3fm: generator ('1/2', '0') is not isotropic\n"),
+    (["overlattice", "--d", "0", "--t", "6", "--gens", "1/6,0;0,1/6"],
+     "k3fm: overlattice pairing is not integral; subgroup invalid\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", OVERLATTICE_REFUSALS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_golden_overlattice_refusals(argv, expected, capsys):
+    assert run_cli(argv, capsys) == (2, "", expected)
+
+
+def test_queries_overlattice_requests_pass_the_benchmark_checks(capsys, monkeypatch):
+    # every overlattice request of the seed-0 and seed-1 queries streams,
+    # checked by the benchmark's own closed forms
+    checks = _load_perfbench("checks")
+    monkeypatch.syspath_prepend(str(Path(checks.__file__).parent))
+    workloads = _load_perfbench("workloads")
+    requests = [argv for seed in (0, 1) for argv in workloads.query_stream(seed)
+                if argv[0] == "overlattice"]
+    assert len(requests) == 132
+    for argv in requests:
+        code, out, err = run_cli(argv, capsys)
+        assert err == ""
+        assert checks.check_request(argv, code, out, checks.Expected()) is None, argv
 
 
 def test_json_round_trip_stability(capsys):

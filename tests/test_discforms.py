@@ -411,6 +411,19 @@ def test_make_reduces_representatives():
     assert form.b_matrix == ((Fraction(1, 4),),)
 
 
+def test_make_and_as_isometry_take_integers_only():
+    # an order or image coordinate that is not an integer used to be
+    # truncated by int(): the order 11/2 gave a form on Z/5, and the
+    # images 9/2 and 4.7 both gave the image 4
+    with pytest.raises(InvalidParameterError, match="orders must be integers"):
+        FiniteQuadForm.make((Fraction(11, 2),), (Fraction(2, 5),), ((Fraction(2, 5),),))
+    form = FiniteQuadForm.make((5,), (Fraction(2, 5),), ((Fraction(2, 5),),))
+    for image in (Fraction(9, 2), 4.7):
+        with pytest.raises(InvalidIsometryError, match="must be integers"):
+            as_isometry(form, form, ((image,),))
+    assert as_isometry(form, form, ((4,),)).images == ((4,),)
+
+
 # ------------------------------------------------------ primary decomposition
 
 

@@ -40,9 +40,13 @@ def test_totient_small_table():
 
 
 def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
-    for n in range(2, 25):
-        assert is_prime(n) == (n in primes)
+    # against a sieve of Eratosthenes below 2000
+    sieve = [False, False] + [True] * 1998
+    for p in range(2, 45):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, 2000, p))
+    for n in range(-3, 2000):
+        assert is_prime(n) == (n >= 0 and sieve[n]), n
 
 
 def test_units_mod():

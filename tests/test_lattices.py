@@ -1,7 +1,10 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
+import lattice_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 from snf_oracle import det, matmul, smith_normal_form
@@ -140,10 +143,89 @@ def test_snf_properties(rows):
 
 
 def test_row_hnf_echelon():
-    basis = row_hnf([[2, 4], [3, 5]], 2)
+    basis = row_hnf([[2, 4], [3, 5]])
     assert basis == [[1, 1], [0, 2]]
     # span is preserved: adding spanned rows changes nothing
-    assert row_hnf([[2, 4], [3, 5], [1, 1], [0, 2]], 2) == basis
+    assert row_hnf([[2, 4], [3, 5], [1, 1], [0, 2]]) == basis
+
+
+def _random_rows(rng):
+    """A seeded set of 0-5 integer rows, rank-deficient about a third of
+    the time: multiples of one row, first or second column zero."""
+    shape = rng.randrange(6)
+    size = rng.randrange(6)
+    bound = rng.choice((3, 30, 10**6))
+    x0, y0 = rng.randint(-bound, bound), rng.randint(-bound, bound)
+    rows = []
+    for _ in range(size):
+        x, y = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if shape == 0:
+            x, y = x0 * (x % 7 - 3), y0 * (x % 7 - 3)
+        elif shape == 1:
+            x = 0
+        elif shape == 2:
+            y = 0
+        rows.append([x, y])
+    return rows
+
+
+def test_row_hnf_equals_the_generic_routine():
+    rng = random.Random(2024)
+    ranks = [0, 0, 0]
+    for _ in range(12000):
+        rows = _random_rows(rng)
+        got = row_hnf(rows)
+        assert got == lattice_oracle.row_hnf(rows, 2), rows
+        ranks[len(got)] += 1
+    assert row_hnf([]) == [] and min(ranks) > 1000, ranks
+
+
+def _random_generators(rng, t):
+    """0-3 rational vectors, most of them outside the dual lattice, some
+    of them dual but not isotropic."""
+    dens = (1, 2, t, 2 * t, t * t, rng.randint(1, 3 * t))
+    return [
+        RationalVector.make(
+            Fraction(rng.randint(-2 * t, 2 * t), rng.choice(dens)) for _ in range(2)
+        )
+        for _ in range(rng.randrange(4))
+    ]
+
+
+def _outcome(route, lat, gens):
+    try:
+        return route(lat, gens).gram.entries
+    except (InvalidElementError, InvalidSubgroupError) as exc:
+        return type(exc), str(exc)
+
+
+def test_overlattice_equals_the_fraction_route():
+    # each (d, t) with t <= 24: seeded pairs of lifts of isotropic classes,
+    # shifted by lattice vectors, and seeded random rational generators
+    rng = random.Random(28)
+    kinds = Counter()
+    for t in range(1, 25):
+        for d in range(-t, 2 * t):
+            lat = ns_gram(d, t).to_lattice()
+            lf = ns_form(d, t).lf
+            isotropic = [e for e in lf.form.elements() if e.is_isotropic()]
+            lifts = [
+                lf.lift(rng.choice(isotropic))
+                + RationalVector.make((rng.randint(-2, 2), rng.randint(-2, 2)))
+                for _ in range(16)
+            ]
+            cases = [lifts[i:i + 2] for i in range(0, 16, 2)]
+            cases += [_random_generators(rng, t) for _ in range(6)]
+            for gens in cases:
+                got = _outcome(overlattice, lat, gens)
+                assert got == _outcome(lattice_oracle.overlattice, lat, gens), (d, t, gens)
+                if isinstance(got[0], tuple):
+                    kinds["gram"] += 1
+                else:
+                    kinds["isotropic" if "isotropic" in got[1] else got[1]] += 1
+    # every outcome is reached: a Gram and the three refusals
+    assert sum(kinds.values()) == 900 * 14, kinds
+    assert len(kinds) == 4 and min(kinds.values()) > 50, kinds
 
 
 def test_lattice_validation():
@@ -254,7 +336,7 @@ def test_overlattice_rows_always_have_full_rank():
                         den = den * c.denominator // gcd(den, c.denominator)
                 rows = [[den, 0], [0, den]]
                 rows += [[int(c * den) for c in g.coords] for g in gens]
-                assert len(row_hnf(rows, 2)) == 2, (d, t, gens)
+                assert len(row_hnf(rows)) == 2, (d, t, gens)
             sets_tried += len(sets)
     assert sets_tried == 11823
 
