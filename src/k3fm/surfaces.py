@@ -11,7 +11,7 @@ groups B and Btilde as unit subgroups, and the T-general flag.
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
-from operator import eq
+from operator import eq, index
 
 from . import budget
 from .discforms import (
@@ -35,11 +35,9 @@ from .lattices import genus_representatives
 from .lagrangians import (
     GSpec,
     _coordinate_move,
-    _idempotents,
     _lagrangian_coords,
     count_lagrangians,
     enumerate_lagrangian_subgroups,
-    g_orbits,
 )
 
 J_GENERIC = "generic"
@@ -142,9 +140,13 @@ class SurfaceModel:
 
 
 def _unit_subgroup(name: str, t: int, grp) -> frozenset:
-    """``grp`` reduced mod t, checked to be a non-empty subgroup of the
-    units mod t; ``name`` is the group's name in the error messages."""
-    g = frozenset(x % t for x in grp)
+    """``grp``'s integers (``operator.index``, nothing truncated) reduced
+    mod t, checked to be a non-empty subgroup of the units mod t; ``name``
+    is the group's name in the error messages."""
+    try:
+        g = frozenset(index(x) % t for x in grp)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must consist of integers") from None
     if not g or any(gcd(x, t) != 1 for x in g):
         raise InvalidParameterError(f"{name} must consist of units mod t")
     if close_units_subgroup(t, g) != g:
@@ -322,47 +324,19 @@ def _de_closed_form(d: int, t: int):
     return elements // 2, subgroups
 
 
-def _unit_order(nf, move, g, r: int, span: int, idem: dict) -> int:
-    """ord_t(lam) for the unit lam with sigma^r(g) = lam g: ``g`` are the
-    generator coordinates of a Lagrangian subgroup in the bundle ``nf``, r
-    the length of its sigma-orbit, ``move`` sigma on coordinates.  For
-    each p^k || t, lam mod p^k comes from one coordinate j on which g's
-    p-part has order p^k: with e = gcd(g_j, n_j), lam g_j = h_j mod n_j
-    fixes lam mod n_j / e, a multiple of p^k; t's CRT idempotents ``idem``
-    combine the residues.  RuntimeError when lam g differs from sigma^r(g)
-    on some coordinate, or when lam^span != 1 (sigma has order |G image|,
-    so ord_t(lam) divides span = |G image| / r).
-    """
-    t, orders = nf.t, nf.form.orders
-    h = g
-    for _ in range(r):
-        h = move(h)
-    lam = 0
-    for p, k in nf.t_factors.items():
-        for x, y, n in zip(g, h, orders):
-            e = gcd(x, n)
-            if n // e % p**k == 0:
-                lam += y // e * pow(x // e, -1, n // e) * idem[p]
-                break
-    lam %= t
-    if any((lam * x - y) % n for x, y, n in zip(g, h, orders)):
-        raise RuntimeError("sigma^r is not a unit multiple of a subgroup generator")
-    if pow(lam, span, t) != 1 % t:
-        raise RuntimeError("orbit unit has an order not dividing |G image|/r")
-    return next(e for e in range(1, span + 1) if pow(lam, e, t) == 1 % t)
-
-
 def de_counts(model: SurfaceModel) -> tuple[int, int]:
     """(derived elliptic structures, G-orbits of Lagrangian subgroups).
 
-    The first number is the count of G-orbits of Lagrangian elements, the
-    second of G-orbits of Lagrangian subgroups.  Every Lagrangian element
-    generates exactly one of the 2^omega(m) Lagrangian subgroups, and G's
-    generator sigma permutes them (``g_orbits``).  For an orbit O of
-    length r, sigma^r maps each generator g of its least subgroup to
-    lam_O g for one unit lam_O mod t (``_unit_order``), so sigma's cycles
-    on the phi(t) r generators of O's subgroups number phi(t)/ord_t(lam_O)
-    (P12): de = sum over O of phi(t)/ord_t(lam_O).  No element is walked.
+    The first number counts G-orbits of Lagrangian elements, the second
+    of Lagrangian subgroups.  Each element generates exactly one of the
+    2^omega(m) subgroups L, so Burnside's lemma over G's image (cyclic of
+    order n, generated by sigma) reads both off sigma^k(g_L), k = 1..n,
+    for each generator g_L.  sigma^k fixes L when sigma^k(g_L) lies in L
+    (``L._has``, as L = L-perp), and then acts on L as a unit multiple, so
+    it fixes all phi(t) generators of L or none, by whether sigma^k(g_L) =
+    g_L.  Hence de = phi(t) (fixed generators) / n and de_orbits = (fixed
+    subgroups) / n; no element is walked.  RuntimeError when sigma^n does
+    not bring some g_L back, or when a Burnside sum is not a multiple of n.
 
     For T-general members with t > 2 both numbers are checked against the
     closed forms 2^(omega(m)-1) phi(t) and 2^omega(m), and beyond the
@@ -374,25 +348,31 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     d, t = model.d, model.t
     nf = ns_form(d, t)
     subs = enumerate_lagrangian_subgroups(d, t)
-    orbits = g_orbits(subs, model.G)
-    move, size = _coordinate_move(model.G.generator), len(model.G.image_elements())
-    idem = _idempotents(t, nf.t_factors)
+    move, n = _coordinate_move(model.G.generator), len(model.G.image_elements())
     phi = prod((p - 1) * p ** (k - 1) for p, k in nf.t_factors.items())
-    de = 0
-    for o in orbits:
-        r = len(o)
-        de += phi // _unit_order(nf, move, o[0].generator.coords, r, size // r, idem)
+    fixed_generators = fixed_subgroups = 0
+    for sub in subs:
+        g = h = sub.generator.coords
+        for _ in range(n):
+            h = move(h)
+            fixed_generators += h == g
+            fixed_subgroups += sub._has(h)
+        if h != g:
+            raise RuntimeError("sigma^n is not the identity on a subgroup generator")
+    if phi * fixed_generators % n or fixed_subgroups % n:
+        raise RuntimeError("Burnside sum is not a multiple of |G image|")
+    de, orbits = phi * fixed_generators // n, fixed_subgroups // n
     closed = _de_closed_form(d, t) if model.t_general else None
     if closed is not None:
-        if closed[1] != len(orbits):
+        if closed[1] != orbits:
             raise RuntimeError("orbit count disagrees with the closed form")
         if closed[0] != de:
             raise RuntimeError("element orbit count disagrees with the closed form")
         if nf.form.size > budget.element_cap():
-            return de, len(orbits)
+            return de, orbits
     if len(_lagrangian_coords(d, t)) != len(subs) * phi:
         raise RuntimeError("subgroups do not account for the scanned elements")
-    return de, len(orbits)
+    return de, orbits
 
 
 def ht_classify(d: int, t: int, t_general: bool) -> HTClass:

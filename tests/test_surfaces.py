@@ -32,7 +32,14 @@ from k3fm.errors import (
 )
 from k3fm import kernels, surfaces
 from k3fm.intmath import close_units_subgroup, distinct_primes, totient, units_mod
-from k3fm.lagrangians import GSpec, _coordinate_move, _lagrangian_coords, _orbits
+from k3fm.lagrangians import (
+    GSpec,
+    _coordinate_move,
+    _lagrangian_coords,
+    _orbits,
+    enumerate_lagrangian_subgroups,
+    g_orbits,
+)
 from k3fm.lattices import (
     IntMatrix,
     RationalVector,
@@ -344,6 +351,21 @@ def test_model_twist_groups_must_be_units():
     SurfaceModel(0, 1, _sign(0, 1), frozenset({5}), frozenset({0}))
 
 
+def test_twist_groups_take_integers_only():
+    # %-reduction and gcd would raise a bare TypeError on these, and
+    # int() would truncate 9/2 to the unit 4
+    units = {1, 4}
+    for bad in [{1, 4.0}, {1, Fraction(4)}, {1, Fraction(9, 2)}]:
+        with pytest.raises(InvalidParameterError, match="^B must consist of integers"):
+            coprime_jacobian_classes(5, bad)
+        with pytest.raises(InvalidParameterError, match="^B must consist of integers"):
+            SurfaceModel(1, 5, _sign(1, 5), bad, units)
+        with pytest.raises(InvalidParameterError, match="^Btilde must consist of integers"):
+            SurfaceModel(1, 5, _sign(1, 5), units, bad)
+    # anything operator.index accepts is an integer
+    assert coprime_jacobian_classes(5, {True, 4}) == (2, (1, 2))
+
+
 def test_model_isotrivial_constraints():
     b4 = frozenset({1, 5, 8, 12})  # cyclic of order 4 mod 13
     with pytest.raises(InvalidParameterError):
@@ -643,7 +665,7 @@ def test_cycle_count_matches_the_orbit_walk_on_general_cells():
         for d in range(t):
             model = SurfaceModel.general(d, t)
             walk = _check_cycle_count(model.G.generator, _lagrangian_coords(d, t))
-            assert de_counts(model)[0] == walk, (d, t)
+            assert de_counts(model) == (walk, _subgroup_orbits(d, t, model.G)), (d, t)
             ranks.add(ns_form(d, t).form.rank)
     assert ranks == {1, 2}
 
@@ -670,9 +692,15 @@ def test_cycle_count_matches_the_orbit_walk_on_order_four_groups():
     assert isometries == 128  # 2(t - 1) on A(0, t), +-1 on the cyclic groups
 
 
+def _subgroup_orbits(d, t, g):
+    """Oracle for the second DE count: the orbit walk over the subgroups."""
+    return len(g_orbits(enumerate_lagrangian_subgroups(d, t), g))
+
+
 def test_de_counts_match_the_cycle_count_for_every_cyclic_group():
     # G generated by each isometry whose powers hold -id, with the least
-    # order GSpec accepts; P12 against scanning and walking sigma's cycles
+    # order GSpec accepts; the Burnside counts against scanning and walking
+    # sigma's cycles on elements and the orbit walk on subgroups
     orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
     pairs = 0
     for t in range(3, 41):
@@ -689,7 +717,8 @@ def test_de_counts_match_the_cycle_count_for_every_cyclic_group():
                 except InvalidParameterError:
                     continue
                 model = SurfaceModel(d, t, g, b, b, t_general=False)
-                assert de_counts(model)[0] == _cycle_count(sigma, coords), (d, t)
+                expected = (_cycle_count(sigma, coords), _subgroup_orbits(d, t, g))
+                assert de_counts(model) == expected, (d, t)
                 pairs += 1
     assert pairs == 1053
 
@@ -700,21 +729,32 @@ def _moved(monkeypatch, image):
 
 
 def test_de_counts_raises_when_sigma_is_not_a_unit_multiple(monkeypatch):
-    # (1, 0) generates a Lagrangian subgroup of A(0, 5) = (Z/5)^2
+    # (1, 0) generates a Lagrangian subgroup of A(0, 5) = (Z/5)^2, and two
+    # steps of the translate move it to (1, 2)
     _moved(monkeypatch, lambda c: (c[0], (c[1] + 1) % 5))
-    with pytest.raises(RuntimeError, match="not a unit multiple"):
+    with pytest.raises(RuntimeError, match="sigma\\^n is not the identity"):
         de_counts(SurfaceModel.general(0, 5))
 
 
 def test_de_counts_raises_when_the_unit_order_does_not_divide(monkeypatch):
-    # 2 has order 4 mod 5, which does not divide |{+-1}| / 1 = 2
+    # 2 has order 4 mod 5, so sigma^2 = 4 moves every generator of {+-1}'s
+    # image, which has order n = 2
     _moved(monkeypatch, lambda c: tuple(2 * x % 5 for x in c))
-    with pytest.raises(RuntimeError, match="order not dividing"):
+    with pytest.raises(RuntimeError, match="sigma\\^n is not the identity"):
+        de_counts(SurfaceModel.general(0, 5))
+
+
+def test_de_counts_raises_when_a_burnside_sum_is_not_a_multiple_of_n(monkeypatch):
+    # an involution that fixes (1, 0) and moves (0, 1) out of its subgroup,
+    # so the subgroups' fixed points number 2 + 1 for n = 2
+    _moved(monkeypatch, lambda c: ((c[0] + c[1]) % 5, -c[1] % 5))
+    with pytest.raises(RuntimeError, match="Burnside sum is not a multiple"):
         de_counts(SurfaceModel.general(0, 5))
 
 
 def test_de_counts_checks_p12_against_the_closed_form(monkeypatch):
-    # lam = 1 has order 1, which divides 2, but gives phi(t) per subgroup
+    # the identity passes the sigma^n check but fixes all phi(t) generators
+    # of each subgroup at both powers, twice the closed form
     _moved(monkeypatch, lambda c: c)
     with pytest.raises(RuntimeError, match="element orbit count disagrees"):
         de_counts(SurfaceModel.general(0, 5))
