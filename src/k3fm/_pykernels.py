@@ -25,7 +25,7 @@ bilinear pairing lives in Q/Z so numerators are reduced mod den.
 from itertools import repeat
 from math import gcd
 
-from .intmath import factorize
+from .intmath import modulus
 
 
 def scan_isotropic_elements(n1, n2, q1, q2, b12, den, order):
@@ -53,9 +53,9 @@ def scan_isotropic_elements(n1, n2, q1, q2, b12, den, order):
     """
     two_den = 2 * den
     g1, g2 = gcd(n1, order), gcd(n2, order)
-    primes = factorize(order)
+    arith = modulus(order)
     gens = [(0, 0)]
-    for p, k in primes.items():
+    for p, k in arith.factors:
         pk = p**k
         pa, pb = gcd(g1, pk), gcd(g2, pk)
         s1, s2 = n1 // pa % n1, n2 // pb % n2  # of order p^a and p^b
@@ -73,9 +73,7 @@ def scan_isotropic_elements(n1, n2, q1, q2, b12, den, order):
         gens = [
             ((c1 + e1) % n1, (c2 + e2) % n2) for c1, c2 in gens for e1, e2 in local
         ]
-    units = range(order)
-    for p in primes:
-        units = [u for u in units if u % p]
+    units = arith.units
     keys = []  # (c1, c2) as c1 * n2 + c2, which sorts lexicographically
     for c1, c2 in gens:
         keys += [u * c1 % n1 * n2 + u * c2 % n2 for u in units]

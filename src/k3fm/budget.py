@@ -4,34 +4,27 @@ Each cap is compared with the size of what a search visits:
 
 * element scans allow |A| up to ``ELEMENT_CAP`` (for the rank-two
   family |A| = t^2, i.e. t <= 2000 by default), although they test q
-  once per p-part of a cyclic subgroup of the order they look for and
-  build only the elements they return.  The cap still bounds |A|, not
-  that work: at (0, 2000) it is 174 q-tests and 3,200 elements;
-* isometry enumeration is quartic-ish in the generator orders and gets
-  the much smaller ``ISOMETRY_CAP``.  FM counts search isometries on
-  each p-primary part A_p of A separately, so there the cap bounds the
-  largest |A_p| = p^(2k), p^k the exact power of p in t: at the default
-  cap ``fm --d 30 --t 30030`` runs (largest part 169), while
-  ``fm --d 0 --t 101`` (one part of 10,201) and any sweep reaching a
-  prime t > 100 exit with the capacity error.  For G = {+-1} no
-  isometry group is enumerated (|O(A_p)| is read off (d, t)), so there
+  once per p-part of a cyclic subgroup and build only the elements they
+  return: at (0, 2000) that is 174 q-tests and 3,200 elements;
+* isometry enumeration gets the much smaller ``ISOMETRY_CAP``.  FM
+  counts search isometries on each p-primary part A_p of A separately,
+  so there the cap bounds the largest |A_p| = p^(2k), p^k || t:
+  ``fm --d 30 --t 30030`` runs (largest part 169), while
+  ``fm --d 0 --t 101`` (one part of 10,201) is refused.  For G = {+-1}
   the cap bounds only the search that anchors each genus class's parts
   onto those of the genus's least member; a G with other elements also
-  enumerates O(A_p) on every part.
-* an FM count's genus walk visits every genus class, and each class's
-  parts are searched at most once per cached ``ns_form`` bundle; the
-  genus is enumerated over the phi(t/m) units mod t/m, m = gcd(d, t),
-  which also bound the number of classes, and the walk is held to
-  phi(t/m) * sum_p |A_p| <= ``ELEMENT_CAP`` on every call.  Every
-  t <= 100 stays under 10^6 there, and ``fm --d 1 --t 3565``, a walk
-  just under the default cap, takes about 0.07 s.  ``fm --d 1 --t 8633``
-  (89 * 97, both parts under the isometry cap) is refused, while
-  ``fm --d 0 --t 510510`` (one genus class, a walk of sum_p p^2) runs;
-  it was refused while the walk was counted as phi(t) * sum_p |A_p|.
+  enumerates O(A_p) on every part;
+* an FM count's genus walk, over the phi(t/m) units mod t/m,
+  m = gcd(d, t), is held to phi(t/m) * sum_p |A_p| <= ``ELEMENT_CAP``
+  on every call: ``fm --d 1 --t 8633`` (89 * 97) is refused, while
+  ``fm --d 0 --t 510510`` (one genus class) runs.
 
 Setting the environment variable ``K3FM_BUDGET`` to a positive integer
-overrides both caps with that value.  The variable is read at call time,
-not import time, so tests and long-running processes can adjust it.
+overrides both caps with that value.  It is read on first use, not at
+import time.  Inside ``within_request`` (each ``cli.main`` request) the
+first read is kept until the request ends, so the variable is parsed at
+most once per request, and not at all by a request that reads no cap;
+any other call reads it afresh, so tests can change it between calls.
 ``require`` is the one gate every budgeted enumeration passes, and the
 only place that raises ``CapacityError``.
 """
@@ -43,34 +36,48 @@ from .errors import CapacityError, InvalidParameterError
 DEFAULT_ELEMENT_CAP = 4_000_000
 DEFAULT_ISOMETRY_CAP = 10_000
 
+_kept: list | None = None  # inside within_request: [] or [the first read]
+
+
+def within_request(call, *args):
+    """``call(*args)``, keeping the first ``K3FM_BUDGET`` read until it returns."""
+    global _kept
+    outer, _kept = _kept, []
+    try:
+        return call(*args)
+    finally:
+        _kept = outer
+
 
 def _env_budget() -> int | None:
+    if _kept is None:
+        return _parse_budget()
+    if not _kept:
+        _kept.append(_parse_budget())
+    return _kept[0]
+
+
+def _parse_budget() -> int | None:
     raw = os.environ.get("K3FM_BUDGET")
     if raw is None:
         return None
     try:
         value = int(raw)
     except ValueError:
-        raise InvalidParameterError(
-            f"K3FM_BUDGET must be a positive integer, got {raw!r}"
-        ) from None
+        value = 0
     if value < 1:
-        raise InvalidParameterError(
-            f"K3FM_BUDGET must be a positive integer, got {raw!r}"
-        )
+        raise InvalidParameterError(f"K3FM_BUDGET must be a positive integer, got {raw!r}")
     return value
 
 
 def element_cap() -> int:
     """Largest |A| an element scan may visit."""
-    override = _env_budget()
-    return DEFAULT_ELEMENT_CAP if override is None else override
+    return _env_budget() or DEFAULT_ELEMENT_CAP
 
 
 def isometry_cap() -> int:
     """Largest |A| an isometry enumeration may visit."""
-    override = _env_budget()
-    return DEFAULT_ISOMETRY_CAP if override is None else override
+    return _env_budget() or DEFAULT_ISOMETRY_CAP
 
 
 def require(size: int, cap: int, what: str) -> None:

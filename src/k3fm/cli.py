@@ -24,9 +24,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import NamedTuple
 
+from .budget import within_request
 from .discforms import DFIsometry, ns_form, structure_invariants
 from .errors import (
     CapacityError,
@@ -34,7 +35,7 @@ from .errors import (
     InvalidSubgroupError,
     K3FMError,
 )
-from .intmath import distinct_primes, units_mod
+from .intmath import distinct_primes, modulus, units_mod
 from .lagrangians import (
     SELECT_V,
     SELECT_VPRIME,
@@ -204,8 +205,8 @@ def _cmd_disc(args):
 def _cmd_lagr(args):
     d, t = args.d, args.t
     m = gcd(d, t)
-    omega = len(distinct_primes(m))
     elements, subgroups = count_lagrangians(d, t)
+    omega = len(modulus(t).common_primes(d))
     if not args.list:
         payload = {
             "d": d,
@@ -298,8 +299,7 @@ def _cmd_de(args):
     model = SurfaceModel(d, t, g, b, b, t_general=t_general, isotrivial_j=j)
     de, de_orbits = de_counts(model)
     # phi(t) / |B|: B is a subgroup of (Z/t)*, checked by SurfaceModel
-    phi = prod((p - 1) * p ** (k - 1) for p, k in ns_form(d, t).t_factors.items())
-    twists = phi // len(b) if t > 2 else None
+    twists = modulus(t).phi // len(b) if t > 2 else None
     payload = {
         "b_order": len(b),
         "d": d,
@@ -324,7 +324,7 @@ def _cmd_ht(args):
         "d": d,
         "ht_class": cls.value,
         "m": m,
-        "omega_m": len(distinct_primes(m)),
+        "omega_m": len(modulus(t).common_primes(d)),
         "t": t,
         "t_general": bool(args.t_general),
     }
@@ -395,13 +395,12 @@ def sweep_cell(cell, formula_only: bool, verify: bool) -> dict:
     """One sweep row; module-level so multiprocessing can pickle it."""
     d, t = cell
     m = gcd(d, t)
-    omega = len(distinct_primes(m))
     elements, subgroups = count_lagrangians(d, t)
     row = {
         "d": d,
         "t": t,
         "m": m,
-        "omega_m": omega,
+        "omega_m": len(modulus(t).common_primes(d)),
         "lagr_elements": elements,
         "lagr_subgroups": subgroups,
         "ht_class": ht_classify(d, t, True).value,
@@ -690,7 +689,8 @@ def main(argv=None) -> int:
 
     Well-formed argv is parsed without argparse, into the namespace
     ``build_parser().parse_args`` would give; anything else goes through
-    that call (``_parse_argv``)."""
+    that call (``_parse_argv``).  ``K3FM_BUDGET`` is parsed at most once
+    per request (``budget.within_request``)."""
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_argv(build_parser(), argv)
@@ -700,7 +700,7 @@ def main(argv=None) -> int:
         "json" if getattr(args, "json", False) else "table",
     )
     try:
-        code, text = run(request)
+        code, text = within_request(run, request)
     except SweepVerifyError as exc:
         print(f"k3fm: verification failed: {exc}", file=sys.stderr)
         return 1

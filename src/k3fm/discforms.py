@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     OutOfScopeError,
 )
-from .intmath import distinct_primes, factorize
+from .intmath import distinct_primes, modulus
 from .lattices import (
     IntMatrix,
     Lattice,
@@ -388,7 +388,8 @@ def as_isometry(domain: FiniteQuadForm, codomain: FiniteQuadForm, images) -> DFI
 
 @dataclass(frozen=True)
 class LatticeForm:
-    """Discriminant form of an even lattice, with converters both ways.
+    """Discriminant form of an even lattice, with the class of a dual
+    vector and the map a lattice isometry induces.
 
     With U G V = D the Smith form of the Gram matrix G, generator i of the
     form is v_i / n_i, for v_i the column of V at the i-th invariant
@@ -396,9 +397,7 @@ class LatticeForm:
     its class are the entries of U G x at those invariants, mod n_i.
 
     Only integers are kept: the form's numerators, the SNF diagonal, the
-    rows of U and the columns v_i.  The rational generators ``gens`` are
-    computed on first read and then kept on this object, so they live and
-    die with the ``ns_form`` bundle that holds it.
+    rows of U and the columns v_i.
     """
 
     lattice: Lattice
@@ -406,14 +405,6 @@ class LatticeForm:
     diag: tuple[int, ...]  # full SNF diagonal, unit entries included
     u_rows: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[int, ...], ...]  # the integer columns v_i of V, n_i > 1
-
-    @cached_property
-    def gens(self) -> tuple[RationalVector, ...]:
-        """Rational lifts v_i / n_i of the form generators."""
-        return tuple(
-            RationalVector(tuple(Fraction(x, n) for x in col))
-            for col, n in zip(self.columns, self.form.orders)
-        )
 
     def _class_of(self, gx) -> DFElement:
         """Class of the dual vector x with G x = ``gx``, an integer vector."""
@@ -451,16 +442,6 @@ class LatticeForm:
                 raise InvalidIsometryError("matrix does not preserve the dual lattice")
             images.append(self._class_of([q for q, _ in quot]).coords)
         return as_isometry(self.form, self.form, images)
-
-    def lift(self, elem: DFElement) -> RationalVector:
-        """A dual vector representing the class of ``elem``."""
-        if elem.form != self.form:
-            raise InvalidElementError("element does not belong to this form")
-        vec = RationalVector(tuple(Fraction(0) for _ in range(self.lattice.rank)))
-        for c, gen in zip(elem.coords, self.gens):
-            if c:
-                vec = vec + c * gen
-        return vec
 
 
 def from_lattice(lat) -> LatticeForm:
@@ -536,8 +517,8 @@ class NSForm:
 
     @cached_property
     def t_factors(self) -> dict[int, int]:
-        """{p: k} for t = prod p^k; |A| = t^2 has the same primes."""
-        return factorize(self.t)
+        """{p: k} for t = prod p^k, read off t's record ``modulus(t)``."""
+        return dict(modulus(self.t).factors)
 
     def fh(self, a: int, b: int) -> DFElement:
         """Class of a F* + b H* (the dual-basis coordinates of the family):
@@ -546,9 +527,8 @@ class NSForm:
 
     @cached_property
     def primary_parts(self) -> tuple["PrimaryPart", ...]:
-        """``primary_decomposition`` of the form, computed once per cached
-        bundle from t's primes."""
-        return _decompose(self.form, sorted(self.t_factors))
+        """``primary_decomposition`` of the form, once per cached bundle."""
+        return primary_decomposition(self.form)
 
     @cached_property
     def o_lambda_rows(self) -> dict:
@@ -689,15 +669,9 @@ def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
     read off the parent's numerators: over its denominator den, the part's
     are q_i m_i^2 mod 2 den and b_ij m_i m_j mod den, in lowest terms.
     """
-    return _decompose(form, distinct_primes(form.size))
-
-
-def _decompose(form: FiniteQuadForm, primes) -> tuple[PrimaryPart, ...]:
-    """``primary_decomposition`` over ``primes``, the ascending primes of
-    |form|."""
     den, qn, bn = form.den, form.qn, form.bn
     parts = []
-    for p in primes:
+    for p in distinct_primes(form.size):
         indices = []
         part_orders = []
         cofactors = []
@@ -743,9 +717,8 @@ def _kernel_setup(struct_form: FiniteQuadForm, value_form: FiniteQuadForm):
 
 def _surjectivity_primes(n1: int, n2: int):
     """The prime lists ``kernels.scan_isometries`` checks surjectivity at:
-    those of n1, and those of n2 that do not divide n1.  n1 divides n2,
-    so factoring n2 gives both."""
-    primes = distinct_primes(n2)
+    those of n1, and those of n2 not dividing n1 (n1 | n2, so n2's)."""
+    primes = modulus(n2).primes
     return (
         tuple(p for p in primes if n1 % p == 0),
         tuple(p for p in primes if n1 % p),

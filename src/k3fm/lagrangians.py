@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSubgroupError,
 )
-from .intmath import distinct_primes, totient
+from .intmath import modulus, totient
 
 # The family's surfaces have rank-two Picard lattices, so the
 # transcendental rank is fixed at 22 - 2.
@@ -83,8 +83,9 @@ class LagrangianSubgroup:
     generator: DFElement
 
     def __post_init__(self):
-        m = gcd(self.d, self.t)
-        primes = distinct_primes(m)
+        if self.t < 1:
+            raise InvalidSubgroupError(f"t must be a positive integer, got {self.t}")
+        primes = modulus(self.t).common_primes(self.d)
         if tuple(p for p, _ in self.selector) != primes:
             raise InvalidSubgroupError(
                 f"selector primes must be exactly {primes}"
@@ -137,29 +138,18 @@ def _functional(form, coords) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, coords)) % den for row in form.bn)
 
 
-def _idempotents(t: int, factors: dict[int, int]) -> dict[int, int]:
-    """c_p = 1 mod p^k, 0 mod t/p^k, for each prime power p^k || t, from
-    t's factorisation ``factors`` (``NSForm.t_factors``)."""
-    out = {}
-    for p, k in factors.items():
-        pk = p**k
-        cof = t // pk
-        out[p] = cof * pow(cof, -1, pk) % t
-    return out
-
-
-def _primes_of_m(nf) -> tuple[int, ...]:
-    """The primes of m = gcd(d, t), ascending, read off t's factorisation."""
-    m = nf.m
-    return tuple(p for p in sorted(nf.t_factors) if m % p == 0)
+def _idempotents(t: int) -> dict[int, int]:
+    """c_p = 1 mod p^k, 0 mod t/p^k per p^k || t, kept on t's record."""
+    return modulus(t).idempotents
 
 
 def count_lagrangians(d: int, t: int) -> tuple[int, int]:
     """(element count, subgroup count) = (phi(t) 2^omega(m), 2^omega(m))."""
     if t < 1:
         raise InvalidParameterError(f"t must be a positive integer, got {t}")
-    subs = 1 << len(distinct_primes(gcd(d, t)))
-    return totient(t) * subs, subs
+    rec = modulus(t)
+    subs = 1 << len(rec.common_primes(d))
+    return rec.phi * subs, subs
 
 
 def canonical_pair(d: int, t: int) -> tuple[LagrangianElement, LagrangianElement]:
@@ -197,20 +187,19 @@ def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
     return [LagrangianElement(form.element(c)) for c in _lagrangian_coords(d, t)]
 
 
-def _subgroup(d: int, t: int, selector, idem=None) -> LagrangianSubgroup:
+def _subgroup(d: int, t: int, selector) -> LagrangianSubgroup:
     """The subgroup a per-prime selector names.
 
     Its generator is a vbar + b vprime with a and b sums of the CRT
-    idempotents of t (``idem``, computed when not passed): a takes the
-    primes not dividing m = gcd(d, t) and those selecting V, b those
-    selecting Vprime.  So the all-V subgroup is exactly <vbar> and the
-    all-Vprime one is <vprime>.  The coordinates are one integer
-    combination, reduced once into a DFElement.
+    idempotents of t (``_idempotents``): a takes the primes not dividing
+    m = gcd(d, t) and those selecting V, b those selecting Vprime.  So the
+    all-V subgroup is exactly <vbar> and the all-Vprime one is <vprime>.
+    The coordinates are one integer combination, reduced once into a
+    DFElement.
     """
     nf = ns_form(d, t)
     m = gcd(d, t)
-    if idem is None:
-        idem = _idempotents(t, nf.t_factors)
+    idem = _idempotents(t)
     a = sum(c for p, c in idem.items() if m % p)
     b = 0
     for p, c in selector:
@@ -228,11 +217,10 @@ def enumerate_lagrangian_subgroups(d: int, t: int) -> list[LagrangianSubgroup]:
 
     Never enumerates elements, hence no budget.
     """
-    nf = ns_form(d, t)
-    idem = _idempotents(t, nf.t_factors)
-    primes = _primes_of_m(nf)
+    ns_form(d, t)  # refuses a bad (d, t) before t's record is read
+    primes = modulus(t).common_primes(d)
     return [
-        _subgroup(d, t, tuple(zip(primes, choice)), idem)
+        _subgroup(d, t, tuple(zip(primes, choice)))
         for choice in product((SELECT_V, SELECT_VPRIME), repeat=len(primes))
     ]
 
@@ -266,14 +254,14 @@ def _classifier(d: int, t: int, known: dict):
     nf = ns_form(d, t)
     form = nf.form
     den = form.den
-    idem = _idempotents(t, nf.t_factors)
+    idem = _idempotents(t)
     tests = [
         (
             p,
             _functional(form, (idem[p] ** 2 * nf.vbar).coords),
             _functional(form, (idem[p] ** 2 * nf.vprime).coords),
         )
-        for p in _primes_of_m(nf)
+        for p in modulus(t).common_primes(d)
     ]
 
     def classify(coords) -> LagrangianSubgroup:
@@ -290,7 +278,7 @@ def _classifier(d: int, t: int, known: dict):
         selector = tuple(selector)
         sub = known.get(selector)
         if sub is None:
-            sub = known[selector] = _subgroup(d, t, selector, idem)
+            sub = known[selector] = _subgroup(d, t, selector)
         if not sub._has(coords):
             raise InvalidSubgroupError(
                 "element is not in the subgroup its selector names"

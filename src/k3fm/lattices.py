@@ -141,15 +141,6 @@ class RationalVector:
         c = Fraction(c)
         return RationalVector(tuple(c * a for a in self.coords))
 
-    def pair(self, gram: IntMatrix, other: "RationalVector") -> Fraction:
-        """Bilinear pairing self . other with respect to gram."""
-        g = gram.entries
-        return sum((a * g[i][j] * b for i, a in enumerate(self.coords) if a
-                    for j, b in enumerate(other.coords) if b and g[i][j]), Fraction(0))
-
-    def square(self, gram: IntMatrix) -> Fraction:
-        return self.pair(gram, self)
-
 
 @dataclass(frozen=True)
 class Lattice:

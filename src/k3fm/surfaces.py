@@ -30,7 +30,7 @@ from .errors import (
     NotApplicableError,
     OutOfScopeError,
 )
-from .intmath import close_units_subgroup, distinct_primes, is_prime, totient, units_mod
+from .intmath import close_units_subgroup, is_prime, modulus, totient, units_mod
 from .lattices import genus_representatives
 from .lagrangians import (
     GSpec,
@@ -349,7 +349,7 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     nf = ns_form(d, t)
     subs = enumerate_lagrangian_subgroups(d, t)
     move, n = _coordinate_move(model.G.generator), len(model.G.image_elements())
-    phi = prod((p - 1) * p ** (k - 1) for p, k in nf.t_factors.items())
+    phi = modulus(t).phi
     fixed_generators = fixed_subgroups = 0
     for sub in subs:
         g = h = sub.generator.coords
@@ -387,7 +387,7 @@ def ht_classify(d: int, t: int, t_general: bool) -> HTClass:
     if t < 1:
         raise InvalidParameterError(f"t must be a positive integer, got {t}")
     m = gcd(d, t)
-    omega = len(distinct_primes(m))
+    omega = len(modulus(t).common_primes(d))
     if m == 1:
         return HTClass.SingleFibrationCovers
     if omega == 1:

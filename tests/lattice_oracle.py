@@ -1,6 +1,8 @@
 """Reference Hermite basis and overlattice, in the generic form the
 library's two-column ``lattices.row_hnf`` and integer ``overlattice`` are
-held to.
+held to, and the Fraction vector arithmetic the tests check q, b and
+classes against: ``pair`` and ``square`` on dual vectors, and ``gens`` and
+``lift`` between a ``LatticeForm`` and its lattice's dual.
 
 ``row_hnf`` is a pivot loop over any number of columns on plain lists of
 ints.  ``overlattice`` computes in Fractions throughout: the dual test on
@@ -15,6 +17,37 @@ from math import lcm
 
 from k3fm.errors import InvalidElementError, InvalidSubgroupError
 from k3fm.lattices import IntMatrix, Lattice, RationalVector
+
+
+def pair(gram: IntMatrix, x: RationalVector, y: RationalVector) -> Fraction:
+    """Bilinear pairing x . y with respect to ``gram``."""
+    g = gram.entries
+    return sum((a * g[i][j] * b for i, a in enumerate(x.coords) if a
+                for j, b in enumerate(y.coords) if b and g[i][j]), Fraction(0))
+
+
+def square(gram: IntMatrix, x: RationalVector) -> Fraction:
+    return pair(gram, x, x)
+
+
+def gens(lf) -> tuple[RationalVector, ...]:
+    """Rational lifts v_i / n_i of the generators of the ``LatticeForm``
+    ``lf``."""
+    return tuple(
+        RationalVector(tuple(Fraction(x, n) for x in col))
+        for col, n in zip(lf.columns, lf.form.orders)
+    )
+
+
+def lift(lf, elem) -> RationalVector:
+    """A dual vector representing the class of ``elem`` in ``lf``'s form."""
+    if elem.form != lf.form:
+        raise InvalidElementError("element does not belong to this form")
+    vec = RationalVector(tuple(Fraction(0) for _ in range(lf.lattice.rank)))
+    for c, gen in zip(elem.coords, gens(lf)):
+        if c:
+            vec = vec + c * gen
+    return vec
 
 
 def row_hnf(rows, n: int) -> list[list[int]]:
@@ -84,7 +117,7 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
             raise InvalidElementError(
                 "generator does not lie in the dual lattice (non-integral pairing)"
             )
-        if g.square(t_lat.gram) % 2 != 0:
+        if square(t_lat.gram, g) % 2 != 0:
             raise InvalidSubgroupError(
                 f"generator {tuple(map(str, g.coords))} is not isotropic"
             )
@@ -98,7 +131,7 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
     for x in basis:
         row = []
         for y in basis:
-            val = x.pair(t_lat.gram, y)
+            val = pair(t_lat.gram, x, y)
             if val.denominator != 1:
                 raise InvalidSubgroupError(
                     "overlattice pairing is not integral; subgroup invalid"

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k3fm
+from k3fm import budget, intmath
 from k3fm.cli import (
     SWEEP_FIELDS,
     SweepVerifyError,
@@ -29,8 +31,8 @@ from k3fm.cli import (
     main,
 )
 from k3fm.discforms import ns_form, structure_invariants
-from k3fm.errors import InvalidParameterError
-from k3fm.lagrangians import GSpec, count_lagrangians
+from k3fm.errors import CapacityError, InvalidParameterError
+from k3fm.lagrangians import GSpec, count_lagrangians, enumerate_lagrangian_elements
 from k3fm.lattices import genus_representatives
 from k3fm.surfaces import SurfaceModel, coprime_jacobian_classes, de_counts, fm_count
 from test_repository import _load_perfbench
@@ -436,6 +438,117 @@ def test_import_builds_no_parser():
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def test_import_builds_no_record_and_factors_nothing():
+    # a profiler hook sees every Python-level call into intmath while
+    # k3fm.cli is imported; a cache hit would leave a record behind
+    src = Path(k3fm.__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "reads = {'_trial_division', 'modulus', 'factorize', 'distinct_primes',"
+        " 'totient', 'is_prime', 'units_mod'}\n"
+        "calls = []\n"
+        "def watch(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name in reads:\n"
+        "        calls.append(frame.f_code.co_name)\n"
+        "sys.setprofile(watch)\n"
+        "import k3fm.cli\n"
+        "sys.setprofile(None)\n"
+        "print(k3fm.intmath.modulus.cache_info().currsize, calls)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+
+
+def _prime_powers_and_divisors(t):
+    """The divisors of t and the prime powers dividing t^2: the moduli a
+    cell of t may factor (t, m, t/m and the orders of A's p-parts)."""
+    out = set()
+    for x in range(1, t * t + 1):
+        if t * t % x:
+            continue
+        p = next((q for q in range(2, x + 1) if x % q == 0), None)
+        y = x
+        while p is not None and y % p == 0:
+            y //= p
+        if t % x == 0 or y == 1:
+            out.add(x)
+    return out
+
+
+def test_a_cold_sweep_factors_each_modulus_once_and_reads_the_budget_once(
+    capsys, monkeypatch
+):
+    factored, parses = Counter(), []
+    trial, parse = intmath._trial_division, budget._parse_budget
+
+    def counted_trial(n):
+        factored[n] += 1
+        return trial(n)
+
+    def counted_parse():
+        parses.append(os.environ.get("K3FM_BUDGET"))
+        return parse()
+
+    monkeypatch.setattr(intmath, "_trial_division", counted_trial)
+    monkeypatch.setattr(budget, "_parse_budget", counted_parse)
+    monkeypatch.setenv("K3FM_BUDGET", "4000000")
+    intmath.modulus.cache_clear()
+    ns_form.cache_clear()
+    code, out, err = run_cli(["sweep", "--t-min", "3", "--t-max", "30"], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + sum(range(3, 31))
+    # one trial division per distinct modulus, and only of t, its divisors,
+    # the orders of A's p-parts and the order 2 of G = {+-1}
+    assert factored and max(factored.values()) == 1, factored.most_common(3)
+    allowed = {2}.union(*(_prime_powers_and_divisors(t) for t in range(3, 31)))
+    assert set(factored) <= allowed, set(factored) - allowed
+    assert parses == ["4000000"]
+    for argv in (
+        ["fm", "--d", "6", "--t", "30"],
+        ["de", "--d", "6", "--t", "12"],
+        ["lagr", "--d", "30", "--t", "60", "--list"],
+        ["genus", "--d", "1", "--t", "97"],
+    ):
+        parses.clear()
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        assert len(parses) <= 1, argv
+    # outside cli.main each read parses afresh, so a later setenv is seen
+    monkeypatch.setenv("K3FM_BUDGET", "10")
+    with pytest.raises(CapacityError):
+        enumerate_lagrangian_elements(1, 5)
+    monkeypatch.setenv("K3FM_BUDGET", "25")
+    assert len(enumerate_lagrangian_elements(1, 5)) == 4
+
+
+def test_invalid_budget_fails_only_requests_that_read_it(capsys, monkeypatch):
+    monkeypatch.setenv("K3FM_BUDGET", "abc")
+    for sub, want in (("genus", 0), ("disc", 0), ("fm", 2)):
+        code, out, err = run_cli([sub, "--d", "1", "--t", "5"], capsys)
+        assert code == want, (sub, out, err)
+    assert err == "k3fm: K3FM_BUDGET must be a positive integer, got 'abc'\n"
+    # the failed request keeps nothing: a library call reads the new value
+    monkeypatch.setenv("K3FM_BUDGET", "10")
+    with pytest.raises(CapacityError):
+        enumerate_lagrangian_elements(1, 5)
+
+
+def test_counts_at_a_large_t_build_no_unit_list(capsys):
+    # lagr --count and ht read t's factorisation only; the units mod t and
+    # the CRT idempotents stay unbuilt on t's record
+    t = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    for argv in (["lagr", "--d", "30", "--t", str(t)], ["ht", "--d", "30", "--t", str(t)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+    assert "units" not in vars(intmath.modulus(t))
+    assert "idempotents" not in vars(intmath.modulus(t))
 
 
 # ----------------------------------------------------------------- errors

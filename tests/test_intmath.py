@@ -7,9 +7,51 @@ from k3fm.intmath import (
     distinct_primes,
     factorize,
     is_prime,
+    modulus,
     totient,
     units_mod,
 )
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+PRIMES = {n: tuple(_primes(n)) for n in range(301)}
+
+
+def test_modulus_record_matches_brute_force():
+    for n in range(1, 301):
+        rec = modulus(n)
+        assert rec is modulus(n)
+        want = {}
+        for p in PRIMES[n]:
+            k = 1
+            while n % p ** (k + 1) == 0:
+                k += 1
+            want[p] = k
+        assert rec.factors == tuple(want.items()), n
+        assert rec.primes == tuple(want), n
+        units = tuple(u for u in range(n) if gcd(u, n) == 1)
+        assert rec.units == units and rec.phi == len(units), n
+        for p, k in rec.factors:
+            c, pk = rec.idempotents[p], p**k
+            assert (c % pk, c % (n // pk)) == (1 % pk, 0), n
+        for d in range(-n, 2 * n):
+            assert rec.common_primes(d) == PRIMES[gcd(d, n)], (d, n)
+
+
+def test_modulus_record_is_read_only_and_lazy():
+    with pytest.raises(ValueError):
+        modulus(0)
+    p = 10**9 + 7
+    rec = modulus(p)
+    with pytest.raises(AttributeError):
+        rec.phi = 0
+    assert rec.factors == ((p, 1),) and rec.phi == p - 1
+    # the units and idempotents are built on first read only
+    assert "units" not in vars(rec) and "idempotents" not in vars(rec)
+    assert rec.idempotents == {p: 1}
 
 
 def test_factorize_known():

@@ -155,7 +155,7 @@ def _oracle_generated_subgroup(d, t, elem):
     """The classification as it was before integer functionals: Fraction
     pairings of DFElement p-parts, and membership by b_eval."""
     nf = ns_form(d, t)
-    idem = _idempotents(t, nf.t_factors)
+    idem = _idempotents(t)
     selector = []
     for p in distinct_primes(gcd(d, t)):
         wp = idem[p] * elem

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import lattice_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -461,7 +462,7 @@ def test_induced_isometry_matches_dual_vector_route():
                             sum(m[i][k] * g.coords[k] for k in range(2))
                             for i in range(2)
                         ))).coords
-                        for g in lf.gens
+                        for g in lattice_oracle.gens(lf)
                     )
                     assert lf.induced_isometry(IntMatrix(m)).images == images
                     induced.add(images)
@@ -1104,7 +1105,7 @@ def test_o_lambda_order_matches_a_brute_box_search():
                         v[0] * g.coords[0] + w[0] * g.coords[1],
                         v[1] * g.coords[0] + w[1] * g.coords[1],
                     ))).coords
-                    for g in lf.gens
+                    for g in lattice_oracle.gens(lf)
                 )
                 for v, w in _brute_matrices(e, t)
             }
