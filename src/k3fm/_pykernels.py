@@ -15,7 +15,10 @@ returns (``tests/test_kernels.py`` keeps that scan as the oracle):
   defined on Z/n1 (+) Z/n2, as it is on every ``FiniteQuadForm``;
 - the isometry scan skips only candidates that can never be hits: it
   lists the images of the first generator, which do not depend on the
-  image of the second, once per call.
+  image of the second, once per call.  For the second image it tests
+  q mod r first, r a prime power dividing n2 and 2 den, where q mod r
+  depends on the coordinate d mod r alone: d walks only the residues
+  mod r that pass, at the cost of r residue tests per row.
 
 All q-values arrive as integer numerators over a common denominator
 ``den``: q lives in Q/2Z so numerators are reduced mod 2*den, the
@@ -104,6 +107,14 @@ def scan_isometries(
     images (a, c) of g1 with q = ``want_q1`` do not depend on (b, d), so
     they are listed once, in (a, c) order, before the (b, d) loop; each
     (b, d) then checks only the pairing and the determinant against them.
+
+    The q-test on the image b g1 + d g2 of g2 is sieved by residue.  Let
+    r be the largest prime power with r | n2, r | 2 den and r^2 <= n2, or
+    1 when there is none (as when n2 is prime).  A hit has q = ``want_q2``
+    mod 2 den, so also mod r, and q mod r is a polynomial in d mod r.  So
+    for each b the residues x mod r that pass mod r are listed, r tests,
+    and d walks k r + x over them in ascending order; every d it skips
+    fails the full test, so the hits and their order do not change.
     """
     two_den = 2 * den
     step = n2 // n1  # images of g1 need n1 * (c g2) = 0, so c is a multiple
@@ -118,11 +129,21 @@ def scan_isometries(
         if (a * a % two_den * q1 + c * c % two_den * q2
             + 2 * a * c % two_den * b12) % two_den == want_q1
     ]
+    r = 1  # the sieve modulus
+    for p in (*primes1, *primes2):
+        pj = p
+        while n2 % pj == 0 and two_den % pj == 0 and pj * pj <= n2:
+            r, pj = max(r, pj), pj * p
     hits = []
     for b in range(n1):
         partial_b = b * b % two_den * q1 % two_den
         cross = 2 * b * b12 % two_den
-        for d in range(n2):
+        ds = range(n2)
+        if r > 1:
+            sieve = [x for x in range(r)
+                     if (partial_b + x * x * q2 + cross * x - want_q2) % r == 0]
+            ds = [k + x for k in range(0, n2, r) for x in sieve]
+        for d in ds:
             if (partial_b + d * d % two_den * q2 + cross * d) % two_den != want_q2:
                 continue
             if any(d % p == 0 for p in primes2):

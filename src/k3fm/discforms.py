@@ -38,7 +38,6 @@ from .lattices import (
     IntMatrix,
     Lattice,
     NSLattice,
-    RationalVector,
     _snf2,
     ns_gram,
     rank2_isometries,
@@ -175,11 +174,17 @@ def _lowest(orders, den, qn, bn) -> FiniteQuadForm:
     """The form on generators of the given orders whose q numerators are
     ``qn`` mod 2 den and b numerators ``bn`` mod den, over ``den`` brought
     to lowest terms."""
-    qn = [q % (2 * den) for q in qn]
+    two_den = 2 * den
+    qn = [q % two_den for q in qn]
     bn = [[x % den for x in row] for row in bn]
-    g = gcd(den, *qn, *chain.from_iterable(bn))
-    bn = tuple(tuple(x // g for x in row) for row in bn)
-    return FiniteQuadForm(tuple(orders), den // g, tuple(q // g for q in qn), bn)
+    g = gcd(den, *qn)
+    for row in bn:
+        g = gcd(g, *row)
+    if g > 1:
+        den //= g
+        qn = [q // g for q in qn]
+        bn = [[x // g for x in row] for row in bn]
+    return FiniteQuadForm(tuple(orders), den, tuple(qn), tuple(map(tuple, bn)))
 
 
 @dataclass(frozen=True)
@@ -417,15 +422,6 @@ class LatticeForm:
             ),
         )
 
-    def element_from_dual(self, vec) -> DFElement:
-        """Class in L*/L of a dual vector given in L's basis coordinates."""
-        if not isinstance(vec, RationalVector):
-            vec = RationalVector.make(vec)
-        gx = self.lattice.dual_pairings(vec)
-        if gx is None:
-            raise InvalidElementError("vector is not in the dual lattice")
-        return self._class_of(gx)
-
     def induced_isometry(self, mat: IntMatrix) -> DFIsometry:
         """The validated isometry of L*/L induced by an integer isometry
         ``mat`` of L.  Generator i, the class of v_i / n_i, goes to the
@@ -451,23 +447,23 @@ def from_lattice(lat) -> LatticeForm:
     Generators are the columns v_i of the SNF transform V scaled by the
     invariant factors n_i; unit factors are dropped.  The form is read off
     the integers v_i G v_j: q_i = v_i G v_i / n_i^2 mod 2 and
-    b_ij = v_i G v_j / (n_i n_j) mod 1.  Over n^2, n the largest n_i, the
-    numerators are w_i G w_j with w_i = (n / n_i) v_i.
+    b_ij = v_i G v_j / (n_i n_j) mod 1.  Over n2^2, n2 the larger
+    invariant, the numerators are w_i G w_j with w_2 = v_2 and
+    w_1 = (n2 / n1) v_1, computed on plain ints.
     """
     if isinstance(lat, NSLattice):
         lat = lat.to_lattice()
-    gram = lat.gram.entries
-    diag, u_rows, v_rows = _snf2(*gram[0], *gram[1])
-    orders = tuple(x for x in diag if x != 1)
-    cols = tuple(
-        tuple(row[i] for row in v_rows) for i in range(2) if diag[i] != 1
-    )
-    top = orders[-1] if orders else 1
-    ws = [[top // ni * x for x in c] for c, ni in zip(cols, orders)]
-    gw = [[sum(map(mul, row, w)) for row in gram] for w in ws]
-    wgw = [[sum(map(mul, w, g)) for g in gw] for w in ws]
-    form = _lowest(orders, top * top, [row[i] for i, row in enumerate(wgw)], wgw)
-    return LatticeForm(lat, form, diag, u_rows, cols)
+    (p, q), (_, s) = lat.gram.entries
+    diag, u_rows, ((v00, v01), (v10, v11)) = _snf2(p, q, q, s)
+    n1, n2 = diag
+    w0, w1 = n2 // n1 * v00, n2 // n1 * v10  # w_1
+    x, y = p * v01 + q * v11, q * v01 + s * v11  # G v_2
+    g11 = w0 * (p * w0 + q * w1) + w1 * (q * w0 + s * w1)
+    g12, g22 = w0 * x + w1 * y, v01 * x + v11 * y
+    drop = (n1 == 1) + (n2 == 1)  # the unit invariants lead
+    wgw = [row[drop:] for row in ((g11, g12), (g12, g22))[drop:]]
+    form = _lowest(diag[drop:], n2 * n2, [row[i] for i, row in enumerate(wgw)], wgw)
+    return LatticeForm(lat, form, diag, u_rows, ((v00, v10), (v01, v11))[drop:])
 
 
 @dataclass(frozen=True)
@@ -544,14 +540,14 @@ class NSForm:
         """
         d, t = self.d, self.t
         n = t * t
-
-        def key(rows):
-            return tuple(((-t * y) % n, (2 * d * y - t * x) % n) for x, y in rows)
-
         out = {}
         for rows in rank2_isometries(d, d, t):
-            out.setdefault(key(rows), []).append(rows)
-        if key(((-1, 0), (0, -1))) not in out:
+            (x0, y0), (x1, y1) = rows
+            key = ((-t * y0 % n, (2 * d * y0 - t * x0) % n),
+                   (-t * y1 % n, (2 * d * y1 - t * x1) % n))
+            out.setdefault(key, []).append(rows)
+        # the key of -I, whose rows are (-1, 0) and (0, -1)
+        if ((0, t % n), (t % n, -2 * d % n)) not in out:
             raise RuntimeError("O(L) image does not contain -id")
         return out
 
@@ -668,18 +664,21 @@ def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
     with p not dividing m_i; q and b restrict accordingly.  The values are
     read off the parent's numerators: over its denominator den, the part's
     are q_i m_i^2 mod 2 den and b_ij m_i m_j mod den, in lowest terms.
+    When |A| has a single prime the one part is the whole form: its
+    ``form`` is the parent itself, on every generator, with cofactors 1.
     """
+    primes = distinct_primes(form.size)
+    if len(primes) == 1:
+        r = form.rank
+        return (PrimaryPart(primes[0], form, form, tuple(range(r)), (1,) * r),)
     den, qn, bn = form.den, form.qn, form.bn
     parts = []
-    for p in distinct_primes(form.size):
-        indices = []
-        part_orders = []
-        cofactors = []
+    for p in primes:
+        indices, part_orders, cofactors = [], [], []
         for i, n in enumerate(form.orders):
             pk = 1
             while n % p == 0:
-                pk *= p
-                n //= p
+                pk, n = pk * p, n // p
             if pk > 1:
                 indices.append(i)
                 part_orders.append(pk)
@@ -688,9 +687,7 @@ def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
         part_qn = [qn[i] * m * m for i, m in pairs]
         part_bn = [[bn[i][j] * mi * mj for j, mj in pairs] for i, mi in pairs]
         part_form = _lowest(part_orders, den, part_qn, part_bn)
-        parts.append(
-            PrimaryPart(p, part_form, form, tuple(indices), tuple(cofactors))
-        )
+        parts.append(PrimaryPart(p, part_form, form, tuple(indices), tuple(cofactors)))
     return tuple(parts)
 
 

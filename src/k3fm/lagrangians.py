@@ -23,6 +23,7 @@ from .discforms import (
     DFIsometry,
     _kernel_setup,
     as_isometry,
+    identity_isometry,
     neg_identity,
     ns_form,
 )
@@ -103,14 +104,6 @@ class LagrangianSubgroup:
     def elements(self) -> tuple[DFElement, ...]:
         """All t elements, materialized.  Avoid for very large t."""
         return tuple(s * self.generator for s in range(self.t))
-
-    def lagrangian_generators(self) -> tuple[LagrangianElement, ...]:
-        """The phi(t) elements that generate this subgroup."""
-        return tuple(
-            LagrangianElement(s * self.generator)
-            for s in range(self.t)
-            if gcd(s, self.t) == 1
-        )
 
     def contains(self, elem: DFElement) -> bool:
         """Whether ``elem`` lies in L.  L is isotropic with |L|^2 = |A| in a
@@ -331,9 +324,13 @@ class GSpec:
         gen = self.generator
         if gen.domain != gen.codomain:
             raise InvalidIsometryError("generator must be an automorphism")
-        # -id is an isometry of every finite quadratic form
-        neg = neg_identity(gen.domain).images
-        if gen.images != neg:
+        # -id is an isometry of every finite quadratic form; its images
+        # are g_i -> (n_i - 1) g_i
+        orders = gen.domain.orders
+        neg = tuple(tuple(n - 1 if i == j else 0 for j, n in enumerate(orders))
+                    for i in range(len(orders)))
+        sign = gen.images == neg
+        if not sign:
             as_isometry(gen.domain, gen.codomain, gen.images)
         if self.order < 2 or self.order % 2:
             raise InvalidParameterError("group order must be even and >= 2")
@@ -342,7 +339,10 @@ class GSpec:
                 f"order {self.order} is not realizable at transcendental "
                 f"rank {TRANSCENDENTAL_RANK}"
             )
-        powers = gen.powers()
+        if not sign:
+            powers = gen.powers()
+        else:  # read off: -id = id when every generator order is 2
+            powers = (gen,) if gen.is_identity() else (gen, identity_isometry(gen.domain))
         object.__setattr__(self, "_powers", powers)
         if self.order % len(powers):
             raise InvalidParameterError(

@@ -61,7 +61,8 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.entries)))
 
     def is_symmetric(self) -> bool:
-        return self.entries == self.transpose().entries
+        m = self.entries
+        return len(m) < 2 or m[0][1] == m[1][0]
 
     def det(self) -> int:
         """Exact determinant, in closed form (dimension <= 2)."""
@@ -166,34 +167,6 @@ class Lattice:
     def det(self) -> int:
         return self.gram.det()
 
-    def dual_pairings(self, vec: RationalVector) -> tuple[int, int] | None:
-        """G vec, the pairings of vec (coords in this basis) with the basis
-        vectors, as ints; None when vec is not in the dual lattice."""
-        if len(vec.coords) != self.rank:
-            raise InvalidElementError("coordinate length does not match rank")
-        (nums,), den = _numerators((vec,))
-        return _pairings(self.gram, nums, den)
-
-    def in_dual(self, vec: RationalVector) -> bool:
-        """Whether vec (coords in this basis) pairs integrally with the lattice."""
-        return self.dual_pairings(vec) is not None
-
-
-def _numerators(vecs) -> tuple[list[tuple[int, ...]], int]:
-    """(n, den): each vector's coordinates as ints over den, the least
-    common denominator of them all."""
-    den = lcm(*(c.denominator for v in vecs for c in v.coords))
-    return [tuple(c.numerator * (den // c.denominator) for c in v.coords)
-            for v in vecs], den
-
-
-def _pairings(gram: IntMatrix, n, den: int) -> tuple[int, int] | None:
-    """G n / den as two ints, or None when n / den is not in the dual."""
-    (p, q), (_, s) = gram.entries
-    u, r = divmod(p * n[0] + q * n[1], den)
-    v, r2 = divmod(q * n[0] + s * n[1], den)
-    return None if r or r2 else (u, v)
-
 
 @dataclass(frozen=True)
 class NSLattice:
@@ -287,23 +260,26 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
     """
     gens = [g if isinstance(g, RationalVector) else RationalVector.make(g)
             for g in subgroup_gens]
-    nums, den = _numerators(gens)
+    den = lcm(*(c.denominator for g in gens for c in g.coords))
+    nums = [[c.numerator * (den // c.denominator) for c in g.coords] for g in gens]
+    (p, q), (_, s) = t_lat.gram.entries
     for g, n in zip(gens, nums):
         if len(n) != t_lat.rank:
             raise InvalidElementError("generator length does not match lattice rank")
-        gn = _pairings(t_lat.gram, n, den)
-        if gn is None:
+        # G n = den (u, v) with u, v integers exactly when n / den is dual
+        u, r = divmod(p * n[0] + q * n[1], den)
+        v, r2 = divmod(q * n[0] + s * n[1], den)
+        if r or r2:
             raise InvalidElementError(
                 "generator does not lie in the dual lattice (non-integral pairing)"
             )
-        # n G n / den^2 = (n . G n / den) / den
-        if (n[0] * gn[0] + n[1] * gn[1]) % (2 * den):
+        # n G n / den^2 = (n0 u + n1 v) / den
+        if (n[0] * u + n[1] * v) % (2 * den):
             raise InvalidSubgroupError(
                 f"generator {tuple(map(str, g.coords))} is not isotropic"
             )
     # the rows include den * I, so the Hermite basis always has full rank
     (a, b), (_, h) = row_hnf([(den, 0), (0, den), *nums])
-    (p, q), (_, s) = t_lat.gram.entries
     den2 = den * den
     g11, r11 = divmod(a * a * p + 2 * a * b * q + b * b * s, den2)
     g12, r12 = divmod(h * (a * q + b * s), den2)
@@ -350,15 +326,15 @@ def rank2_isometries(d: int, e: int, t: int) -> tuple[tuple[tuple[int, int], ...
     """
     if t < 1:
         raise InvalidParameterError(f"t must be a positive integer, got {t}")
-    want = ((2 * e, t), (t, 0))
     out = []
     for rows in dict.fromkeys(_rank2_candidates(d, e, t)):
-        cols = tuple(zip(*rows))
-        gram = tuple(
-            tuple(2 * d * u[0] * v[0] + t * (u[0] * v[1] + u[1] * v[0]) for v in cols)
-            for u in cols
-        )
-        if gram != want:
+        # columns u = (u0, u1) and v = (v0, v1)
+        (u0, v0), (u1, v1) = rows
+        if (
+            2 * d * u0 * u0 + 2 * t * u0 * u1 != 2 * e
+            or 2 * d * u0 * v0 + t * (u0 * v1 + u1 * v0) != t
+            or 2 * d * v0 * v0 + 2 * t * v0 * v1 != 0
+        ):
             raise RuntimeError("isometry candidate failed Gram check (internal)")
         out.append(rows)
     return tuple(out)

@@ -103,7 +103,8 @@ class SurfaceModel:
         if self.G.generator.domain != nf.form:
             raise InvalidIsometryError("G does not act on this family member")
         b = _unit_subgroup("B", self.t, self.B)
-        bt = _unit_subgroup("Btilde", self.t, self.Btilde)
+        # ``general`` passes one group as both
+        bt = b if self.Btilde is self.B else _unit_subgroup("Btilde", self.t, self.Btilde)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "Btilde", bt)
         if (-1) % self.t not in b:
@@ -344,6 +345,11 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     elements (``_lagrangian_coords``) runs once, as the cross-check that
     the subgroups account for every element (phi(t) generators each); it
     is what raises CapacityError beyond the budget.
+
+    For G = {+-1} and t > 2, de counts FM partners with a fibration: with
+    w(e) = |O(A)| / |H_e| for each genus class e (``fm_count``, where
+    fm = sum w(e)), de = sum w(e) (2 - [e = +-1 mod t]).  The tests hold
+    the two counts to it on every cell with t <= 60.
     """
     d, t = model.d, model.t
     nf = ns_form(d, t)

@@ -1,8 +1,10 @@
 """Reference Hermite basis and overlattice, in the generic form the
 library's two-column ``lattices.row_hnf`` and integer ``overlattice`` are
 held to, and the Fraction vector arithmetic the tests check q, b and
-classes against: ``pair`` and ``square`` on dual vectors, and ``gens`` and
-``lift`` between a ``LatticeForm`` and its lattice's dual.
+classes against: ``pair`` and ``square`` on dual vectors, ``in_dual``,
+and ``gens``, ``lift`` and ``element_from_dual`` between a ``LatticeForm``
+and its lattice's dual.  ``lagrangian_generators`` lists the generators
+of a Lagrangian subgroup one multiple at a time.
 
 ``row_hnf`` is a pivot loop over any number of columns on plain lists of
 ints.  ``overlattice`` computes in Fractions throughout: the dual test on
@@ -13,9 +15,10 @@ messages as the library, so the two can be compared outcome for outcome.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from k3fm.errors import InvalidElementError, InvalidSubgroupError
+from k3fm.lagrangians import LagrangianElement
 from k3fm.lattices import IntMatrix, Lattice, RationalVector
 
 
@@ -48,6 +51,32 @@ def lift(lf, elem) -> RationalVector:
         if c:
             vec = vec + c * gen
     return vec
+
+
+def element_from_dual(lf, vec):
+    """Class in L*/L of a dual vector given in L's basis coordinates: the
+    class of the integer vector G vec, read by ``lf``."""
+    if not isinstance(vec, RationalVector):
+        vec = RationalVector.make(vec)
+    lat = lf.lattice
+    if len(vec.coords) != lat.rank:
+        raise InvalidElementError("coordinate length does not match rank")
+    if not in_dual(lat, vec):
+        raise InvalidElementError("vector is not in the dual lattice")
+    g = lat.gram.entries
+    return lf._class_of(
+        [int(sum(g[i][j] * vec.coords[j] for j in range(lat.rank))) for i in range(lat.rank)]
+    )
+
+
+def lagrangian_generators(sub) -> tuple:
+    """The phi(t) elements s g, s a unit mod t, that generate the
+    Lagrangian subgroup ``sub`` with generator g."""
+    return tuple(
+        LagrangianElement(s * sub.generator)
+        for s in range(sub.t)
+        if gcd(s, sub.t) == 1
+    )
 
 
 def row_hnf(rows, n: int) -> list[list[int]]:
@@ -89,7 +118,8 @@ def row_hnf(rows, n: int) -> list[list[int]]:
     return basis
 
 
-def _in_dual(lat: Lattice, vec: RationalVector) -> bool:
+def in_dual(lat: Lattice, vec: RationalVector) -> bool:
+    """Whether vec (coords in lat's basis) pairs integrally with lat."""
     g = lat.gram.entries
     for i in range(lat.rank):
         s = sum(g[i][j] * vec.coords[j] for j in range(lat.rank))
@@ -113,7 +143,7 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
     for g in gens:
         if len(g.coords) != t_lat.rank:
             raise InvalidElementError("generator length does not match lattice rank")
-        if not _in_dual(t_lat, g):
+        if not in_dual(t_lat, g):
             raise InvalidElementError(
                 "generator does not lie in the dual lattice (non-integral pairing)"
             )

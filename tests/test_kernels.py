@@ -1,11 +1,13 @@
 """The scan kernels work on arbitrary-precision integers: inputs past the
-int64 range give exact results.  On a grid of family forms, and on the
-discriminant forms of random even binary lattices, they return exactly
+int64 range give exact results.  On a grid of family forms, on the
+discriminant forms of random even binary lattices, and (isometry kernel)
+on random forms of chosen p-group and mixed shapes, they return exactly
 what a scan of every candidate returns, order included.  The element
 kernel lists cyclic subgroups instead of scanning, so it relies on q
 being well defined on Z/n1 (+) Z/n2; the random lattices check that
 outside the (d, t) family too."""
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from k3fm import kernels
 from k3fm.discforms import (
+    FiniteQuadForm,
     _kernel_setup,
     _surjectivity_primes,
     from_lattice,
@@ -236,3 +239,53 @@ def test_isometry_scan_matches_brute_scan():
             assert kernels.scan_isometries(*args, first_only=first_only) == (
                 _brute_scan_isometries(*args, first_only)
             ), (d, t, first_only)
+
+
+# Group shapes (n1, n2) for the isometry kernel off the family, n1 = 1 for
+# a cyclic group.  The scan sieves d mod r, r the largest prime power with
+# r | n2, r | 2 den and r^2 <= n2: it fires on Z/p^k (k >= 2), on
+# Z/p^a (+) Z/p^b with b >= 2 and on the 2-adic shapes, and never where n2
+# is prime.  In (3, 30), (8, 72) and (9, 90) the term 2 b b(g1, g2) d of
+# q(b g1 + d g2) is not 0 mod r.
+ISOMETRY_SHAPES = (
+    (1, 4), (1, 8), (1, 16), (1, 32), (1, 64), (1, 9), (1, 27), (1, 81),
+    (1, 25), (1, 49), (1, 125),
+    (2, 4), (2, 8), (4, 8), (4, 16), (2, 32), (3, 9), (3, 27), (9, 27),
+    (5, 25), (7, 49),
+    (1, 12), (2, 36), (6, 36), (1, 100), (3, 30), (8, 72), (9, 90),
+    (1, 2), (1, 3), (1, 5), (1, 13), (1, 97), (2, 2), (3, 3), (5, 5), (11, 11),
+)
+
+
+def _shaped_form(n1, n2, u1, u2, w):
+    """A form on Z/n1 (+) Z/n2 (cyclic when n1 = 1): q(g_i) = u_i / n_i,
+    doubled at an odd n_i so that q is well defined mod 2, and
+    b(g1, g2) = w / n1."""
+    def q(n, u):
+        return Fraction(u if n % 2 == 0 else 2 * u, n)
+
+    if n1 == 1:
+        return FiniteQuadForm.make((n2,), (q(n2, u2),), ((q(n2, u2) % 1,),))
+    b12 = Fraction(w, n1) % 1
+    return FiniteQuadForm.make(
+        (n1, n2), (q(n1, u1), q(n2, u2)), ((q(n1, u1) % 1, b12), (b12, q(n2, u2) % 1))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from(ISOMETRY_SHAPES),
+    target=st.tuples(st.integers(0, 200), st.integers(0, 200), st.integers(0, 200)),
+    source=st.none() | st.tuples(st.integers(0, 200), st.integers(0, 200), st.integers(0, 200)),
+    first_only=st.booleans(),
+)
+def test_isometry_scan_matches_brute_scan_off_the_family(shape, target, source, first_only):
+    # the automorphisms of a form on the shape (source None), or the
+    # isometries onto it from a second form on the same shape
+    tgt = _shaped_form(*shape, *target)
+    src = tgt if source is None else _shaped_form(*shape, *source)
+    assert src.orders == tgt.orders
+    args = _isometry_args(tgt, src)
+    assert kernels.scan_isometries(*args, first_only=first_only) == (
+        _brute_scan_isometries(*args, first_only)
+    ), (shape, target, source)

@@ -251,8 +251,8 @@ def test_caldararu_class_matches_the_dual_vector_route():
             for v in _square_zero_vectors(d, t):
                 x, y = v.D
                 t_v = gcd(gcd(v.r, v.s), gcd(2 * d * x + t * y, t * x))
-                want = lf.element_from_dual(
-                    RationalVector((Fraction(-x, t_v), Fraction(-y, t_v)))
+                want = lattice_oracle.element_from_dual(
+                    lf, RationalVector((Fraction(-x, t_v), Fraction(-y, t_v)))
                 )
                 assert caldararu_class(d, t, v) == want, (d, t, v)
 
@@ -458,7 +458,7 @@ def test_induced_isometry_matches_dual_vector_route():
                 induced = set()
                 for m in group:
                     images = tuple(
-                        lf.element_from_dual(RationalVector(tuple(
+                        lattice_oracle.element_from_dual(lf, RationalVector(tuple(
                             sum(m[i][k] * g.coords[k] for k in range(2))
                             for i in range(2)
                         ))).coords
@@ -1074,6 +1074,49 @@ def test_part_order_matches_the_isometry_scan():
     assert checked == 1375
 
 
+def test_one_prime_form_is_its_own_part():
+    # at t = p^k, |A| = t^2 has one prime: the part's form is the bundle's
+    # form object, and restricting a map of the O(L) image gives it back
+    checked = 0
+    for q in range(2, 101):
+        if len(distinct_primes(q)) != 1:
+            continue
+        for d in range(-q, 2 * q):
+            nf = ns_form(d, q)
+            (part,) = nf.primary_parts
+            assert part.form is nf.form, (d, q)
+            assert part.indices == tuple(range(nf.form.rank)), (d, q)
+            for iso in o_lambda_image(d, q):
+                assert part.restrict(iso).images == iso.images, (d, q)
+            checked += 1
+    assert checked == 3 * sum(q for q in range(2, 101) if len(distinct_primes(q)) == 1)
+
+
+def test_de_counts_each_fm_partner_with_its_fibrations(monkeypatch):
+    # probe P17, for G = +-1 and t >= 3: with w(e) = |O(A)| / |H_e| over
+    # the genus classes e, fm = sum w(e), and de = sum w(e) (2 - [e = +-1
+    # mod t]): each partner with its two fibrations F and F', which count
+    # once where an automorphism swaps them (e = 1) and where F' is a wall
+    # away (e = -1).  |O(A)| comes from the table, |H_e| from the lattice
+    # isometries, de from the Lagrangian subgroups
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    cells = 0
+    for t in range(3, 61):
+        for d in range(-t, 2 * t):
+            order = _isometry_order(d, ns_form(d, t).t_factors)
+            fm = de = 0
+            for e in genus_representatives(d, t):
+                w, r = divmod(order, ns_form(e, t).o_lambda_order)
+                assert r == 0, (d, t, e)
+                fm += w
+                de += w * (1 if e in (1, t - 1) else 2)
+            model = SurfaceModel.general(d, t)
+            assert fm_count(d, t, model.G) == fm, (d, t)
+            assert de_counts(model)[0] == de, (d, t)
+            cells += 1
+    assert cells == 5481
+
+
 def test_isometry_order_of_the_klein_group_follows_the_parity_of_d():
     # 2 || t makes A_2 = (Z/2)^2 on every family cell; its q leaves one
     # transposition of the nonzero elements for even d and none for odd d
@@ -1101,7 +1144,7 @@ def test_o_lambda_order_matches_a_brute_box_search():
             lf = ns_form(e, t).lf
             maps = {
                 tuple(
-                    lf.element_from_dual(RationalVector((
+                    lattice_oracle.element_from_dual(lf, RationalVector((
                         v[0] * g.coords[0] + w[0] * g.coords[1],
                         v[1] * g.coords[0] + w[1] * g.coords[1],
                     ))).coords
