@@ -55,6 +55,8 @@ from .surfaces import (
     MukaiVector,
     SurfaceModel,
     _de_closed_form,
+    _fm_walk,
+    _isometry_order,
     caldararu_class,
     de_counts,
     fm_count,
@@ -454,6 +456,31 @@ def _verify_cell(d: int, t: int, row: dict):
                 f"cell d={d} t={t}: fm={row['fm']} but {jacobians}"
                 " classes of Jacobians"
             )
+    if row["fm"] is not None:
+        _verify_fm(d, t, row)
+
+
+def _verify_fm(d: int, t: int, row: dict):
+    """fm against the class-by-class Burnside walk for G = {+-1}, and, for
+    t >= 3, against de by probe P17: 2 fm = de + w(1) [1 in the genus] +
+    w(t-1) [t-1 in the genus], with w(e) = |O(A)| / |H_e| the weight of
+    the class e (``NSForm.o_lambda_order`` is |H_e|)."""
+    nf = ns_form(d, t)
+    walked = _fm_walk(d, t, GSpec.sign_group(nf.form))
+    if row["fm"] != walked:
+        raise SweepVerifyError(
+            f"cell d={d} t={t}: fm={row['fm']} but the genus walk gives {walked}"
+        )
+    if t < 3:
+        return
+    order = _isometry_order(d, nf.t_factors)
+    reps = genus_representatives(d, t)
+    ends = sum(order // ns_form(e, t).o_lambda_order for e in (1, t - 1) if e in reps)
+    if 2 * row["fm"] != row["de"] + ends:
+        raise SweepVerifyError(
+            f"cell d={d} t={t}: 2 fm={2 * row['fm']} but de + w(1) + w(t-1)"
+            f" = {row['de'] + ends}"
+        )
 
 
 def _jacobian_class_count(d: int, t: int) -> int:

@@ -480,11 +480,13 @@ class NSForm:
     from the maps on A to the lattice isometries inducing them, and
     ``o_lambda_maps``, those isometries with their validated maps.  Dual
     classes, as in ``fh``, are read off integer vectors G x.  A genus
-    member that ``surfaces.fm_count`` only counts costs its SNF, form and
-    parts.
+    member that ``surfaces._fm_walk`` only counts costs its SNF, form,
+    parts and O(L) keys; the closed form for G = {+-1} reads no other
+    member than the least one, onto which the request's bundle is anchored.
     ``anchors`` maps a genus member r of the same t to this bundle's
     per-part isometries onto the primary parts of r's bundle (None when
-    some part has none); ``surfaces.fm_count`` fills it.
+    some part has none); ``surfaces._anchor`` fills it, for the request's
+    own bundle in ``fm_count`` and for each other class in ``_fm_walk``.
     """
 
     d: int

@@ -443,9 +443,99 @@ def _anchor(nf, r0: int):
     return anchors[r0]
 
 
+def _is_square_unit(x: int, t_factors) -> bool:
+    """Whether x, a unit mod t = prod p^k over ``t_factors`` ((p, k)
+    pairs), is a square mod t: by Euler's criterion at each odd p (Hensel
+    lifts a root mod p to p^k), and x = 1 mod 2^min(k, 3) at p = 2."""
+    return all(
+        pow(x, (p - 1) // 2, p) == 1 if p > 2 else x % 2 ** min(k, 3) == 1
+        for p, k in t_factors
+    )
+
+
+def fm_sign(d: int, t: int) -> int:
+    """Number of Fourier-Mukai partners for G = {+-1}, in closed form.
+
+    For t >= 3, with m = gcd(d, t) and n = t/m,
+    fm = |O(A)| (|Q| + eps) / 4, where |O(A)| is ``_isometry_order``,
+    |Q| = phi(n) / |mu_2(n)| is the number of squares among the units
+    mod n (mu_2(n), the square roots of 1 mod n, has 2 per odd prime and
+    1, 1, 2 or 4 at v_2(n) = 0, 1, 2 or >= 3), and eps = [m = 1]
+    ([d is a square mod t] + [-d is a square mod t]).  For t <= 2 it is 1.
+
+    Why: the genus is m (c Q) mod t with c = d/m (``genus_representatives``),
+    |Q| residues whose classes pair each x with x^-1 mod n.  Each pair has
+    |H_e| = 2 (only +-1 on A), so each residue contributes |O(A)| / 4, as
+    does each self-inverse class, where |H_e| = 4 (the ray swap) except
+    when m = 1 and e = +-1 mod t: there the swap acts as +-id on A, |H_e|
+    = 2, and 1 (-1) is in the genus when d (-d) is a square mod t.
+
+    Everything is read off t's record ``modulus(t)`` and gcds; no
+    ``ns_form`` is built.  RuntimeError when 4 does not divide
+    |O(A)| (|Q| + eps).  ``_fm_walk``, the class-by-class Burnside sum, is
+    its oracle (``sweep --verify`` and the tests).
+    """
+    if t < 1:
+        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    if t <= 2:
+        return 1
+    factors = modulus(t).factors
+    m = gcd(d, t)
+    n = t // m
+    squares = 1
+    for p, k in factors:
+        q = gcd(n, p**k)  # p^j || n
+        if q > 1:
+            squares *= (q - q // p) // (2 if p > 2 else min(q // 2, 4))
+    eps = _is_square_unit(d, factors) + _is_square_unit(-d, factors) if m == 1 else 0
+    total = _isometry_order(d, dict(factors)) * (squares + eps)
+    if total % 4:
+        raise RuntimeError("|O(A)| (|Q| + eps) is not a multiple of 4")
+    return total // 4
+
+
 def fm_count(d: int, t: int, g: GSpec) -> int:
-    """Number of Fourier-Mukai partners, by the double-coset formula:
-    one summand O(L) \\ O(A_L) / G per isometry class L in the genus.
+    """Number of Fourier-Mukai partners: one summand O(L) \\ O(A_L) / G
+    per isometry class L in the genus.
+
+    For G = {+-1} (no ``g.moving_elements()``) the sum is the closed form
+    ``fm_sign(d, t)``; any other G is counted class by class by
+    ``_fm_walk``.  Both paths first run the same gates and the same
+    check, in this order:
+
+    - G must act on A (InvalidIsometryError);
+    - the isometry budget bounds each |A_p|, not |A|, and the genus walk
+      is budgeted as phi(t/m) * sum_p |A_p| elements, phi(t/m) bounding
+      the number of classes (``genus_representatives``); both gates run
+      on every call, before any anchor is read or searched;
+    - A is certified to lie in the genus it is counted by: its parts map
+      isometrically onto those of the least member r0
+      (``genus_representatives(d, t)[0]``), searched with
+      ``isometry_between`` once per bundle and r0 (``_anchor``).
+      RuntimeError "genus member lost its form isometry" otherwise.
+    """
+    nf = ns_form(d, t)
+    if g.generator.domain != nf.form:
+        raise InvalidIsometryError("G does not act on this family member")
+    parts = nf.primary_parts
+    for part in parts:
+        require_isometry_budget(part.form)
+    budget.require(
+        totient(t // nf.m) * sum(part.form.size for part in parts),
+        budget.element_cap(),
+        "phi(t/m) * sum of |A_p| for the FM genus walk",
+    )
+    if _anchor(nf, genus_representatives(d, t)[0]) is None:
+        raise RuntimeError("genus member lost its form isometry")
+    if not g.moving_elements():
+        return fm_sign(d, t)
+    return _fm_walk(d, t, g)
+
+
+def _fm_walk(d: int, t: int, g: GSpec) -> int:
+    """fm by the double-coset formula, walked class by class over the
+    genus; G must act on A = ``ns_form(d, t).form``, and A's own anchor
+    onto r0 is ``fm_count``'s check.
 
     For a genus member L with form A_L, any one isometry phi: A -> A_L
     gives X = Isom(A, A_L) = phi O(A), and the summand counts the double
@@ -460,8 +550,8 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     (-id) x lies in H x and fix(+-id) = |O(A)| / |H|.  For G = {+-1}
     these are all the terms, and only the two orders are needed:
     |O(A)| from (d, t) (``_isometry_order``), and |H| from the integer
-    lattice isometries (``NSForm.o_lambda_order``).  No isometry group is
-    enumerated and no isometry of A is built.
+    lattice isometries (``NSForm.o_lambda_order``).  This is the oracle
+    of ``fm_sign``.
 
     The other elements s of G's image (``g.moving_elements()``) are
     counted from that definition.  An isometry keeps each p-primary part,
@@ -473,30 +563,13 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     |H|) and of x_p s_p (for each s) are listed once, by integer moves
     on coordinates (``_coordinate_move``), and compared entry by entry.
 
-    Every genus class is certified isometric to A part by part, for
-    every G, through anchors: isometry is transitive, so it is enough
-    that each member's parts map isometrically onto those of one fixed
-    member, the least one r0 (``genus_representatives(d, t)[0]``).  Each
-    bundle searches its anchors onto r0 with ``isometry_between`` once
-    and keeps them (``_anchor``), and a class counts only when both A's
-    and its own anchors were found.  A moving G still searches the
-    phi_p: A_p -> A_{L,p} it composes with.  The isometry budget bounds
-    each |A_p|, not |A|, and the genus walk is budgeted as phi(t/m) *
-    sum_p |A_p| elements, phi(t/m) bounding the number of classes
-    (``genus_representatives``); both gates run on every call, before
-    any anchor is read or searched.
+    Every class other than r0 itself is certified isometric to r0 part by
+    part through its anchor (``_anchor``), which with A's own anchor
+    certifies it isometric to A; a moving G also searches the phi_p:
+    A_p -> A_{L,p} it composes with.
     """
     nf = ns_form(d, t)
-    if g.generator.domain != nf.form:
-        raise InvalidIsometryError("G does not act on this family member")
     parts = nf.primary_parts
-    for part in parts:
-        require_isometry_budget(part.form)
-    budget.require(
-        totient(t // nf.m) * sum(part.form.size for part in parts),
-        budget.element_cap(),
-        "phi(t/m) * sum of |A_p| for the FM genus walk",
-    )
     order = _isometry_order(d, nf.t_factors)
     image, moving = g.image_elements(), g.moving_elements()
     if moving:
@@ -508,11 +581,10 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
             raise RuntimeError("part isometry groups disagree with their orders")
         restricted = [[part.restrict(s) for part in parts] for s in moving]
     reps = genus_representatives(d, t)
-    anchored = _anchor(nf, reps[0]) is not None
     total = 0
     for e in reps:
         nf_e = ns_form(e, t)
-        if not anchored or _anchor(nf_e, reps[0]) is None:
+        if e != reps[0] and _anchor(nf_e, reps[0]) is None:
             raise RuntimeError("genus member lost its form isometry")
         size = nf_e.o_lambda_order
         if order % size:

@@ -710,6 +710,34 @@ def test_sweep_verify_checks_fm_when_m_is_one(capsys, monkeypatch):
     assert "classes of Jacobians" in err
 
 
+def test_sweep_verify_checks_fm_against_the_genus_walk(capsys, monkeypatch):
+    # the sign group's closed form is checked against the class-by-class
+    # Burnside walk on every row
+    walk = k3fm.cli._fm_walk
+    monkeypatch.setattr(
+        "k3fm.cli._fm_walk", lambda d, t, g: walk(d, t, g) + ((d, t) == (2, 6))
+    )
+    code, out, err = run_cli(
+        ["sweep", "--t-min", "1", "--t-max", "12", "--verify"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "cell d=2 t=6: fm=1 but the genus walk gives 2" in err
+
+
+def test_sweep_verify_checks_de_against_fm(capsys, monkeypatch):
+    # probe P17: 2 fm = de + w(1) + w(t - 1) over the classes 1 and t - 1
+    # of the genus; with every weight read as 0 the first row with 1 in
+    # its genus, (1, 3), fails
+    monkeypatch.setattr("k3fm.cli._isometry_order", lambda d, factors: 0)
+    code, out, err = run_cli(
+        ["sweep", "--t-min", "1", "--t-max", "12", "--verify"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "cell d=1 t=3: 2 fm=2 but de + w(1) + w(t-1) = 1" in err
+
+
 def test_sweep_formula_only_nulls(capsys):
     code, out, _ = run_cli(
         ["sweep", "--t-min", "1", "--t-max", "3", "--formula-only", "--json"],

@@ -65,4 +65,4 @@ def test_readme_python_api_values():
             # a value may name what the block does not import, as HTClass
             assert value == eval(comment, {**vars(k3fm), **namespace}), line
         checked += 1
-    assert checked == 6
+    assert checked == 7

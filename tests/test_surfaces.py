@@ -64,6 +64,7 @@ from k3fm.surfaces import (
     fibration_count,
     fibrations_isomorphic,
     fm_count,
+    fm_sign,
     ht_classify,
     jac0_isomorphic,
     jacobian_class_canonical,
@@ -71,6 +72,7 @@ from k3fm.surfaces import (
     jacobian_index,
     jspecial_torsor_exists,
     mukai_divisibility,
+    _fm_walk,
     _isometry_order,
     o_lambda_image,
     o_plus_image,
@@ -815,10 +817,11 @@ def test_fm_count_frozen():
 
 
 def test_fm_count_checks_each_genus_member(monkeypatch):
-    # 2 is not a square mod 5, so A_2 is not isometric to A_1
+    # 2 is not a square mod 5, so A_2 is not isometric to A_1; the walk,
+    # the oracle of the sign group's closed form, anchors every class
     monkeypatch.setattr("k3fm.surfaces.genus_representatives", lambda d, t: (1, 2))
     with pytest.raises(RuntimeError, match="genus member lost its form isometry"):
-        fm_count(1, 5, _sign(1, 5))
+        _fm_walk(1, 5, _sign(1, 5))
 
 
 def test_fm_count_checks_the_least_genus_member(monkeypatch):
@@ -868,23 +871,24 @@ def test_fm_count_anchors_live_on_the_cached_bundle(monkeypatch):
     ns_form.cache_clear()
     calls = _recording_between(monkeypatch)
     assert genus_representatives(1, 5) == (1, 4)
-    assert fm_count(4, 5, _sign(4, 5)) == 2
-    # one part each for 4 and 1, onto the parts of 1
-    assert len(calls) == 2
-    assert set(ns_form(4, 5).anchors) == set(ns_form(1, 5).anchors) == {1}
+    assert _fm_walk(4, 5, _sign(4, 5)) == 2
+    # one part, 4's, onto the part of 1; the least member is not searched
+    # onto itself
+    assert len(calls) == 1
+    assert set(ns_form(4, 5).anchors) == {1} and ns_form(1, 5).anchors == {}
     calls.clear()
-    assert fm_count(1, 5, _sign(1, 5)) == 2
+    assert _fm_walk(1, 5, _sign(1, 5)) == 2
     assert calls == []
     # the gates run before any anchor is read: a cached anchor lets nothing
     # past a smaller budget
     monkeypatch.setenv("K3FM_BUDGET", "10")
     with pytest.raises(CapacityError):
-        fm_count(1, 5, _sign(1, 5))
+        fm_count(4, 5, _sign(4, 5))
     monkeypatch.delenv("K3FM_BUDGET")
     ns_form.cache_clear()
     assert ns_form(1, 5).anchors == {}
-    assert fm_count(1, 5, _sign(1, 5)) == 2
-    assert len(calls) == 2
+    assert _fm_walk(1, 5, _sign(1, 5)) == 2
+    assert len(calls) == 1
 
 
 def test_fm_count_moving_terms_search_their_own_isometries(monkeypatch):
@@ -991,8 +995,8 @@ def test_fm_count_checks_the_o_lambda_image(monkeypatch):
     sigma = next(s for s in isometry_group(form) if s.images == ((2, 0), (0, 3)))
     swap = next(s for s in isometry_group(form) if s.images == ((0, 1), (1, 0)))
 
-    # G = {+-1} reads |H| off the integer isometry rows; without -I they
-    # have no -id
+    # the walk under G = {+-1} reads |H| off the integer isometry rows;
+    # without -I they have no -id
     minus_one = ((-1, 0), (0, -1))
     monkeypatch.setattr(
         "k3fm.discforms.rank2_isometries",
@@ -1001,14 +1005,14 @@ def test_fm_count_checks_the_o_lambda_image(monkeypatch):
     ns_form.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="does not contain -id"):
-            fm_count(0, 5, _sign(0, 5))
+            _fm_walk(0, 5, _sign(0, 5))
     finally:
         monkeypatch.undo()
         ns_form.cache_clear()
 
     monkeypatch.setattr(NSForm, "o_lambda_order", property(lambda nf: 3))
     with pytest.raises(RuntimeError, match="does not divide"):
-        fm_count(0, 5, _sign(0, 5))
+        _fm_walk(0, 5, _sign(0, 5))
     monkeypatch.undo()
 
     # a moving G lists H, which must have |H| elements and hold -id
@@ -1261,6 +1265,53 @@ def test_fm_count_builds_neg_identity_once(monkeypatch):
     calls.clear()
     fm_count(0, 5, quarter)
     assert calls == [form]
+
+
+def test_fm_sign_is_the_genus_walk():
+    # probe P11: the closed form against the class-by-class Burnside sum
+    cells = 0
+    for t in range(3, 101):
+        for d in range(-t, 2 * t):
+            assert fm_sign(d, t) == _fm_walk(d, t, _sign(d, t)), (d, t)
+            cells += 1
+    assert cells == 15141
+    for d, t in ((0, 1), (1, 1), (0, 2), (1, 2), (-3, 2)):
+        assert fm_sign(d, t) == 1 == fm_count(d, t, _sign(d, t)), (d, t)
+
+
+def test_fm_sign_past_the_budgets():
+    # cells whose genus walk or largest part is over the default budgets
+    values = {(0, 101): 50, (1, 997): 250, (6, 1000): 200, (1, 8633): 2114}
+    values[1, 1000003] = 250001
+    for (d, t), fm in values.items():
+        assert fm_sign(d, t) == fm, (d, t)
+    assert fm_sign(1, 8633) == cli._jacobian_class_count(1, 8633)
+    with pytest.raises(InvalidParameterError):
+        fm_sign(1, 0)
+
+
+def test_fm_sign_checks_its_numerator(monkeypatch):
+    monkeypatch.setattr("k3fm.surfaces._isometry_order", lambda d, factors: 2)
+    with pytest.raises(RuntimeError, match="not a multiple of 4"):
+        fm_sign(0, 5)  # 2 (|Q| = 1 + eps = 0)
+
+
+def test_cold_fm_builds_two_bundles_and_searches_its_own_parts(monkeypatch):
+    # the sign group's count reads no other genus class: a cold fm misses
+    # ns_form for its own bundle and the least member's, and searches only
+    # its own parts' anchors onto the least member's
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    d, t = 18, 41
+    reps = genus_representatives(d, t)
+    assert len(reps) > 2 and d not in reps
+    ns_form.cache_clear()
+    calls = _recording_between(monkeypatch)
+    assert cli.main(["fm", "--d", str(d), "--t", str(t)]) == 0
+    assert ns_form.cache_info().misses == 2
+    own = {id(part.form) for part in ns_form(d, t).primary_parts}
+    assert calls and {id(source) for source, _ in calls} <= own
+    assert set(ns_form(d, t).anchors) == {reps[0]}
+    ns_form.cache_clear()
 
 
 # ------------------------------------------------------------ order bounds
