@@ -14,10 +14,13 @@ Each cap is compared with the size of what a search visits:
   the cap bounds only the search that anchors each genus class's parts
   onto those of the genus's least member; a G with other elements also
   enumerates O(A_p) on every part;
-* an FM count's genus walk, over the phi(t/m) units mod t/m,
-  m = gcd(d, t), is held to phi(t/m) * sum_p |A_p| <= ``ELEMENT_CAP``
-  on every call: ``fm --d 1 --t 8633`` (89 * 97) is refused, while
-  ``fm --d 0 --t 510510`` (one genus class) runs.
+* an FM count's genus walk (a G other than {+-1}, and the
+  ``sweep --verify`` oracle), over the phi(t/m) units mod t/m,
+  m = gcd(d, t), is held to phi(t/m) * sum_p |A_p| <= ``ELEMENT_CAP``:
+  it refuses (1, 8633) (89 * 97), while (0, 510510) (one genus class)
+  runs;
+* a walk over the units mod n (``intmath.units_mod``) is held to
+  phi(n) <= ``ELEMENT_CAP``, before any unit is listed.
 
 Setting the environment variable ``K3FM_BUDGET`` to a positive integer
 overrides both caps with that value.  It is read on first use, not at

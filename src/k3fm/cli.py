@@ -357,7 +357,7 @@ def _cmd_overlattice(args):
         raise InvalidParameterError(
             f"--gens must look like '1/5,0;0,1/5', got {args.gens!r}"
         ) from None
-    lat = ns_gram(args.d, args.t).to_lattice()
+    lat = ns_gram(args.d, args.t)
     over = overlattice(lat, gens)
     index = isqrt(abs(lat.det()) // abs(over.det()))
     payload = {

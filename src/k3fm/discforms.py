@@ -37,7 +37,6 @@ from .intmath import distinct_primes, modulus
 from .lattices import (
     IntMatrix,
     Lattice,
-    NSLattice,
     _snf2,
     ns_gram,
     rank2_isometries,
@@ -239,8 +238,9 @@ class DFIsometry:
     ``images[i]`` is the coordinate tuple (in the codomain) of the image of
     the i-th domain generator.  The shape is checked: one image per domain
     generator, one coordinate per codomain generator.  Nothing else is;
-    ``as_isometry`` validates the map.  ``powers()`` walks the cyclic
-    group of an automorphism once; ``order()`` and ``inverse()`` read it.
+    ``as_isometry`` validates the map.  ``action()`` is the map on
+    coordinate tuples.  ``powers()`` walks the cyclic group of an
+    automorphism once; ``order()`` and ``inverse()`` read it.
     """
 
     domain: FiniteQuadForm
@@ -261,28 +261,25 @@ class DFIsometry:
             ),
         )
 
-    def _map(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        """Image of a domain coordinate tuple, as codomain coordinates not
-        yet reduced (DFElement and DFIsometry reduce on construction)."""
-        out = [0] * self.codomain.rank
-        for c, img in zip(coords, self.images):
-            if c:
-                for j, x in enumerate(img):
-                    out[j] += c * x
-        return tuple(out)
+    def action(self):
+        """c -> the reduced codomain coordinates of the image of the domain
+        element with coordinates c: coordinate j is one dot product with
+        row j of the image matrix, mod the j-th generator order.  The
+        caller keeps the function; nothing is stored on the isometry, so
+        it stays picklable."""
+        rows = tuple(zip(zip(*self.images), self.codomain.orders))
+        return lambda c: tuple([sum(map(mul, row, c)) % n for row, n in rows])
 
     def apply(self, elem: DFElement) -> DFElement:
         if elem.form != self.domain:
             raise InvalidElementError("element not in the isometry's domain")
-        return DFElement(self.codomain, self._map(elem.coords))
+        return DFElement(self.codomain, self.action()(elem.coords))
 
     def compose(self, other: "DFIsometry") -> "DFIsometry":
         """self after other."""
         if other.codomain != self.domain:
             raise InvalidIsometryError("isometries do not compose")
-        return DFIsometry(
-            other.domain, self.codomain, tuple(self._map(img) for img in other.images)
-        )
+        return DFIsometry(other.domain, self.codomain, tuple(map(self.action(), other.images)))
 
     def is_identity(self) -> bool:
         if self.domain != self.codomain:
@@ -311,9 +308,8 @@ class DFIsometry:
         if self.domain == self.codomain:
             powers = self.powers()
             return powers[-2] if len(powers) > 1 else powers[0]
-        table = {}
-        for elem in self.domain.elements():
-            table[self.apply(elem).coords] = elem.coords
+        move = self.action()
+        table = {move(elem.coords): elem.coords for elem in self.domain.elements()}
         images = []
         for i in range(self.codomain.rank):
             unit = tuple(1 if j == i else 0 for j in range(self.codomain.rank))
@@ -323,24 +319,29 @@ class DFIsometry:
         return DFIsometry(self.codomain, self.domain, tuple(images))
 
 
-# the generator images of id and -id on forms of rank 0, 1 and 2, before
-# reduction
+# the generator images of id on forms of rank 0, 1 and 2
 _IDENTITY_IMAGES = ((), ((1,),), ((1, 0), (0, 1)))
-_NEG_IDENTITY_IMAGES = ((), ((-1,),), ((-1, 0), (0, -1)))
 
 
 def identity_isometry(form: FiniteQuadForm) -> DFIsometry:
     return DFIsometry(form, form, _IDENTITY_IMAGES[form.rank])
 
 
+def _neg_images(orders) -> tuple[tuple[int, ...], ...]:
+    """The reduced generator images of -id, an isometry of every finite
+    quadratic form, on generators of these orders: g_i -> (n_i - 1) g_i."""
+    return tuple(tuple(n - 1 if i == j else 0 for j, n in enumerate(orders))
+                 for i in range(len(orders)))
+
+
 def neg_identity(form: FiniteQuadForm) -> DFIsometry:
-    return DFIsometry(form, form, _NEG_IDENTITY_IMAGES[form.rank])
+    return DFIsometry(form, form, _neg_images(form.orders))
 
 
 def _surjective_all_primes(domain, codomain, images) -> bool:
     """Nakayama-style check: surjective iff surjective on A/pA for all p,
-    that is, iff the map's matrix on the p-torsion generators (at most
-    2x2) has a determinant prime to p."""
+    that is, iff the map's matrix on the p-torsion generators (1x1 or
+    2x2, as p divides |A|) has a determinant prime to p."""
     if domain.size != codomain.size:
         return False
     for p in distinct_primes(codomain.size):
@@ -348,10 +349,9 @@ def _surjective_all_primes(domain, codomain, images) -> bool:
         cols = [i for i, n in enumerate(domain.orders) if n % p == 0]
         if len(rows) != len(cols):
             return False
-        mat = IntMatrix.from_rows(
-            [[images[i][j] % p for i in cols] for j in rows]
-        )
-        if mat.det() % p == 0:
+        mat = [[images[i][j] for i in cols] for j in rows]
+        det = mat[0][0] if len(mat) == 1 else mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+        if det % p == 0:
             return False
     return True
 
@@ -440,7 +440,7 @@ class LatticeForm:
         return as_isometry(self.form, self.form, images)
 
 
-def from_lattice(lat) -> LatticeForm:
+def from_lattice(lat: Lattice) -> LatticeForm:
     """Discriminant form A = L*/L of an even lattice (rank 2, as every
     Lattice), via the Smith normal form ``_snf2`` of its Gram matrix.
 
@@ -451,8 +451,6 @@ def from_lattice(lat) -> LatticeForm:
     invariant, the numerators are w_i G w_j with w_2 = v_2 and
     w_1 = (n2 / n1) v_1, computed on plain ints.
     """
-    if isinstance(lat, NSLattice):
-        lat = lat.to_lattice()
     (p, q), (_, s) = lat.gram.entries
     diag, u_rows, ((v00, v01), (v10, v11)) = _snf2(p, q, q, s)
     n1, n2 = diag

@@ -11,6 +11,8 @@ from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 
+from . import budget
+
 
 def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
     """(p, k) for each p^k || n >= 1, ascending, by trial division."""
@@ -106,8 +108,12 @@ def is_prime(n: int) -> bool:
 
 
 def units_mod(n: int) -> tuple[int, ...]:
-    """The unit group of Z/n as sorted residues (n = 1 gives (0,))."""
-    return modulus(n).units
+    """The unit group of Z/n as sorted residues (n = 1 gives (0,)).
+    CapacityError when phi(n) is over the element budget: the list, and
+    the sieve of n bytes it is read off, are never built then."""
+    rec = modulus(n)
+    budget.require(rec.phi, budget.element_cap(), f"phi({n}) for a walk over the units mod {n}")
+    return rec.units
 
 
 def close_units_subgroup(n: int, gens) -> frozenset[int]:

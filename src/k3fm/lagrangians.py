@@ -22,6 +22,7 @@ from .discforms import (
     DFElement,
     DFIsometry,
     _kernel_setup,
+    _neg_images,
     as_isometry,
     identity_isometry,
     neg_identity,
@@ -115,25 +116,16 @@ class LagrangianSubgroup:
 
     @cached_property
     def _pairing(self) -> tuple[int, ...]:
-        return _functional(self.generator.form, self.generator.coords)
+        """The integer functional f with b(x, generator) = (f . x) / den
+        mod 1, den the form's common denominator: f = B g mod den, B the
+        b numerator matrix and g the generator's coordinates."""
+        form, g = self.generator.form, self.generator.coords
+        return tuple(sum(map(mul, row, g)) % form.den for row in form.bn)
 
     def _has(self, coords) -> bool:
         """``contains`` on a coordinate tuple of the generator's group."""
         den = self.generator.form.den
         return sum(map(mul, self._pairing, coords)) % den == 0
-
-
-def _functional(form, coords) -> tuple[int, ...]:
-    """The integer functional f with b(x, y) = (f . x) / den mod 1 for y
-    the element with coordinates ``coords``, den the form's common
-    denominator: f = B y mod den, B the b numerator matrix."""
-    den = form.den
-    return tuple(sum(map(mul, row, coords)) % den for row in form.bn)
-
-
-def _idempotents(t: int) -> dict[int, int]:
-    """c_p = 1 mod p^k, 0 mod t/p^k per p^k || t, kept on t's record."""
-    return modulus(t).idempotents
 
 
 def count_lagrangians(d: int, t: int) -> tuple[int, int]:
@@ -184,15 +176,16 @@ def _subgroup(d: int, t: int, selector) -> LagrangianSubgroup:
     """The subgroup a per-prime selector names.
 
     Its generator is a vbar + b vprime with a and b sums of the CRT
-    idempotents of t (``_idempotents``): a takes the primes not dividing
-    m = gcd(d, t) and those selecting V, b those selecting Vprime.  So the
+    idempotents of t (``modulus(t).idempotents``): a takes the primes not
+    dividing m = gcd(d, t) and those selecting V, b those selecting
+    Vprime.  So the
     all-V subgroup is exactly <vbar> and the all-Vprime one is <vprime>.
     The coordinates are one integer combination, reduced once into a
     DFElement.
     """
     nf = ns_form(d, t)
     m = gcd(d, t)
-    idem = _idempotents(t)
+    idem = modulus(t).idempotents
     a = sum(c for p, c in idem.items() if m % p)
     b = 0
     for p, c in selector:
@@ -225,71 +218,59 @@ def subgroup_generated_by(d: int, t: int, w: LagrangianElement) -> LagrangianSub
     <vprime>, the only Lagrangian subgroups of A_p.  A Lagrangian subgroup
     is its own orthogonal complement (L = L-perp, as |L|^2 = |A| and the
     form is nondegenerate), so membership is b(x, generator) = 0, at each
-    p and for <w> itself.  Each test is an integer dot product with a
-    functional read off the form's b numerators (``_classifier``), the
-    path ``g_orbits`` takes for subgroups too.
+    p and for <w> itself, one integer dot product each (``_selector``,
+    ``_subgroup_of``).
     """
     if w.elem.form != ns_form(d, t).form:
         raise InvalidElementError("elements live in different groups")
-    return _classifier(d, t, {})(w.coords)
+    return _subgroup_of(d, t, w.coords)
 
 
-def _classifier(d: int, t: int, known: dict):
-    """coords -> the Lagrangian subgroup generated by the Lagrangian
-    element with those coordinates.
+def _selector(d: int, t: int, coords) -> tuple[tuple[int, str], ...]:
+    """The per-prime selector of the Lagrangian element with these
+    coordinates.
 
     With c_p the CRT idempotent of p, b(c_p x, c_p y) = c_p^2 b(x, y), so
-    the p-part of x lies in that of <vbar> exactly when x pairs to 0 with
-    c_p^2 vbar: one dot product mod den per canonical subgroup and prime.
-    ``known`` maps selectors to subgroups already built; ``_subgroup``
-    runs only for a selector not in it, and the result is added.
+    the p-part of x lies in that of <vbar> exactly when c_p^2 b(x, vbar)
+    = 0 mod 1: one b numerator per canonical subgroup and prime.
     """
     nf = ns_form(d, t)
     form = nf.form
-    den = form.den
-    idem = _idempotents(t)
-    tests = [
-        (
-            p,
-            _functional(form, (idem[p] ** 2 * nf.vbar).coords),
-            _functional(form, (idem[p] ** 2 * nf.vprime).coords),
-        )
-        for p in modulus(t).common_primes(d)
-    ]
-
-    def classify(coords) -> LagrangianSubgroup:
-        selector = []
-        for p, at_v, at_vprime in tests:
-            if sum(map(mul, at_v, coords)) % den == 0:
-                selector.append((p, SELECT_V))
-            elif sum(map(mul, at_vprime, coords)) % den == 0:
-                selector.append((p, SELECT_VPRIME))
-            else:
-                raise InvalidSubgroupError(
-                    f"p-part at {p} generates neither canonical subgroup"
-                )
-        selector = tuple(selector)
-        sub = known.get(selector)
-        if sub is None:
-            sub = known[selector] = _subgroup(d, t, selector)
-        if not sub._has(coords):
+    idem = modulus(t).idempotents
+    selector = []
+    for p in modulus(t).common_primes(d):
+        c2 = idem[p] ** 2
+        if c2 * form.b_numerator(coords, nf.vbar.coords) % form.den == 0:
+            selector.append((p, SELECT_V))
+        elif c2 * form.b_numerator(coords, nf.vprime.coords) % form.den == 0:
+            selector.append((p, SELECT_VPRIME))
+        else:
             raise InvalidSubgroupError(
-                "element is not in the subgroup its selector names"
+                f"p-part at {p} generates neither canonical subgroup"
             )
-        return sub
+    return tuple(selector)
 
-    return classify
+
+def _subgroup_of(d: int, t: int, coords) -> LagrangianSubgroup:
+    """The subgroup the Lagrangian element with these coordinates
+    generates: the one its selector names, which must contain it."""
+    sub = _subgroup(d, t, _selector(d, t, coords))
+    if not sub._has(coords):
+        raise InvalidSubgroupError("element is not in the subgroup its selector names")
+    return sub
+
+
+def _flip(selector, primes) -> tuple[tuple[int, str], ...]:
+    """``selector`` with V and Vprime swapped at the primes in ``primes``."""
+    swap = {SELECT_V: SELECT_VPRIME, SELECT_VPRIME: SELECT_V}
+    return tuple((p, swap[c] if p in primes else c) for p, c in selector)
 
 
 def involution(d: int, t: int, sub: LagrangianSubgroup) -> LagrangianSubgroup:
     """Flip every selector entry; the identity when m = 1."""
     if (sub.d, sub.t) != (d, t):
         raise InvalidSubgroupError("subgroup belongs to a different (d, t)")
-    flipped = tuple(
-        (p, SELECT_VPRIME if c == SELECT_V else SELECT_V)
-        for p, c in sub.selector
-    )
-    return _subgroup(d, t, flipped)
+    return _subgroup(d, t, _flip(sub.selector, modulus(t).primes))
 
 
 def units_action(k: int, w: LagrangianElement) -> LagrangianElement:
@@ -324,11 +305,7 @@ class GSpec:
         gen = self.generator
         if gen.domain != gen.codomain:
             raise InvalidIsometryError("generator must be an automorphism")
-        # -id is an isometry of every finite quadratic form; its images
-        # are g_i -> (n_i - 1) g_i
-        orders = gen.domain.orders
-        neg = tuple(tuple(n - 1 if i == j else 0 for j, n in enumerate(orders))
-                    for i in range(len(orders)))
+        neg = _neg_images(gen.domain.orders)
         sign = gen.images == neg
         if not sign:
             as_isometry(gen.domain, gen.codomain, gen.images)
@@ -373,15 +350,6 @@ class GSpec:
         return self._moving
 
 
-def _coordinate_move(sigma: DFIsometry):
-    """c -> sigma(c) on coordinate tuples.  Sigma's images are read once
-    as an integer matrix, whose row j holds coordinate j of every
-    generator image, so coordinate j of the image is one dot product
-    reduced mod the j-th generator order."""
-    rows = tuple(zip(zip(*sigma.images), sigma.codomain.orders))
-    return lambda c: tuple([sum(map(mul, row, c)) % n for row, n in rows])
-
-
 def _orbits(items, key, moves):
     """Orbits of the group generated by ``moves`` on everything reachable
     from ``items``.
@@ -411,18 +379,26 @@ def _orbits(items, key, moves):
 
 
 def _subgroup_move(subs, sigma: DFIsometry):
-    """L -> <sigma(generator of L)> on Lagrangian subgroups of the one
-    (d, t) that every subgroup in ``subs`` must belong to.  Sigma acts on
-    the generator's coordinates as an integer matrix, and the image is
-    classified by integer functionals as in subgroup_generated_by; the
-    subgroup with the image's selector is taken from ``subs`` when one
-    is there, and built only for a selector not seen before."""
+    """L -> sigma(L) on Lagrangian subgroups of the one (d, t) that every
+    subgroup in ``subs`` must belong to.  An isometry keeps each p-part
+    of A, and at p | m the p-parts of <vbar> and <vprime> are the only
+    Lagrangian subgroups of A_p, so sigma fixes or swaps them: it flips a
+    selector at exactly the primes where sigma(vbar) selects Vprime.  A
+    subgroup of ``subs`` is reused; one with a new selector is built."""
     d, t = subs[0].d, subs[0].t
     if any((L.d, L.t) != (d, t) for L in subs):
         raise InvalidSubgroupError("subgroups belong to different (d, t)")
-    classify = _classifier(d, t, {L.selector: L for L in subs})
-    step = _coordinate_move(sigma)
-    return lambda L: classify(step(L.generator.coords))
+    image = sigma.action()(ns_form(d, t).vbar.coords)
+    flips = {p for p, c in _selector(d, t, image) if c == SELECT_VPRIME}
+    known = {L.selector: L for L in subs}
+
+    def move(L):
+        selector = _flip(L.selector, flips)
+        if selector not in known:
+            known[selector] = _subgroup(d, t, selector)
+        return known[selector]
+
+    return move
 
 
 def g_orbits(items, g: GSpec):
@@ -432,10 +408,10 @@ def g_orbits(items, g: GSpec):
     Elements are walked as coordinate tuples; the caller's objects are
     returned and only images it did not pass are wrapped.  GSpec checked
     that sigma is an isometry, so no image needs another check.  A
-    subgroup L moves to <sigma(generator)> (``_subgroup_move``), and all
-    subgroups must belong to one (d, t).  Each orbit is sorted by
-    coordinates (elements) or selector (subgroups), and the orbits are
-    listed by their least member.
+    subgroup L moves to sigma(L) by flipping its selector
+    (``_subgroup_move``), and all subgroups must belong to one (d, t).
+    Each orbit is sorted by coordinates (elements) or selector
+    (subgroups), and the orbits are listed by their least member.
     """
     items = list(items)
     sigma = g.generator
@@ -448,7 +424,7 @@ def g_orbits(items, g: GSpec):
     if not all(isinstance(item, LagrangianElement) for item in items):
         return _orbits(items, lambda L: L.selector, [_subgroup_move(items, sigma)])
     given = {w.coords: w for w in items}
-    orbits = _orbits(given, lambda c: c, [_coordinate_move(sigma)])
+    orbits = _orbits(given, lambda c: c, [sigma.action()])
     return tuple(
         tuple(
             given[c] if c in given else LagrangianElement(sigma.domain.element(c))

@@ -11,7 +11,7 @@ on the smallest nonzero entry in absolute value, so its output is
 deterministic and safe to pin in tests.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
@@ -168,61 +168,37 @@ class Lattice:
         return self.gram.det()
 
 
-@dataclass(frozen=True)
-class NSLattice:
-    """The rank-two even lattice with Gram [[2d, t], [t, 0]] on basis (H, F).
-
-    H is a polarisation-like class of square 2d, F the fibre class of an
-    elliptic fibration of multisection index t; every formula downstream
-    is exact in (d, t).
-    """
-
-    d: int
-    t: int
-    gram: IntMatrix = field(init=False)
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise InvalidParameterError(f"t must be a positive integer, got {self.t}")
-        object.__setattr__(
-            self, "gram", IntMatrix.from_rows(((2 * self.d, self.t), (self.t, 0)))
-        )
-
-    @property
-    def m(self) -> int:
-        return gcd(self.d, self.t)
-
-    def det(self) -> int:
-        return -self.t * self.t
-
-    def to_lattice(self) -> Lattice:
-        return Lattice(self.gram)
+def ns_gram(d: int, t: int) -> Lattice:
+    """The rank-two lattice [[2d, t], [t, 0]] on the basis (H, F): H a
+    polarisation-like class of square 2d, F the fibre class of an
+    elliptic fibration of multisection index t >= 1."""
+    if t < 1:
+        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    return Lattice(IntMatrix.from_rows(((2 * d, t), (t, 0))))
 
 
-def ns_gram(d: int, t: int) -> NSLattice:
-    """The rank-two lattice attached to degree 2d and multisection index t."""
-    return NSLattice(d, t)
-
-
-def dual_generators(ns: NSLattice) -> tuple[RationalVector, RationalVector]:
-    """Dual basis (F*, H*) of (F, H): F*.F = H*.H = 1, F*.H = H*.F = 0.
+def dual_generators(d: int, t: int) -> tuple[RationalVector, RationalVector]:
+    """Dual basis (F*, H*) of (F, H) in ``ns_gram(d, t)``: F*.F = H*.H = 1,
+    F*.H = H*.F = 0.
 
     In (H, F) coordinates: F* = (1/t) H - (2d/t^2) F and H* = (1/t) F.
     """
-    t, d = ns.t, ns.d
+    ns_gram(d, t)  # refuses t < 1
     fstar = RationalVector((Fraction(1, t), Fraction(-2 * d, t * t)))
     hstar = RationalVector((Fraction(0), Fraction(1, t)))
     return fstar, hstar
 
 
-def isotropic_rays(ns: NSLattice) -> tuple[RationalVector, RationalVector]:
-    """Primitive integral vectors spanning the two isotropic rays.
+def isotropic_rays(d: int, t: int) -> tuple[RationalVector, RationalVector]:
+    """Primitive integral vectors spanning the two isotropic rays of
+    ``ns_gram(d, t)``.
 
     The first is F itself; the second is F' = (t H - d F) / gcd(d, t).
     """
-    m = ns.m
+    ns_gram(d, t)  # refuses t < 1
+    m = gcd(d, t)
     f = RationalVector((Fraction(0), Fraction(1)))
-    fprime = RationalVector((Fraction(ns.t, m), Fraction(-ns.d, m)))
+    fprime = RationalVector((Fraction(t, m), Fraction(-d, m)))
     return f, fprime
 
 

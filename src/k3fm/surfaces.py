@@ -34,7 +34,6 @@ from .intmath import close_units_subgroup, is_prime, modulus, totient, units_mod
 from .lattices import genus_representatives
 from .lagrangians import (
     GSpec,
-    _coordinate_move,
     _lagrangian_coords,
     count_lagrangians,
     enumerate_lagrangian_subgroups,
@@ -354,7 +353,7 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     d, t = model.d, model.t
     nf = ns_form(d, t)
     subs = enumerate_lagrangian_subgroups(d, t)
-    move, n = _coordinate_move(model.G.generator), len(model.G.image_elements())
+    move, n = model.G.generator.action(), len(model.G.image_elements())
     phi = modulus(t).phi
     fixed_generators = fixed_subgroups = 0
     for sub in subs:
@@ -500,14 +499,12 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
 
     For G = {+-1} (no ``g.moving_elements()``) the sum is the closed form
     ``fm_sign(d, t)``; any other G is counted class by class by
-    ``_fm_walk``.  Both paths first run the same gates and the same
-    check, in this order:
+    ``_fm_walk``, which budgets its genus walk.  Both paths first run the
+    same gate and the same check, in this order:
 
     - G must act on A (InvalidIsometryError);
-    - the isometry budget bounds each |A_p|, not |A|, and the genus walk
-      is budgeted as phi(t/m) * sum_p |A_p| elements, phi(t/m) bounding
-      the number of classes (``genus_representatives``); both gates run
-      on every call, before any anchor is read or searched;
+    - the isometry budget bounds each |A_p|, not |A|, on every call,
+      before any anchor is read or searched;
     - A is certified to lie in the genus it is counted by: its parts map
       isometrically onto those of the least member r0
       (``genus_representatives(d, t)[0]``), searched with
@@ -517,14 +514,8 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     nf = ns_form(d, t)
     if g.generator.domain != nf.form:
         raise InvalidIsometryError("G does not act on this family member")
-    parts = nf.primary_parts
-    for part in parts:
+    for part in nf.primary_parts:
         require_isometry_budget(part.form)
-    budget.require(
-        totient(t // nf.m) * sum(part.form.size for part in parts),
-        budget.element_cap(),
-        "phi(t/m) * sum of |A_p| for the FM genus walk",
-    )
     if _anchor(nf, genus_representatives(d, t)[0]) is None:
         raise RuntimeError("genus member lost its form isometry")
     if not g.moving_elements():
@@ -535,7 +526,9 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
 def _fm_walk(d: int, t: int, g: GSpec) -> int:
     """fm by the double-coset formula, walked class by class over the
     genus; G must act on A = ``ns_form(d, t).form``, and A's own anchor
-    onto r0 is ``fm_count``'s check.
+    onto r0 is ``fm_count``'s check.  The walk is budgeted as
+    phi(t/m) * sum_p |A_p| elements, phi(t/m) bounding the number of
+    classes (``genus_representatives``).
 
     For a genus member L with form A_L, any one isometry phi: A -> A_L
     gives X = Isom(A, A_L) = phi O(A), and the summand counts the double
@@ -561,7 +554,7 @@ def _fm_walk(d: int, t: int, g: GSpec) -> int:
     number of x_p in phi_p O(A_p) with h_p x_p = x_p s_p.  Per class,
     the images of h_p x_p (for each h in ``o_lambda_image``, of size
     |H|) and of x_p s_p (for each s) are listed once, by integer moves
-    on coordinates (``_coordinate_move``), and compared entry by entry.
+    on coordinates (``DFIsometry.action``), and compared entry by entry.
 
     Every class other than r0 itself is certified isometric to r0 part by
     part through its anchor (``_anchor``), which with A's own anchor
@@ -570,6 +563,11 @@ def _fm_walk(d: int, t: int, g: GSpec) -> int:
     """
     nf = ns_form(d, t)
     parts = nf.primary_parts
+    budget.require(
+        totient(t // nf.m) * sum(part.form.size for part in parts),
+        budget.element_cap(),
+        "phi(t/m) * sum of |A_p| for the FM genus walk",
+    )
     order = _isometry_order(d, nf.t_factors)
     image, moving = g.image_elements(), g.moving_elements()
     if moving:
@@ -603,12 +601,12 @@ def _fm_walk(d: int, t: int, g: GSpec) -> int:
             xs = [[phi.compose(y) for y in group] for phi, group in zip(phis, own)]
             lefts = []
             for u in h:
-                h_moves = [_coordinate_move(part.restrict(u)) for part in parts_e]
+                h_moves = [part.restrict(u).action() for part in parts_e]
                 lefts.append([
                     [tuple(map(move, x.images)) for x in x_p]
                     for move, x_p in zip(h_moves, xs)
                 ])
-            x_moves = [list(map(_coordinate_move, x_p)) for x_p in xs]
+            x_moves = [[x.action() for x in x_p] for x_p in xs]
             for s_parts in restricted:
                 rights = [
                     [tuple(map(move, s_p.images)) for move in moves]

@@ -211,7 +211,7 @@ def _u_witness(gram):
 def test_criterion_04_overlattice_identity():
     start = time.perf_counter()
     for t in range(1, 13):
-        lat = ns_gram(0, t).to_lattice()
+        lat = ns_gram(0, t)
         isotropic = [
             sub
             for sub in _all_subgroups_z_t_squared(t)

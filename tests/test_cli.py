@@ -34,7 +34,7 @@ from k3fm.discforms import ns_form, structure_invariants
 from k3fm.errors import CapacityError, InvalidParameterError
 from k3fm.lagrangians import GSpec, count_lagrangians, enumerate_lagrangian_elements
 from k3fm.lattices import genus_representatives
-from k3fm.surfaces import SurfaceModel, coprime_jacobian_classes, de_counts, fm_count
+from k3fm.surfaces import SurfaceModel, _fm_walk, coprime_jacobian_classes, de_counts, fm_count
 from test_repository import _load_perfbench
 
 
@@ -530,7 +530,8 @@ def test_a_cold_sweep_factors_each_modulus_once_and_reads_the_budget_once(
 
 def test_invalid_budget_fails_only_requests_that_read_it(capsys, monkeypatch):
     monkeypatch.setenv("K3FM_BUDGET", "abc")
-    for sub, want in (("genus", 0), ("disc", 0), ("fm", 2)):
+    # genus reads the cap for its walk over the units mod t/m
+    for sub, want in (("genus", 2), ("disc", 0), ("fm", 2)):
         code, out, err = run_cli([sub, "--d", "1", "--t", "5"], capsys)
         assert code == want, (sub, out, err)
     assert err == "k3fm: K3FM_BUDGET must be a positive integer, got 'abc'\n"
@@ -585,9 +586,11 @@ def test_exit_code_capacity(capsys, monkeypatch):
 
 
 def test_genus_is_not_budgeted(capsys, monkeypatch):
-    # genus is arithmetic in t; fm still enumerates O(A_p) on each
-    # p-primary part under the cap (here parts of 2^6 and 5^4 elements)
-    monkeypatch.setenv("K3FM_BUDGET", "10")
+    # genus is arithmetic in t: the cap bounds its walk over the
+    # phi(200) = 80 units, not |A| = 40,000; fm still enumerates O(A_p)
+    # on each p-primary part under the cap (here parts of 2^6 and 5^4
+    # elements)
+    monkeypatch.setenv("K3FM_BUDGET", "100")
     code, out, err = run_cli(["genus", "--d", "1", "--t", "200"], capsys)
     assert (code, err) == (0, "")
     assert out.startswith("representatives=")
@@ -619,10 +622,11 @@ def test_fm_budget_bounds_the_largest_primary_part(capsys, monkeypatch):
 def test_fm_budget_bounds_the_genus_walk(capsys, monkeypatch):
     monkeypatch.delenv("K3FM_BUDGET", raising=False)
     # 8633 = 89 * 97: both parts are under the isometry cap, but the walk
-    # over the genus is phi(t) * (89^2 + 97^2) = 146,403,840 > 4,000,000
-    code, out, err = run_cli(["fm", "--d", "1", "--t", "8633"], capsys)
-    assert (code, out) == (3, "")
-    assert "genus walk is 146403840" in err
+    # over the genus is phi(t) * (89^2 + 97^2) = 146,403,840 > 4,000,000;
+    # the closed form for G = +-1 walks no genus, so fm answers
+    with pytest.raises(CapacityError, match="genus walk is 146403840"):
+        _fm_walk(1, 8633, GSpec.sign_group(ns_form(1, 8633).form))
+    assert run_cli(["fm", "--d", "1", "--t", "8633"], capsys) == (0, "fm=2114\n", "")
     # 3565 = 5 * 23 * 31 walks 3,999,600, just under the cap
     code, out, err = run_cli(["fm", "--d", "1", "--t", "3565"], capsys)
     assert (code, err) == (0, "")
@@ -643,6 +647,26 @@ def test_fm_refuses_a_large_prime_t_at_once(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert "budget" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_every_subcommand_survives_a_huge_smooth_t(capsys, monkeypatch):
+    # 2^61 and 10^18 factor at once, but a list of their units would not
+    # fit in memory: each request answers or is refused with one line
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    for t in (str(2**61), str(10**18)):
+        dt = ["--d", "1", "--t", t]
+        for argv in (
+            ["disc", *dt], ["lagr", *dt], ["lagr", *dt, "--list"], ["pair", *dt],
+            ["involution", *dt], ["genus", *dt], ["fm", *dt], ["de", *dt],
+            ["de", *dt, "--b-order", "4"], ["ht", *dt], ["jac", "--t", t, "--k", "1"],
+            ["overlattice", *dt, "--gens", "1,0"],
+            ["caldararu", *dt, "--r", "0", "--x", "0", "--y", "1", "--s", "0"],
+            ["sweep", "--t-min", t, "--t-max", t, "--d-min", "1", "--d-max", "1"],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code in (0, 2, 3), argv
+            assert "Traceback" not in err and err.count("\n") == (code != 0), argv
+    assert run_cli(["genus", "--d", "1", "--t", str(2**61)], capsys)[0] == 3
 
 
 def test_non_isometry_g_gen_is_refused(capsys):

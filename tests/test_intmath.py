@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from k3fm.errors import CapacityError
 from k3fm.intmath import (
     close_units_subgroup,
     distinct_primes,
@@ -97,6 +98,21 @@ def test_units_mod():
     # the prime sieve against the gcd filter
     for n in range(2, 3001):
         assert units_mod(n) == tuple(u for u in range(1, n) if gcd(u, n) == 1), n
+
+
+def test_units_mod_is_held_to_the_element_budget(monkeypatch):
+    # phi(n) is read off n's factors, so a refused walk lists no unit
+    monkeypatch.setenv("K3FM_BUDGET", "4")
+    assert units_mod(12) == (1, 5, 7, 11)
+    with pytest.raises(CapacityError, match=r"^phi\(2305843009213693952\) for a walk"):
+        units_mod(2**61)
+    assert "units" not in vars(modulus(2**61))
+
+
+def test_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 20_001):
+        assert dict(modulus(n).factors) == sympy.factorint(n), n
 
 
 def test_close_units_subgroup():

@@ -28,16 +28,16 @@ from k3fm.errors import (
     InvalidParameterError,
     InvalidSubgroupError,
 )
-from k3fm.intmath import distinct_primes, totient
+from k3fm.intmath import distinct_primes, modulus, totient
 from k3fm.lagrangians import (
     SELECT_V,
     SELECT_VPRIME,
     GSpec,
     LagrangianElement,
     LagrangianSubgroup,
-    _classifier,
-    _idempotents,
+    _selector,
     _subgroup,
+    _subgroup_of,
     canonical_pair,
     count_lagrangians,
     double_quotient,
@@ -156,7 +156,7 @@ def _oracle_generated_subgroup(d, t, elem):
     """The classification as it was before integer functionals: Fraction
     pairings of DFElement p-parts, and membership by b_eval."""
     nf = ns_form(d, t)
-    idem = _idempotents(t)
+    idem = modulus(t).idempotents
     selector = []
     for p in distinct_primes(gcd(d, t)):
         wp = idem[p] * elem
@@ -191,14 +191,14 @@ def test_classifier_keeps_both_subgroup_checks():
     # (2, 6): m = 2, A = Z/2 + Z/18.  The 2-part of (0, 1) pairs to nonzero
     # with both canonical 2-parts; (0, 2) classifies as all-V but pairs
     # to nonzero with the generator of <vbar>
-    classify = _classifier(2, 6, {})
     with pytest.raises(InvalidSubgroupError, match="neither canonical subgroup"):
-        classify((0, 1))
+        _selector(2, 6, (0, 1))
+    assert _selector(2, 6, (0, 2)) == ((2, SELECT_V),)
     with pytest.raises(
         InvalidSubgroupError, match="not in the subgroup its selector names"
     ):
-        classify((0, 2))
-    assert classify(ns_form(2, 6).vbar.coords).selector == ((2, SELECT_V),)
+        _subgroup_of(2, 6, (0, 2))
+    assert _subgroup_of(2, 6, ns_form(2, 6).vbar.coords).selector == ((2, SELECT_V),)
 
 
 def test_classification_rejects_foreign_element():

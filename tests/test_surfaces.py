@@ -2,6 +2,7 @@
 vectors, fibration predicates, automorphism and partner counts, and the
 headline classifier."""
 
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -32,12 +33,12 @@ from k3fm.errors import (
     OutOfScopeError,
 )
 from k3fm import kernels, surfaces
-from k3fm.intmath import close_units_subgroup, distinct_primes, totient, units_mod
+from k3fm.intmath import close_units_subgroup, distinct_primes, modulus, totient, units_mod
 from k3fm.lagrangians import (
     GSpec,
-    _coordinate_move,
     _lagrangian_coords,
     _orbits,
+    enumerate_lagrangian_elements,
     enumerate_lagrangian_subgroups,
     g_orbits,
 )
@@ -46,7 +47,6 @@ from k3fm.lattices import (
     RationalVector,
     genus_representatives,
     isotropic_rays,
-    ns_gram,
     rank2_isometries,
 )
 from k3fm.surfaces import (
@@ -73,6 +73,7 @@ from k3fm.surfaces import (
     jspecial_torsor_exists,
     mukai_divisibility,
     _fm_walk,
+    _is_square_unit,
     _isometry_order,
     o_lambda_image,
     o_plus_image,
@@ -454,7 +455,7 @@ def test_induced_isometry_matches_dual_vector_route():
             lf = nf.lf
             grouped = [rows for group in nf.o_lambda_rows.values() for rows in group]
             assert sorted(grouped) == sorted(rank2_isometries(d, d, t)), (d, t)
-            nef = isotropic_rays(ns_gram(d, t))[: fibration_count(d, t)]
+            nef = isotropic_rays(d, t)[: fibration_count(d, t)]
             plus, maps = set(), []
             for group in nf.o_lambda_rows.values():
                 induced = set()
@@ -626,9 +627,9 @@ def test_de_counts_checks_the_subgroup_count_against_the_closed_form(monkeypatch
 def _coordinate_images(sigma, points):
     """[sigma(c) for c in points] on coordinate tuples, in one pass.  On
     rank two sigma's 2x2 integer matrix is inlined; other ranks take the
-    per-coordinate dot products of ``_coordinate_move``."""
+    per-coordinate dot products of ``DFIsometry.action``."""
     if sigma.domain.rank != 2:
-        return list(map(_coordinate_move(sigma), points))
+        return list(map(sigma.action(), points))
     (a, c), (b, d) = sigma.images
     n1, n2 = sigma.codomain.orders
     return [((a * x + b * y) % n1, (c * x + d * y) % n2) for x, y in points]
@@ -655,7 +656,7 @@ def _cycle_count(sigma, points):
 def _check_cycle_count(sigma, coords):
     """The cycle count against the sorted orbit walk it replaced, and the
     batch images against the one-point move."""
-    step = _coordinate_move(sigma)
+    step = sigma.action()
     assert _coordinate_images(sigma, coords) == [step(c) for c in coords]
     walk = len(_orbits(coords, lambda c: c, [step]))
     assert _cycle_count(sigma, coords) == walk
@@ -728,7 +729,7 @@ def test_de_counts_match_the_cycle_count_for_every_cyclic_group():
 
 def _moved(monkeypatch, image):
     """Make de_counts apply ``image(c)`` in place of sigma on coordinates."""
-    monkeypatch.setattr(surfaces, "_coordinate_move", lambda sigma: image)
+    monkeypatch.setattr(DFIsometry, "action", lambda sigma: image)
 
 
 def test_de_counts_raises_when_sigma_is_not_a_unit_multiple(monkeypatch):
@@ -1294,6 +1295,38 @@ def test_fm_sign_checks_its_numerator(monkeypatch):
     monkeypatch.setattr("k3fm.surfaces._isometry_order", lambda d, factors: 2)
     with pytest.raises(RuntimeError, match="not a multiple of 4"):
         fm_sign(0, 5)  # 2 (|Q| = 1 + eps = 0)
+
+
+def test_square_units_match_sympy():
+    # Euler's criterion at odd p and the rule mod 2^min(k, 3) against an
+    # independent quadratic-residue test, on every unit mod t
+    residue = pytest.importorskip("sympy.ntheory.residue_ntheory")
+    pairs = 0
+    for t in range(2, 401):
+        factors = modulus(t).factors
+        for x in range(1, t):
+            if gcd(x, t) == 1:
+                assert _is_square_unit(x, factors) == residue.is_quad_residue(x, t), (x, t)
+                pairs += 1
+    assert pairs == 48_677
+
+
+def test_groups_pickle_after_their_action_is_used():
+    # the coordinate action is built per call and kept by its caller, not
+    # stored on the isometry, so a used model or group still pickles
+    model = SurfaceModel.general(6, 12)
+    de_counts(model)
+    assert pickle.loads(pickle.dumps(model)) == model
+    form = ns_form(0, 5).form
+    g = GSpec(as_isometry(form, form, ((2, 0), (0, 3))), 4)
+    b = frozenset({1, 4})
+    moving = SurfaceModel(0, 5, g, b, b, t_general=False)
+    de_counts(moving)
+    fm_count(0, 5, g)
+    g_orbits(enumerate_lagrangian_subgroups(0, 5), g)
+    g_orbits(enumerate_lagrangian_elements(0, 5), g)
+    assert pickle.loads(pickle.dumps(moving)) == moving
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 def test_cold_fm_builds_two_bundles_and_searches_its_own_parts(monkeypatch):
