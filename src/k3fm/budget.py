@@ -22,14 +22,18 @@ Each cap is compared with the size of what a search visits:
 * a walk over the units mod n (``intmath.units_mod``) is held to
   phi(n) <= ``ELEMENT_CAP``, before any unit is listed.
 
+Factoring has fixed bounds of its own, which ``K3FM_BUDGET`` does not
+change: ``intmath`` refuses a number with a cofactor it cannot prove
+prime (past 3.3 * 10^24) or split within its rho steps.
+
 Setting the environment variable ``K3FM_BUDGET`` to a positive integer
 overrides both caps with that value.  It is read on first use, not at
 import time.  Inside ``within_request`` (each ``cli.main`` request) the
 first read is kept until the request ends, so the variable is parsed at
 most once per request, and not at all by a request that reads no cap;
 any other call reads it afresh, so tests can change it between calls.
-``require`` is the one gate every budgeted enumeration passes, and the
-only place that raises ``CapacityError``.
+``require`` is the one gate every budgeted enumeration passes, and,
+with the factoriser, the only place that raises ``CapacityError``.
 """
 
 import os

@@ -21,12 +21,11 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import gcd, isqrt
-from typing import NamedTuple
 
+from ._value import Value
 from .budget import within_request
 from .discforms import DFIsometry, ns_form, structure_invariants
 from .errors import (
@@ -89,11 +88,12 @@ class SweepVerifyError(K3FMError):
     """A brute-force oracle disagreed with a sweep row."""
 
 
-@dataclass(frozen=True)
-class Request:
-    subcommand: str
-    params: argparse.Namespace
-    output_mode: str  # "table" or "json"
+class Request(Value):
+    __slots__ = _fields = ("subcommand", "params", "output_mode")
+
+    def __init__(self, subcommand: str, params: argparse.Namespace, output_mode: str):
+        # output_mode: "table" or "json"
+        self.subcommand, self.params, self.output_mode = subcommand, params, output_mode
 
 
 def _json_dump(obj) -> str:
@@ -152,14 +152,22 @@ def _twist_group(t: int, order: int):
     """The twist group B for --b-order: cyclic of the requested order,
     containing -1.  Orders 4 and 6 exist only for suitable t and pin the
     isotrivial j-invariant; the least generator is chosen when several
-    subgroups qualify."""
+    subgroups qualify.  Whether one exists is read off t's primes first,
+    so a t with none is refused without walking its units: order 4 needs
+    a root of -1 mod t (4 does not divide t, and every odd p | t is 1 mod
+    4), order 6 a unit of order 3 (9 | t, or some p | t is 1 mod 3)."""
     if order == 2 or t <= 2:
         if order != 2:
             raise InvalidParameterError("--b-order above 2 needs t > 2")
         return frozenset({1 % t, (-1) % t}), J_GENERIC
     if order not in (4, 6):
         raise InvalidParameterError(f"--b-order must be 2, 4 or 6, got {order}")
-    for x in units_mod(t):
+    primes = modulus(t).primes
+    if order == 4:  # x^2 = -1 mod t
+        exists = t % 4 and all(p % 4 == 1 for p in primes if p > 2)
+    else:  # x = -y, y of order 3
+        exists = t % 9 == 0 or any(p % 3 == 1 for p in primes)
+    for x in units_mod(t) if exists else ():
         if pow(x, order // 2, t) != t - 1:
             continue
         if order == 6 and pow(x, 2, t) == 1:
@@ -535,15 +543,16 @@ def _cmd_sweep(args):
     return rows, "\n".join(lines)
 
 
-class Flag(NamedTuple):
-    """One flag of a subcommand; a ``bool`` flag is a store_true switch."""
+class Flag(Value):
+    """One flag of a subcommand; a ``bool`` flag is a store_true switch.
+    The flags of one ``group`` exclude each other."""
 
-    name: str
-    type: type = bool
-    required: bool = False
-    default: object = None
-    help: str | None = None
-    group: str | None = None  # the flags of one group exclude each other
+    __slots__ = _fields = ("name", "type", "required", "default", "help", "group")
+
+    def __init__(self, name: str, type: type = bool, required: bool = False,
+                 default: object = None, help: str | None = None, group: str | None = None):
+        self.name, self.type, self.required = name, type, required
+        self.default, self.help, self.group = default, help, group
 
 
 _DT = (

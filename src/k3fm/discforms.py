@@ -19,7 +19,6 @@ isotropy, no subgroup lattice and no orbit counts, so it is documentation
 only.  Callers who need the other sign can negate q-values on output.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
@@ -27,6 +26,7 @@ from math import gcd, lcm
 from operator import index, mul
 
 from . import budget, kernels
+from ._value import Value
 from .errors import (
     InvalidElementError,
     InvalidIsometryError,
@@ -43,8 +43,7 @@ from .lattices import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteQuadForm:
+class FiniteQuadForm(Value):
     """Finite quadratic form on (+) Z/n_i, at most two generators, their
     orders ascending by divisibility, all of them > 1.
 
@@ -56,29 +55,27 @@ class FiniteQuadForm:
     read them back as Fractions.
     """
 
-    orders: tuple[int, ...]
-    den: int
-    qn: tuple[int, ...]
-    bn: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("orders", "den", "qn", "bn")
 
-    def __post_init__(self):
-        r = len(self.orders)
+    def __init__(self, orders: tuple[int, ...], den: int, qn: tuple[int, ...],
+                 bn: tuple[tuple[int, ...], ...]):
+        self.orders, self.den, self.qn, self.bn = orders, den, qn, bn
+        r = len(orders)
         if r > 2:
             raise OutOfScopeError(f"forms have rank <= 2, got {r}")
-        if len(self.qn) != r or len(self.bn) != r:
+        if len(qn) != r or len(bn) != r:
             raise InvalidParameterError("generator data lengths disagree")
-        for i, n in enumerate(self.orders):
+        for i, n in enumerate(orders):
             if n < 2:
                 raise InvalidParameterError("generator orders must be >= 2")
-            if i and n % self.orders[i - 1]:
+            if i and n % orders[i - 1]:
                 raise InvalidParameterError("orders must ascend by divisibility")
-        for row in self.bn:
+        for row in bn:
             if len(row) != r:
                 raise InvalidParameterError("b matrix must be square")
-        den, qn, bn = self.den, self.qn, self.bn
         if den < 1 or gcd(den, *qn, *chain.from_iterable(bn)) != 1:
             raise InvalidParameterError("den must be positive and in lowest terms")
-        for i, n in enumerate(self.orders):
+        for i, n in enumerate(orders):
             q = qn[i]
             if not (0 <= q < 2 * den):
                 raise InvalidParameterError("q-values must lie in [0, 2)")
@@ -186,21 +183,19 @@ def _lowest(orders, den, qn, bn) -> FiniteQuadForm:
     return FiniteQuadForm(tuple(orders), den, tuple(qn), tuple(map(tuple, bn)))
 
 
-@dataclass(frozen=True)
-class DFElement:
+class DFElement(Value):
     """Element of a FiniteQuadForm, coordinates reduced into [0, n_i)."""
 
-    form: FiniteQuadForm
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("form", "coords")
+
+    def __init__(self, form: FiniteQuadForm, coords: tuple[int, ...]):
+        self.form, self.coords = form, coords
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coords) != self.form.rank:
             raise InvalidElementError("coordinate length does not match rank")
-        object.__setattr__(
-            self,
-            "coords",
-            tuple(c % n for c, n in zip(self.coords, self.form.orders)),
-        )
+        self.coords = tuple([c % n for c, n in zip(self.coords, self.form.orders)])
 
     def __add__(self, other: "DFElement") -> "DFElement":
         if self.form != other.form:
@@ -231,8 +226,7 @@ class DFElement:
         return self.form.q_numerator(self.coords) == 0
 
 
-@dataclass(frozen=True)
-class DFIsometry:
+class DFIsometry(Value):
     """Group isomorphism preserving q, stored by generator images.
 
     ``images[i]`` is the coordinate tuple (in the codomain) of the image of
@@ -243,23 +237,15 @@ class DFIsometry:
     automorphism once; ``order()`` and ``inverse()`` read it.
     """
 
-    domain: FiniteQuadForm
-    codomain: FiniteQuadForm
-    images: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("domain", "codomain", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.domain.rank or any(
-            len(img) != self.codomain.rank for img in self.images
-        ):
+    def __init__(self, domain: FiniteQuadForm, codomain: FiniteQuadForm,
+                 images: tuple[tuple[int, ...], ...]):
+        if len(images) != domain.rank or any(len(img) != codomain.rank for img in images):
             raise InvalidIsometryError("image shape does not match generator counts")
-        object.__setattr__(
-            self,
-            "images",
-            tuple(
-                tuple(c % n for c, n in zip(img, self.codomain.orders))
-                for img in self.images
-            ),
-        )
+        self.domain, self.codomain = domain, codomain
+        orders = codomain.orders
+        self.images = tuple([tuple([c % n for c, n in zip(img, orders)]) for img in images])
 
     def action(self):
         """c -> the reduced codomain coordinates of the image of the domain
@@ -391,8 +377,7 @@ def as_isometry(domain: FiniteQuadForm, codomain: FiniteQuadForm, images) -> DFI
     return iso
 
 
-@dataclass(frozen=True)
-class LatticeForm:
+class LatticeForm(Value):
     """Discriminant form of an even lattice, with the class of a dual
     vector and the map a lattice isometry induces.
 
@@ -405,11 +390,14 @@ class LatticeForm:
     rows of U and the columns v_i.
     """
 
-    lattice: Lattice
-    form: FiniteQuadForm
-    diag: tuple[int, ...]  # full SNF diagonal, unit entries included
-    u_rows: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]  # the integer columns v_i of V, n_i > 1
+    __slots__ = _fields = ("lattice", "form", "diag", "u_rows", "columns")
+
+    def __init__(self, lattice: Lattice, form: FiniteQuadForm, diag: tuple[int, ...],
+                 u_rows: tuple[tuple[int, ...], ...], columns: tuple[tuple[int, ...], ...]):
+        # diag: the full SNF diagonal, unit entries included; columns: the
+        # integer columns v_i of V with n_i > 1
+        self.lattice, self.form, self.diag = lattice, form, diag
+        self.u_rows, self.columns = u_rows, columns
 
     def _class_of(self, gx) -> DFElement:
         """Class of the dual vector x with G x = ``gx``, an integer vector."""
@@ -464,8 +452,7 @@ def from_lattice(lat: Lattice) -> LatticeForm:
     return LatticeForm(lat, form, diag, u_rows, ((v00, v10), (v01, v11))[drop:])
 
 
-@dataclass(frozen=True)
-class NSForm:
+class NSForm(Value):
     """Discriminant form of the rank-two family member, with the canonical
     dual classes cached.
 
@@ -487,10 +474,11 @@ class NSForm:
     own bundle in ``fm_count`` and for each other class in ``_fm_walk``.
     """
 
-    d: int
-    t: int
-    lf: LatticeForm
-    anchors: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("d", "t", "lf")  # no __slots__: the cached properties need a __dict__
+
+    def __init__(self, d: int, t: int, lf: LatticeForm, anchors: dict | None = None):
+        self.d, self.t, self.lf = d, t, lf
+        self.anchors = {} if anchors is None else anchors
 
     @property
     def m(self) -> int:
@@ -605,15 +593,18 @@ def is_isotropic(x: DFElement) -> bool:
     return x.is_isotropic()
 
 
-@dataclass(frozen=True)
-class PrimaryPart:
-    """p-primary component of a form, with projection and inclusion maps."""
+class PrimaryPart(Value):
+    """p-primary component of a form, with projection and inclusion maps.
+    ``indices`` are the positions of the parent generators involved, and
+    ``cofactors`` the m_i with n_i = p^a m_i: the part's generators are
+    the m_i g_i."""
 
-    prime: int
-    form: FiniteQuadForm
-    parent: FiniteQuadForm
-    indices: tuple[int, ...]  # positions of the parent generators involved
-    cofactors: tuple[int, ...]  # m_i with n_i = p^a * m_i; part gen is m_i * g_i
+    __slots__ = _fields = ("prime", "form", "parent", "indices", "cofactors")
+
+    def __init__(self, prime: int, form: FiniteQuadForm, parent: FiniteQuadForm,
+                 indices: tuple[int, ...], cofactors: tuple[int, ...]):
+        self.prime, self.form, self.parent = prime, form, parent
+        self.indices, self.cofactors = indices, cofactors
 
     def project(self, elem: DFElement) -> DFElement:
         if elem.form != self.parent:

@@ -43,7 +43,8 @@ class OutOfScopeError(K3FMError):
 
 
 class CapacityError(K3FMError):
-    """An enumeration would exceed the configured budget.
+    """An enumeration would exceed the configured budget, or a number
+    cannot be factored within the factoriser's bounds.
 
     The offending budget is kept on the exception so callers (and the CLI)
     can name it in diagnostics.

@@ -1,21 +1,37 @@
 """Small exact integer helpers, and one arithmetic record per modulus.
 
-``modulus(n)`` is the one place a number is factored (``_trial_division``
-has no other caller): a cached record of n's factorisation and phi(n),
-with the sorted units and the CRT idempotents built on first read.  The
-primes of m = gcd(d, t) are read off t's record.  ``factorize``,
+``modulus(n)`` is the one place a number is factored (``_factor`` has no
+other caller): a cached record of n's factorisation and phi(n), with the
+sorted units and the CRT idempotents built on first read.  The primes of
+m = gcd(d, t) are read off t's record.  ``factorize``,
 ``distinct_primes``, ``totient``, ``is_prime`` and ``units_mod`` read it.
+
+Factoring is bounded.  Trial division runs below ``TRIAL_BOUND``; each
+cofactor left is then proven prime by Miller-Rabin on the first 13 prime
+bases, deterministic below ``MR_BOUND`` (Sorenson and Webster, Math.
+Comp. 2017), or split by Pollard-Brent rho (Brent, BIT 1980) within
+``RHO_STEPS`` steps in all.  A cofactor past ``MR_BOUND``, or a rho walk
+past its steps, raises CapacityError: no probable prime is ever used.
 """
 
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, count
 from math import gcd, isqrt, prod
 
 from . import budget
+from .errors import CapacityError
+
+TRIAL_BOUND = 1000  # at least 5: Miller-Rabin then sees only cofactors over 41
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+RHO_STEPS = 1 << 19
 
 
-def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
-    """(p, k) for each p^k || n >= 1, ascending, by trial division."""
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, k) for each p^k || n >= 1, ascending: trial division by the
+    primes up to ``TRIAL_BOUND``, then Miller-Rabin and rho on what is
+    left.  Every cofactor c left has no prime factor below the next trial
+    divisor p, so c < p^2 is prime without a test."""
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -23,15 +39,81 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
             n //= p
     # remaining factors are coprime to 6; step through 6k +/- 1
     p = 5
-    while p * p <= n:
+    while p <= TRIAL_BOUND and p * p <= n:
         for q in (p, p + 2):
             while n % q == 0:
                 out[q] = out.get(q, 0) + 1
                 n //= q
         p += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return tuple(out.items())
+    todo, steps = [n] if n > 1 else [], RHO_STEPS
+    while todo:
+        c = todo.pop()
+        if c < p * p or _proven_prime(c, n):
+            out[c] = out.get(c, 0) + 1
+        else:
+            f, steps = _rho(c, n, steps)
+            todo += (f, c // f)
+    return tuple(sorted(out.items()))
+
+
+def _proven_prime(c: int, n: int) -> bool:
+    """Whether the odd c > 41, a cofactor of n, is prime, by Miller-Rabin
+    on ``MR_BASES``: a proof below ``MR_BOUND``, refused above it."""
+    if c >= MR_BOUND:
+        raise CapacityError(
+            f"factoring {n}: its cofactor {c} is over {MR_BOUND},"
+            " the bound of the proven primality test", MR_BOUND,
+        )
+    odd, s = c - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, odd, c)
+        if x == 1 or x == c - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % c
+            if x == c - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(c: int, n: int, steps: int) -> tuple[int, int]:
+    """(a proper factor of the odd composite c, a cofactor of n, and the
+    steps left of ``steps``), by Pollard-Brent rho on y -> y^2 + k, with
+    one gcd per block of 128 steps.  CapacityError when the steps run
+    out."""
+    for k in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + k) % c
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + k) % c
+                    q = q * abs(x - y) % c
+                g = gcd(q, c)
+                done += 128
+            steps -= 2 * r
+            if steps < 0:
+                raise CapacityError(
+                    f"factoring {n}: its cofactor {c} did not split within"
+                    f" {RHO_STEPS} rho steps",
+                    RHO_STEPS,
+                )
+            r *= 2
+        if g == c:  # the block overshot: redo it one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + k) % c
+                g = gcd(abs(x - ys), c)
+        if g != c:
+            return g, steps
 
 
 class Modulus:
@@ -86,7 +168,7 @@ def modulus(n: int) -> Modulus:
     if n > 1 and root * root == n:
         factors = tuple((p, 2 * k) for p, k in modulus(root).factors)
     else:
-        factors = _trial_division(n)
+        factors = _factor(n)
     return Modulus(n, factors)
 
 

@@ -11,13 +11,13 @@ is what keeps squarefree t with many prime factors (t around 510510)
 cheap: subgroups are never materialized unless asked for.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
 from operator import mul
 
 from . import budget, kernels
+from ._value import Value
 from .discforms import (
     DFElement,
     DFIsometry,
@@ -44,11 +44,14 @@ SELECT_V = "V"
 SELECT_VPRIME = "Vprime"
 
 
-@dataclass(frozen=True)
-class LagrangianElement:
+class LagrangianElement(Value):
     """Isotropic element whose order is the square root of the group size."""
 
-    elem: DFElement
+    __slots__ = _fields = ("elem",)
+
+    def __init__(self, elem: DFElement):
+        self.elem = elem
+        self.__post_init__()
 
     def __post_init__(self):
         t = self.t
@@ -70,8 +73,7 @@ class LagrangianElement:
         return self.elem.coords
 
 
-@dataclass(frozen=True)
-class LagrangianSubgroup:
+class LagrangianSubgroup(Value):
     """Cyclic isotropic subgroup of order t, stored by per-prime selector.
 
     ``selector`` maps each prime dividing m = gcd(d, t) to SELECT_V or
@@ -79,27 +81,26 @@ class LagrangianSubgroup:
     subgroups agree and no choice exists.
     """
 
-    d: int
-    t: int
-    selector: tuple[tuple[int, str], ...]
-    generator: DFElement
+    _fields = ("d", "t", "selector", "generator")  # no __slots__: ``_pairing`` is cached
 
-    def __post_init__(self):
-        if self.t < 1:
-            raise InvalidSubgroupError(f"t must be a positive integer, got {self.t}")
-        primes = modulus(self.t).common_primes(self.d)
-        if tuple(p for p, _ in self.selector) != primes:
+    def __init__(self, d: int, t: int, selector: tuple[tuple[int, str], ...],
+                 generator: DFElement):
+        self.d, self.t, self.selector, self.generator = d, t, selector, generator
+        if t < 1:
+            raise InvalidSubgroupError(f"t must be a positive integer, got {t}")
+        primes = modulus(t).common_primes(d)
+        if tuple(p for p, _ in selector) != primes:
             raise InvalidSubgroupError(
                 f"selector primes must be exactly {primes}"
             )
-        if any(c not in (SELECT_V, SELECT_VPRIME) for _, c in self.selector):
+        if any(c not in (SELECT_V, SELECT_VPRIME) for _, c in selector):
             raise InvalidSubgroupError("selector values must be V or Vprime")
-        if self.generator.order() != self.t:
+        if generator.order() != t:
             raise InvalidSubgroupError("generator does not have order t")
-        if not self.generator.is_isotropic():
+        if not generator.is_isotropic():
             raise InvalidSubgroupError("generator is not isotropic")
-        form = ns_form(self.d, self.t).form
-        if self.generator.form is not form and self.generator.form != form:
+        form = ns_form(d, t).form
+        if generator.form is not form and generator.form != form:
             raise InvalidSubgroupError("generator does not live in this family group")
 
     def elements(self) -> tuple[DFElement, ...]:
@@ -283,8 +284,7 @@ def units_action(k: int, w: LagrangianElement) -> LagrangianElement:
     return LagrangianElement(pow(k, -1, t) * w.elem)
 
 
-@dataclass(frozen=True)
-class GSpec:
+class GSpec(Value):
     """A cyclic Hodge-isometry group, given by its image on the
     discriminant group plus its abstract (even) order.
 
@@ -296,41 +296,38 @@ class GSpec:
     totient dividing 20.
     """
 
-    generator: DFIsometry
-    order: int
-    _powers: tuple = field(init=False, repr=False, compare=False)
-    _moving: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("generator", "order", "_powers", "_moving")
+    _fields = ("generator", "order")
 
-    def __post_init__(self):
-        gen = self.generator
+    def __init__(self, generator: DFIsometry, order: int):
+        self.generator = gen = generator
+        self.order = order
         if gen.domain != gen.codomain:
             raise InvalidIsometryError("generator must be an automorphism")
         neg = _neg_images(gen.domain.orders)
         sign = gen.images == neg
         if not sign:
             as_isometry(gen.domain, gen.codomain, gen.images)
-        if self.order < 2 or self.order % 2:
+        if order < 2 or order % 2:
             raise InvalidParameterError("group order must be even and >= 2")
-        if self.order > 2 * TRANSCENDENTAL_RANK**2 or TRANSCENDENTAL_RANK % totient(self.order):
+        if order > 2 * TRANSCENDENTAL_RANK**2 or TRANSCENDENTAL_RANK % totient(order):
             raise InvalidParameterError(
-                f"order {self.order} is not realizable at transcendental "
+                f"order {order} is not realizable at transcendental "
                 f"rank {TRANSCENDENTAL_RANK}"
             )
         if not sign:
             powers = gen.powers()
         else:  # read off: -id = id when every generator order is 2
             powers = (gen,) if gen.is_identity() else (gen, identity_isometry(gen.domain))
-        object.__setattr__(self, "_powers", powers)
-        if self.order % len(powers):
+        self._powers = powers
+        if order % len(powers):
             raise InvalidParameterError(
                 "abstract order must be a multiple of the image's order"
             )
         if neg not in {s.images for s in powers}:
             raise InvalidParameterError("group image must contain -id")
         central = (neg, powers[-1].images)
-        object.__setattr__(
-            self, "_moving", tuple(s for s in powers if s.images not in central)
-        )
+        self._moving = tuple(s for s in powers if s.images not in central)
 
     @classmethod
     def sign_group(cls, form, order: int = 2) -> "GSpec":

@@ -11,11 +11,11 @@ on the smallest nonzero entry in absolute value, so its output is
 deterministic and safe to pin in tests.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
+from ._value import Value
 from .errors import (
     InvalidElementError,
     InvalidLatticeError,
@@ -26,17 +26,17 @@ from .errors import (
 from .intmath import units_mod
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable square integer matrix of dimension at most 2."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        self.entries = entries
+        n = len(entries)
         if n > 2:
             raise OutOfScopeError(f"matrices have dimension <= 2, got {n}")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise InvalidParameterError("matrix must be square")
             for x in row:
@@ -125,11 +125,13 @@ def _snf2(a: int, b: int, c: int, e: int):
     return (a, e), ((u00, u01), (u10, u11)), ((v00, v01), (v10, v11))
 
 
-@dataclass(frozen=True)
-class RationalVector:
+class RationalVector(Value):
     """Vector with Fraction coordinates, written in some lattice basis."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: tuple[Fraction, ...]):
+        self.coords = coords
 
     @classmethod
     def make(cls, values) -> "RationalVector":
@@ -143,14 +145,14 @@ class RationalVector:
         return RationalVector(tuple(c * a for a in self.coords))
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Value):
     """Even nondegenerate lattice of rank 2 given by its Gram matrix."""
 
-    gram: IntMatrix
+    __slots__ = _fields = ("gram",)
 
-    def __post_init__(self):
-        n = self.gram.dim
+    def __init__(self, gram: IntMatrix):
+        self.gram = gram
+        n = gram.dim
         if n != 2:
             raise OutOfScopeError(f"lattices have rank 2, got {n}")
         if not self.gram.is_symmetric():

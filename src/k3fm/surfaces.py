@@ -8,12 +8,12 @@ supplied declaratively: the cyclic isometry group G as a GSpec, the twist
 groups B and Btilde as unit subgroups, and the T-general flag.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
 from operator import eq, index
 
 from . import budget
+from ._value import Value
 from .discforms import (
     DFElement,
     DFIsometry,
@@ -53,19 +53,16 @@ class HTClass(str, Enum):
     Inconclusive = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Value):
     """Primitive vector (r, D, s) with D = x H + y F; see caldararu_class
     for the square-zero requirement (it depends on d and t)."""
 
-    r: int
-    D: tuple[int, int]
-    s: int
+    __slots__ = _fields = ("r", "D", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "D", tuple(self.D))
+    def __init__(self, r: int, D: tuple[int, int], s: int):
+        self.r, self.D, self.s = r, tuple(D), s
         x, y = self.D
-        if gcd(gcd(self.r, self.s), gcd(x, y)) != 1:
+        if gcd(gcd(r, s), gcd(x, y)) != 1:
             raise InvalidMukaiVectorError("vector is not primitive")
 
     def square(self, d: int, t: int) -> int:
@@ -73,8 +70,7 @@ class MukaiVector:
         return 2 * x * (d * x + t * y) - 2 * self.r * self.s
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Value):
     """A family member plus its declared Hodge-side data.
 
     B is the subgroup of units acting on the base-preserving twists,
@@ -83,29 +79,25 @@ class SurfaceModel:
     forces G to act as {+-1} on the discriminant group.
     """
 
-    d: int
-    t: int
-    G: GSpec
-    B: frozenset
-    Btilde: frozenset
-    t_general: bool = True
-    isotrivial_j: str = J_GENERIC
+    __slots__ = _fields = ("d", "t", "G", "B", "Btilde", "t_general", "isotrivial_j")
 
-    def __post_init__(self):
-        if self.t < 1:
+    def __init__(self, d: int, t: int, G: GSpec, B: frozenset, Btilde: frozenset,
+                 t_general: bool = True, isotrivial_j: str = J_GENERIC):
+        self.d, self.t, self.G = d, t, G
+        self.t_general, self.isotrivial_j = t_general, isotrivial_j
+        if t < 1:
             raise InvalidParameterError("t must be a positive integer")
-        if self.isotrivial_j not in (J_GENERIC, J_ZERO, J_1728):
+        if isotrivial_j not in (J_GENERIC, J_ZERO, J_1728):
             raise InvalidParameterError(
-                f"isotrivial_j must be one of generic/j0/j1728, got {self.isotrivial_j}"
+                f"isotrivial_j must be one of generic/j0/j1728, got {isotrivial_j}"
             )
-        nf = ns_form(self.d, self.t)
-        if self.G.generator.domain != nf.form:
+        nf = ns_form(d, t)
+        if G.generator.domain != nf.form:
             raise InvalidIsometryError("G does not act on this family member")
-        b = _unit_subgroup("B", self.t, self.B)
+        b = _unit_subgroup("B", t, B)
         # ``general`` passes one group as both
-        bt = b if self.Btilde is self.B else _unit_subgroup("Btilde", self.t, self.Btilde)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "Btilde", bt)
+        self.B = b
+        self.Btilde = bt = b if Btilde is B else _unit_subgroup("Btilde", t, Btilde)
         if (-1) % self.t not in b:
             raise InvalidParameterError("B must contain -1")
         if not b <= bt:
@@ -452,6 +444,24 @@ def _is_square_unit(x: int, t_factors) -> bool:
     )
 
 
+def _genus_least(d: int, t: int) -> int:
+    """``genus_representatives(d, t)[0]``, the least member r0 of the
+    genus, by arithmetic.  With m = gcd(d, t), n = t/m and c = d/m, the
+    genus is {m (c u^2 mod n) : u a unit mod n}, so r0 = m a for the least
+    unit a mod n with a c^-1 a square unit (``_is_square_unit``), and 0
+    when n = 1."""
+    m = gcd(d, t)
+    n = t // m
+    if n == 1:
+        return 0
+    factors = modulus(n).factors
+    c_inv = pow(d // m, -1, n)
+    a = 1
+    while gcd(a, n) != 1 or not _is_square_unit(a * c_inv % n, factors):
+        a += 1
+    return m * a
+
+
 def fm_sign(d: int, t: int) -> int:
     """Number of Fourier-Mukai partners for G = {+-1}, in closed form.
 
@@ -506,8 +516,8 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     - the isometry budget bounds each |A_p|, not |A|, on every call,
       before any anchor is read or searched;
     - A is certified to lie in the genus it is counted by: its parts map
-      isometrically onto those of the least member r0
-      (``genus_representatives(d, t)[0]``), searched with
+      isometrically onto those of the least member r0 (``_genus_least``,
+      with no genus walk), searched with
       ``isometry_between`` once per bundle and r0 (``_anchor``).
       RuntimeError "genus member lost its form isometry" otherwise.
     """
@@ -516,7 +526,7 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
         raise InvalidIsometryError("G does not act on this family member")
     for part in nf.primary_parts:
         require_isometry_budget(part.form)
-    if _anchor(nf, genus_representatives(d, t)[0]) is None:
+    if _anchor(nf, _genus_least(d, t)) is None:
         raise RuntimeError("genus member lost its form isometry")
     if not g.moving_elements():
         return fm_sign(d, t)

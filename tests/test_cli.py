@@ -446,7 +446,7 @@ def test_import_builds_no_record_and_factors_nothing():
     src = Path(k3fm.__file__).resolve().parent.parent
     script = (
         "import sys\n"
-        "reads = {'_trial_division', 'modulus', 'factorize', 'distinct_primes',"
+        "reads = {'_factor', 'modulus', 'factorize', 'distinct_primes',"
         " 'totient', 'is_prime', 'units_mod'}\n"
         "calls = []\n"
         "def watch(frame, event, arg):\n"
@@ -486,17 +486,17 @@ def test_a_cold_sweep_factors_each_modulus_once_and_reads_the_budget_once(
     capsys, monkeypatch
 ):
     factored, parses = Counter(), []
-    trial, parse = intmath._trial_division, budget._parse_budget
+    factor, parse = intmath._factor, budget._parse_budget
 
-    def counted_trial(n):
+    def counted_factor(n):
         factored[n] += 1
-        return trial(n)
+        return factor(n)
 
     def counted_parse():
         parses.append(os.environ.get("K3FM_BUDGET"))
         return parse()
 
-    monkeypatch.setattr(intmath, "_trial_division", counted_trial)
+    monkeypatch.setattr(intmath, "_factor", counted_factor)
     monkeypatch.setattr(budget, "_parse_budget", counted_parse)
     monkeypatch.setenv("K3FM_BUDGET", "4000000")
     intmath.modulus.cache_clear()
@@ -504,7 +504,7 @@ def test_a_cold_sweep_factors_each_modulus_once_and_reads_the_budget_once(
     code, out, err = run_cli(["sweep", "--t-min", "3", "--t-max", "30"], capsys)
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 1 + sum(range(3, 31))
-    # one trial division per distinct modulus, and only of t, its divisors,
+    # one factorisation per distinct modulus, and only of t, its divisors,
     # the orders of A's p-parts and the order 2 of G = {+-1}
     assert factored and max(factored.values()) == 1, factored.most_common(3)
     allowed = {2}.union(*(_prime_powers_and_divisors(t) for t in range(3, 31)))
@@ -650,10 +650,13 @@ def test_fm_refuses_a_large_prime_t_at_once(capsys, monkeypatch):
 
 
 def test_every_subcommand_survives_a_huge_smooth_t(capsys, monkeypatch):
-    # 2^61 and 10^18 factor at once, but a list of their units would not
-    # fit in memory: each request answers or is refused with one line
+    # 2^61 and 10^18 factor at once, the primes 10^18 + 3 and 2^61 - 1 by
+    # one Miller-Rabin proof, and (10^9 + 7)(10^9 + 9) by rho, but a list
+    # of their units would not fit in memory: each request answers or is
+    # refused with one line
     monkeypatch.delenv("K3FM_BUDGET", raising=False)
-    for t in (str(2**61), str(10**18)):
+    huge = (2**61, 10**18, 10**18 + 3, (10**9 + 7) * (10**9 + 9), 2**61 - 1)
+    for t in map(str, huge):
         dt = ["--d", "1", "--t", t]
         for argv in (
             ["disc", *dt], ["lagr", *dt], ["lagr", *dt, "--list"], ["pair", *dt],
@@ -667,6 +670,65 @@ def test_every_subcommand_survives_a_huge_smooth_t(capsys, monkeypatch):
             assert code in (0, 2, 3), argv
             assert "Traceback" not in err and err.count("\n") == (code != 0), argv
     assert run_cli(["genus", "--d", "1", "--t", str(2**61)], capsys)[0] == 3
+    # no root of -1 mod any of them: refused from t's primes, not a walk
+    for t in huge:
+        argv = ["de", "--d", "1", "--t", str(t), "--b-order", "4"]
+        assert run_cli(argv, capsys)[0] == 2, argv
+
+
+def test_b_orders_4_and_6_exist_where_the_prime_rules_say():
+    # an order-4 B needs x^2 = -1 mod t, an order-6 one x^3 = -1 with
+    # x^2 != 1, that is -x of order 3: a brute search over every residue
+    for t in range(3, 3001):
+        for order, found in (
+            (4, any((x * x + 1) % t == 0 for x in range(t))),
+            (6, any((x * x * x - 1) % t == 0 for x in range(2, t))),
+        ):
+            try:
+                b, _ = _twist_group(t, order)
+            except InvalidParameterError:
+                assert not found, (t, order)
+            else:
+                assert found and len(b) == order and t - 1 in b, (t, order)
+
+
+def test_fm_reads_the_least_genus_member_without_a_genus_walk(capsys, monkeypatch):
+    def walk(d, t):
+        raise AssertionError("genus walked")
+
+    monkeypatch.setattr("k3fm.surfaces.genus_representatives", walk)
+    argv = ["fm", "--d", "1", "--t", "9699690"]
+    assert run_cli(argv, capsys) == (0, "fm=414752\n", "")
+
+
+def test_a_t_past_the_proven_primality_bound_exits_3(capsys, monkeypatch):
+    # the product of two 20-digit primes is past Miller-Rabin's proven
+    # bound: refused at once, with one line
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    t = str(10000000000000000051 * 20000000000000000011)
+    for argv in (["fm", "--d", "1", "--t", t], ["lagr", "--d", "1", "--t", t]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(f"k3fm: factoring {t}: ") and err.count("\n") == 1, err
+
+
+def test_import_and_a_disc_request_load_no_dataclasses_or_inspect():
+    # the value classes are written out, so no module that compiles or
+    # inspects source is needed; -S keeps site's own imports out
+    src = Path(k3fm.__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "import k3fm.cli\n"
+        "code = k3fm.cli.main(['disc', '--d', '1', '--t', '5'])\n"
+        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "a=1 b=25 orders=25 q=48/25\n0 []\n"), proc.stderr
 
 
 def test_non_isometry_g_gen_is_refused(capsys):

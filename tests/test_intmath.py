@@ -1,9 +1,13 @@
+import random
 from math import gcd
 
 import pytest
 
+from k3fm import intmath
 from k3fm.errors import CapacityError
 from k3fm.intmath import (
+    MR_BOUND,
+    _factor,
     close_units_subgroup,
     distinct_primes,
     factorize,
@@ -64,7 +68,7 @@ def test_factorize_known():
 def test_factorize_squares_through_the_root():
     for n in range(1, 2001):
         assert factorize(n * n) == {p: 2 * k for p, k in factorize(n).items()}, n
-    # t^2 for a prime t near 10^8 costs a trial division up to 10^4
+    # t^2 for a prime t near 10^8 costs one Miller-Rabin proof of t
     assert factorize(100000007**2) == {100000007: 2}
 
 
@@ -113,6 +117,68 @@ def test_factors_match_sympy():
     sympy = pytest.importorskip("sympy")
     for n in range(1, 20_001):
         assert dict(modulus(n).factors) == sympy.factorint(n), n
+
+
+def _trial_division(n):
+    """(p, k) for each p^k || n >= 1, ascending, by trial division to the
+    square root: the factoriser's oracle."""
+    out = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    p = 5
+    while p * p <= n:
+        for q in (p, p + 2):
+            while n % q == 0:
+                out[q] = out.get(q, 0) + 1
+                n //= q
+        p += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return tuple(out.items())
+
+
+def test_factor_matches_trial_division(monkeypatch):
+    # the default bound factors n <= 10^5 by trial division alone; the
+    # least bound leaves Miller-Rabin and rho a cofactor from n = 121 up
+    want = [None] + [_trial_division(n) for n in range(1, 100_001)]
+    for n in range(1, 100_001):
+        assert _factor(n) == want[n], n
+    monkeypatch.setattr(intmath, "TRIAL_BOUND", 5)
+    for n in range(1, 30_001):
+        assert _factor(n) == want[n], n
+
+
+def test_factor_matches_sympy_on_seeded_products():
+    # products below 10^24 of one prime up to 10^15 and smaller primes,
+    # some repeated; rho splits the pairs of 9-digit primes
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20260)
+    for _ in range(50):
+        n = sympy.nextprime(rng.randrange(10**3, 10 ** rng.randint(4, 15)))
+        while True:
+            p = sympy.nextprime(rng.randrange(2, 10 ** rng.randint(1, 9)))
+            if n * p >= 10**24:
+                break
+            n *= p ** rng.randint(1, 2) if n * p * p < 10**24 else p
+        assert dict(_factor(n)) == sympy.factorint(n), n
+    for n in ((10**9 + 7) * (10**9 + 9), 2**61 - 1, 10**18 + 3, (2**31 - 1) ** 2 * 10**6 + 1):
+        assert dict(_factor(n)) == sympy.factorint(n), n
+
+
+def test_factor_refuses_past_its_bounds(monkeypatch):
+    # no primality proof past MR_BOUND; no split past the rho steps
+    p, q = 10000000000000000051, 20000000000000000011  # primes
+    assert _factor(3 * p) == ((3, 1), (p, 1))
+    for n in (p * q, 3 * p * q):
+        with pytest.raises(CapacityError, match="the bound of the proven primality test"):
+            _factor(n)
+    assert p < MR_BOUND < p * q
+    monkeypatch.setattr(intmath, "RHO_STEPS", 1000)
+    with pytest.raises(CapacityError, match="did not split within 1000 rho steps"):
+        _factor((10**9 + 7) * (10**9 + 9))
+    assert _factor(3 * (10**9 + 7)) == ((3, 1), (10**9 + 7, 1))
 
 
 def test_close_units_subgroup():

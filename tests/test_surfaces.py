@@ -828,9 +828,18 @@ def test_fm_count_checks_each_genus_member(monkeypatch):
 def test_fm_count_checks_the_least_genus_member(monkeypatch):
     # every class is anchored onto the least member; 2 is not in the
     # genus of (1, 5), so neither 1 nor 2 itself has an anchor onto it
-    monkeypatch.setattr("k3fm.surfaces.genus_representatives", lambda d, t: (2,))
+    monkeypatch.setattr("k3fm.surfaces._genus_least", lambda d, t: 2)
     with pytest.raises(RuntimeError, match="genus member lost its form isometry"):
         fm_count(1, 5, _sign(1, 5))
+
+
+def test_genus_least_is_the_walked_genus_least_member():
+    # the genus depends on d mod t only, so each walk serves three d
+    for t in range(1, 301):
+        for d in range(t):
+            least = genus_representatives(d, t)[0]
+            for e in (d - t, d, d + t):
+                assert surfaces._genus_least(e, t) == least, (e, t)
 
 
 def _recording_between(monkeypatch):
