@@ -88,14 +88,6 @@ class SweepVerifyError(K3FMError):
     """A brute-force oracle disagreed with a sweep row."""
 
 
-class Request(Value):
-    __slots__ = _fields = ("subcommand", "params", "output_mode")
-
-    def __init__(self, subcommand: str, params: argparse.Namespace, output_mode: str):
-        # output_mode: "table" or "json"
-        self.subcommand, self.params, self.output_mode = subcommand, params, output_mode
-
-
 def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -193,16 +185,25 @@ def _coords_text(coords):
     return ",".join(str(c) for c in coords)
 
 
+def _dt(args):
+    """(d mod t, t): the lattices of d and d + kt are isometric (H -> H + kF),
+    so a subcommand computes with d mod t and echoes ``args.d`` as given."""
+    if args.t < 1:
+        raise InvalidParameterError(f"t must be a positive integer, got {args.t}")
+    return args.d % args.t, args.t
+
+
 def _cmd_disc(args):
-    a, b = structure_invariants(args.d, args.t)
-    nf = ns_form(args.d, args.t)
+    d, t = _dt(args)
+    a, b = structure_invariants(d, t)
+    nf = ns_form(d, t)
     payload = {
         "a": a,
         "b": b,
         "d": args.d,
         "orders": list(nf.form.orders),
         "q": [str(q) for q in nf.form.q_gen],
-        "t": args.t,
+        "t": t,
     }
     table = (
         f"a={a} b={b}"
@@ -213,13 +214,13 @@ def _cmd_disc(args):
 
 
 def _cmd_lagr(args):
-    d, t = args.d, args.t
+    d, t = _dt(args)
     m = gcd(d, t)
     elements, subgroups = count_lagrangians(d, t)
     omega = len(modulus(t).common_primes(d))
     if not args.list:
         payload = {
-            "d": d,
+            "d": args.d,
             "elements": elements,
             "m": m,
             "omega_m": omega,
@@ -230,7 +231,7 @@ def _cmd_lagr(args):
     els = enumerate_lagrangian_elements(d, t)
     subs = enumerate_lagrangian_subgroups(d, t)
     payload = {
-        "d": d,
+        "d": args.d,
         "elements": [list(e.coords) for e in els],
         "m": m,
         "omega_m": omega,
@@ -253,12 +254,13 @@ def _cmd_lagr(args):
 
 
 def _cmd_pair(args):
-    vb, vp = canonical_pair(args.d, args.t)
-    same = gcd(args.d, args.t) == 1
+    d, t = _dt(args)
+    vb, vp = canonical_pair(d, t)
+    same = gcd(d, t) == 1
     payload = {
         "d": args.d,
         "same_subgroup": same,
-        "t": args.t,
+        "t": t,
         "vbar": list(vb.coords),
         "vprime": list(vp.coords),
     }
@@ -270,11 +272,11 @@ def _cmd_pair(args):
 
 
 def _cmd_involution(args):
-    d, t = args.d, args.t
+    d, t = _dt(args)
     source = _subgroup(d, t, _parse_selector(args.selector, d, t))
     image = involution(d, t, source)
     payload = {
-        "d": d,
+        "d": args.d,
         "image_generator": list(image.generator.coords),
         "image_selector": _selector_json(image.selector),
         "source_generator": list(source.generator.coords),
@@ -289,20 +291,22 @@ def _cmd_involution(args):
 
 
 def _cmd_genus(args):
-    reps = genus_representatives(args.d, args.t)
-    payload = {"d": args.d, "representatives": list(reps), "t": args.t}
+    d, t = _dt(args)
+    reps = genus_representatives(d, t)
+    payload = {"d": args.d, "representatives": list(reps), "t": t}
     return payload, f"representatives={_coords_text(reps)}"
 
 
 def _cmd_fm(args):
-    g = _parse_g(args.d, args.t, args)
-    n = fm_count(args.d, args.t, g)
-    payload = {"d": args.d, "fm": n, "g_order": g.order, "t": args.t}
+    d, t = _dt(args)
+    g = _parse_g(d, t, args)
+    n = fm_count(d, t, g)
+    payload = {"d": args.d, "fm": n, "g_order": g.order, "t": t}
     return payload, f"fm={n}"
 
 
 def _cmd_de(args):
-    d, t = args.d, args.t
+    d, t = _dt(args)
     g = _parse_g(d, t, args)
     t_general = args.t_general or args.g_gen is None
     b, j = _twist_group(t, args.b_order)
@@ -312,7 +316,7 @@ def _cmd_de(args):
     twists = modulus(t).phi // len(b) if t > 2 else None
     payload = {
         "b_order": len(b),
-        "d": d,
+        "d": args.d,
         "de": de,
         "de_orbits": de_orbits,
         "g_order": g.order,
@@ -327,11 +331,11 @@ def _cmd_de(args):
 
 
 def _cmd_ht(args):
-    d, t = args.d, args.t
+    d, t = _dt(args)
     m = gcd(d, t)
     cls = ht_classify(d, t, args.t_general)
     payload = {
-        "d": d,
+        "d": args.d,
         "ht_class": cls.value,
         "m": m,
         "omega_m": len(modulus(t).common_primes(d)),
@@ -528,13 +532,18 @@ def _cmd_sweep(args):
     else:
         rows = [worker(cell) for cell in cells]
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_FIELDS)
-            for row in rows:
-                writer.writerow(
-                    ["" if row[k] is None else row[k] for k in SWEEP_FIELDS]
-                )
+        try:
+            with open(args.out, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(SWEEP_FIELDS)
+                for row in rows:
+                    writer.writerow(
+                        ["" if row[k] is None else row[k] for k in SWEEP_FIELDS]
+                    )
+        except OSError as exc:
+            raise InvalidParameterError(
+                f"cannot write --out {args.out!r}: {exc.strerror or exc}"
+            ) from None
     lines = [" ".join(SWEEP_FIELDS)]
     for row in rows:
         lines.append(
@@ -675,12 +684,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(request: Request) -> tuple[int, str]:
-    handler = SUBCOMMANDS[request.subcommand][0]
-    payload, table = handler(request.params)
-    if request.output_mode == "json":
-        return 0, _json_dump(payload)
-    return 0, table + "\n"
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """(exit code, output) of one parsed request: the handler's payload as
+    JSON with --json, else its table."""
+    payload, table = SUBCOMMANDS[args.subcommand][0](args)
+    return 0, _json_dump(payload) if args.json else table + "\n"
 
 
 def _parse_argv(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
@@ -730,13 +738,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_argv(build_parser(), argv)
-    request = Request(
-        args.subcommand,
-        args,
-        "json" if getattr(args, "json", False) else "table",
-    )
     try:
-        code, text = within_request(run, request)
+        code, text = within_request(run, args)
     except SweepVerifyError as exc:
         print(f"k3fm: verification failed: {exc}", file=sys.stderr)
         return 1

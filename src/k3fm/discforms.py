@@ -571,26 +571,11 @@ def structure_invariants(d: int, t: int) -> tuple[int, int]:
     return a, t * t // a
 
 
-def q_eval(d: int, t: int, a: int, b: int) -> Fraction:
-    """q of the class a F* + b H*: the value 2a(bt - ad)/t^2 in [0, 2)."""
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
-    return Fraction(2 * a * (b * t - a * d), t * t) % 2
-
-
 def b_eval(x: DFElement, y: DFElement) -> Fraction:
     """Bilinear pairing of two elements of the same group, in [0, 1)."""
     if x.form != y.form:
         raise InvalidElementError("elements live in different groups")
     return x.form.b(x.coords, y.coords)
-
-
-def element_order(x: DFElement) -> int:
-    return x.order()
-
-
-def is_isotropic(x: DFElement) -> bool:
-    return x.is_isotropic()
 
 
 class PrimaryPart(Value):

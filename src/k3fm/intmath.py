@@ -3,8 +3,8 @@
 ``modulus(n)`` is the one place a number is factored (``_factor`` has no
 other caller): a cached record of n's factorisation and phi(n), with the
 sorted units and the CRT idempotents built on first read.  The primes of
-m = gcd(d, t) are read off t's record.  ``factorize``,
-``distinct_primes``, ``totient``, ``is_prime`` and ``units_mod`` read it.
+m = gcd(d, t) are read off t's record.  ``distinct_primes``,
+``totient``, ``is_prime`` and ``units_mod`` read it.
 
 Factoring is bounded.  Trial division runs below ``TRIAL_BOUND``; each
 cofactor left is then proven prime by Miller-Rabin on the first 13 prime
@@ -170,11 +170,6 @@ def modulus(n: int) -> Modulus:
     else:
         factors = _factor(n)
     return Modulus(n, factors)
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation {p: multiplicity} of n >= 1, ascending in p."""
-    return dict(modulus(n).factors)
 
 
 def distinct_primes(n: int) -> tuple[int, ...]:

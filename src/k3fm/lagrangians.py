@@ -1,6 +1,7 @@
 """Lagrangian elements and subgroups of the discriminant group of the
 (d, t) family, the canonical generator pair, the selector involution, the
-unit-group action and orbit counting under a cyclic Hodge-isometry group.
+unit-group action and the cyclic Hodge-isometry group G that ``de_counts``
+and ``fm_count`` take.
 
 A Lagrangian element is an isotropic element of order t in a group of
 size t^2; a Lagrangian subgroup is cyclic of order t and isotropic.  The
@@ -345,102 +346,3 @@ class GSpec(Value):
     def moving_elements(self) -> tuple[DFIsometry, ...]:
         """The image elements other than +-id, in image order."""
         return self._moving
-
-
-def _orbits(items, key, moves):
-    """Orbits of the group generated by ``moves`` on everything reachable
-    from ``items``.
-
-    The moves must be bijections of one finite set, so the points a walk
-    reaches from x are exactly the orbit of x.  Each orbit is a tuple
-    sorted by ``key``, and the orbits are listed by their least member,
-    also when that member was not among ``items``.
-    """
-    seen = set()
-    orbits = []
-    for item in items:
-        k = key(item)
-        if k in seen:
-            continue
-        seen.add(k)
-        orbit = [item]
-        for x in orbit:
-            for move in moves:
-                y = move(x)
-                k = key(y)
-                if k not in seen:
-                    seen.add(k)
-                    orbit.append(y)
-        orbits.append(tuple(sorted(orbit, key=key)))
-    return tuple(sorted(orbits, key=lambda o: key(o[0])))
-
-
-def _subgroup_move(subs, sigma: DFIsometry):
-    """L -> sigma(L) on Lagrangian subgroups of the one (d, t) that every
-    subgroup in ``subs`` must belong to.  An isometry keeps each p-part
-    of A, and at p | m the p-parts of <vbar> and <vprime> are the only
-    Lagrangian subgroups of A_p, so sigma fixes or swaps them: it flips a
-    selector at exactly the primes where sigma(vbar) selects Vprime.  A
-    subgroup of ``subs`` is reused; one with a new selector is built."""
-    d, t = subs[0].d, subs[0].t
-    if any((L.d, L.t) != (d, t) for L in subs):
-        raise InvalidSubgroupError("subgroups belong to different (d, t)")
-    image = sigma.action()(ns_form(d, t).vbar.coords)
-    flips = {p for p, c in _selector(d, t, image) if c == SELECT_VPRIME}
-    known = {L.selector: L for L in subs}
-
-    def move(L):
-        selector = _flip(L.selector, flips)
-        if selector not in known:
-            known[selector] = _subgroup(d, t, selector)
-        return known[selector]
-
-    return move
-
-
-def g_orbits(items, g: GSpec):
-    """Partition Lagrangian elements or subgroups, and everything their
-    G-orbits reach, into orbits of the cyclic group G.
-
-    Elements are walked as coordinate tuples; the caller's objects are
-    returned and only images it did not pass are wrapped.  GSpec checked
-    that sigma is an isometry, so no image needs another check.  A
-    subgroup L moves to sigma(L) by flipping its selector
-    (``_subgroup_move``), and all subgroups must belong to one (d, t).
-    Each orbit is sorted by coordinates (elements) or selector
-    (subgroups), and the orbits are listed by their least member.
-    """
-    items = list(items)
-    sigma = g.generator
-    for item in items:
-        form = item.elem.form if isinstance(item, LagrangianElement) else item.generator.form
-        if form != sigma.domain:
-            raise InvalidIsometryError(
-                "group generator does not act on these items"
-            )
-    if not all(isinstance(item, LagrangianElement) for item in items):
-        return _orbits(items, lambda L: L.selector, [_subgroup_move(items, sigma)])
-    given = {w.coords: w for w in items}
-    orbits = _orbits(given, lambda c: c, [sigma.action()])
-    return tuple(
-        tuple(
-            given[c] if c in given else LagrangianElement(sigma.domain.element(c))
-            for c in orbit
-        )
-        for orbit in orbits
-    )
-
-
-def double_quotient(d: int, t: int, g: GSpec):
-    """Classes of Lagrangian subgroups under G and the involution jointly.
-
-    Returns (count, representatives): one walk over the orbits of the
-    group that G's move (as in ``g_orbits``) and ``involution`` generate
-    together, and the least subgroup of each orbit by selector.
-    """
-    if g.generator.domain != ns_form(d, t).form:
-        raise InvalidIsometryError("G does not act on this family member")
-    subs = enumerate_lagrangian_subgroups(d, t)
-    moves = [_subgroup_move(subs, g.generator), lambda L: involution(d, t, L)]
-    reps = tuple(orbit[0] for orbit in _orbits(subs, lambda L: L.selector, moves))
-    return len(reps), reps

@@ -135,8 +135,9 @@ GOLDEN = [
     (
         ["involution", "--d", "6", "--t", "6", "--selector", "2:V,3:Vprime",
          "--json"],
-        '{"d":6,"image_generator":[1,3],"image_selector":{"2":"Vprime","3":"V"},'
-        '"source_generator":[1,4],"source_selector":{"2":"V","3":"Vprime"},'
+        # the generators of A(0, 6): d enters through d mod t
+        '{"d":6,"image_generator":[4,3],"image_selector":{"2":"Vprime","3":"V"},'
+        '"source_generator":[3,4],"source_selector":{"2":"V","3":"Vprime"},'
         '"t":6}\n',
     ),
     (
@@ -347,8 +348,8 @@ def _main_namespace(monkeypatch):
     """main() with ``run`` replaced, returning the namespace it parsed."""
     parsed = []
 
-    def record(request):
-        parsed.append(request.params)
+    def record(args):
+        parsed.append(args)
         return 0, ""
 
     monkeypatch.setattr("k3fm.cli.run", record)
@@ -446,8 +447,8 @@ def test_import_builds_no_record_and_factors_nothing():
     src = Path(k3fm.__file__).resolve().parent.parent
     script = (
         "import sys\n"
-        "reads = {'_factor', 'modulus', 'factorize', 'distinct_primes',"
-        " 'totient', 'is_prime', 'units_mod'}\n"
+        "reads = {'_factor', 'modulus', 'distinct_primes', 'totient',"
+        " 'is_prime', 'units_mod'}\n"
         "calls = []\n"
         "def watch(frame, event, arg):\n"
         "    if event == 'call' and frame.f_code.co_name in reads:\n"
@@ -899,6 +900,27 @@ def test_sweep_csv_export(tmp_path, capsys):
     assert by_cell[("0", "3")][SWEEP_FIELDS.index("de")] == "2"  # m = 3, omega = 1
 
 
+def test_sweep_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a missing directory and a directory: one error line naming the
+    # path, nothing on stdout, and nothing written
+    for target in (tmp_path / "missing" / "rows.csv", tmp_path):
+        argv = ["sweep", "--t-min", "3", "--t-max", "3", "--out", str(target)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), target
+        assert err.startswith("k3fm: ") and err.count("\n") == 1, err
+        assert str(target) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_sweep_writes_no_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("K3FM_BUDGET", "10")  # t = 4 has a part of 16 elements
+    target = tmp_path / "rows.csv"
+    argv = ["sweep", "--t-min", "3", "--t-max", "8", "--out", str(target)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "") and "budget" in err
+    assert not target.exists()
+
+
 def test_sweep_parallel_matches_serial(capsys):
     argv = ["sweep", "--t-min", "3", "--t-max", "7", "--json"]
     code, serial, _ = run_cli(argv, capsys)
@@ -974,15 +996,45 @@ def test_json_matches_library(cell):
     }
     for payload in out.values():
         assert (payload["d"], payload["t"]) == (d, t)
-    nf = ns_form(d, t)
+    nf = ns_form(d % t, t)  # the CLI computes with d mod t
     assert (out["disc"]["a"], out["disc"]["b"]) == structure_invariants(d, t)
     assert out["disc"]["orders"] == list(nf.form.orders)
     assert out["disc"]["q"] == [str(q) for q in nf.form.q_gen]
     assert (out["lagr"]["elements"], out["lagr"]["subgroups"]) == count_lagrangians(d, t)
     assert out["genus"]["representatives"] == list(genus_representatives(d, t))
-    assert out["fm"]["fm"] == fm_count(d, t, GSpec.sign_group(nf.form))
+    assert out["fm"]["fm"] == fm_count(d, t, GSpec.sign_group(ns_form(d, t).form))
     de = de_counts(SurfaceModel.general(d, t))
     assert (out["de"]["de"], out["de"]["de_orbits"]) == de
+
+
+# Every subcommand with --d but overlattice and caldararu, whose flags
+# are coordinates in the lattice of the d given
+_D_MOD_T = (["disc"], ["lagr"], ["lagr", "--list"], ["pair"], ["involution"],
+            ["genus"], ["fm"], ["de"], ["ht"], ["ht", "--t-general"])
+
+
+def test_d_enters_through_d_mod_t():
+    for t in range(1, 13):
+        for d in range(t):
+            for sub in _D_MOD_T:
+                want = _main_json([*sub, "--d", str(d), "--t", str(t), "--json"])
+                for e in (d + t, d - 3 * t, d + 7 * t):
+                    got = _main_json([*sub, "--d", str(e), "--t", str(t), "--json"])
+                    assert got == {**want, "d": e}, (sub, e, t)
+
+
+def test_selector_and_g_gen_name_generators_of_a_d_mod_t():
+    # (2, 3) is an order-4 isometry of A(0, 5) = (Z/5)^2 whose square is -id
+    for d in (0, 5, -10):
+        argv = ["fm", "--d", str(d), "--t", "5", "--g-gen", "2,0;0,3", "--g-order", "4",
+                "--json"]
+        assert _main_json(argv) == {"d": d, "fm": 1, "g_order": 4, "t": 5}
+    want = _main_json(["involution", "--d", "6", "--t", "6", "--selector", "2:Vprime,3:V",
+                       "--json"])
+    for d in (12, -6):
+        got = _main_json(["involution", "--d", str(d), "--t", "6", "--selector",
+                          "2:Vprime,3:V", "--json"])
+        assert got == {**want, "d": d}
 
 
 def test_de_twist_classes_count_the_cosets_of_b():

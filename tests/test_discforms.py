@@ -29,7 +29,6 @@ from k3fm.discforms import (
     neg_identity,
     ns_form,
     primary_decomposition,
-    q_eval,
     structure_invariants,
 )
 from k3fm.errors import (
@@ -72,7 +71,7 @@ def test_structure_invariants_rejects_bad_t():
     with pytest.raises(InvalidParameterError):
         structure_invariants(1, 0)
     with pytest.raises(InvalidParameterError):
-        q_eval(1, -3, 0, 1)
+        ns_form(1, -3)
 
 
 def test_form_size_is_t_squared():
@@ -98,7 +97,6 @@ def test_q_eval_against_rational_lift():
             for b in range(t):
                 vec = _dual_vector(d, t, a, b)
                 expected = lattice_oracle.square(gram, vec) % 2
-                assert q_eval(d, t, a, b) == expected
                 assert ns.fh(a, b).q() == expected
 
 

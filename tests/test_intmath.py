@@ -10,7 +10,6 @@ from k3fm.intmath import (
     _factor,
     close_units_subgroup,
     distinct_primes,
-    factorize,
     is_prime,
     modulus,
     totient,
@@ -60,16 +59,16 @@ def test_modulus_record_is_read_only_and_lazy():
 
 
 def test_factorize_known():
-    assert factorize(1) == {}
-    assert factorize(12) == {2: 2, 3: 1}
-    assert factorize(510510) == {2: 1, 3: 1, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1}
+    assert modulus(1).factors == ()
+    assert modulus(12).factors == ((2, 2), (3, 1))
+    assert modulus(510510).factors == tuple((p, 1) for p in (2, 3, 5, 7, 11, 13, 17))
 
 
 def test_factorize_squares_through_the_root():
     for n in range(1, 2001):
-        assert factorize(n * n) == {p: 2 * k for p, k in factorize(n).items()}, n
+        assert modulus(n * n).factors == tuple((p, 2 * k) for p, k in modulus(n).factors), n
     # t^2 for a prime t near 10^8 costs one Miller-Rabin proof of t
-    assert factorize(100000007**2) == {100000007: 2}
+    assert modulus(100000007**2).factors == ((100000007, 2),)
 
 
 def test_omega_and_primes():

@@ -1,11 +1,12 @@
-"""Lagrangian elements, subgroups, the selector involution and orbit
-counting.  The counting law is cross-checked by full enumeration on a
-grid; the classification is cross-checked by partitioning the enumerated
-elements into the enumerated subgroups."""
+"""Lagrangian elements, subgroups, the selector involution, the unit
+action and the group G.  The counting law is cross-checked by full
+enumeration on a grid; the classification is cross-checked by
+partitioning the enumerated elements into the enumerated subgroups."""
 
 from math import gcd
 
 import lattice_oracle
+import orbit_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from k3fm.discforms import (
     DFIsometry,
     FiniteQuadForm,
     as_isometry,
-    b_eval,
     identity_isometry,
     isometry_between,
     isometry_group,
@@ -28,7 +28,7 @@ from k3fm.errors import (
     InvalidParameterError,
     InvalidSubgroupError,
 )
-from k3fm.intmath import distinct_primes, modulus, totient
+from k3fm.intmath import distinct_primes, totient
 from k3fm.lagrangians import (
     SELECT_V,
     SELECT_VPRIME,
@@ -36,14 +36,11 @@ from k3fm.lagrangians import (
     LagrangianElement,
     LagrangianSubgroup,
     _selector,
-    _subgroup,
     _subgroup_of,
     canonical_pair,
     count_lagrangians,
-    double_quotient,
     enumerate_lagrangian_elements,
     enumerate_lagrangian_subgroups,
-    g_orbits,
     involution,
     subgroup_generated_by,
     units_action,
@@ -152,37 +149,13 @@ def test_membership_against_multiples():
                 assert w.coords in _multiples(sub.generator, t), (d, t, w.coords)
 
 
-def _oracle_generated_subgroup(d, t, elem):
-    """The classification as it was before integer functionals: Fraction
-    pairings of DFElement p-parts, and membership by b_eval."""
-    nf = ns_form(d, t)
-    idem = modulus(t).idempotents
-    selector = []
-    for p in distinct_primes(gcd(d, t)):
-        wp = idem[p] * elem
-        if b_eval(wp, idem[p] * nf.vbar) == 0:
-            selector.append((p, SELECT_V))
-        elif b_eval(wp, idem[p] * nf.vprime) == 0:
-            selector.append((p, SELECT_VPRIME))
-        else:
-            raise InvalidSubgroupError(
-                f"p-part at {p} generates neither canonical subgroup"
-            )
-    sub = _subgroup(d, t, tuple(selector))
-    if b_eval(elem, sub.generator) != 0:
-        raise InvalidSubgroupError(
-            "element is not in the subgroup its selector names"
-        )
-    return sub
-
-
 def test_classification_matches_fraction_oracle():
     checked = 0
     for t in range(1, 31):
         for d in range(-t, 2 * t):
             for w in enumerate_lagrangian_elements(d, t):
                 got = subgroup_generated_by(d, t, w)
-                assert got == _oracle_generated_subgroup(d, t, w.elem), (d, t, w.coords)
+                assert got == orbit_oracle.generated_subgroup(d, t, w.elem), (d, t, w.coords)
                 checked += 1
     assert checked == 23_328
 
@@ -380,161 +353,6 @@ def test_gspec_image_elements(monkeypatch):
     assert len(calls) == 3
 
 
-# ----------------------------------------------------------------- orbits
-
-
-def test_g_orbits_sign_group_on_elements():
-    elems = enumerate_lagrangian_elements(1, 5)
-    g = GSpec.sign_group(ns_form(1, 5).form)
-    orbits = g_orbits(elems, g)
-    assert [[w.coords for w in orbit] for orbit in orbits] == [
-        [(5,), (20,)],
-        [(10,), (15,)],
-    ]
-
-
-def test_g_orbits_sorts_orbits_reached_from_a_partial_list():
-    # neither least member (5,) nor (10,) is passed, and in either input
-    # order the orbits come back listed by their least member
-    by_coords = {w.coords: w for w in enumerate_lagrangian_elements(1, 5)}
-    g = GSpec.sign_group(ns_form(1, 5).form)
-    for given in ([(20,), (15,)], [(15,), (20,)]):
-        orbits = g_orbits([by_coords[c] for c in given], g)
-        assert [[w.coords for w in orbit] for orbit in orbits] == [
-            [(5,), (20,)],
-            [(10,), (15,)],
-        ]
-
-
-def test_g_orbits_sign_group_on_subgroups():
-    # -id fixes every subgroup, so orbits are singletons
-    subs = enumerate_lagrangian_subgroups(6, 6)
-    g = GSpec.sign_group(ns_form(6, 6).form)
-    orbits = g_orbits(subs, g)
-    assert len(orbits) == len(subs)
-
-
-def test_g_orbits_partition():
-    for d, t in [(0, 5), (6, 6), (4, 10)]:
-        form = ns_form(d, t).form
-        elems = enumerate_lagrangian_elements(d, t)
-        for sigma in isometry_group(form):
-            if sigma.order() % 2 and not _contains_minus(sigma, form):
-                continue
-            try:
-                g = GSpec(sigma, _valid_order(sigma.order()))
-            except InvalidParameterError:
-                continue
-            orbits = g_orbits(elems, g)
-            flat = [w.coords for orbit in orbits for w in orbit]
-            assert sorted(flat) == sorted(w.coords for w in elems)
-
-
-def _contains_minus(sigma, form):
-    minus = neg_identity(form).images
-    power = sigma
-    for _ in range(sigma.order()):
-        if power.images == minus:
-            return True
-        power = sigma.compose(power)
-    return False
-
-
-def _valid_order(img_order):
-    n = img_order if img_order % 2 == 0 else 2 * img_order
-    while totient(n) and 20 % totient(n):
-        n *= 2
-    return n
-
-
-def _oracle_subgroup_partition(subs, sigma):
-    """Selectors of the orbits of <sigma> on ``subs``, walked by the
-    Fraction oracle: each orbit of a cyclic group is a cycle of sigma."""
-    d, t = subs[0].d, subs[0].t
-    seen, parts = set(), []
-    for L in subs:
-        cycle = []
-        while L.selector not in seen:
-            seen.add(L.selector)
-            cycle.append(L.selector)
-            L = _oracle_generated_subgroup(d, t, sigma.apply(L.generator))
-        if cycle:
-            parts.append(tuple(sorted(cycle)))
-    return sorted(parts)
-
-
-def _check_subgroup_orbits(subs, g):
-    orbits = g_orbits(subs, g)
-    got = [tuple(L.selector for L in orbit) for orbit in orbits]
-    assert got == _oracle_subgroup_partition(subs, g.generator)
-    # every image is one of the passed objects, looked up by selector
-    ids = {id(L) for L in subs}
-    assert all(id(L) in ids for orbit in orbits for L in orbit)
-    return orbits
-
-
-def test_g_orbits_subgroups_match_oracle_under_sign_group():
-    for t in range(1, 31):
-        for d in range(-t, 2 * t):
-            subs = enumerate_lagrangian_subgroups(d, t)
-            _check_subgroup_orbits(subs, GSpec.sign_group(ns_form(d, t).form))
-
-
-def test_g_orbits_subgroups_match_oracle_on_cyclic_groups():
-    # every distinct cyclic image <sigma> GSpec accepts on t <= 20, with
-    # the least admissible abstract order: criterion 06d's 234 groups
-    orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
-    groups = moved = 0
-    for t in range(1, 21):
-        for d in range(t):
-            subs = enumerate_lagrangian_subgroups(d, t)
-            seen = set()
-            for sigma in isometry_group(ns_form(d, t).form):
-                k = sigma.order()
-                n = next((n for n in orders if n % k == 0), None)
-                if n is None:
-                    continue
-                try:
-                    g = GSpec(sigma, n)
-                except InvalidParameterError:
-                    continue
-                image = frozenset(s.images for s in g.image_elements())
-                if image in seen:
-                    continue
-                seen.add(image)
-                groups += 1
-                moved += len(_check_subgroup_orbits(subs, g)) < len(subs)
-    assert groups == 234
-    assert moved > 0
-
-
-def test_g_orbits_rejects_mismatched_group():
-    elems = enumerate_lagrangian_elements(1, 5)
-    g = GSpec.sign_group(ns_form(2, 5).form)
-    with pytest.raises(InvalidIsometryError):
-        g_orbits(elems, g)
-    # double_quotient moves subgroups without g_orbits and checks G itself
-    with pytest.raises(InvalidIsometryError):
-        double_quotient(1, 5, g)
-
-
-def test_double_quotient_frozen():
-    sign = lambda d, t: GSpec.sign_group(ns_form(d, t).form)
-    assert double_quotient(1, 5, sign(1, 5))[0] == 1
-    assert double_quotient(0, 5, sign(0, 5))[0] == 1  # iota swaps the two
-    count, reps = double_quotient(6, 6, sign(6, 6))
-    assert count == 2
-    assert len(reps) == 2
-
-
-def test_double_quotient_reps_are_subgroups():
-    g = GSpec.sign_group(ns_form(4, 10).form)
-    count, reps = double_quotient(4, 10, g)
-    selectors = {L.selector for L in enumerate_lagrangian_subgroups(4, 10)}
-    assert all(L.selector in selectors for L in reps)
-    assert count == len(reps)
-
-
 # ------------------------------------------------------------ big inputs
 
 
@@ -547,7 +365,6 @@ def test_squarefree_giant_t_stays_cheap():
     assert involution(t, t, involution(t, t, L)) == L
     w = LagrangianElement(L.generator)
     assert subgroup_generated_by(t, t, w) == L
-    assert double_quotient(t, t, GSpec.sign_group(ns_form(t, t).form))[0] == 64
     assert de_counts(SurfaceModel.general(t, t)) == (5898240, 128)
 
 

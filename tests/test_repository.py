@@ -3,8 +3,9 @@ output cannot slip back into version control, the benchmark harness
 still finds every name it wraps, the benchmark's sweep check passes
 on the t = 3..30 sweep, the lattice layer does not reach up into the
 discriminant forms built on it, no module imports a name it never uses,
-the package exports exactly what its __init__ imports, and no
-process-lifetime memo hides outside the three known ones."""
+the package exports exactly what its __init__ imports, no function is
+kept in the library for the tests alone, and no process-lifetime memo
+hides outside the three known ones."""
 
 import ast
 import importlib.util
@@ -119,6 +120,35 @@ def test_all_lists_each_imported_name_once():
     assert len(exported) == len(set(exported))
     assert [name for name in exported if not hasattr(k3fm, name)] == []
     assert set(exported) == imported
+
+
+# module-level functions that nothing in src/k3fm reads and k3fm does not
+# export, each with the reason it stays
+UNREFERENCED = {
+    # perfbench/run.py reads it to label its route, until the benchmark is
+    # re-based off the kernels layer (ROADMAP item 1)
+    "kernels.compiled_available",
+}
+
+
+def test_every_library_function_has_a_library_caller_or_is_exported():
+    # a function only tests call belongs in tests/ as an oracle; names and
+    # attributes count as references, docstrings do not
+    import k3fm
+
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "k3fm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [f"{path.stem}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unreferenced = {name for name in defined
+                    if name.split(".")[1] not in used | set(k3fm.__all__)}
+    assert unreferenced == UNREFERENCED
 
 
 MEMOS = ("cache", "lru_cache")

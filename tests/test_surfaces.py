@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 import lattice_oracle
+import orbit_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,10 +38,7 @@ from k3fm.intmath import close_units_subgroup, distinct_primes, modulus, totient
 from k3fm.lagrangians import (
     GSpec,
     _lagrangian_coords,
-    _orbits,
-    enumerate_lagrangian_elements,
     enumerate_lagrangian_subgroups,
-    g_orbits,
 )
 from k3fm.lattices import (
     IntMatrix,
@@ -171,7 +169,7 @@ def test_coprime_jacobian_classes_match_the_coset_walk():
     for t in range(3, 61):
         units = units_mod(t)
         for b in _admissible_twist_groups(t):
-            cosets = _orbits(units, int, [lambda u, x=x: u * x % t for x in b])
+            cosets = orbit_oracle.orbits(units, int, [lambda u, x=x: u * x % t for x in b])
             reps = tuple(coset[0] for coset in cosets)
             assert coprime_jacobian_classes(t, b) == (len(reps), reps), (t, b)
             checked += 1
@@ -654,13 +652,11 @@ def _cycle_count(sigma, points):
 
 
 def _check_cycle_count(sigma, coords):
-    """The cycle count against the sorted orbit walk it replaced, and the
-    batch images against the one-point move."""
+    """The cycle count, after checking the batch images against the
+    one-point move."""
     step = sigma.action()
     assert _coordinate_images(sigma, coords) == [step(c) for c in coords]
-    walk = len(_orbits(coords, lambda c: c, [step]))
-    assert _cycle_count(sigma, coords) == walk
-    return walk
+    return _cycle_count(sigma, coords)
 
 
 def test_cycle_count_matches_the_orbit_walk_on_general_cells():
@@ -668,8 +664,8 @@ def test_cycle_count_matches_the_orbit_walk_on_general_cells():
     for t in range(3, 31):
         for d in range(t):
             model = SurfaceModel.general(d, t)
-            walk = _check_cycle_count(model.G.generator, _lagrangian_coords(d, t))
-            assert de_counts(model) == (walk, _subgroup_orbits(d, t, model.G)), (d, t)
+            cycles = _check_cycle_count(model.G.generator, _lagrangian_coords(d, t))
+            assert de_counts(model) == (cycles, _subgroup_orbits(d, t, model.G)), (d, t)
             ranks.add(ns_form(d, t).form.rank)
     assert ranks == {1, 2}
 
@@ -683,28 +679,30 @@ def test_cycle_count_matches_the_orbit_walk_on_order_four_groups():
             form = ns_form(d, t).form
             coords = _lagrangian_coords(d, t)
             for sigma in isometry_group(form):
-                walk = _check_cycle_count(sigma, coords)
+                cycles = _check_cycle_count(sigma, coords)
                 isometries += 1
                 if sigma.order() != 4:
                     continue
                 g = GSpec(sigma, 4)  # sigma^2 = -id at odd t
                 b = frozenset({1, t - 1})
                 model = SurfaceModel(d, t, g, b, b, t_general=False)
-                assert de_counts(model)[0] == walk
+                assert de_counts(model)[0] == cycles
                 groups += 1
     assert groups == 6  # two order-4 rotations of A(0, t) for each t = 1 mod 4
     assert isometries == 128  # 2(t - 1) on A(0, t), +-1 on the cyclic groups
 
 
 def _subgroup_orbits(d, t, g):
-    """Oracle for the second DE count: the orbit walk over the subgroups."""
-    return len(g_orbits(enumerate_lagrangian_subgroups(d, t), g))
+    """Oracle for the second DE count: the cycles of G's generator on the
+    subgroups, each image classified by Fraction pairings."""
+    subs = enumerate_lagrangian_subgroups(d, t)
+    return len(orbit_oracle.subgroup_partition(subs, g.generator))
 
 
 def test_de_counts_match_the_cycle_count_for_every_cyclic_group():
     # G generated by each isometry whose powers hold -id, with the least
-    # order GSpec accepts; the Burnside counts against scanning and walking
-    # sigma's cycles on elements and the orbit walk on subgroups
+    # order GSpec accepts; the Burnside counts against sigma's cycles on
+    # the elements and on the subgroups
     orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
     pairs = 0
     for t in range(3, 41):
@@ -938,7 +936,7 @@ def _walk_fm(d, t, g):
         moves = [u.compose for u in o_lambda_image(e, t)]
         moves.append(lambda x: x.compose(g.generator))
         ambient = (phi.compose(x) for x in own)
-        total += len(_orbits(ambient, lambda x: x.images, moves))
+        total += len(orbit_oracle.orbits(ambient, lambda x: x.images, moves))
     return total
 
 
@@ -984,7 +982,7 @@ def test_fm_count_multiplies_the_part_counts(monkeypatch):
             monkeypatch.setattr("k3fm.surfaces.genus_representatives", lambda d, t: (d,))
             monkeypatch.setattr("k3fm.surfaces.o_lambda_image", lambda e, t: h)
             moves = [u.compose for u in h] + [lambda x: x.compose(sigma)]
-            walk = len(_orbits(own, lambda x: x.images, moves))
+            walk = len(orbit_oracle.orbits(own, lambda x: x.images, moves))
             assert fm_count(d, t, g) == walk, (d, t, sigma.images)
             checked += 1
     assert checked == 20
@@ -1332,8 +1330,6 @@ def test_groups_pickle_after_their_action_is_used():
     moving = SurfaceModel(0, 5, g, b, b, t_general=False)
     de_counts(moving)
     fm_count(0, 5, g)
-    g_orbits(enumerate_lagrangian_subgroups(0, 5), g)
-    g_orbits(enumerate_lagrangian_elements(0, 5), g)
     assert pickle.loads(pickle.dumps(moving)) == moving
     assert pickle.loads(pickle.dumps(g)) == g
 
