@@ -48,11 +48,7 @@ from .lagrangians import (
 )
 from .lattices import RationalVector, ns_gram, overlattice
 from .surfaces import (
-    J_1728,
-    J_GENERIC,
-    J_ZERO,
     MukaiVector,
-    SurfaceModel,
     _de_closed_form,
     _fm_walk,
     _isometry_order,
@@ -140,18 +136,18 @@ def _parse_selector(text, d: int, t: int):
     return tuple(pairs)
 
 
-def _twist_group(t: int, order: int):
-    """The twist group B for --b-order: cyclic of the requested order,
-    containing -1.  Orders 4 and 6 exist only for suitable t and pin the
-    isotrivial j-invariant; the least generator is chosen when several
-    subgroups qualify.  Whether one exists is read off t's primes first,
-    so a t with none is refused without walking its units: order 4 needs
-    a root of -1 mod t (4 does not divide t, and every odd p | t is 1 mod
-    4), order 6 a unit of order 3 (9 | t, or some p | t is 1 mod 3)."""
+def _twist_order(t: int, order: int) -> int:
+    """|B| for --b-order: the order of a cyclic twist group B of units mod
+    t containing -1, which is all that any output reads of B.  For t <= 2,
+    where 1 = -1, B = {+-1} has one element and only order 2 is accepted.
+    Whether B exists is read off t's primes, with no walk over the units:
+    order 4 needs a root of -1 mod t (4 does not divide t, and every odd
+    p | t is 1 mod 4), order 6 a unit of order 3 (9 | t, or some p | t is
+    1 mod 3)."""
     if order == 2 or t <= 2:
         if order != 2:
             raise InvalidParameterError("--b-order above 2 needs t > 2")
-        return frozenset({1 % t, (-1) % t}), J_GENERIC
+        return 2 if t > 2 else 1
     if order not in (4, 6):
         raise InvalidParameterError(f"--b-order must be 2, 4 or 6, got {order}")
     primes = modulus(t).primes
@@ -159,16 +155,11 @@ def _twist_group(t: int, order: int):
         exists = t % 4 and all(p % 4 == 1 for p in primes if p > 2)
     else:  # x = -y, y of order 3
         exists = t % 9 == 0 or any(p % 3 == 1 for p in primes)
-    for x in units_mod(t) if exists else ():
-        if pow(x, order // 2, t) != t - 1:
-            continue
-        if order == 6 and pow(x, 2, t) == 1:
-            continue
-        group = frozenset(pow(x, i, t) for i in range(order))
-        return group, (J_1728 if order == 4 else J_ZERO)
-    raise InvalidParameterError(
-        f"no cyclic order-{order} twist group containing -1 exists mod {t}"
-    )
+    if not exists:
+        raise InvalidParameterError(
+            f"no cyclic order-{order} twist group containing -1 exists mod {t}"
+        )
+    return order
 
 
 def _selector_json(selector):
@@ -309,13 +300,11 @@ def _cmd_de(args):
     d, t = _dt(args)
     g = _parse_g(d, t, args)
     t_general = args.t_general or args.g_gen is None
-    b, j = _twist_group(t, args.b_order)
-    model = SurfaceModel(d, t, g, b, b, t_general=t_general, isotrivial_j=j)
-    de, de_orbits = de_counts(model)
-    # phi(t) / |B|: B is a subgroup of (Z/t)*, checked by SurfaceModel
-    twists = modulus(t).phi // len(b) if t > 2 else None
+    b_order = _twist_order(t, args.b_order)
+    de, de_orbits = de_counts(d, t, g, t_general)
+    twists = modulus(t).phi // b_order if t > 2 else None
     payload = {
-        "b_order": len(b),
+        "b_order": b_order,
         "d": args.d,
         "de": de,
         "de_orbits": de_orbits,
@@ -423,9 +412,9 @@ def sweep_cell(cell, formula_only: bool, verify: bool) -> dict:
         row["de"], row["de_orbits"] = _de_closed_form(d, t) or (None, None)
         row["fm"] = None
         return row
-    model = SurfaceModel.general(d, t)
-    row["de"], row["de_orbits"] = de_counts(model)
-    row["fm"] = fm_count(d, t, model.G)
+    g = GSpec.sign_group(ns_form(d, t).form)
+    row["de"], row["de_orbits"] = de_counts(d, t, g, True)
+    row["fm"] = fm_count(d, t, g)
     if verify:
         _verify_cell(d, t, row)
     return row

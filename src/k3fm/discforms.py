@@ -476,9 +476,9 @@ class NSForm(Value):
 
     _fields = ("d", "t", "lf")  # no __slots__: the cached properties need a __dict__
 
-    def __init__(self, d: int, t: int, lf: LatticeForm, anchors: dict | None = None):
+    def __init__(self, d: int, t: int, lf: LatticeForm):
         self.d, self.t, self.lf = d, t, lf
-        self.anchors = {} if anchors is None else anchors
+        self.anchors = {}
 
     @property
     def m(self) -> int:

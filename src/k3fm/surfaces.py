@@ -4,8 +4,9 @@ predicates, automorphism kernels, derived-elliptic-structure counts,
 Fourier-Mukai partner counts, and the headline classifier.
 
 The Hodge-theoretic inputs that cannot be derived from (d, t) alone are
-supplied declaratively: the cyclic isometry group G as a GSpec, the twist
-groups B and Btilde as unit subgroups, and the T-general flag.
+supplied declaratively: the cyclic isometry group G as a GSpec and the
+T-general flag.  A twist group B of units mod t enters only the coset
+count of ``coprime_jacobian_classes``.
 """
 
 from enum import Enum
@@ -39,10 +40,6 @@ from .lagrangians import (
     enumerate_lagrangian_subgroups,
 )
 
-J_GENERIC = "generic"
-J_ZERO = "j0"
-J_1728 = "j1728"
-
 
 class HTClass(str, Enum):
     """Classification of where the Fourier-Mukai partners live."""
@@ -70,79 +67,18 @@ class MukaiVector(Value):
         return 2 * x * (d * x + t * y) - 2 * self.r * self.s
 
 
-class SurfaceModel(Value):
-    """A family member plus its declared Hodge-side data.
-
-    B is the subgroup of units acting on the base-preserving twists,
-    Btilde the larger one allowing base automorphisms; both live in
-    (Z/t)*.  T-general surfaces have no extra Hodge isometries, which
-    forces G to act as {+-1} on the discriminant group.
-    """
-
-    __slots__ = _fields = ("d", "t", "G", "B", "Btilde", "t_general", "isotrivial_j")
-
-    def __init__(self, d: int, t: int, G: GSpec, B: frozenset, Btilde: frozenset,
-                 t_general: bool = True, isotrivial_j: str = J_GENERIC):
-        self.d, self.t, self.G = d, t, G
-        self.t_general, self.isotrivial_j = t_general, isotrivial_j
-        if t < 1:
-            raise InvalidParameterError("t must be a positive integer")
-        if isotrivial_j not in (J_GENERIC, J_ZERO, J_1728):
-            raise InvalidParameterError(
-                f"isotrivial_j must be one of generic/j0/j1728, got {isotrivial_j}"
-            )
-        nf = ns_form(d, t)
-        if G.generator.domain != nf.form:
-            raise InvalidIsometryError("G does not act on this family member")
-        b = _unit_subgroup("B", t, B)
-        # ``general`` passes one group as both
-        self.B = b
-        self.Btilde = bt = b if Btilde is B else _unit_subgroup("Btilde", t, Btilde)
-        if (-1) % self.t not in b:
-            raise InvalidParameterError("B must contain -1")
-        if not b <= bt:
-            raise InvalidParameterError("B must be contained in Btilde")
-        if self.t > 2:
-            if len(b) not in (2, 4, 6):
-                raise InvalidParameterError("B must have order 2, 4 or 6")
-            if len(b) == 4:
-                if all(pow(x, 2, self.t) == 1 for x in b):
-                    raise InvalidParameterError("order-4 B must be cyclic")
-                if self.isotrivial_j != J_1728:
-                    raise InvalidParameterError(
-                        "order-4 B needs an isotrivial fibration with j = 1728"
-                    )
-            if len(b) == 6 and self.isotrivial_j != J_ZERO:
-                raise InvalidParameterError(
-                    "order-6 B needs an isotrivial fibration with j = 0"
-                )
-        if self.t_general and self.G.moving_elements():
-            raise InvalidParameterError("T-general surfaces admit only {+-1} as G")
-
-    @classmethod
-    def general(cls, d: int, t: int) -> "SurfaceModel":
-        """The T-general member: G = {+-1}, B = Btilde = {+-1}."""
-        g = GSpec.sign_group(ns_form(d, t).form)
-        b = frozenset({1 % t, (-1) % t}) if t > 1 else frozenset({0})
-        return cls(d, t, g, b, b, t_general=True, isotrivial_j=J_GENERIC)
-
-    @property
-    def m(self) -> int:
-        return gcd(self.d, self.t)
-
-
-def _unit_subgroup(name: str, t: int, grp) -> frozenset:
-    """``grp``'s integers (``operator.index``, nothing truncated) reduced
-    mod t, checked to be a non-empty subgroup of the units mod t; ``name``
-    is the group's name in the error messages."""
+def _unit_subgroup(t: int, grp) -> frozenset:
+    """The twist group B: ``grp``'s integers (``operator.index``, nothing
+    truncated) reduced mod t, checked to be a non-empty subgroup of the
+    units mod t."""
     try:
         g = frozenset(index(x) % t for x in grp)
     except TypeError:
-        raise InvalidParameterError(f"{name} must consist of integers") from None
+        raise InvalidParameterError("B must consist of integers") from None
     if not g or any(gcd(x, t) != 1 for x in g):
-        raise InvalidParameterError(f"{name} must consist of units mod t")
+        raise InvalidParameterError("B must consist of units mod t")
     if close_units_subgroup(t, g) != g:
-        raise InvalidParameterError(f"{name} is not closed under products")
+        raise InvalidParameterError("B is not closed under products")
     return g
 
 
@@ -178,7 +114,7 @@ def coprime_jacobian_classes(t: int, b_group) -> tuple[int, tuple[int, ...]]:
     """
     if t <= 2:
         raise OutOfScopeError("coprime Jacobian classes need t > 2")
-    b = _unit_subgroup("B", t, b_group)
+    b = _unit_subgroup(t, b_group)
     if (-1) % t not in b:
         raise InvalidParameterError("B must contain -1")
     seen, reps = bytearray(t), []
@@ -290,6 +226,14 @@ def o_plus_image(d: int, t: int) -> tuple[DFIsometry, ...]:
     return _induced_maps(d, t, nef_rays)
 
 
+def _acting_form(d: int, t: int, g: GSpec):
+    """``ns_form(d, t)``, once G is checked to act on its form."""
+    nf = ns_form(d, t)
+    if g.generator.domain != nf.form:
+        raise InvalidIsometryError("G does not act on this family member")
+    return nf
+
+
 def aut_orders(d: int, t: int, g: GSpec) -> tuple[int, int]:
     """(|Aut|, |Aut fixing the fibre class|) for the member with group G.
 
@@ -298,9 +242,7 @@ def aut_orders(d: int, t: int, g: GSpec) -> tuple[int, int]:
     isometries whose discriminant action is matched by an ample-cone
     preserving lattice isometry.
     """
-    nf = ns_form(d, t)
-    if g.generator.domain != nf.form:
-        raise InvalidIsometryError("G does not act on this family member")
+    _acting_form(d, t, g)
     plus_keys = {iso.images for iso in o_plus_image(d, t)}
     matched = sum(1 for s in g.image_elements() if s.images in plus_keys)
     return g.kernel_order * matched, g.kernel_order
@@ -316,8 +258,12 @@ def _de_closed_form(d: int, t: int):
     return elements // 2, subgroups
 
 
-def de_counts(model: SurfaceModel) -> tuple[int, int]:
-    """(derived elliptic structures, G-orbits of Lagrangian subgroups).
+def de_counts(d: int, t: int, g: GSpec, t_general: bool) -> tuple[int, int]:
+    """(derived elliptic structures, G-orbits of Lagrangian subgroups) of
+    the member (d, t) with Hodge isometry group G.
+
+    G must act on A (InvalidIsometryError), and a T-general member
+    (``t_general``) admits only G = {+-1} (InvalidParameterError).
 
     The first number counts G-orbits of Lagrangian elements, the second
     of Lagrangian subgroups.  Each element generates exactly one of the
@@ -342,24 +288,25 @@ def de_counts(model: SurfaceModel) -> tuple[int, int]:
     fm = sum w(e)), de = sum w(e) (2 - [e = +-1 mod t]).  The tests hold
     the two counts to it on every cell with t <= 60.
     """
-    d, t = model.d, model.t
-    nf = ns_form(d, t)
+    nf = _acting_form(d, t, g)
+    if t_general and g.moving_elements():
+        raise InvalidParameterError("T-general surfaces admit only {+-1} as G")
     subs = enumerate_lagrangian_subgroups(d, t)
-    move, n = model.G.generator.action(), len(model.G.image_elements())
+    move, n = g.generator.action(), len(g.image_elements())
     phi = modulus(t).phi
     fixed_generators = fixed_subgroups = 0
     for sub in subs:
-        g = h = sub.generator.coords
+        gen = h = sub.generator.coords
         for _ in range(n):
             h = move(h)
-            fixed_generators += h == g
+            fixed_generators += h == gen
             fixed_subgroups += sub._has(h)
-        if h != g:
+        if h != gen:
             raise RuntimeError("sigma^n is not the identity on a subgroup generator")
     if phi * fixed_generators % n or fixed_subgroups % n:
         raise RuntimeError("Burnside sum is not a multiple of |G image|")
     de, orbits = phi * fixed_generators // n, fixed_subgroups // n
-    closed = _de_closed_form(d, t) if model.t_general else None
+    closed = _de_closed_form(d, t) if t_general else None
     if closed is not None:
         if closed[1] != orbits:
             raise RuntimeError("orbit count disagrees with the closed form")
@@ -521,9 +468,7 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
       ``isometry_between`` once per bundle and r0 (``_anchor``).
       RuntimeError "genus member lost its form isometry" otherwise.
     """
-    nf = ns_form(d, t)
-    if g.generator.domain != nf.form:
-        raise InvalidIsometryError("G does not act on this family member")
+    nf = _acting_form(d, t, g)
     for part in nf.primary_parts:
         require_isometry_budget(part.form)
     if _anchor(nf, _genus_least(d, t)) is None:

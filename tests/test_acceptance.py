@@ -38,7 +38,6 @@ from k3fm.lattices import RationalVector, genus_representatives, ns_gram, overla
 from k3fm.surfaces import (
     HTClass,
     MukaiVector,
-    SurfaceModel,
     caldararu_class,
     de_counts,
     fm_count,
@@ -238,7 +237,7 @@ def test_criterion_05_de_formulas():
         if t <= 2:
             continue
         omega = len(_primes(gcd(d, t)))
-        de, orbits = de_counts(SurfaceModel.general(d, t))
+        de, orbits = de_counts(d, t, GSpec.sign_group(ns_form(d, t).form), True)
         assert de == 2**omega * _totient(t) // 2, (d, t)
         assert orbits == 2**omega, (d, t)
     _report(5, "derived-elliptic-structure formulas on 2 < t <= 24", start)
@@ -328,9 +327,7 @@ def test_criterion_05b_de_counts_every_cyclic_group():
             return tuple(sorted(sigma(c) for c in s))
 
         span_orbits = _cycles({span(c) for c in lagrangian}, move_span)
-        b_group = frozenset({1 % t, (-1) % t}) if t > 1 else frozenset({0})
-        model = SurfaceModel(d, t, g, b_group, b_group, t_general=False)
-        assert de_counts(model) == (len(orbits), len(span_orbits)), (d, t)
+        assert de_counts(d, t, g, False) == (len(orbits), len(span_orbits)), (d, t)
         groups += 1
     assert (groups, not_sign) == (151, 15)
     _report(5, "derived-elliptic-structure counts for every cyclic G, t <= 16", start)

@@ -26,7 +26,7 @@ from k3fm.cli import (
     SWEEP_FIELDS,
     SweepVerifyError,
     _sweep_workers,
-    _twist_group,
+    _twist_order,
     build_parser,
     main,
 )
@@ -34,7 +34,7 @@ from k3fm.discforms import ns_form, structure_invariants
 from k3fm.errors import CapacityError, InvalidParameterError
 from k3fm.lagrangians import GSpec, count_lagrangians, enumerate_lagrangian_elements
 from k3fm.lattices import genus_representatives
-from k3fm.surfaces import SurfaceModel, _fm_walk, coprime_jacobian_classes, de_counts, fm_count
+from k3fm.surfaces import _fm_walk, coprime_jacobian_classes, de_counts, fm_count
 from test_repository import _load_perfbench
 
 
@@ -662,7 +662,8 @@ def test_every_subcommand_survives_a_huge_smooth_t(capsys, monkeypatch):
         for argv in (
             ["disc", *dt], ["lagr", *dt], ["lagr", *dt, "--list"], ["pair", *dt],
             ["involution", *dt], ["genus", *dt], ["fm", *dt], ["de", *dt],
-            ["de", *dt, "--b-order", "4"], ["ht", *dt], ["jac", "--t", t, "--k", "1"],
+            ["de", *dt, "--b-order", "4"], ["de", *dt, "--b-order", "6"],
+            ["ht", *dt], ["jac", "--t", t, "--k", "1"],
             ["overlattice", *dt, "--gens", "1,0"],
             ["caldararu", *dt, "--r", "0", "--x", "0", "--y", "1", "--s", "0"],
             ["sweep", "--t-min", t, "--t-max", t, "--d-min", "1", "--d-max", "1"],
@@ -675,22 +676,57 @@ def test_every_subcommand_survives_a_huge_smooth_t(capsys, monkeypatch):
     for t in huge:
         argv = ["de", "--d", "1", "--t", str(t), "--b-order", "4"]
         assert run_cli(argv, capsys)[0] == 2, argv
+    # a unit of order 3 exists mod the last three (each has a prime 1 mod
+    # 3), and twist_classes is phi(t)/6, with phi(t) written out here
+    phis = {10**18 + 3: 10**18 + 2, (10**9 + 7) * (10**9 + 9): (10**9 + 6) * (10**9 + 8),
+            2**61 - 1: 2**61 - 2}
+    for t in huge:
+        argv = ["de", "--d", "1", "--t", str(t), "--b-order", "6", "--json"]
+        code, out, err = run_cli(argv, capsys)
+        if t in phis:
+            assert code == 0 and json.loads(out)["twist_classes"] == phis[t] // 6, argv
+        else:
+            assert code == 2 and err.startswith("k3fm: no cyclic order-6"), argv
+
+
+def _brute_twist_root(t, order):
+    """A unit x mod t with x^2 = -1 (order 4) or x of order 3 (order 6),
+    by a search over every residue, or None."""
+    if order == 4:
+        return next((x for x in range(t) if (x * x + 1) % t == 0), None)
+    return next((x for x in range(2, t) if (x * x * x - 1) % t == 0), None)
 
 
 def test_b_orders_4_and_6_exist_where_the_prime_rules_say():
     # an order-4 B needs x^2 = -1 mod t, an order-6 one x^3 = -1 with
-    # x^2 != 1, that is -x of order 3: a brute search over every residue
+    # x^2 != 1, that is -x of order 3
     for t in range(3, 3001):
-        for order, found in (
-            (4, any((x * x + 1) % t == 0 for x in range(t))),
-            (6, any((x * x * x - 1) % t == 0 for x in range(2, t))),
-        ):
+        for order in (4, 6):
+            found = _brute_twist_root(t, order) is not None
             try:
-                b, _ = _twist_group(t, order)
+                got = _twist_order(t, order)
             except InvalidParameterError:
                 assert not found, (t, order)
             else:
-                assert found and len(b) == order and t - 1 in b, (t, order)
+                assert found and got == order, (t, order)
+
+
+def test_de_b_order_walks_no_unit_of_t(capsys, monkeypatch):
+    # |B| is read off t's primes; a huge prime t is arithmetic
+    def walk(t):
+        raise AssertionError("units walked")
+
+    monkeypatch.setattr("k3fm.cli.units_mod", walk)
+    monkeypatch.delenv("K3FM_BUDGET", raising=False)
+    for argv, out in (
+        (["de", "--d", "1", "--t", "13", "--b-order", "4"],
+         "de=6 de_orbits=1 twist_classes=3\n"),
+        (["de", "--d", "1", "--t", "7", "--b-order", "6"],
+         "de=3 de_orbits=1 twist_classes=1\n"),
+        (["de", "--d", "1", "--t", "1000000009", "--b-order", "4"],
+         "de=500000004 de_orbits=1 twist_classes=250000002\n"),
+    ):
+        assert run_cli(argv, capsys) == (0, out, ""), argv
 
 
 def test_fm_reads_the_least_genus_member_without_a_genus_walk(capsys, monkeypatch):
@@ -1003,7 +1039,7 @@ def test_json_matches_library(cell):
     assert (out["lagr"]["elements"], out["lagr"]["subgroups"]) == count_lagrangians(d, t)
     assert out["genus"]["representatives"] == list(genus_representatives(d, t))
     assert out["fm"]["fm"] == fm_count(d, t, GSpec.sign_group(ns_form(d, t).form))
-    de = de_counts(SurfaceModel.general(d, t))
+    de = de_counts(d, t, GSpec.sign_group(ns_form(d, t).form), True)
     assert (out["de"]["de"], out["de"]["de_orbits"]) == de
 
 
@@ -1037,14 +1073,18 @@ def test_selector_and_g_gen_name_generators_of_a_d_mod_t():
         assert got == {**want, "d": d}
 
 
-def test_de_twist_classes_count_the_cosets_of_b():
-    # de reports phi(t)/|B|; coprime_jacobian_classes lists the cosets
+def test_de_twist_classes_count_the_cosets_of_b(capsys):
+    # de reports phi(t)/|B|; coprime_jacobian_classes lists the cosets of
+    # a B built from the brute root: {+-1, +-x} (order 4), {+-1, +-y, +-y^2}
     for t in range(3, 61):
         for order in (2, 4, 6):
-            try:
-                b, _ = _twist_group(t, order)
-            except InvalidParameterError:
-                continue
             argv = ["de", "--d", "1", "--t", str(t), "--b-order", str(order), "--json"]
+            root = t - 1 if order == 2 else _brute_twist_root(t, order)
+            if root is None:
+                assert run_cli(argv, capsys)[0] == 2, argv
+                continue
+            b = {s * pow(root, k, t) % t for s in (1, t - 1) for k in range(3)}
+            assert len(b) == order, (t, order)
             payload = _main_json(argv)
+            assert payload["b_order"] == order, argv
             assert payload["twist_classes"] == coprime_jacobian_classes(t, b)[0], argv

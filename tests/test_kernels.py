@@ -25,7 +25,7 @@ from k3fm.discforms import (
 from k3fm.intmath import distinct_primes
 from k3fm.lagrangians import GSpec, _lagrangian_coords, count_lagrangians
 from k3fm.lattices import IntMatrix, Lattice, genus_representatives
-from k3fm.surfaces import SurfaceModel, de_counts, fm_count
+from k3fm.surfaces import de_counts, fm_count
 
 
 def _form_data(d, t):
@@ -77,11 +77,11 @@ def test_cells_at_the_default_budgets(monkeypatch):
     assert fm_count(0, 100, GSpec.sign_group(form)) == 40
     assert ns_form(30, 2000).form.size == 4_000_000
     assert len(_lagrangian_coords(30, 2000)) == 3200
-    assert de_counts(SurfaceModel.general(30, 2000)) == (1600, 4)
+    assert de_counts(30, 2000, GSpec.sign_group(ns_form(30, 2000).form), True) == (1600, 4)
     # A = Z/2000 (+) Z/2000 has 3,600 cyclic subgroups of order 2000
     assert ns_form(0, 2000).form.orders == (2000, 2000)
     assert len(_lagrangian_coords(0, 2000)) == 3200 == count_lagrangians(0, 2000)[0]
-    assert de_counts(SurfaceModel.general(0, 2000)) == (1600, 4)
+    assert de_counts(0, 2000, GSpec.sign_group(ns_form(0, 2000).form), True) == (1600, 4)
     assert genus_representatives(1, 97) == (
         1, 2, 3, 4, 6, 8, 9, 11, 12, 16, 18, 22, 24, 25,
         31, 32, 33, 35, 36, 43, 44, 47, 48, 70, 96,

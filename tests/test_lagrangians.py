@@ -45,7 +45,7 @@ from k3fm.lagrangians import (
     subgroup_generated_by,
     units_action,
 )
-from k3fm.surfaces import SurfaceModel, de_counts
+from k3fm.surfaces import de_counts
 
 GRID = [(d, t) for t in range(1, 17) for d in range(t)]
 
@@ -365,7 +365,7 @@ def test_squarefree_giant_t_stays_cheap():
     assert involution(t, t, involution(t, t, L)) == L
     w = LagrangianElement(L.generator)
     assert subgroup_generated_by(t, t, w) == L
-    assert de_counts(SurfaceModel.general(t, t)) == (5898240, 128)
+    assert de_counts(t, t, GSpec.sign_group(ns_form(t, t).form), True) == (5898240, 128)
 
 
 def test_element_budget(monkeypatch):

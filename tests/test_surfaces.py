@@ -49,11 +49,7 @@ from k3fm.lattices import (
 )
 from k3fm.surfaces import (
     HTClass,
-    J_1728,
-    J_GENERIC,
-    J_ZERO,
     MukaiVector,
-    SurfaceModel,
     allowed_G_orders,
     aut_orders,
     caldararu_class,
@@ -308,86 +304,41 @@ def test_jac0_isomorphic():
         jac0_isomorphic(4, 5)
 
 
-# ------------------------------------------------------------ SurfaceModel
+# ------------------------------------------------------ the family member
 
 
 def test_general_model():
-    model = SurfaceModel.general(6, 6)
-    assert model.m == 6
-    assert model.B == frozenset({1, 5})
-    SurfaceModel.general(0, 1)
-    SurfaceModel.general(1, 2)
+    # the T-general member, G = {+-1}, is accepted at every t, also t <= 2
+    # where +-1 coincide on A
+    assert de_counts(6, 6, _sign(6, 6), True) == (4, 4)
+    assert de_counts(0, 1, _sign(0, 1), True) == (1, 1)
+    assert de_counts(1, 2, _sign(1, 2), True) == (1, 1)
 
 
 def test_model_validation_rejections():
-    with pytest.raises(InvalidParameterError):
-        SurfaceModel(1, 0, _sign(1, 1), frozenset({0}), frozenset({0}))
-    with pytest.raises(InvalidIsometryError):
-        SurfaceModel(2, 5, _sign(1, 5), frozenset({1, 4}), frozenset({1, 4}))
-    with pytest.raises(InvalidParameterError):
-        SurfaceModel(1, 5, _sign(1, 5), frozenset({1}), frozenset({1}))  # no -1
-    with pytest.raises(InvalidParameterError):
-        SurfaceModel(1, 7, _sign(1, 7), frozenset({1, 2, 6}), frozenset({1, 2, 6}))
-    with pytest.raises(InvalidParameterError):  # order 8 is not 2, 4 or 6
-        units15 = frozenset({1, 2, 4, 7, 8, 11, 13, 14})
-        SurfaceModel(1, 15, _sign(1, 15), units15, units15)
-    with pytest.raises(InvalidParameterError):  # B must sit inside Btilde
-        SurfaceModel(1, 5, _sign(1, 5), frozenset({1, 4}), frozenset({1}))
-    with pytest.raises(InvalidParameterError):
-        SurfaceModel(1, 5, _sign(1, 5), frozenset({1, 4}), frozenset({1, 4}),
-                     isotrivial_j="weird")
-
-
-def test_model_twist_groups_must_be_units():
-    b = frozenset({1, 9})
-    for bad_b, bad_bt, name in [
-        (frozenset(), b, "B"),
-        (frozenset({1, 5, 9}), frozenset({1, 5, 9}), "B"),  # 5 is not a unit
-        (b, frozenset({1, 5, 9}), "Btilde"),
-        (frozenset({11, 19}), frozenset({10}), "Btilde"),  # 10 = 0 mod 10
-    ]:
-        with pytest.raises(InvalidParameterError, match=f"^{name} must consist of units"):
-            SurfaceModel(1, 10, _sign(1, 10), bad_b, bad_bt)
-    # residues are reduced mod t first; at t = 1 the only residue, 0, is a unit
-    assert SurfaceModel(1, 10, _sign(1, 10), frozenset({11, 19}), b).B == b
-    SurfaceModel(0, 1, _sign(0, 1), frozenset({5}), frozenset({0}))
+    with pytest.raises(InvalidParameterError, match="^t must be a positive integer"):
+        de_counts(1, 0, _sign(1, 1), True)
+    with pytest.raises(InvalidIsometryError, match="^G does not act on this family member"):
+        de_counts(2, 5, _sign(1, 5), True)
+    with pytest.raises(InvalidIsometryError, match="^G does not act on this family member"):
+        de_counts(2, 5, _sign(1, 5), False)
 
 
 def test_twist_groups_take_integers_only():
     # %-reduction and gcd would raise a bare TypeError on these, and
     # int() would truncate 9/2 to the unit 4
-    units = {1, 4}
     for bad in [{1, 4.0}, {1, Fraction(4)}, {1, Fraction(9, 2)}]:
         with pytest.raises(InvalidParameterError, match="^B must consist of integers"):
             coprime_jacobian_classes(5, bad)
-        with pytest.raises(InvalidParameterError, match="^B must consist of integers"):
-            SurfaceModel(1, 5, _sign(1, 5), bad, units)
-        with pytest.raises(InvalidParameterError, match="^Btilde must consist of integers"):
-            SurfaceModel(1, 5, _sign(1, 5), units, bad)
     # anything operator.index accepts is an integer
     assert coprime_jacobian_classes(5, {True, 4}) == (2, (1, 2))
 
 
-def test_model_isotrivial_constraints():
-    b4 = frozenset({1, 5, 8, 12})  # cyclic of order 4 mod 13
-    with pytest.raises(InvalidParameterError):
-        SurfaceModel(1, 13, _sign(1, 13), b4, b4)
-    SurfaceModel(1, 13, _sign(1, 13), b4, b4, isotrivial_j=J_1728)
-    klein = frozenset({1, 5, 7, 11})  # not cyclic mod 12
-    with pytest.raises(InvalidParameterError):
-        SurfaceModel(1, 12, _sign(1, 12), klein, klein, isotrivial_j=J_1728)
-    b6 = frozenset({1, 2, 3, 4, 5, 6})
-    with pytest.raises(InvalidParameterError):
-        SurfaceModel(1, 7, _sign(1, 7), b6, b6)
-    SurfaceModel(1, 7, _sign(1, 7), b6, b6, isotrivial_j=J_ZERO)
-
-
 def test_model_t_general_restricts_g():
     g4 = GSpec(_sigma4(), 4)
-    b = frozenset({1, 4})
-    with pytest.raises(InvalidParameterError):
-        SurfaceModel(0, 5, g4, b, b, t_general=True)
-    SurfaceModel(0, 5, g4, b, b, t_general=False)
+    with pytest.raises(InvalidParameterError, match="T-general"):
+        de_counts(0, 5, g4, True)
+    de_counts(0, 5, g4, False)
 
 
 def test_moving_elements_at_t_2():
@@ -398,10 +349,9 @@ def test_moving_elements_at_t_2():
     g = GSpec(swap, 2)
     assert len(g.image_elements()) == 2
     assert g.moving_elements() == (swap,)
-    b = frozenset({1})
     with pytest.raises(InvalidParameterError, match="T-general"):
-        SurfaceModel(0, 2, g, b, b, t_general=True)
-    SurfaceModel(0, 2, g, b, b, t_general=False)
+        de_counts(0, 2, g, True)
+    de_counts(0, 2, g, False)
     for d, t in ((0, 2), (1, 2), (0, 5), (6, 6)):
         assert _sign(d, t).moving_elements() == ()
     sigma = _sigma4()
@@ -559,36 +509,32 @@ def test_aut_fixing_fibre_is_kernel():
 
 
 def test_de_counts_general_examples():
-    assert de_counts(SurfaceModel.general(1, 5)) == (2, 1)
-    assert de_counts(SurfaceModel.general(0, 5)) == (4, 2)
-    assert de_counts(SurfaceModel.general(6, 6)) == (4, 4)
-    assert de_counts(SurfaceModel.general(4, 10)) == (4, 2)  # m = 2
+    assert de_counts(1, 5, _sign(1, 5), True) == (2, 1)
+    assert de_counts(0, 5, _sign(0, 5), True) == (4, 2)
+    assert de_counts(6, 6, _sign(6, 6), True) == (4, 4)
+    assert de_counts(4, 10, _sign(4, 10), True) == (4, 2)  # m = 2
 
 
 def test_de_counts_closed_form_beyond_budget(monkeypatch):
     monkeypatch.setenv("K3FM_BUDGET", "10")
-    assert de_counts(SurfaceModel.general(0, 5)) == (4, 2)
+    assert de_counts(0, 5, _sign(0, 5), True) == (4, 2)
 
 
 def test_de_counts_non_general():
     g4 = GSpec(_sigma4(), 4)
-    b = frozenset({1, 4})
-    model = SurfaceModel(0, 5, g4, b, b, t_general=False)
-    assert de_counts(model) == (2, 2)
+    assert de_counts(0, 5, g4, False) == (2, 2)
 
 
 def test_de_counts_capacity(monkeypatch):
     g4 = GSpec(_sigma4(), 4)  # built before the budget tightens
-    b = frozenset({1, 4})
-    model = SurfaceModel(0, 5, g4, b, b, t_general=False)
     monkeypatch.setenv("K3FM_BUDGET", "10")
     with pytest.raises(CapacityError):
-        de_counts(model)
+        de_counts(0, 5, g4, False)
 
 
 def test_de_counts_big_squarefree():
     t = 510510
-    assert de_counts(SurfaceModel.general(t, t)) == (5898240, 128)
+    assert de_counts(t, t, _sign(t, t), True) == (5898240, 128)
 
 
 def test_de_counts_raises_when_g_leaves_the_scan(monkeypatch):
@@ -596,7 +542,7 @@ def test_de_counts_raises_when_g_leaves_the_scan(monkeypatch):
     scan = surfaces._lagrangian_coords
     monkeypatch.setattr(surfaces, "_lagrangian_coords", lambda d, t: scan(d, t)[1:])
     with pytest.raises(RuntimeError, match="subgroups do not account for the scanned"):
-        de_counts(SurfaceModel.general(0, 5))
+        de_counts(0, 5, _sign(0, 5), True)
 
 
 def test_de_counts_checks_the_element_count_against_the_closed_form(monkeypatch):
@@ -610,7 +556,7 @@ def test_de_counts_checks_the_element_count_against_the_closed_form(monkeypatch)
     monkeypatch.setattr(surfaces, "_lagrangian_coords", without_a_pair)
     for d, t in [(0, 5), (1, 7), (4, 10)]:  # rank 2, rank 1, m = 2
         with pytest.raises(RuntimeError, match="subgroups do not account for the scanned"):
-            de_counts(SurfaceModel.general(d, t))
+            de_counts(d, t, _sign(d, t), True)
 
 
 def test_de_counts_checks_the_subgroup_count_against_the_closed_form(monkeypatch):
@@ -619,7 +565,7 @@ def test_de_counts_checks_the_subgroup_count_against_the_closed_form(monkeypatch
         surfaces, "enumerate_lagrangian_subgroups", lambda d, t: subgroups(d, t)[1:]
     )
     with pytest.raises(RuntimeError, match="^orbit count disagrees"):
-        de_counts(SurfaceModel.general(6, 6))
+        de_counts(6, 6, _sign(6, 6), True)
 
 
 def _coordinate_images(sigma, points):
@@ -663,9 +609,9 @@ def test_cycle_count_matches_the_orbit_walk_on_general_cells():
     ranks = set()
     for t in range(3, 31):
         for d in range(t):
-            model = SurfaceModel.general(d, t)
-            cycles = _check_cycle_count(model.G.generator, _lagrangian_coords(d, t))
-            assert de_counts(model) == (cycles, _subgroup_orbits(d, t, model.G)), (d, t)
+            g = _sign(d, t)
+            cycles = _check_cycle_count(g.generator, _lagrangian_coords(d, t))
+            assert de_counts(d, t, g, True) == (cycles, _subgroup_orbits(d, t, g)), (d, t)
             ranks.add(ns_form(d, t).form.rank)
     assert ranks == {1, 2}
 
@@ -684,9 +630,7 @@ def test_cycle_count_matches_the_orbit_walk_on_order_four_groups():
                 if sigma.order() != 4:
                     continue
                 g = GSpec(sigma, 4)  # sigma^2 = -id at odd t
-                b = frozenset({1, t - 1})
-                model = SurfaceModel(d, t, g, b, b, t_general=False)
-                assert de_counts(model)[0] == cycles
+                assert de_counts(d, t, g, False)[0] == cycles
                 groups += 1
     assert groups == 6  # two order-4 rotations of A(0, t) for each t = 1 mod 4
     assert isometries == 128  # 2(t - 1) on A(0, t), +-1 on the cyclic groups
@@ -706,7 +650,6 @@ def test_de_counts_match_the_cycle_count_for_every_cyclic_group():
     orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
     pairs = 0
     for t in range(3, 41):
-        b = frozenset({1, t - 1})
         for d in range(t):
             coords = _lagrangian_coords(d, t)
             for sigma in isometry_group(ns_form(d, t).form):
@@ -718,9 +661,8 @@ def test_de_counts_match_the_cycle_count_for_every_cyclic_group():
                     g = GSpec(sigma, n)
                 except InvalidParameterError:
                     continue
-                model = SurfaceModel(d, t, g, b, b, t_general=False)
                 expected = (_cycle_count(sigma, coords), _subgroup_orbits(d, t, g))
-                assert de_counts(model) == expected, (d, t)
+                assert de_counts(d, t, g, False) == expected, (d, t)
                 pairs += 1
     assert pairs == 1053
 
@@ -735,7 +677,7 @@ def test_de_counts_raises_when_sigma_is_not_a_unit_multiple(monkeypatch):
     # steps of the translate move it to (1, 2)
     _moved(monkeypatch, lambda c: (c[0], (c[1] + 1) % 5))
     with pytest.raises(RuntimeError, match="sigma\\^n is not the identity"):
-        de_counts(SurfaceModel.general(0, 5))
+        de_counts(0, 5, _sign(0, 5), True)
 
 
 def test_de_counts_raises_when_the_unit_order_does_not_divide(monkeypatch):
@@ -743,7 +685,7 @@ def test_de_counts_raises_when_the_unit_order_does_not_divide(monkeypatch):
     # image, which has order n = 2
     _moved(monkeypatch, lambda c: tuple(2 * x % 5 for x in c))
     with pytest.raises(RuntimeError, match="sigma\\^n is not the identity"):
-        de_counts(SurfaceModel.general(0, 5))
+        de_counts(0, 5, _sign(0, 5), True)
 
 
 def test_de_counts_raises_when_a_burnside_sum_is_not_a_multiple_of_n(monkeypatch):
@@ -751,7 +693,7 @@ def test_de_counts_raises_when_a_burnside_sum_is_not_a_multiple_of_n(monkeypatch
     # so the subgroups' fixed points number 2 + 1 for n = 2
     _moved(monkeypatch, lambda c: ((c[0] + c[1]) % 5, -c[1] % 5))
     with pytest.raises(RuntimeError, match="Burnside sum is not a multiple"):
-        de_counts(SurfaceModel.general(0, 5))
+        de_counts(0, 5, _sign(0, 5), True)
 
 
 def test_de_counts_checks_p12_against_the_closed_form(monkeypatch):
@@ -759,7 +701,7 @@ def test_de_counts_checks_p12_against_the_closed_form(monkeypatch):
     # of each subgroup at both powers, twice the closed form
     _moved(monkeypatch, lambda c: c)
     with pytest.raises(RuntimeError, match="element orbit count disagrees"):
-        de_counts(SurfaceModel.general(0, 5))
+        de_counts(0, 5, _sign(0, 5), True)
 
 
 def test_de_counts_scans_once_within_the_budget_and_never_beyond(monkeypatch):
@@ -768,10 +710,10 @@ def test_de_counts_scans_once_within_the_budget_and_never_beyond(monkeypatch):
     monkeypatch.setattr(
         kernels, "scan_isotropic_elements", lambda *a: calls.append(a) or scan(*a)
     )
-    assert de_counts(SurfaceModel.general(30, 2000)) == (1600, 4)
+    assert de_counts(30, 2000, _sign(30, 2000), True) == (1600, 4)
     assert len(calls) == 1
     monkeypatch.setenv("K3FM_BUDGET", "100")
-    assert de_counts(SurfaceModel.general(30, 2000)) == (1600, 4)
+    assert de_counts(30, 2000, _sign(30, 2000), True) == (1600, 4)
     assert len(calls) == 1
 
 
@@ -1122,9 +1064,9 @@ def test_de_counts_each_fm_partner_with_its_fibrations(monkeypatch):
                 assert r == 0, (d, t, e)
                 fm += w
                 de += w * (1 if e in (1, t - 1) else 2)
-            model = SurfaceModel.general(d, t)
-            assert fm_count(d, t, model.G) == fm, (d, t)
-            assert de_counts(model)[0] == de, (d, t)
+            g = _sign(d, t)
+            assert fm_count(d, t, g) == fm, (d, t)
+            assert de_counts(d, t, g, True)[0] == de, (d, t)
             cells += 1
     assert cells == 5481
 
@@ -1320,17 +1262,14 @@ def test_square_units_match_sympy():
 
 def test_groups_pickle_after_their_action_is_used():
     # the coordinate action is built per call and kept by its caller, not
-    # stored on the isometry, so a used model or group still pickles
-    model = SurfaceModel.general(6, 12)
-    de_counts(model)
-    assert pickle.loads(pickle.dumps(model)) == model
+    # stored on the isometry, so a used group still pickles
+    sign = _sign(6, 12)
+    de_counts(6, 12, sign, True)
+    assert pickle.loads(pickle.dumps(sign)) == sign
     form = ns_form(0, 5).form
     g = GSpec(as_isometry(form, form, ((2, 0), (0, 3))), 4)
-    b = frozenset({1, 4})
-    moving = SurfaceModel(0, 5, g, b, b, t_general=False)
-    de_counts(moving)
+    de_counts(0, 5, g, False)
     fm_count(0, 5, g)
-    assert pickle.loads(pickle.dumps(moving)) == moving
     assert pickle.loads(pickle.dumps(g)) == g
 
 

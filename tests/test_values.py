@@ -28,7 +28,7 @@ from k3fm.lagrangians import (
     enumerate_lagrangian_subgroups,
 )
 from k3fm.lattices import IntMatrix, Lattice, RationalVector, ns_gram
-from k3fm.surfaces import MukaiVector, SurfaceModel
+from k3fm.surfaces import MukaiVector
 
 # each class, a function making one instance, and its compared fields
 CASES = [
@@ -48,8 +48,6 @@ CASES = [
      ("d", "t", "selector", "generator")),
     (GSpec, lambda: GSpec.sign_group(ns_form(3, 4).form, 4), ("generator", "order")),
     (MukaiVector, lambda: MukaiVector(0, [0, 1], 0), ("r", "D", "s")),
-    (SurfaceModel, lambda: SurfaceModel.general(6, 12),
-     ("d", "t", "G", "B", "Btilde", "t_general", "isotrivial_j")),
     (Flag, lambda: Flag("--d", int, True, help="degree"),
      ("name", "type", "required", "default", "help", "group")),
 ]
