@@ -46,7 +46,7 @@ from .lagrangians import (
     enumerate_lagrangian_subgroups,
     involution,
 )
-from .lattices import RationalVector, ns_gram, overlattice
+from .lattices import _check_t, ns_gram, overlattice
 from .surfaces import (
     MukaiVector,
     _de_closed_form,
@@ -144,12 +144,12 @@ def _twist_order(t: int, order: int) -> int:
     order 4 needs a root of -1 mod t (4 does not divide t, and every odd
     p | t is 1 mod 4), order 6 a unit of order 3 (9 | t, or some p | t is
     1 mod 3)."""
+    if order not in (2, 4, 6):
+        raise InvalidParameterError(f"--b-order must be 2, 4 or 6, got {order}")
     if order == 2 or t <= 2:
         if order != 2:
             raise InvalidParameterError("--b-order above 2 needs t > 2")
         return 2 if t > 2 else 1
-    if order not in (4, 6):
-        raise InvalidParameterError(f"--b-order must be 2, 4 or 6, got {order}")
     primes = modulus(t).primes
     if order == 4:  # x^2 = -1 mod t
         exists = t % 4 and all(p % 4 == 1 for p in primes if p > 2)
@@ -179,8 +179,7 @@ def _coords_text(coords):
 def _dt(args):
     """(d mod t, t): the lattices of d and d + kt are isometric (H -> H + kF),
     so a subcommand computes with d mod t and echoes ``args.d`` as given."""
-    if args.t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {args.t}")
+    _check_t(args.t)
     return args.d % args.t, args.t
 
 
@@ -350,10 +349,7 @@ def _cmd_jac(args):
 
 def _cmd_overlattice(args):
     try:
-        gens = [
-            RationalVector(tuple(Fraction(x) for x in part.split(",")))
-            for part in args.gens.split(";")
-        ]
+        gens = [tuple(map(Fraction, part.split(","))) for part in args.gens.split(";")]
     except (ValueError, ZeroDivisionError):
         raise InvalidParameterError(
             f"--gens must look like '1/5,0;0,1/5', got {args.gens!r}"
@@ -364,11 +360,11 @@ def _cmd_overlattice(args):
     payload = {
         "d": args.d,
         "det": over.det(),
-        "gram": [list(row) for row in over.gram.entries],
+        "gram": [list(row) for row in over.gram],
         "index": index,
         "t": args.t,
     }
-    gram_text = ";".join(_coords_text(row) for row in over.gram.entries)
+    gram_text = ";".join(_coords_text(row) for row in over.gram)
     return payload, f"gram={gram_text} det={over.det()} index={index}"
 
 
@@ -474,7 +470,7 @@ def _verify_fm(d: int, t: int, row: dict):
         )
     if t < 3:
         return
-    order = _isometry_order(d, nf.t_factors)
+    order = _isometry_order(d, t)
     reps = genus_representatives(d, t)
     ends = sum(order // ns_form(e, t).o_lambda_order for e in (1, t - 1) if e in reps)
     if 2 * row["fm"] != row["de"] + ends:

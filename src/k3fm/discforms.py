@@ -35,8 +35,8 @@ from .errors import (
 )
 from .intmath import distinct_primes, modulus
 from .lattices import (
-    IntMatrix,
     Lattice,
+    _check_t,
     _snf2,
     ns_gram,
     rank2_isometries,
@@ -410,17 +410,22 @@ class LatticeForm(Value):
             ),
         )
 
-    def induced_isometry(self, mat: IntMatrix) -> DFIsometry:
-        """The validated isometry of L*/L induced by an integer isometry
-        ``mat`` of L.  Generator i, the class of v_i / n_i, goes to the
-        class of mat v_i / n_i, whose image under G is the integer vector
-        G mat v_i / n_i when mat keeps L*."""
-        if mat.dim != self.lattice.rank:
+    def induced_isometry(self, rows) -> DFIsometry:
+        """The validated isometry of L*/L induced by an integer isometry M
+        of L, given by its two rows as ``rank2_isometries`` returns them.
+        Generator i, the class of v_i / n_i, goes to the class of
+        M v_i / n_i, whose image under G is the integer vector
+        G M v_i / n_i when M keeps L*."""
+        try:
+            rows = [tuple(map(index, row)) for row in rows]
+        except TypeError:
+            raise InvalidIsometryError("matrix entries must be integers") from None
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise InvalidIsometryError("matrix size does not match the lattice rank")
-        gram = self.lattice.gram.entries
+        gram = self.lattice.gram
         images = []
         for v, n in zip(self.columns, self.form.orders):
-            mv = [sum(map(mul, row, v)) for row in mat.entries]
+            mv = [sum(map(mul, row, v)) for row in rows]
             quot = [divmod(sum(map(mul, row, mv)), n) for row in gram]
             if any(r for _, r in quot):
                 raise InvalidIsometryError("matrix does not preserve the dual lattice")
@@ -439,7 +444,7 @@ def from_lattice(lat: Lattice) -> LatticeForm:
     invariant, the numerators are w_i G w_j with w_2 = v_2 and
     w_1 = (n2 / n1) v_1, computed on plain ints.
     """
-    (p, q), (_, s) = lat.gram.entries
+    (p, q), (_, s) = lat.gram
     diag, u_rows, ((v00, v01), (v10, v11)) = _snf2(p, q, q, s)
     n1, n2 = diag
     w0, w1 = n2 // n1 * v00, n2 // n1 * v10  # w_1
@@ -460,14 +465,14 @@ class NSForm(Value):
     Everything else is computed on first read and then kept on the
     bundle, so the ``ns_form`` cache drops it with the bundle: ``vbar``,
     the class of F/t (the fibre ray scaled to order t), ``vprime``, the
-    class of F'/t for the second isotropic ray F', t's factorisation
-    ``t_factors``, the primary parts, ``o_lambda_rows``, the one map
-    from the maps on A to the lattice isometries inducing them, and
-    ``o_lambda_maps``, those isometries with their validated maps.  Dual
-    classes, as in ``fh``, are read off integer vectors G x.  A genus
-    member that ``surfaces._fm_walk`` only counts costs its SNF, form,
-    parts and O(L) keys; the closed form for G = {+-1} reads no other
-    member than the least one, onto which the request's bundle is anchored.
+    class of F'/t for the second isotropic ray F', the primary parts,
+    ``o_lambda_rows``, the one map from the maps on A to the lattice
+    isometries inducing them, and ``o_lambda_maps``, those isometries
+    with their validated maps.  Dual classes, as in ``fh``, are read off
+    integer vectors G x.  A genus member that ``surfaces._fm_walk`` only
+    counts costs its SNF, form, parts and O(L) keys; the closed form for
+    G = {+-1} reads no other member than the least one, onto which the
+    request's bundle is anchored.
     ``anchors`` maps a genus member r of the same t to this bundle's
     per-part isometries onto the primary parts of r's bundle (None when
     some part has none); ``surfaces._anchor`` fills it, for the request's
@@ -498,11 +503,6 @@ class NSForm(Value):
         # G (1/m, -d/(t m)) = (d/m, t/m)
         m = self.m
         return self.lf._class_of((self.d // m, self.t // m))
-
-    @cached_property
-    def t_factors(self) -> dict[int, int]:
-        """{p: k} for t = prod p^k, read off t's record ``modulus(t)``."""
-        return dict(modulus(self.t).factors)
 
     def fh(self, a: int, b: int) -> DFElement:
         """Class of a F* + b H* (the dual-basis coordinates of the family):
@@ -545,7 +545,7 @@ class NSForm(Value):
         with the map on L*/L it induces, validated by
         ``LatticeForm.induced_isometry``: computed once per cached bundle."""
         return tuple(
-            (rows, self.lf.induced_isometry(IntMatrix(rows)))
+            (rows, self.lf.induced_isometry(rows))
             for group in self.o_lambda_rows.values()
             for rows in group
         )
@@ -565,17 +565,9 @@ def ns_form(d: int, t: int) -> NSForm:
 
 def structure_invariants(d: int, t: int) -> tuple[int, int]:
     """(a, b) with A = Z/a (+) Z/b, a = gcd(2d, t), b = t^2/a."""
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     a = gcd(2 * d, t)
     return a, t * t // a
-
-
-def b_eval(x: DFElement, y: DFElement) -> Fraction:
-    """Bilinear pairing of two elements of the same group, in [0, 1)."""
-    if x.form != y.form:
-        raise InvalidElementError("elements live in different groups")
-    return x.form.b(x.coords, y.coords)
 
 
 class PrimaryPart(Value):

@@ -36,6 +36,7 @@ from .errors import (
     InvalidSubgroupError,
 )
 from .intmath import modulus, totient
+from .lattices import _check_t
 
 # The family's surfaces have rank-two Picard lattices, so the
 # transcendental rank is fixed at 22 - 2.
@@ -132,8 +133,7 @@ class LagrangianSubgroup(Value):
 
 def count_lagrangians(d: int, t: int) -> tuple[int, int]:
     """(element count, subgroup count) = (phi(t) 2^omega(m), 2^omega(m))."""
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     rec = modulus(t)
     subs = 1 << len(rec.common_primes(d))
     return rec.phi * subs, subs

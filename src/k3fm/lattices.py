@@ -1,14 +1,16 @@
 """Even integer lattices of rank two, the family [[2d, t], [t, 0]] above
 all.
 
-Rank two is an invariant, checked where each object is built: an
-IntMatrix of dimension above 2, or a Lattice of any rank but 2, raises
-OutOfScopeError.  All arithmetic is exact: integer matrices use Python
-ints, and dual vectors are Fractions, tested and combined as integer
-numerators over one denominator.  ``_snf2`` is the Smith normal form of
-a 2x2 matrix of plain ints, with both transformation matrices; it pivots
-on the smallest nonzero entry in absolute value, so its output is
-deterministic and safe to pin in tests.
+A lattice is its Gram rows, a 2x2 tuple of ints; rational vectors, such
+as dual generators and overlattice generators, are pairs of Fractions
+in the lattice's basis.  ``Lattice`` checks its rows where it is built:
+a non-integer entry raises InvalidParameterError, any shape but 2x2
+OutOfScopeError, and an asymmetric, odd or degenerate Gram matrix
+InvalidLatticeError.  All arithmetic is exact: dual vectors are tested
+and combined as integer numerators over one denominator.  ``_snf2`` is
+the Smith normal form of a 2x2 matrix of plain ints, with both
+transformation matrices; it pivots on the smallest nonzero entry in
+absolute value, so its output is deterministic and safe to pin in tests.
 """
 
 from fractions import Fraction
@@ -26,50 +28,10 @@ from .errors import (
 from .intmath import units_mod
 
 
-class IntMatrix(Value):
-    """Immutable square integer matrix of dimension at most 2."""
-
-    __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, ...], ...]):
-        self.entries = entries
-        n = len(entries)
-        if n > 2:
-            raise OutOfScopeError(f"matrices have dimension <= 2, got {n}")
-        for row in entries:
-            if len(row) != n:
-                raise InvalidParameterError("matrix must be square")
-            for x in row:
-                if not isinstance(x, int):
-                    raise InvalidParameterError("matrix entries must be ints")
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        """The matrix with these rows.  Each entry must be an integer, one
-        that ``operator.index`` accepts; nothing is truncated to one."""
-        try:
-            entries = tuple(tuple(map(index, row)) for row in rows)
-        except TypeError:
-            raise InvalidParameterError("matrix entries must be integers") from None
-        return cls(entries)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
-
-    def is_symmetric(self) -> bool:
-        m = self.entries
-        return len(m) < 2 or m[0][1] == m[1][0]
-
-    def det(self) -> int:
-        """Exact determinant, in closed form (dimension <= 2)."""
-        m = self.entries
-        if len(m) == 2:
-            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        return m[0][0] if m else 1
+def _check_t(t: int) -> None:
+    """Refuse a multisection index t < 1, which no family member has."""
+    if t < 1:
+        raise InvalidParameterError(f"t must be a positive integer, got {t}")
 
 
 def _snf2(a: int, b: int, c: int, e: int):
@@ -125,73 +87,53 @@ def _snf2(a: int, b: int, c: int, e: int):
     return (a, e), ((u00, u01), (u10, u11)), ((v00, v01), (v10, v11))
 
 
-class RationalVector(Value):
-    """Vector with Fraction coordinates, written in some lattice basis."""
-
-    __slots__ = _fields = ("coords",)
-
-    def __init__(self, coords: tuple[Fraction, ...]):
-        self.coords = coords
-
-    @classmethod
-    def make(cls, values) -> "RationalVector":
-        return cls(tuple(Fraction(x) for x in values))
-
-    def __add__(self, other: "RationalVector") -> "RationalVector":
-        return RationalVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __rmul__(self, c) -> "RationalVector":
-        c = Fraction(c)
-        return RationalVector(tuple(c * a for a in self.coords))
-
-
 class Lattice(Value):
-    """Even nondegenerate lattice of rank 2 given by its Gram matrix."""
+    """Even nondegenerate lattice of rank 2 given by its Gram rows, kept as
+    a 2x2 tuple of ints.  Each entry must be an integer, one that
+    ``operator.index`` accepts; nothing is truncated to one."""
 
     __slots__ = _fields = ("gram",)
 
-    def __init__(self, gram: IntMatrix):
-        self.gram = gram
-        n = gram.dim
-        if n != 2:
-            raise OutOfScopeError(f"lattices have rank 2, got {n}")
-        if not self.gram.is_symmetric():
+    def __init__(self, gram):
+        try:
+            self.gram = tuple(tuple(map(index, row)) for row in gram)
+        except TypeError:
+            raise InvalidParameterError("Gram matrix entries must be integers") from None
+        if len(self.gram) != 2 or any(len(row) != 2 for row in self.gram):
+            shape = tuple(map(len, self.gram))
+            raise OutOfScopeError(f"lattices have rank 2, got Gram rows of lengths {shape}")
+        (a, b), (c, e) = self.gram
+        if b != c:
             raise InvalidLatticeError("Gram matrix must be symmetric")
-        if any(row[i] % 2 for i, row in enumerate(self.gram.entries)):
+        if a % 2 or e % 2:
             raise InvalidLatticeError("lattice must be even (odd diagonal entry)")
-        if self.gram.det() == 0:
+        if self.det() == 0:
             raise InvalidLatticeError("Gram matrix must be nondegenerate")
 
-    @property
-    def rank(self) -> int:
-        return self.gram.dim
-
     def det(self) -> int:
-        return self.gram.det()
+        (a, b), (c, e) = self.gram
+        return a * e - b * c
 
 
 def ns_gram(d: int, t: int) -> Lattice:
     """The rank-two lattice [[2d, t], [t, 0]] on the basis (H, F): H a
     polarisation-like class of square 2d, F the fibre class of an
     elliptic fibration of multisection index t >= 1."""
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
-    return Lattice(IntMatrix.from_rows(((2 * d, t), (t, 0))))
+    _check_t(t)
+    return Lattice(((2 * d, t), (t, 0)))
 
 
-def dual_generators(d: int, t: int) -> tuple[RationalVector, RationalVector]:
+def dual_generators(d: int, t: int) -> tuple[tuple[Fraction, Fraction], ...]:
     """Dual basis (F*, H*) of (F, H) in ``ns_gram(d, t)``: F*.F = H*.H = 1,
     F*.H = H*.F = 0.
 
     In (H, F) coordinates: F* = (1/t) H - (2d/t^2) F and H* = (1/t) F.
     """
     ns_gram(d, t)  # refuses t < 1
-    fstar = RationalVector((Fraction(1, t), Fraction(-2 * d, t * t)))
-    hstar = RationalVector((Fraction(0), Fraction(1, t)))
-    return fstar, hstar
+    return (Fraction(1, t), Fraction(-2 * d, t * t)), (Fraction(0), Fraction(1, t))
 
 
-def isotropic_rays(d: int, t: int) -> tuple[RationalVector, RationalVector]:
+def isotropic_rays(d: int, t: int) -> tuple[tuple[Fraction, Fraction], ...]:
     """Primitive integral vectors spanning the two isotropic rays of
     ``ns_gram(d, t)``.
 
@@ -199,9 +141,7 @@ def isotropic_rays(d: int, t: int) -> tuple[RationalVector, RationalVector]:
     """
     ns_gram(d, t)  # refuses t < 1
     m = gcd(d, t)
-    f = RationalVector((Fraction(0), Fraction(1)))
-    fprime = RationalVector((Fraction(t, m), Fraction(-d, m)))
-    return f, fprime
+    return (Fraction(0), Fraction(1)), (Fraction(t, m), Fraction(-d, m))
 
 
 def row_hnf(rows) -> list[list[int]]:
@@ -228,7 +168,7 @@ def row_hnf(rows) -> list[list[int]]:
 def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
     """Even overlattice T + <gens> determined by an isotropic subgroup of A_T.
 
-    ``subgroup_gens`` are rational vectors in T's basis whose classes
+    ``subgroup_gens`` are pairs of rationals in T's basis whose classes
     generate an isotropic subgroup H of the discriminant group; the result
     L satisfies det(L) * |H|^2 = det(T).  The generators are integer
     numerators n over one denominator den, each checked to be dual
@@ -236,13 +176,12 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
     isotropic exactly when L pairs integrally on its Hermite basis
     (a, b) / den, (0, h) / den.  |H| = [L : T] = den^2 / (a h).
     """
-    gens = [g if isinstance(g, RationalVector) else RationalVector.make(g)
-            for g in subgroup_gens]
-    den = lcm(*(c.denominator for g in gens for c in g.coords))
-    nums = [[c.numerator * (den // c.denominator) for c in g.coords] for g in gens]
-    (p, q), (_, s) = t_lat.gram.entries
+    gens = [tuple(map(Fraction, g)) for g in subgroup_gens]
+    den = lcm(*(c.denominator for g in gens for c in g))
+    nums = [[c.numerator * (den // c.denominator) for c in g] for g in gens]
+    (p, q), (_, s) = t_lat.gram
     for g, n in zip(gens, nums):
-        if len(n) != t_lat.rank:
+        if len(n) != 2:
             raise InvalidElementError("generator length does not match lattice rank")
         # G n = den (u, v) with u, v integers exactly when n / den is dual
         u, r = divmod(p * n[0] + q * n[1], den)
@@ -254,7 +193,7 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
         # n G n / den^2 = (n0 u + n1 v) / den
         if (n[0] * u + n[1] * v) % (2 * den):
             raise InvalidSubgroupError(
-                f"generator {tuple(map(str, g.coords))} is not isotropic"
+                f"generator {tuple(map(str, g))} is not isotropic"
             )
     # the rows include den * I, so the Hermite basis always has full rank
     (a, b), (_, h) = row_hnf([(den, 0), (0, den), *nums])
@@ -264,7 +203,7 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
     g22, r22 = divmod(h * h * s, den2)
     if r11 or r12 or r22:
         raise InvalidSubgroupError("overlattice pairing is not integral; subgroup invalid")
-    result = Lattice(IntMatrix(((g11, g12), (g12, g22))))
+    result = Lattice(((g11, g12), (g12, g22)))
     # L = (1/den) span(basis) contains T = Z^2 with index |H|
     order = den2 // (a * h)
     if result.det() * order * order != t_lat.det():
@@ -302,8 +241,7 @@ def rank2_isometries(d: int, e: int, t: int) -> tuple[tuple[tuple[int, int], ...
     distinct candidate P is checked, P^T Gram_d P = Gram_e, on plain
     integers: columns u, v pair to 2d u0 v0 + t (u0 v1 + u1 v0).
     """
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     out = []
     for rows in dict.fromkeys(_rank2_candidates(d, e, t)):
         # columns u = (u0, u1) and v = (v0, v1)
@@ -335,8 +273,7 @@ def genus_representatives(d: int, t: int) -> tuple[int, ...]:
     inverse mod t/m, m = gcd(d, t).  So a class is {e} or
     {e, m ((e/m)^-1 mod t/m)}, and its least member represents it.
     """
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     m = gcd(d, t)
     n = t // m
     reps = set()

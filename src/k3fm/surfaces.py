@@ -32,7 +32,7 @@ from .errors import (
     OutOfScopeError,
 )
 from .intmath import close_units_subgroup, is_prime, modulus, totient, units_mod
-from .lattices import genus_representatives
+from .lattices import _check_t, genus_representatives
 from .lagrangians import (
     GSpec,
     _lagrangian_coords,
@@ -84,23 +84,20 @@ def _unit_subgroup(t: int, grp) -> frozenset:
 
 def jacobian_index(t: int, k: int) -> int:
     """Index of the k-th Jacobian: t / gcd(t, k)."""
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     return t // gcd(t, k)
 
 
 def jacobian_compose(k: int, ell: int, t: int) -> int:
     """Taking the k-th Jacobian of the ell-th gives the (k ell)-th."""
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     return k * ell % t
 
 
 def jacobian_class_canonical(k: int, t: int) -> int:
     """Least representative of {k, -k} mod t; Jacobians are t-periodic
     in k and insensitive to its sign."""
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     return min(k % t, -k % t)
 
 
@@ -142,8 +139,7 @@ def jspecial_torsor_exists(p: int, h: int) -> bool:
 
 def mukai_divisibility(d: int, t: int, v: MukaiVector) -> int:
     """gcd of the pairings of v with the Mukai lattice: gcd(r, s, H.D, F.D)."""
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     x, y = v.D
     return gcd(gcd(v.r, v.s), gcd(2 * d * x + t * y, t * x))
 
@@ -166,8 +162,7 @@ def caldararu_class(d: int, t: int, v: MukaiVector) -> DFElement:
 
 def fibration_count(d: int, t: int) -> int:
     """Two elliptic fibrations unless d = -1 mod t (then F' is a wall away)."""
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     return 1 if (d + 1) % t == 0 else 2
 
 
@@ -328,8 +323,7 @@ def ht_classify(d: int, t: int, t_general: bool) -> HTClass:
     once m has at least seven distinct prime factors; in between the
     question is open without transcendental input.
     """
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     m = gcd(d, t)
     omega = len(modulus(t).common_primes(d))
     if m == 1:
@@ -341,9 +335,9 @@ def ht_classify(d: int, t: int, t_general: bool) -> HTClass:
     return HTClass.Inconclusive
 
 
-def _isometry_order(d: int, t_factors: dict[int, int]) -> int:
+def _isometry_order(d: int, t: int) -> int:
     """|O(A)| = prod_p |O(A_p)| for the family form A(d, t), read off d
-    and the factorisation ``t_factors`` of t.
+    and the factorisation of t in its record ``modulus(t)``.
 
     For p^k the exact power of p in t, A_p is Z/p^a (+) Z/p^b with
     p^a = gcd(2d, p^k) (a = k when d = 0) and b = 2k - a.  Over Z_p,
@@ -353,7 +347,7 @@ def _isometry_order(d: int, t_factors: dict[int, int]) -> int:
     budget admits.
     """
     order = 1
-    for p, k in t_factors.items():
+    for p, k in modulus(t).factors:
         q = p**k
         pa = gcd(2 * d, q)
         if p > 2:
@@ -431,8 +425,7 @@ def fm_sign(d: int, t: int) -> int:
     |O(A)| (|Q| + eps).  ``_fm_walk``, the class-by-class Burnside sum, is
     its oracle (``sweep --verify`` and the tests).
     """
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     if t <= 2:
         return 1
     factors = modulus(t).factors
@@ -444,7 +437,7 @@ def fm_sign(d: int, t: int) -> int:
         if q > 1:
             squares *= (q - q // p) // (2 if p > 2 else min(q // 2, 4))
     eps = _is_square_unit(d, factors) + _is_square_unit(-d, factors) if m == 1 else 0
-    total = _isometry_order(d, dict(factors)) * (squares + eps)
+    total = _isometry_order(d, t) * (squares + eps)
     if total % 4:
         raise RuntimeError("|O(A)| (|Q| + eps) is not a multiple of 4")
     return total // 4
@@ -523,7 +516,7 @@ def _fm_walk(d: int, t: int, g: GSpec) -> int:
         budget.element_cap(),
         "phi(t/m) * sum of |A_p| for the FM genus walk",
     )
-    order = _isometry_order(d, nf.t_factors)
+    order = _isometry_order(d, t)
     image, moving = g.image_elements(), g.moving_elements()
     if moving:
         # -id has the same images on every form with nf.form's generator
@@ -588,8 +581,7 @@ def second_fibration_jacobian(d: int, t: int) -> int:
 
     Needs coinciding Lagrangian subgroups (m = 1) and two fibrations.
     """
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     if gcd(d, t) != 1:
         raise NotApplicableError(
             "the two fibrations have different subgroups when gcd(d, t) > 1"
@@ -605,8 +597,7 @@ def jac0_isomorphic(d: int, t: int) -> bool:
     Stated for surfaces with two non-isomorphic fibrations, so d = +-1
     mod t is refused; then the answer is gcd(d, t) = 1.
     """
-    if t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {t}")
+    _check_t(t)
     if (d - 1) % t == 0 or (d + 1) % t == 0:
         raise NotApplicableError(
             "needs two non-isomorphic fibrations (d != +-1 mod t)"

@@ -3,7 +3,8 @@ library's two-column ``lattices.row_hnf`` and integer ``overlattice`` are
 held to, and the Fraction vector arithmetic the tests check q, b and
 classes against: ``pair`` and ``square`` on dual vectors, ``in_dual``,
 and ``gens``, ``lift`` and ``element_from_dual`` between a ``LatticeForm``
-and its lattice's dual.  ``lagrangian_generators`` lists the generators
+and its lattice's dual.  A Gram matrix is its rows and a vector is a
+tuple of Fractions in the lattice's basis.  ``lagrangian_generators`` lists the generators
 of a Lagrangian subgroup one multiple at a time.
 
 ``row_hnf`` is a pivot loop over any number of columns on plain lists of
@@ -16,57 +17,54 @@ messages as the library, so the two can be compared outcome for outcome.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from k3fm.errors import InvalidElementError, InvalidSubgroupError
 from k3fm.lagrangians import LagrangianElement
-from k3fm.lattices import IntMatrix, Lattice, RationalVector
+from k3fm.lattices import Lattice
 
 
-def pair(gram: IntMatrix, x: RationalVector, y: RationalVector) -> Fraction:
-    """Bilinear pairing x . y with respect to ``gram``."""
-    g = gram.entries
-    return sum((a * g[i][j] * b for i, a in enumerate(x.coords) if a
-                for j, b in enumerate(y.coords) if b and g[i][j]), Fraction(0))
+def pair(gram, x, y) -> Fraction:
+    """Bilinear pairing x . y with respect to the Gram rows ``gram``."""
+    return sum((a * gram[i][j] * b for i, a in enumerate(x) if a
+                for j, b in enumerate(y) if b and gram[i][j]), Fraction(0))
 
 
-def square(gram: IntMatrix, x: RationalVector) -> Fraction:
+def square(gram, x) -> Fraction:
     return pair(gram, x, x)
 
 
-def gens(lf) -> tuple[RationalVector, ...]:
+def gens(lf) -> tuple[tuple[Fraction, ...], ...]:
     """Rational lifts v_i / n_i of the generators of the ``LatticeForm``
     ``lf``."""
     return tuple(
-        RationalVector(tuple(Fraction(x, n) for x in col))
+        tuple(Fraction(x, n) for x in col)
         for col, n in zip(lf.columns, lf.form.orders)
     )
 
 
-def lift(lf, elem) -> RationalVector:
+def lift(lf, elem) -> tuple[Fraction, ...]:
     """A dual vector representing the class of ``elem`` in ``lf``'s form."""
     if elem.form != lf.form:
         raise InvalidElementError("element does not belong to this form")
-    vec = RationalVector(tuple(Fraction(0) for _ in range(lf.lattice.rank)))
+    vec = (Fraction(0),) * len(lf.lattice.gram)
     for c, gen in zip(elem.coords, gens(lf)):
         if c:
-            vec = vec + c * gen
+            vec = tuple(a + c * b for a, b in zip(vec, gen))
     return vec
 
 
 def element_from_dual(lf, vec):
     """Class in L*/L of a dual vector given in L's basis coordinates: the
     class of the integer vector G vec, read by ``lf``."""
-    if not isinstance(vec, RationalVector):
-        vec = RationalVector.make(vec)
+    vec = tuple(map(Fraction, vec))
     lat = lf.lattice
-    if len(vec.coords) != lat.rank:
+    g = lat.gram
+    if len(vec) != len(g):
         raise InvalidElementError("coordinate length does not match rank")
     if not in_dual(lat, vec):
         raise InvalidElementError("vector is not in the dual lattice")
-    g = lat.gram.entries
-    return lf._class_of(
-        [int(sum(g[i][j] * vec.coords[j] for j in range(lat.rank))) for i in range(lat.rank)]
-    )
+    return lf._class_of([int(sum(map(mul, row, vec))) for row in g])
 
 
 def lagrangian_generators(sub) -> tuple:
@@ -118,14 +116,10 @@ def row_hnf(rows, n: int) -> list[list[int]]:
     return basis
 
 
-def in_dual(lat: Lattice, vec: RationalVector) -> bool:
-    """Whether vec (coords in lat's basis) pairs integrally with lat."""
-    g = lat.gram.entries
-    for i in range(lat.rank):
-        s = sum(g[i][j] * vec.coords[j] for j in range(lat.rank))
-        if s.denominator != 1:
-            return False
-    return True
+def in_dual(lat: Lattice, vec) -> bool:
+    """Whether vec (Fraction coords in lat's basis) pairs integrally with
+    lat."""
+    return all(sum(map(mul, row, vec)).denominator == 1 for row in lat.gram)
 
 
 def _det(rows) -> int:
@@ -136,12 +130,10 @@ def _det(rows) -> int:
 def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
     """Even overlattice T + <gens> of an isotropic subgroup of A_T, in
     Fractions; see ``k3fm.lattices.overlattice``."""
-    gens = [
-        g if isinstance(g, RationalVector) else RationalVector.make(g)
-        for g in subgroup_gens
-    ]
+    rank = len(t_lat.gram)
+    gens = [tuple(map(Fraction, g)) for g in subgroup_gens]
     for g in gens:
-        if len(g.coords) != t_lat.rank:
+        if len(g) != rank:
             raise InvalidElementError("generator length does not match lattice rank")
         if not in_dual(t_lat, g):
             raise InvalidElementError(
@@ -149,13 +141,13 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
             )
         if square(t_lat.gram, g) % 2 != 0:
             raise InvalidSubgroupError(
-                f"generator {tuple(map(str, g.coords))} is not isotropic"
+                f"generator {tuple(map(str, g))} is not isotropic"
             )
-    den = lcm(*(c.denominator for g in gens for c in g.coords))
-    rows = [[den if j == i else 0 for j in range(t_lat.rank)] for i in range(t_lat.rank)]
-    rows += [[int(c * den) for c in g.coords] for g in gens]
-    basis_rows = row_hnf(rows, t_lat.rank)
-    basis = [RationalVector(tuple(Fraction(x, den) for x in row)) for row in basis_rows]
+    den = lcm(*(c.denominator for g in gens for c in g))
+    rows = [[den if j == i else 0 for j in range(rank)] for i in range(rank)]
+    rows += [[int(c * den) for c in g] for g in gens]
+    basis_rows = row_hnf(rows, rank)
+    basis = [tuple(Fraction(x, den) for x in row) for row in basis_rows]
 
     entries = []
     for x in basis:
@@ -168,8 +160,8 @@ def overlattice(t_lat: Lattice, subgroup_gens) -> Lattice:
                 )
             row.append(int(val))
         entries.append(row)
-    result = Lattice(IntMatrix.from_rows(entries))
-    order = den ** t_lat.rank // abs(_det(basis_rows))
+    result = Lattice(entries)
+    order = den ** rank // abs(_det(basis_rows))
     if result.det() * order * order != t_lat.det():
         raise RuntimeError("overlattice determinant identity violated (internal)")
     return result

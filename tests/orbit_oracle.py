@@ -11,7 +11,7 @@ is the second DE count.
 
 from math import gcd
 
-from k3fm.discforms import b_eval, ns_form
+from k3fm.discforms import ns_form
 from k3fm.errors import InvalidSubgroupError
 from k3fm.intmath import distinct_primes, modulus
 from k3fm.lagrangians import SELECT_V, SELECT_VPRIME, _subgroup
@@ -47,22 +47,23 @@ def orbits(items, key, moves):
 
 def generated_subgroup(d, t, elem):
     """The Lagrangian subgroup ``elem`` generates: Fraction pairings of
-    DFElement p-parts, and membership by b_eval."""
+    DFElement p-parts, and membership by the pairing ``b``."""
     nf = ns_form(d, t)
+    b = nf.form.b
     idem = modulus(t).idempotents
     selector = []
     for p in distinct_primes(gcd(d, t)):
         wp = idem[p] * elem
-        if b_eval(wp, idem[p] * nf.vbar) == 0:
+        if b(wp.coords, (idem[p] * nf.vbar).coords) == 0:
             selector.append((p, SELECT_V))
-        elif b_eval(wp, idem[p] * nf.vprime) == 0:
+        elif b(wp.coords, (idem[p] * nf.vprime).coords) == 0:
             selector.append((p, SELECT_VPRIME))
         else:
             raise InvalidSubgroupError(
                 f"p-part at {p} generates neither canonical subgroup"
             )
     sub = _subgroup(d, t, tuple(selector))
-    if b_eval(elem, sub.generator) != 0:
+    if b(elem.coords, sub.generator.coords) != 0:
         raise InvalidSubgroupError(
             "element is not in the subgroup its selector names"
         )

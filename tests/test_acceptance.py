@@ -34,7 +34,7 @@ from k3fm.lagrangians import (
     subgroup_generated_by,
     units_action,
 )
-from k3fm.lattices import RationalVector, genus_representatives, ns_gram, overlattice
+from k3fm.lattices import genus_representatives, ns_gram, overlattice
 from k3fm.surfaces import (
     HTClass,
     MukaiVector,
@@ -218,14 +218,12 @@ def test_criterion_04_overlattice_identity():
         ]
         assert isotropic, t
         for sub in isotropic:
-            gens = [
-                RationalVector((Fraction(x, t), Fraction(y, t))) for x, y in sub
-            ]
+            gens = [(Fraction(x, t), Fraction(y, t)) for x, y in sub]
             over = overlattice(lat, gens)
             assert over.det() * len(sub) ** 2 == lat.det(), (t, sorted(sub))
-        u_case = overlattice(lat, [RationalVector((Fraction(1, t), Fraction(0)))])
+        u_case = overlattice(lat, [(Fraction(1, t), 0)])
         assert u_case.det() == -1
-        witness = _u_witness([list(r) for r in u_case.gram.entries])
+        witness = _u_witness([list(r) for r in u_case.gram])
         assert witness is not None, t
     _report(4, "overlattice determinant identity and U recognition", start)
 

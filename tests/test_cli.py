@@ -711,6 +711,16 @@ def test_b_orders_4_and_6_exist_where_the_prime_rules_say():
                 assert found and got == order, (t, order)
 
 
+def test_b_order_outside_2_4_6_is_named_at_every_t(capsys):
+    # the value is checked before t: at t <= 2 too, 0, -1, 3 and 5 are
+    # refused as values, not as orders above 2
+    for t in (1, 2, 5):
+        for order in (0, -1, 3, 5):
+            argv = ["de", "--d", "1", "--t", str(t), "--b-order", str(order)]
+            want = f"k3fm: --b-order must be 2, 4 or 6, got {order}\n"
+            assert run_cli(argv, capsys) == (2, "", want), argv
+
+
 def test_de_b_order_walks_no_unit_of_t(capsys, monkeypatch):
     # |B| is read off t's primes; a huge prime t is arithmetic
     def walk(t):

@@ -3,7 +3,6 @@ and a pickle round trip, on one instance of each."""
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -27,13 +26,11 @@ from k3fm.lagrangians import (
     canonical_pair,
     enumerate_lagrangian_subgroups,
 )
-from k3fm.lattices import IntMatrix, Lattice, RationalVector, ns_gram
+from k3fm.lattices import Lattice, ns_gram
 from k3fm.surfaces import MukaiVector
 
 # each class, a function making one instance, and its compared fields
 CASES = [
-    (IntMatrix, lambda: IntMatrix(((2, 1), (1, 0))), ("entries",)),
-    (RationalVector, lambda: RationalVector((Fraction(1, 2), Fraction(0))), ("coords",)),
     (Lattice, lambda: ns_gram(1, 5), ("gram",)),
     (FiniteQuadForm, lambda: from_lattice(ns_gram(3, 4)).form, ("orders", "den", "qn", "bn")),
     (DFElement, lambda: ns_form(3, 4).form.element((1, 5)), ("form", "coords")),
