@@ -18,7 +18,6 @@ from .discforms import (
     DFElement,
     DFIsometry,
     FiniteQuadForm,
-    LatticeForm,
     NSForm,
     PrimaryPart,
     as_isometry,
@@ -109,7 +108,6 @@ __all__ = [
     "LagrangianElement",
     "LagrangianSubgroup",
     "Lattice",
-    "LatticeForm",
     "MukaiVector",
     "NSForm",
     "NotApplicableError",

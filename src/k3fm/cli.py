@@ -34,12 +34,12 @@ from .errors import (
     InvalidSubgroupError,
     K3FMError,
 )
-from .intmath import distinct_primes, modulus, units_mod
+from .intmath import modulus, units_mod
 from .lagrangians import (
     SELECT_V,
     SELECT_VPRIME,
     GSpec,
-    _subgroup,
+    LagrangianSubgroup,
     canonical_pair,
     count_lagrangians,
     enumerate_lagrangian_elements,
@@ -111,7 +111,7 @@ def _parse_g(d: int, t: int, args) -> GSpec:
 
 
 def _parse_selector(text, d: int, t: int):
-    primes = distinct_primes(gcd(d, t))
+    primes = modulus(t).common_primes(d)
     if text is None or text == "":
         return tuple((p, SELECT_V) for p in primes)
     pairs = []
@@ -263,7 +263,7 @@ def _cmd_pair(args):
 
 def _cmd_involution(args):
     d, t = _dt(args)
-    source = _subgroup(d, t, _parse_selector(args.selector, d, t))
+    source = LagrangianSubgroup(d, t, _parse_selector(args.selector, d, t))
     image = involution(d, t, source)
     payload = {
         "d": args.d,

@@ -12,6 +12,11 @@ b ones in [0, den).  Fractions appear only where a value is read out
 (``q``, ``b``, ``q_gen``, ``b_matrix``) or passed in
 (``FiniteQuadForm.make``).  A form of rank above 2 raises OutOfScopeError.
 
+``from_lattice`` gives the form of any rank-two even lattice.  A family
+member is built from (d, t) alone: ``NSForm(d, t)``, cached as
+``ns_form``, owns its form and the Smith data that reads dual classes
+and lattice isometries onto it.
+
 Sign convention: every computation in this package runs on the
 Neron-Severi side.  The transcendental-lattice discriminant form is the
 same group with q negated; the sign flip changes no group structure, no
@@ -33,7 +38,7 @@ from .errors import (
     InvalidParameterError,
     OutOfScopeError,
 )
-from .intmath import distinct_primes, modulus
+from .intmath import modulus
 from .lattices import (
     Lattice,
     _check_t,
@@ -330,7 +335,7 @@ def _surjective_all_primes(domain, codomain, images) -> bool:
     2x2, as p divides |A|) has a determinant prime to p."""
     if domain.size != codomain.size:
         return False
-    for p in distinct_primes(codomain.size):
+    for p in modulus(codomain.size).primes:
         rows = [j for j, n in enumerate(codomain.orders) if n % p == 0]
         cols = [i for i, n in enumerate(domain.orders) if n % p == 0]
         if len(rows) != len(cols):
@@ -377,38 +382,96 @@ def as_isometry(domain: FiniteQuadForm, codomain: FiniteQuadForm, images) -> DFI
     return iso
 
 
-class LatticeForm(Value):
-    """Discriminant form of an even lattice, with the class of a dual
-    vector and the map a lattice isometry induces.
+def _smith_data(gram):
+    """(form, rows of U, columns v_i) of an even rank-two lattice with
+    Gram rows ``gram``: its discriminant form A = L*/L via the Smith
+    normal form U G V = D of ``_snf2``, and the rows of U and the columns
+    v_i of V at the invariants n_i > 1.
 
-    With U G V = D the Smith form of the Gram matrix G, generator i of the
-    form is v_i / n_i, for v_i the column of V at the i-th invariant
-    n_i > 1.  A dual vector x has U G x = D V^-1 x, so the coordinates of
-    its class are the entries of U G x at those invariants, mod n_i.
+    Generator i of the form is v_i / n_i.  The form is read off the
+    integers v_i G v_j: q_i = v_i G v_i / n_i^2 mod 2 and
+    b_ij = v_i G v_j / (n_i n_j) mod 1.  Over n2^2, n2 the larger
+    invariant, the numerators are w_i G w_j with w_2 = v_2 and
+    w_1 = (n2 / n1) v_1, computed on plain ints.
+    """
+    (p, q), (_, s) = gram
+    diag, u_rows, ((v00, v01), (v10, v11)) = _snf2(p, q, q, s)
+    n1, n2 = diag
+    w0, w1 = n2 // n1 * v00, n2 // n1 * v10  # w_1
+    x, y = p * v01 + q * v11, q * v01 + s * v11  # G v_2
+    g11 = w0 * (p * w0 + q * w1) + w1 * (q * w0 + s * w1)
+    g12, g22 = w0 * x + w1 * y, v01 * x + v11 * y
+    drop = (n1 == 1) + (n2 == 1)  # the unit invariants lead
+    wgw = [row[drop:] for row in ((g11, g12), (g12, g22))[drop:]]
+    form = _lowest(diag[drop:], n2 * n2, [row[i] for i, row in enumerate(wgw)], wgw)
+    return form, u_rows[drop:], ((v00, v10), (v01, v11))[drop:]
 
-    Only integers are kept: the form's numerators, the SNF diagonal, the
-    rows of U and the columns v_i.
+
+def from_lattice(lat: Lattice) -> FiniteQuadForm:
+    """Discriminant form A = L*/L of an even lattice (rank 2, as every
+    Lattice); see ``_smith_data``."""
+    return _smith_data(lat.gram)[0]
+
+
+class NSForm(Value):
+    """Discriminant form of the rank-two family member (d, t), with its
+    Smith data and the canonical dual classes cached.
+
+    The form, the rows of U and the columns v_i at the non-unit
+    invariants are built from ``ns_gram(d, t)`` with the bundle
+    (``_smith_data``), so a bad (d, t) raises at once.  A dual vector x
+    has U G x = D V^-1 x, so the coordinates of its class are the
+    entries of U G x at those invariants, mod n_i (``_class_of``).
+    Everything else is computed on first read and then kept on the
+    bundle, so the ``ns_form`` cache drops it with the bundle: ``vbar``,
+    the class of F/t (the fibre ray scaled to order t), ``vprime``, the
+    class of F'/t for the second isotropic ray F', the primary parts,
+    ``o_lambda_maps``, the lattice isometries with their validated maps
+    on A, and ``o_lambda_order``, the number of those maps.  A genus
+    member that ``surfaces._fm_walk`` only counts costs its SNF, form,
+    parts and O(L) keys; the closed form for G = {+-1} reads no other
+    member than the least one, onto which the request's bundle is
+    anchored.  ``anchors`` is the set of genus members r of the same t
+    whose bundle's primary parts this bundle's parts are certified
+    isometric to; ``surfaces._anchor`` fills it, for the request's own
+    bundle in ``fm_count`` and for each other class in ``_fm_walk``.
     """
 
-    __slots__ = _fields = ("lattice", "form", "diag", "u_rows", "columns")
+    _fields = ("d", "t")  # no __slots__: the cached properties need a __dict__
 
-    def __init__(self, lattice: Lattice, form: FiniteQuadForm, diag: tuple[int, ...],
-                 u_rows: tuple[tuple[int, ...], ...], columns: tuple[tuple[int, ...], ...]):
-        # diag: the full SNF diagonal, unit entries included; columns: the
-        # integer columns v_i of V with n_i > 1
-        self.lattice, self.form, self.diag = lattice, form, diag
-        self.u_rows, self.columns = u_rows, columns
+    def __init__(self, d: int, t: int):
+        self.d, self.t = d, t
+        self.form, self.u_rows, self.columns = _smith_data(ns_gram(d, t).gram)
+        self.anchors = set()
+
+    @property
+    def m(self) -> int:
+        return gcd(self.d, self.t)
 
     def _class_of(self, gx) -> DFElement:
         """Class of the dual vector x with G x = ``gx``, an integer vector."""
-        return DFElement(
-            self.form,
-            tuple(
-                sum(a * b for a, b in zip(row, gx))
-                for row, n in zip(self.u_rows, self.diag)
-                if n != 1
-            ),
-        )
+        return DFElement(self.form, tuple([sum(map(mul, row, gx)) for row in self.u_rows]))
+
+    @cached_property
+    def vbar(self) -> DFElement:
+        # G (0, 1/t) = (1, 0)
+        return self._class_of((1, 0))
+
+    @cached_property
+    def vprime(self) -> DFElement:
+        # G (1/m, -d/(t m)) = (d/m, t/m)
+        m = self.m
+        return self._class_of((self.d // m, self.t // m))
+
+    def fh(self, a: int, b: int) -> DFElement:
+        """Class of a F* + b H* (the dual-basis coordinates of the family):
+        it pairs to b with H and to a with F."""
+        return self._class_of((b, a))
+
+    @cached_property
+    def primary_parts(self) -> tuple["PrimaryPart", ...]:
+        """``primary_decomposition`` of the form, once per cached bundle."""
+        return primary_decomposition(self.form)
 
     def induced_isometry(self, rows) -> DFIsometry:
         """The validated isometry of L*/L induced by an integer isometry M
@@ -422,7 +485,7 @@ class LatticeForm(Value):
             raise InvalidIsometryError("matrix entries must be integers") from None
         if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise InvalidIsometryError("matrix size does not match the lattice rank")
-        gram = self.lattice.gram
+        gram = ns_gram(self.d, self.t).gram
         images = []
         for v, n in zip(self.columns, self.form.orders):
             mv = [sum(map(mul, row, v)) for row in rows]
@@ -432,140 +495,47 @@ class LatticeForm(Value):
             images.append(self._class_of([q for q, _ in quot]).coords)
         return as_isometry(self.form, self.form, images)
 
-
-def from_lattice(lat: Lattice) -> LatticeForm:
-    """Discriminant form A = L*/L of an even lattice (rank 2, as every
-    Lattice), via the Smith normal form ``_snf2`` of its Gram matrix.
-
-    Generators are the columns v_i of the SNF transform V scaled by the
-    invariant factors n_i; unit factors are dropped.  The form is read off
-    the integers v_i G v_j: q_i = v_i G v_i / n_i^2 mod 2 and
-    b_ij = v_i G v_j / (n_i n_j) mod 1.  Over n2^2, n2 the larger
-    invariant, the numerators are w_i G w_j with w_2 = v_2 and
-    w_1 = (n2 / n1) v_1, computed on plain ints.
-    """
-    (p, q), (_, s) = lat.gram
-    diag, u_rows, ((v00, v01), (v10, v11)) = _snf2(p, q, q, s)
-    n1, n2 = diag
-    w0, w1 = n2 // n1 * v00, n2 // n1 * v10  # w_1
-    x, y = p * v01 + q * v11, q * v01 + s * v11  # G v_2
-    g11 = w0 * (p * w0 + q * w1) + w1 * (q * w0 + s * w1)
-    g12, g22 = w0 * x + w1 * y, v01 * x + v11 * y
-    drop = (n1 == 1) + (n2 == 1)  # the unit invariants lead
-    wgw = [row[drop:] for row in ((g11, g12), (g12, g22))[drop:]]
-    form = _lowest(diag[drop:], n2 * n2, [row[i] for i, row in enumerate(wgw)], wgw)
-    return LatticeForm(lat, form, diag, u_rows, ((v00, v10), (v01, v11))[drop:])
-
-
-class NSForm(Value):
-    """Discriminant form of the rank-two family member, with the canonical
-    dual classes cached.
-
-    The form is built with the bundle, so a bad (d, t) raises at once.
-    Everything else is computed on first read and then kept on the
-    bundle, so the ``ns_form`` cache drops it with the bundle: ``vbar``,
-    the class of F/t (the fibre ray scaled to order t), ``vprime``, the
-    class of F'/t for the second isotropic ray F', the primary parts,
-    ``o_lambda_rows``, the one map from the maps on A to the lattice
-    isometries inducing them, and ``o_lambda_maps``, those isometries
-    with their validated maps.  Dual classes, as in ``fh``, are read off
-    integer vectors G x.  A genus member that ``surfaces._fm_walk`` only
-    counts costs its SNF, form, parts and O(L) keys; the closed form for
-    G = {+-1} reads no other member than the least one, onto which the
-    request's bundle is anchored.
-    ``anchors`` maps a genus member r of the same t to this bundle's
-    per-part isometries onto the primary parts of r's bundle (None when
-    some part has none); ``surfaces._anchor`` fills it, for the request's
-    own bundle in ``fm_count`` and for each other class in ``_fm_walk``.
-    """
-
-    _fields = ("d", "t", "lf")  # no __slots__: the cached properties need a __dict__
-
-    def __init__(self, d: int, t: int, lf: LatticeForm):
-        self.d, self.t, self.lf = d, t, lf
-        self.anchors = {}
-
-    @property
-    def m(self) -> int:
-        return gcd(self.d, self.t)
-
-    @property
-    def form(self) -> FiniteQuadForm:
-        return self.lf.form
+    @cached_property
+    def o_lambda_maps(self) -> tuple:
+        """(rows, map) for every lattice self-isometry (``rank2_isometries``,
+        integer rows in the (H, F) basis), with the map on L*/L it
+        induces, validated by ``induced_isometry``: computed once per
+        cached bundle."""
+        isometries = rank2_isometries(self.d, self.d, self.t)
+        return tuple((rows, self.induced_isometry(rows)) for rows in isometries)
 
     @cached_property
-    def vbar(self) -> DFElement:
-        # G (0, 1/t) = (1, 0)
-        return self.lf._class_of((1, 0))
-
-    @cached_property
-    def vprime(self) -> DFElement:
-        # G (1/m, -d/(t m)) = (d/m, t/m)
-        m = self.m
-        return self.lf._class_of((self.d // m, self.t // m))
-
-    def fh(self, a: int, b: int) -> DFElement:
-        """Class of a F* + b H* (the dual-basis coordinates of the family):
-        it pairs to b with H and to a with F."""
-        return self.lf._class_of((b, a))
-
-    @cached_property
-    def primary_parts(self) -> tuple["PrimaryPart", ...]:
-        """``primary_decomposition`` of the form, once per cached bundle."""
-        return primary_decomposition(self.form)
-
-    @cached_property
-    def o_lambda_rows(self) -> dict:
-        """The lattice's self-isometries (``rank2_isometries``, integer rows
-        in the (H, F) basis), grouped by the map they induce on L*/L:
-        computed once per cached bundle.
+    def o_lambda_order(self) -> int:
+        """|H|, the order of the image of O(L) in O(A), computed once per
+        cached bundle.
 
         Lattice isometries M and N induce the same map on L*/L exactly
         when (M - N) Gram^-1 is integral.  Gram^-1 = adj(Gram) / -t^2 with
-        adj(Gram) = [[0, -t], [-t, 2d]], so M is keyed by M adj(Gram) mod
-        t^2, and each key lists the rows with that key.  The key of -I
-        must be among them.
+        adj(Gram) = [[0, -t], [-t, 2d]], so |H| is the number of distinct
+        keys M adj(Gram) mod t^2.  The key of -I must be among them.
         """
         d, t = self.d, self.t
         n = t * t
-        out = {}
-        for rows in rank2_isometries(d, d, t):
-            (x0, y0), (x1, y1) = rows
-            key = ((-t * y0 % n, (2 * d * y0 - t * x0) % n),
-                   (-t * y1 % n, (2 * d * y1 - t * x1) % n))
-            out.setdefault(key, []).append(rows)
+        keys = {
+            ((-t * y0 % n, (2 * d * y0 - t * x0) % n), (-t * y1 % n, (2 * d * y1 - t * x1) % n))
+            for (x0, y0), (x1, y1) in rank2_isometries(d, d, t)
+        }
         # the key of -I, whose rows are (-1, 0) and (0, -1)
-        if ((0, t % n), (t % n, -2 * d % n)) not in out:
+        if ((0, t % n), (t % n, -2 * d % n)) not in keys:
             raise RuntimeError("O(L) image does not contain -id")
-        return out
-
-    @cached_property
-    def o_lambda_maps(self) -> tuple:
-        """(rows, map) for every lattice isometry in ``o_lambda_rows``,
-        with the map on L*/L it induces, validated by
-        ``LatticeForm.induced_isometry``: computed once per cached bundle."""
-        return tuple(
-            (rows, self.lf.induced_isometry(rows))
-            for group in self.o_lambda_rows.values()
-            for rows in group
-        )
-
-    @property
-    def o_lambda_order(self) -> int:
-        """|H|, the order of the image of O(L) in O(A): the number of
-        keys of ``o_lambda_rows``."""
-        return len(self.o_lambda_rows)
+        return len(keys)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def ns_form(d: int, t: int) -> NSForm:
-    """Cached discriminant-form bundle for the (d, t) member."""
-    return NSForm(d, t, from_lattice(ns_gram(d, t)))
+    """Cached discriminant-form bundle for the (d, t) member.  Typed, so
+    that t = 5.0 never hits the bundle of t = 5 and is refused."""
+    return NSForm(d, t)
 
 
 def structure_invariants(d: int, t: int) -> tuple[int, int]:
     """(a, b) with A = Z/a (+) Z/b, a = gcd(2d, t), b = t^2/a."""
-    _check_t(t)
+    _check_t(t, d=d)
     a = gcd(2 * d, t)
     return a, t * t // a
 
@@ -635,7 +605,7 @@ def primary_decomposition(form: FiniteQuadForm) -> tuple[PrimaryPart, ...]:
     When |A| has a single prime the one part is the whole form: its
     ``form`` is the parent itself, on every generator, with cofactors 1.
     """
-    primes = distinct_primes(form.size)
+    primes = modulus(form.size).primes
     if len(primes) == 1:
         r = form.rank
         return (PrimaryPart(primes[0], form, form, tuple(range(r)), (1,) * r),)

@@ -2,9 +2,10 @@
 
 ``modulus(n)`` is the one place a number is factored (``_factor`` has no
 other caller): a cached record of n's factorisation and phi(n), with the
-sorted units and the CRT idempotents built on first read.  The primes of
-m = gcd(d, t) are read off t's record.  ``distinct_primes``,
-``totient``, ``is_prime`` and ``units_mod`` read it.
+sorted units and the CRT idempotents built on first read.  It is the
+only door to n's arithmetic: callers read ``.primes`` and ``.phi`` off
+it, the primes of m = gcd(d, t) off t's record (``common_primes``), and
+``is_prime`` and ``units_mod`` read it too.
 
 Factoring is bounded.  Trial division runs below ``TRIAL_BOUND``; each
 cofactor left is then proven prime by Miller-Rabin on the first 13 prime
@@ -172,14 +173,6 @@ def modulus(n: int) -> Modulus:
     return Modulus(n, factors)
 
 
-def distinct_primes(n: int) -> tuple[int, ...]:
-    return modulus(n).primes if n > 1 else ()
-
-
-def totient(n: int) -> int:
-    return modulus(n).phi
-
-
 def is_prime(n: int) -> bool:
     return n > 1 and modulus(n).factors == ((n, 1),)
 
@@ -191,25 +184,3 @@ def units_mod(n: int) -> tuple[int, ...]:
     rec = modulus(n)
     budget.require(rec.phi, budget.element_cap(), f"phi({n}) for a walk over the units mod {n}")
     return rec.units
-
-
-def close_units_subgroup(n: int, gens) -> frozenset[int]:
-    """Multiplicative closure of the given residues inside (Z/n)*."""
-    if n < 1:
-        raise ValueError(f"close_units_subgroup expects n >= 1, got {n}")
-    if n == 1:
-        return frozenset({0})
-    seed = frozenset(g % n for g in gens) | {1 % n}
-    for g in seed:
-        if gcd(g, n) != 1:
-            raise ValueError(f"{g} is not a unit modulo {n}")
-    group = set(seed)
-    frontier = list(seed)
-    while frontier:
-        x = frontier.pop()
-        for g in seed:
-            y = x * g % n
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
-    return frozenset(group)

@@ -7,15 +7,17 @@ A Lagrangian element is an isotropic element of order t in a group of
 size t^2; a Lagrangian subgroup is cyclic of order t and isotropic.  The
 only Lagrangian subgroups are mixtures of the two canonical ones, so a
 subgroup is stored as a choice, per prime dividing m = gcd(d, t), between
-the p-part of <vbar> and the p-part of <vprime>.  That selector encoding
-is what keeps squarefree t with many prime factors (t around 510510)
-cheap: subgroups are never materialized unless asked for.
+the p-part of <vbar> and the p-part of <vprime>, and
+``LagrangianSubgroup(d, t, selector)`` derives its generator from that
+choice.  That selector encoding is what keeps squarefree t with many
+prime factors (t around 510510) cheap: subgroups are never materialized
+unless asked for.
 """
 
 from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
-from operator import mul
+from operator import index, mul
 
 from . import budget, kernels
 from ._value import Value
@@ -35,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSubgroupError,
 )
-from .intmath import modulus, totient
+from .intmath import modulus
 from .lattices import _check_t
 
 # The family's surfaces have rank-two Picard lattices, so the
@@ -80,14 +82,18 @@ class LagrangianSubgroup(Value):
 
     ``selector`` maps each prime dividing m = gcd(d, t) to SELECT_V or
     SELECT_VPRIME; at every other prime dividing t the two canonical
-    subgroups agree and no choice exists.
+    subgroups agree and no choice exists.  The subgroup is its (d, t,
+    selector); the generator is derived from them.  It is a vbar +
+    b vprime with a and b sums of the CRT idempotents of t
+    (``modulus(t).idempotents``): a takes the primes not dividing m and
+    those selecting V, b those selecting Vprime.  So the all-V subgroup
+    is exactly <vbar> and the all-Vprime one is <vprime>.
     """
 
-    _fields = ("d", "t", "selector", "generator")  # no __slots__: ``_pairing`` is cached
+    _fields = ("d", "t", "selector")  # no __slots__: ``_pairing`` is cached
 
-    def __init__(self, d: int, t: int, selector: tuple[tuple[int, str], ...],
-                 generator: DFElement):
-        self.d, self.t, self.selector, self.generator = d, t, selector, generator
+    def __init__(self, d: int, t: int, selector: tuple[tuple[int, str], ...]):
+        self.d, self.t, self.selector = d, t, selector
         if t < 1:
             raise InvalidSubgroupError(f"t must be a positive integer, got {t}")
         primes = modulus(t).common_primes(d)
@@ -97,13 +103,17 @@ class LagrangianSubgroup(Value):
             )
         if any(c not in (SELECT_V, SELECT_VPRIME) for _, c in selector):
             raise InvalidSubgroupError("selector values must be V or Vprime")
-        if generator.order() != t:
-            raise InvalidSubgroupError("generator does not have order t")
-        if not generator.is_isotropic():
-            raise InvalidSubgroupError("generator is not isotropic")
-        form = ns_form(d, t).form
-        if generator.form is not form and generator.form != form:
-            raise InvalidSubgroupError("generator does not live in this family group")
+        nf = ns_form(d, t)
+        idem = modulus(t).idempotents
+        a = sum(c for p, c in idem.items() if d % p)
+        b = 0
+        for p, c in selector:
+            if c == SELECT_V:
+                a += idem[p]
+            else:
+                b += idem[p]
+        coords = tuple(a * x + b * y for x, y in zip(nf.vbar.coords, nf.vprime.coords))
+        self.generator = DFElement(nf.form, coords)
 
     def elements(self) -> tuple[DFElement, ...]:
         """All t elements, materialized.  Avoid for very large t."""
@@ -133,7 +143,7 @@ class LagrangianSubgroup(Value):
 
 def count_lagrangians(d: int, t: int) -> tuple[int, int]:
     """(element count, subgroup count) = (phi(t) 2^omega(m), 2^omega(m))."""
-    _check_t(t)
+    _check_t(t, d=d)
     rec = modulus(t)
     subs = 1 << len(rec.common_primes(d))
     return rec.phi * subs, subs
@@ -174,31 +184,6 @@ def enumerate_lagrangian_elements(d: int, t: int) -> list[LagrangianElement]:
     return [LagrangianElement(form.element(c)) for c in _lagrangian_coords(d, t)]
 
 
-def _subgroup(d: int, t: int, selector) -> LagrangianSubgroup:
-    """The subgroup a per-prime selector names.
-
-    Its generator is a vbar + b vprime with a and b sums of the CRT
-    idempotents of t (``modulus(t).idempotents``): a takes the primes not
-    dividing m = gcd(d, t) and those selecting V, b those selecting
-    Vprime.  So the
-    all-V subgroup is exactly <vbar> and the all-Vprime one is <vprime>.
-    The coordinates are one integer combination, reduced once into a
-    DFElement.
-    """
-    nf = ns_form(d, t)
-    m = gcd(d, t)
-    idem = modulus(t).idempotents
-    a = sum(c for p, c in idem.items() if m % p)
-    b = 0
-    for p, c in selector:
-        if c == SELECT_V:
-            a += idem[p]
-        else:
-            b += idem[p]
-    coords = tuple(a * x + b * y for x, y in zip(nf.vbar.coords, nf.vprime.coords))
-    return LagrangianSubgroup(d, t, selector, DFElement(nf.form, coords))
-
-
 def enumerate_lagrangian_subgroups(d: int, t: int) -> list[LagrangianSubgroup]:
     """All 2^omega(m) subgroups, sorted by per-prime selector (the order
     ``product`` gives, as "V" < "Vprime").
@@ -208,7 +193,7 @@ def enumerate_lagrangian_subgroups(d: int, t: int) -> list[LagrangianSubgroup]:
     ns_form(d, t)  # refuses a bad (d, t) before t's record is read
     primes = modulus(t).common_primes(d)
     return [
-        _subgroup(d, t, tuple(zip(primes, choice)))
+        LagrangianSubgroup(d, t, tuple(zip(primes, choice)))
         for choice in product((SELECT_V, SELECT_VPRIME), repeat=len(primes))
     ]
 
@@ -256,7 +241,7 @@ def _selector(d: int, t: int, coords) -> tuple[tuple[int, str], ...]:
 def _subgroup_of(d: int, t: int, coords) -> LagrangianSubgroup:
     """The subgroup the Lagrangian element with these coordinates
     generates: the one its selector names, which must contain it."""
-    sub = _subgroup(d, t, _selector(d, t, coords))
+    sub = LagrangianSubgroup(d, t, _selector(d, t, coords))
     if not sub._has(coords):
         raise InvalidSubgroupError("element is not in the subgroup its selector names")
     return sub
@@ -272,7 +257,7 @@ def involution(d: int, t: int, sub: LagrangianSubgroup) -> LagrangianSubgroup:
     """Flip every selector entry; the identity when m = 1."""
     if (sub.d, sub.t) != (d, t):
         raise InvalidSubgroupError("subgroup belongs to a different (d, t)")
-    return _subgroup(d, t, _flip(sub.selector, modulus(t).primes))
+    return LagrangianSubgroup(d, t, _flip(sub.selector, modulus(t).primes))
 
 
 def units_action(k: int, w: LagrangianElement) -> LagrangianElement:
@@ -302,7 +287,10 @@ class GSpec(Value):
 
     def __init__(self, generator: DFIsometry, order: int):
         self.generator = gen = generator
-        self.order = order
+        try:
+            self.order = order = index(order)
+        except TypeError:
+            raise InvalidParameterError(f"group order must be an integer, got {order!r}") from None
         if gen.domain != gen.codomain:
             raise InvalidIsometryError("generator must be an automorphism")
         neg = _neg_images(gen.domain.orders)
@@ -311,7 +299,7 @@ class GSpec(Value):
             as_isometry(gen.domain, gen.codomain, gen.images)
         if order < 2 or order % 2:
             raise InvalidParameterError("group order must be even and >= 2")
-        if order > 2 * TRANSCENDENTAL_RANK**2 or TRANSCENDENTAL_RANK % totient(order):
+        if order > 2 * TRANSCENDENTAL_RANK**2 or TRANSCENDENTAL_RANK % modulus(order).phi:
             raise InvalidParameterError(
                 f"order {order} is not realizable at transcendental "
                 f"rank {TRANSCENDENTAL_RANK}"

@@ -28,8 +28,15 @@ from .errors import (
 from .intmath import units_mod
 
 
-def _check_t(t: int) -> None:
-    """Refuse a multisection index t < 1, which no family member has."""
+def _check_t(t: int, **others) -> None:
+    """Refuse a multisection index t that is not an integer >= 1, which no
+    family member has, and each of ``others`` (d next to t, say) that is
+    not an integer: an integer is what ``operator.index`` accepts."""
+    for name, x in (("t", t), *others.items()):
+        try:
+            index(x)
+        except TypeError:
+            raise InvalidParameterError(f"{name} must be an integer, got {x!r}") from None
     if t < 1:
         raise InvalidParameterError(f"t must be a positive integer, got {t}")
 
@@ -119,7 +126,7 @@ def ns_gram(d: int, t: int) -> Lattice:
     """The rank-two lattice [[2d, t], [t, 0]] on the basis (H, F): H a
     polarisation-like class of square 2d, F the fibre class of an
     elliptic fibration of multisection index t >= 1."""
-    _check_t(t)
+    _check_t(t, d=d)
     return Lattice(((2 * d, t), (t, 0)))
 
 
@@ -241,7 +248,7 @@ def rank2_isometries(d: int, e: int, t: int) -> tuple[tuple[tuple[int, int], ...
     distinct candidate P is checked, P^T Gram_d P = Gram_e, on plain
     integers: columns u, v pair to 2d u0 v0 + t (u0 v1 + u1 v0).
     """
-    _check_t(t)
+    _check_t(t, d=d, e=e)
     out = []
     for rows in dict.fromkeys(_rank2_candidates(d, e, t)):
         # columns u = (u0, u1) and v = (v0, v1)
@@ -273,7 +280,7 @@ def genus_representatives(d: int, t: int) -> tuple[int, ...]:
     inverse mod t/m, m = gcd(d, t).  So a class is {e} or
     {e, m ((e/m)^-1 mod t/m)}, and its least member represents it.
     """
-    _check_t(t)
+    _check_t(t, d=d)
     m = gcd(d, t)
     n = t // m
     reps = set()

@@ -31,7 +31,7 @@ from .errors import (
     NotApplicableError,
     OutOfScopeError,
 )
-from .intmath import close_units_subgroup, is_prime, modulus, totient, units_mod
+from .intmath import is_prime, modulus, units_mod
 from .lattices import _check_t, genus_representatives
 from .lagrangians import (
     GSpec,
@@ -70,34 +70,35 @@ class MukaiVector(Value):
 def _unit_subgroup(t: int, grp) -> frozenset:
     """The twist group B: ``grp``'s integers (``operator.index``, nothing
     truncated) reduced mod t, checked to be a non-empty subgroup of the
-    units mod t."""
+    units mod t.  A finite set of units closed under products is a
+    group, so closure is checked on every pair."""
     try:
         g = frozenset(index(x) % t for x in grp)
     except TypeError:
         raise InvalidParameterError("B must consist of integers") from None
     if not g or any(gcd(x, t) != 1 for x in g):
         raise InvalidParameterError("B must consist of units mod t")
-    if close_units_subgroup(t, g) != g:
+    if any(x * y % t not in g for x in g for y in g):
         raise InvalidParameterError("B is not closed under products")
     return g
 
 
 def jacobian_index(t: int, k: int) -> int:
     """Index of the k-th Jacobian: t / gcd(t, k)."""
-    _check_t(t)
+    _check_t(t, k=k)
     return t // gcd(t, k)
 
 
 def jacobian_compose(k: int, ell: int, t: int) -> int:
     """Taking the k-th Jacobian of the ell-th gives the (k ell)-th."""
-    _check_t(t)
+    _check_t(t, k=k, ell=ell)
     return k * ell % t
 
 
 def jacobian_class_canonical(k: int, t: int) -> int:
     """Least representative of {k, -k} mod t; Jacobians are t-periodic
     in k and insensitive to its sign."""
-    _check_t(t)
+    _check_t(t, k=k)
     return min(k % t, -k % t)
 
 
@@ -120,7 +121,7 @@ def coprime_jacobian_classes(t: int, b_group) -> tuple[int, tuple[int, ...]]:
             reps.append(u)
             for x in b:
                 seen[u * x % t] = 1
-    if len(reps) != totient(t) // len(b):
+    if len(reps) != modulus(t).phi // len(b):
         raise RuntimeError("coset count disagrees with phi(t)/|B|")
     return len(reps), tuple(reps)
 
@@ -139,7 +140,7 @@ def jspecial_torsor_exists(p: int, h: int) -> bool:
 
 def mukai_divisibility(d: int, t: int, v: MukaiVector) -> int:
     """gcd of the pairings of v with the Mukai lattice: gcd(r, s, H.D, F.D)."""
-    _check_t(t)
+    _check_t(t, d=d)
     x, y = v.D
     return gcd(gcd(v.r, v.s), gcd(2 * d * x + t * y, t * x))
 
@@ -162,7 +163,7 @@ def caldararu_class(d: int, t: int, v: MukaiVector) -> DFElement:
 
 def fibration_count(d: int, t: int) -> int:
     """Two elliptic fibrations unless d = -1 mod t (then F' is a wall away)."""
-    _check_t(t)
+    _check_t(t, d=d)
     return 1 if (d + 1) % t == 0 else 2
 
 
@@ -186,7 +187,7 @@ def allowed_G_orders(rk_t: int) -> tuple[int, ...]:
     if rk_t < 1:
         raise InvalidParameterError("rank must be a positive integer")
     return tuple(
-        n for n in range(2, 2 * rk_t * rk_t + 1, 2) if rk_t % totient(n) == 0
+        n for n in range(2, 2 * rk_t * rk_t + 1, 2) if rk_t % modulus(n).phi == 0
     )
 
 
@@ -323,7 +324,7 @@ def ht_classify(d: int, t: int, t_general: bool) -> HTClass:
     once m has at least seven distinct prime factors; in between the
     question is open without transcendental input.
     """
-    _check_t(t)
+    _check_t(t, d=d)
     m = gcd(d, t)
     omega = len(modulus(t).common_primes(d))
     if m == 1:
@@ -360,19 +361,17 @@ def _isometry_order(d: int, t: int) -> int:
     return order
 
 
-def _anchor(nf, r0: int):
-    """Isometries from each primary part of the bundle ``nf`` onto the
-    same part of ``ns_form(r0, nf.t)``, or None when some part has none.
-    Searched once per bundle and r0 and kept in ``nf.anchors``."""
-    anchors = nf.anchors
-    if r0 not in anchors:
+def _anchor(nf, r0: int) -> None:
+    """Certify that each primary part of the bundle ``nf`` maps
+    isometrically onto the same part of ``ns_form(r0, nf.t)``: searched
+    with ``isometry_between`` once per bundle and r0, which is then kept
+    in ``nf.anchors``.  RuntimeError "genus member lost its form
+    isometry" when some part has none."""
+    if r0 not in nf.anchors:
         targets = ns_form(r0, nf.t).primary_parts
-        phis = tuple(
-            isometry_between(a.form, b.form)
-            for a, b in zip(nf.primary_parts, targets)
-        )
-        anchors[r0] = None if None in phis else phis
-    return anchors[r0]
+        if None in [isometry_between(a.form, b.form) for a, b in zip(nf.primary_parts, targets)]:
+            raise RuntimeError("genus member lost its form isometry")
+        nf.anchors.add(r0)
 
 
 def _is_square_unit(x: int, t_factors) -> bool:
@@ -425,7 +424,7 @@ def fm_sign(d: int, t: int) -> int:
     |O(A)| (|Q| + eps).  ``_fm_walk``, the class-by-class Burnside sum, is
     its oracle (``sweep --verify`` and the tests).
     """
-    _check_t(t)
+    _check_t(t, d=d)
     if t <= 2:
         return 1
     factors = modulus(t).factors
@@ -464,8 +463,7 @@ def fm_count(d: int, t: int, g: GSpec) -> int:
     nf = _acting_form(d, t, g)
     for part in nf.primary_parts:
         require_isometry_budget(part.form)
-    if _anchor(nf, _genus_least(d, t)) is None:
-        raise RuntimeError("genus member lost its form isometry")
+    _anchor(nf, _genus_least(d, t))
     if not g.moving_elements():
         return fm_sign(d, t)
     return _fm_walk(d, t, g)
@@ -512,7 +510,7 @@ def _fm_walk(d: int, t: int, g: GSpec) -> int:
     nf = ns_form(d, t)
     parts = nf.primary_parts
     budget.require(
-        totient(t // nf.m) * sum(part.form.size for part in parts),
+        modulus(t // nf.m).phi * sum(part.form.size for part in parts),
         budget.element_cap(),
         "phi(t/m) * sum of |A_p| for the FM genus walk",
     )
@@ -530,8 +528,8 @@ def _fm_walk(d: int, t: int, g: GSpec) -> int:
     total = 0
     for e in reps:
         nf_e = ns_form(e, t)
-        if e != reps[0] and _anchor(nf_e, reps[0]) is None:
-            raise RuntimeError("genus member lost its form isometry")
+        if e != reps[0]:
+            _anchor(nf_e, reps[0])
         size = nf_e.o_lambda_order
         if order % size:
             raise RuntimeError("O(L) image size does not divide |O(A)|")
@@ -581,7 +579,7 @@ def second_fibration_jacobian(d: int, t: int) -> int:
 
     Needs coinciding Lagrangian subgroups (m = 1) and two fibrations.
     """
-    _check_t(t)
+    _check_t(t, d=d)
     if gcd(d, t) != 1:
         raise NotApplicableError(
             "the two fibrations have different subgroups when gcd(d, t) > 1"
@@ -597,7 +595,7 @@ def jac0_isomorphic(d: int, t: int) -> bool:
     Stated for surfaces with two non-isomorphic fibrations, so d = +-1
     mod t is refused; then the answer is gcd(d, t) = 1.
     """
-    _check_t(t)
+    _check_t(t, d=d)
     if (d - 1) % t == 0 or (d + 1) % t == 0:
         raise NotApplicableError(
             "needs two non-isomorphic fibrations (d != +-1 mod t)"

@@ -2,7 +2,7 @@
 library's two-column ``lattices.row_hnf`` and integer ``overlattice`` are
 held to, and the Fraction vector arithmetic the tests check q, b and
 classes against: ``pair`` and ``square`` on dual vectors, ``in_dual``,
-and ``gens``, ``lift`` and ``element_from_dual`` between a ``LatticeForm``
+and ``gens``, ``lift`` and ``element_from_dual`` between an ``NSForm``
 and its lattice's dual.  A Gram matrix is its rows and a vector is a
 tuple of Fractions in the lattice's basis.  ``lagrangian_generators`` lists the generators
 of a Lagrangian subgroup one multiple at a time.
@@ -34,37 +34,41 @@ def square(gram, x) -> Fraction:
     return pair(gram, x, x)
 
 
-def gens(lf) -> tuple[tuple[Fraction, ...], ...]:
-    """Rational lifts v_i / n_i of the generators of the ``LatticeForm``
-    ``lf``."""
+def _gram(nf):
+    """The Gram rows [[2d, t], [t, 0]] of the family member ``nf``."""
+    return ((2 * nf.d, nf.t), (nf.t, 0))
+
+
+def gens(nf) -> tuple[tuple[Fraction, ...], ...]:
+    """Rational lifts v_i / n_i of the generators of the ``NSForm``
+    ``nf``."""
     return tuple(
         tuple(Fraction(x, n) for x in col)
-        for col, n in zip(lf.columns, lf.form.orders)
+        for col, n in zip(nf.columns, nf.form.orders)
     )
 
 
-def lift(lf, elem) -> tuple[Fraction, ...]:
-    """A dual vector representing the class of ``elem`` in ``lf``'s form."""
-    if elem.form != lf.form:
+def lift(nf, elem) -> tuple[Fraction, ...]:
+    """A dual vector representing the class of ``elem`` in ``nf``'s form."""
+    if elem.form != nf.form:
         raise InvalidElementError("element does not belong to this form")
-    vec = (Fraction(0),) * len(lf.lattice.gram)
-    for c, gen in zip(elem.coords, gens(lf)):
+    vec = (Fraction(0), Fraction(0))
+    for c, gen in zip(elem.coords, gens(nf)):
         if c:
             vec = tuple(a + c * b for a, b in zip(vec, gen))
     return vec
 
 
-def element_from_dual(lf, vec):
+def element_from_dual(nf, vec):
     """Class in L*/L of a dual vector given in L's basis coordinates: the
-    class of the integer vector G vec, read by ``lf``."""
+    class of the integer vector G vec, read by ``nf``."""
     vec = tuple(map(Fraction, vec))
-    lat = lf.lattice
-    g = lat.gram
+    g = _gram(nf)
     if len(vec) != len(g):
         raise InvalidElementError("coordinate length does not match rank")
-    if not in_dual(lat, vec):
+    if not in_dual(Lattice(g), vec):
         raise InvalidElementError("vector is not in the dual lattice")
-    return lf._class_of([int(sum(map(mul, row, vec))) for row in g])
+    return nf._class_of([int(sum(map(mul, row, vec))) for row in g])
 
 
 def lagrangian_generators(sub) -> tuple:

@@ -13,8 +13,8 @@ from math import gcd
 
 from k3fm.discforms import ns_form
 from k3fm.errors import InvalidSubgroupError
-from k3fm.intmath import distinct_primes, modulus
-from k3fm.lagrangians import SELECT_V, SELECT_VPRIME, _subgroup
+from k3fm.intmath import modulus
+from k3fm.lagrangians import SELECT_V, SELECT_VPRIME, LagrangianSubgroup
 
 
 def orbits(items, key, moves):
@@ -52,7 +52,7 @@ def generated_subgroup(d, t, elem):
     b = nf.form.b
     idem = modulus(t).idempotents
     selector = []
-    for p in distinct_primes(gcd(d, t)):
+    for p in modulus(gcd(d, t)).primes:
         wp = idem[p] * elem
         if b(wp.coords, (idem[p] * nf.vbar).coords) == 0:
             selector.append((p, SELECT_V))
@@ -62,7 +62,7 @@ def generated_subgroup(d, t, elem):
             raise InvalidSubgroupError(
                 f"p-part at {p} generates neither canonical subgroup"
             )
-    sub = _subgroup(d, t, tuple(selector))
+    sub = LagrangianSubgroup(d, t, tuple(selector))
     if b(elem.coords, sub.generator.coords) != 0:
         raise InvalidSubgroupError(
             "element is not in the subgroup its selector names"

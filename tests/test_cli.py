@@ -447,8 +447,7 @@ def test_import_builds_no_record_and_factors_nothing():
     src = Path(k3fm.__file__).resolve().parent.parent
     script = (
         "import sys\n"
-        "reads = {'_factor', 'modulus', 'distinct_primes', 'totient',"
-        " 'is_prime', 'units_mod'}\n"
+        "reads = {'_factor', 'modulus', 'is_prime', 'units_mod'}\n"
         "calls = []\n"
         "def watch(frame, event, arg):\n"
         "    if event == 'call' and frame.f_code.co_name in reads:\n"

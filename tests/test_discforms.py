@@ -37,7 +37,7 @@ from k3fm.errors import (
     InvalidParameterError,
     OutOfScopeError,
 )
-from k3fm.intmath import distinct_primes
+from k3fm.intmath import modulus
 from k3fm.lagrangians import GSpec
 from k3fm.lattices import (
     Lattice,
@@ -69,6 +69,11 @@ def test_structure_invariants_rejects_bad_t():
         structure_invariants(1, 0)
     with pytest.raises(InvalidParameterError):
         ns_form(1, -3)
+    # a cached (1, 5) bundle answers no call with t = 5.0 or d = 1.0
+    ns_form(1, 5)
+    for d, t in ((1, 5.0), (1.0, 5)):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            ns_form(d, t)
 
 
 def test_form_size_is_t_squared():
@@ -171,27 +176,26 @@ def test_vbar_vprime_relations():
 
 def test_lift_round_trip():
     for d, t in [(1, 5), (0, 6), (6, 6), (3, 4)]:
-        lf = ns_form(d, t).lf
-        for e in lf.form.elements():
-            vec = lattice_oracle.lift(lf, e)
-            assert lattice_oracle.in_dual(lf.lattice, vec)
-            assert lattice_oracle.element_from_dual(lf, vec) == e
+        nf = ns_form(d, t)
+        for e in nf.form.elements():
+            vec = lattice_oracle.lift(nf, e)
+            assert lattice_oracle.in_dual(ns_gram(d, t), vec)
+            assert lattice_oracle.element_from_dual(nf, vec) == e
 
 
 def test_element_from_dual_rejects_non_dual():
-    lf = ns_form(1, 5).lf
     with pytest.raises(InvalidElementError):
-        lattice_oracle.element_from_dual(lf, (Fraction(1, 7), 0))
+        lattice_oracle.element_from_dual(ns_form(1, 5), (Fraction(1, 7), 0))
 
 
 def test_lift_rejects_foreign_element():
     with pytest.raises(InvalidElementError):
-        lattice_oracle.lift(ns_form(1, 5).lf, ns_form(2, 5).vbar)
+        lattice_oracle.lift(ns_form(1, 5), ns_form(2, 5).vbar)
 
 
 def test_induced_isometry_validates():
-    lf = ns_form(1, 5).lf
-    assert lf.induced_isometry(((1, 0), (0, 1))) == identity_isometry(lf.form)
+    nf = ns_form(1, 5)
+    assert nf.induced_isometry(((1, 0), (0, 1))) == identity_isometry(nf.form)
     for bad, message in (
         (((1,),), "size"),
         (((1, 0), (0, 1), (0, 0)), "size"),
@@ -202,25 +206,24 @@ def test_induced_isometry_validates():
         ([[2, 0], [0, 2]], "q not preserved"),  # keeps L*, not q
     ):
         with pytest.raises(InvalidIsometryError, match=message):
-            lf.induced_isometry(bad)
+            nf.induced_isometry(bad)
 
 
 def test_ns_form_matches_fraction_route():
-    """from_lattice reads q and b off integer SNF data, and ns_form takes
+    """ns_form reads q and b off integer SNF data, and takes
     vbar and vprime as classes of integer vectors; the Fraction route
     they replaced is rebuilt here from public pieces."""
     for t in range(1, 61):
         for d in range(-t, 2 * t):
             nf = ns_form(d, t)
-            lf, ns = nf.lf, ns_gram(d, t)
-            gram, gens = ns.gram, lattice_oracle.gens(lf)
+            gram, gens = ns_gram(d, t).gram, lattice_oracle.gens(nf)
             assert nf.form.q_gen == tuple(lattice_oracle.square(gram, g) % 2 for g in gens)
             assert nf.form.b_matrix == tuple(
                 tuple(lattice_oracle.pair(gram, x, y) % 1 for y in gens) for x in gens
             )
             f, fprime = isotropic_rays(d, t)
-            assert nf.vbar == lattice_oracle.element_from_dual(lf, [c / t for c in f])
-            assert nf.vprime == lattice_oracle.element_from_dual(lf, [c / t for c in fprime])
+            assert nf.vbar == lattice_oracle.element_from_dual(nf, [c / t for c in f])
+            assert nf.vprime == lattice_oracle.element_from_dual(nf, [c / t for c in fprime])
 
 
 def _eager_bundle(d, t):
@@ -267,7 +270,7 @@ def _eager_bundle(d, t):
 
 
 def _assert_lazy_pieces_match(nf, want):
-    assert lattice_oracle.gens(nf.lf) == want["gens"]
+    assert lattice_oracle.gens(nf) == want["gens"]
     for name in ("vbar", "vprime"):
         assert getattr(nf, name) == want[name], name
 
@@ -282,7 +285,10 @@ def test_ns_form_matches_the_eager_generic_route():
             assert nf.form.q_gen == form.q_gen, (d, t)
             assert nf.form.b_matrix == form.b_matrix, (d, t)
             assert nf.form == form, (d, t)
-            assert (nf.lf.diag, nf.lf.u_rows) == (want["diag"], want["u_rows"]), (d, t)
+            # the bundle keeps the rows of U at the invariants above 1
+            assert nf.u_rows == tuple(
+                tuple(row) for row, ni in zip(want["u_rows"], want["diag"]) if ni != 1
+            ), (d, t)
             _assert_lazy_pieces_match(nf, want)
             assert nf.primary_parts == want["parts"], (d, t)
     ns_form.cache_clear()
@@ -299,9 +305,7 @@ def test_fm_count_leaves_genus_members_unexpanded():
     for e in others:
         nf = ns_form(e, t)
         assert nf.primary_parts
-        assert not {"vbar", "vprime"} & set(vars(nf)), e
-        # a LatticeForm has __slots__ and no __dict__ to cache anything in
-        assert "gens" not in getattr(nf.lf, "__dict__", {}), e
+        assert not {"vbar", "vprime", "o_lambda_maps"} & set(vars(nf)), e
     assert ns_form.cache_info().misses == len(others) + 1
     for e in others:
         _assert_lazy_pieces_match(ns_form(e, t), _eager_bundle(e, t))
@@ -395,7 +399,7 @@ def test_fh_matches_the_dual_generator_route():
             pairs = [(0, 1), (1, 0)] + [(k, (3 * k + 1) % t) for k in range(0, t, 4)]
             for a, b in pairs + [(-a, b - t) for a, b in pairs]:
                 vec = [a * x + b * y for x, y in zip(fstar, hstar)]
-                want = lattice_oracle.element_from_dual(nf.lf, vec)
+                want = lattice_oracle.element_from_dual(nf, vec)
                 assert nf.fh(a, b) == want, (d, t, a, b)
 
 
@@ -451,7 +455,7 @@ def _fraction_primary_decomposition(form):
     """The Fraction construction primary_decomposition used before it
     read the parent's integer view: q_i m_i^2 mod 2, b_ij m_i m_j mod 1."""
     parts = []
-    for p in distinct_primes(form.size):
+    for p in modulus(form.size).primes:
         indices, part_orders, cofactors = [], [], []
         for i, n in enumerate(form.orders):
             pk = 1

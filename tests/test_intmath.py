@@ -8,11 +8,8 @@ from k3fm.errors import CapacityError
 from k3fm.intmath import (
     MR_BOUND,
     _factor,
-    close_units_subgroup,
-    distinct_primes,
     is_prime,
     modulus,
-    totient,
     units_mod,
 )
 
@@ -72,17 +69,17 @@ def test_factorize_squares_through_the_root():
 
 
 def test_omega_and_primes():
-    assert distinct_primes(1) == ()
-    assert distinct_primes(60) == (2, 3, 5)
-    assert len(distinct_primes(510510)) == 7
+    assert modulus(1).primes == ()
+    assert modulus(60).primes == (2, 3, 5)
+    assert len(modulus(510510).primes) == 7
 
 
 def test_totient_small_table():
     # phi(1..10) straight from the definition
     expected = [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
     for n, e in enumerate(expected, start=1):
-        assert totient(n) == e
-    assert totient(510510) == 92160
+        assert modulus(n).phi == e
+    assert modulus(510510).phi == 92160
 
 
 def test_is_prime_small():
@@ -178,10 +175,3 @@ def test_factor_refuses_past_its_bounds(monkeypatch):
     with pytest.raises(CapacityError, match="did not split within 1000 rho steps"):
         _factor((10**9 + 7) * (10**9 + 9))
     assert _factor(3 * (10**9 + 7)) == ((3, 1), (10**9 + 7, 1))
-
-
-def test_close_units_subgroup():
-    assert close_units_subgroup(13, {5}) == frozenset({1, 5, 12, 8})
-    assert close_units_subgroup(7, {3}) == frozenset({1, 2, 3, 4, 5, 6})
-    with pytest.raises(ValueError):
-        close_units_subgroup(6, {2})

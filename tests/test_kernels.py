@@ -22,7 +22,7 @@ from k3fm.discforms import (
     isometry_group,
     ns_form,
 )
-from k3fm.intmath import distinct_primes
+from k3fm.intmath import modulus
 from k3fm.lagrangians import GSpec, _lagrangian_coords, count_lagrangians
 from k3fm.lattices import Lattice, genus_representatives
 from k3fm.surfaces import de_counts, fm_count
@@ -164,7 +164,7 @@ def test_element_scan_matches_brute_scan():
     for d, t in ORACLE_GRID:
         form = ns_form(d, t).form
         n1, n2, den, q1, q2, b12 = _kernel_setup(form, form)[:6]
-        p = min(distinct_primes(t))
+        p = min(modulus(t).primes)
         for order in {1, p, t // p, t, 2 * t}:
             args = (n1, n2, q1, q2, b12, den, order)
             if args in seen:
@@ -202,7 +202,7 @@ def test_element_scan_matches_brute_scan_off_the_family(a, b, c, data):
     # with 2 <= |A| = |det| <= 3000; order runs over the divisors of 2 n2,
     # so orders no element has are drawn too
     assume(2 <= abs(4 * a * c - b * b) <= 3000)
-    form = from_lattice(Lattice([[2 * a, b], [b, 2 * c]])).form
+    form = from_lattice(Lattice([[2 * a, b], [b, 2 * c]]))
     n1, n2, den, q1, q2, b12 = _kernel_setup(form, form)[:6]
     order = data.draw(st.sampled_from([k for k in range(1, 2 * n2 + 1) if 2 * n2 % k == 0]))
     args = (n1, n2, q1, q2, b12, den, order)

@@ -3,6 +3,7 @@ action and the group G.  The counting law is cross-checked by full
 enumeration on a grid; the classification is cross-checked by
 partitioning the enumerated elements into the enumerated subgroups."""
 
+from fractions import Fraction
 from math import gcd
 
 import lattice_oracle
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from k3fm.discforms import (
     DFIsometry,
-    FiniteQuadForm,
     as_isometry,
     identity_isometry,
     isometry_between,
@@ -28,7 +28,7 @@ from k3fm.errors import (
     InvalidParameterError,
     InvalidSubgroupError,
 )
-from k3fm.intmath import distinct_primes, totient
+from k3fm.intmath import modulus
 from k3fm.lagrangians import (
     SELECT_V,
     SELECT_VPRIME,
@@ -57,9 +57,9 @@ def test_count_law_against_enumeration():
         want_elems, want_subs = count_lagrangians(d, t)
         assert len(elems) == want_elems, (d, t)
         assert len(subs) == want_subs, (d, t)
-        omega_m = len(distinct_primes(gcd(d, t)))
+        omega_m = len(modulus(gcd(d, t)).primes)
         assert want_subs == 2**omega_m
-        assert want_elems == totient(t) * 2**omega_m
+        assert want_elems == modulus(t).phi * 2**omega_m
 
 
 def test_count_rejects_bad_t():
@@ -184,29 +184,39 @@ def test_selector_validation():
     nf = ns_form(6, 6)
     both = ((2, SELECT_V), (3, SELECT_V))
     with pytest.raises(InvalidSubgroupError, match="selector primes"):
-        LagrangianSubgroup(6, 6, ((2, SELECT_V),), nf.vbar)  # missing prime 3
+        LagrangianSubgroup(6, 6, ((2, SELECT_V),))  # missing prime 3
     with pytest.raises(InvalidSubgroupError, match="V or Vprime"):
-        LagrangianSubgroup(6, 6, ((2, "W"), (3, SELECT_V)), nf.vbar)
-    with pytest.raises(InvalidSubgroupError, match="order t"):
-        LagrangianSubgroup(6, 6, both, 2 * nf.vbar)  # generator order 3, not 6
-    with pytest.raises(InvalidSubgroupError, match="not isotropic"):
-        # order 6 in A = Z/6 + Z/6, with q = 1/6
-        LagrangianSubgroup(6, 6, both, nf.form.element((0, 1)))
-    with pytest.raises(InvalidSubgroupError, match="this family group"):
-        # isotropic of order 6, but in the group of (0, 6), not of (6, 6)
-        LagrangianSubgroup(6, 6, both, ns_form(0, 6).vbar)
+        LagrangianSubgroup(6, 6, ((2, "W"), (3, SELECT_V)))
+    with pytest.raises(InvalidSubgroupError, match="positive integer"):
+        LagrangianSubgroup(6, 0, ())
+    # the all-V subgroup is <vbar>, and a subgroup is its selector
+    sub = LagrangianSubgroup(6, 6, both)
+    assert sub.generator == nf.vbar
+    assert sub == enumerate_lagrangian_subgroups(6, 6)[0] and sub is not nf
     # q = 1 is not isotropic: q lives in Q/2Z, not Q/Z
-    form = ns_form(0, 6).form
-    q_one = form.element((1, 3))
+    q_one = ns_form(0, 6).form.element((1, 3))
     assert (q_one.order(), q_one.q(), q_one.is_isotropic()) == (6, 1, False)
-    with pytest.raises(InvalidSubgroupError, match="not isotropic"):
-        LagrangianSubgroup(0, 6, both, q_one)
     with pytest.raises(InvalidElementError, match="not isotropic"):
         LagrangianElement(q_one)
-    # an equal form that is another object passes the form check
-    twin = FiniteQuadForm(nf.form.orders, nf.form.den, nf.form.qn, nf.form.bn)
-    assert twin is not nf.form
-    LagrangianSubgroup(6, 6, both, twin.element(nf.vbar.coords))
+
+
+def test_subgroup_generators_on_the_grid():
+    # each derived generator has order t, is isotropic and lies in the
+    # family's form, and every unit multiple of it generates its subgroup
+    checked = 0
+    for t in range(1, 61):
+        units = [u for u in (1, 2, t - 1) if gcd(u, t) == 1]
+        for d in range(-t, 2 * t):
+            form = ns_form(d, t).form
+            for sub in enumerate_lagrangian_subgroups(d, t):
+                g = sub.generator
+                assert g.form is form, (d, t)
+                assert g.order() == t and g.is_isotropic(), (d, t, sub.selector)
+                for u in units:
+                    w = LagrangianElement(u * g)
+                    assert subgroup_generated_by(d, t, w) == sub, (d, t, sub.selector, u)
+                checked += 1
+    assert checked == 8_364  # sum of 2^omega(gcd(d, t)) over the grid
 
 
 def test_involution_is_an_involution():
@@ -303,6 +313,10 @@ def test_gspec_validation():
     assert GSpec(sigma4, 4).kernel_order == 1
     assert GSpec(sigma4, 4).image_elements() == sigma4.powers()
     assert GSpec(sigma4, 8).kernel_order == 2
+    # the order is an integer, never a float, Fraction or string read as one
+    for order in (4.0, Fraction(4), "4", None):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            GSpec.sign_group(form, order)
 
 
 def test_sign_group_is_not_revalidated(monkeypatch):

@@ -1,14 +1,17 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
+from pathlib import Path
 
 import lattice_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 from snf_oracle import det, matmul, smith_normal_form
 
+import k3fm
 from k3fm import lattices
 from k3fm.discforms import isometry_between, ns_form
 from k3fm.intmath import units_mod
@@ -208,11 +211,11 @@ def test_overlattice_equals_the_fraction_route():
     for t in range(1, 25):
         for d in range(-t, 2 * t):
             lat = ns_gram(d, t)
-            lf = ns_form(d, t).lf
-            isotropic = [e for e in lf.form.elements() if e.is_isotropic()]
+            nf = ns_form(d, t)
+            isotropic = [e for e in nf.form.elements() if e.is_isotropic()]
             lifts = [
                 tuple(c + rng.randint(-2, 2)
-                      for c in lattice_oracle.lift(lf, rng.choice(isotropic)))
+                      for c in lattice_oracle.lift(nf, rng.choice(isotropic)))
                 for _ in range(16)
             ]
             cases = [lifts[i:i + 2] for i in range(0, 16, 2)]
@@ -305,8 +308,8 @@ def test_overlattice_index_matches_class_closure():
     for t in range(1, 8):
         for d in range(-t, 2 * t):
             lat = ns_gram(d, t)
-            lf = ns_form(d, t).lf
-            lifts = [lattice_oracle.lift(lf, e) for e in lf.form.elements() if e.is_isotropic()]
+            nf = ns_form(d, t)
+            lifts = [lattice_oracle.lift(nf, e) for e in nf.form.elements() if e.is_isotropic()]
             for pair in combinations_with_replacement(lifts, 2):
                 closure = _class_closure(pair)
                 isotropic = all(lattice_oracle.square(lat.gram, x) % 2 == 0 for x in closure)
@@ -326,8 +329,8 @@ def test_overlattice_rows_always_have_full_rank():
     sets_tried = 0
     for t in range(1, 11):
         for d in range(-t, 2 * t):
-            lf = ns_form(d, t).lf
-            lifts = [lattice_oracle.lift(lf, e) for e in lf.form.elements() if e.is_isotropic()]
+            nf = ns_form(d, t)
+            lifts = [lattice_oracle.lift(nf, e) for e in nf.form.elements() if e.is_isotropic()]
             sets = [(x,) for x in lifts]
             sets += list(combinations_with_replacement(lifts, 2))
             for gens in sets:
@@ -458,3 +461,47 @@ def test_genus_past_the_isometry_budget():
     reps = genus_representatives(1, p)
     assert len(reps) == (len(squares) + fixed) // 2 == 2502
     assert set(reps) <= squares
+
+
+# every public function that calls lattices._check_t, as a call on (d, t);
+# the jacobian functions take k where the others take d
+T_CHECKED = {
+    "ns_gram": lambda d, t: k3fm.ns_gram(d, t),
+    "rank2_isometries": lambda d, t: k3fm.rank2_isometries(d, d, t),
+    "genus_representatives": lambda d, t: k3fm.genus_representatives(d, t),
+    "structure_invariants": lambda d, t: k3fm.structure_invariants(d, t),
+    "count_lagrangians": lambda d, t: k3fm.count_lagrangians(d, t),
+    "jacobian_index": lambda d, t: k3fm.jacobian_index(t, d),
+    "jacobian_compose": lambda d, t: k3fm.jacobian_compose(d, 3, t),
+    "jacobian_class_canonical": lambda d, t: k3fm.jacobian_class_canonical(d, t),
+    "mukai_divisibility":
+        lambda d, t: k3fm.mukai_divisibility(d, t, k3fm.MukaiVector(0, (0, 1), 0)),
+    "fibration_count": lambda d, t: k3fm.fibration_count(d, t),
+    "ht_classify": lambda d, t: k3fm.ht_classify(d, t, True),
+    "fm_sign": lambda d, t: k3fm.fm_sign(d, t),
+    "second_fibration_jacobian": lambda d, t: k3fm.second_fibration_jacobian(d, t),
+    "jac0_isomorphic": lambda d, t: k3fm.jac0_isomorphic(d, t),
+}
+
+
+def test_t_checked_lists_every_public_caller_of_check_t():
+    src = Path(lattices.__file__).parent
+    callers = set()
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and any(
+                isinstance(n, ast.Name) and n.id == "_check_t" for n in ast.walk(node)
+            ):
+                callers.add(node.name)
+    assert callers == set(T_CHECKED)
+
+
+@pytest.mark.parametrize("name", sorted(T_CHECKED))
+def test_non_integer_d_and_t_are_refused(name):
+    call = T_CHECKED[name]
+    call(2, 5)
+    for bad in (1.5, 5.0, Fraction(5), "5", None):
+        with pytest.raises(InvalidParameterError, match="t must be"):
+            call(2, bad)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call(bad, 5)

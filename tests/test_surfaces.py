@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from k3fm import cli
 from k3fm.discforms import (
     DFIsometry,
-    LatticeForm,
     NSForm,
     as_isometry,
     identity_isometry,
@@ -34,7 +33,7 @@ from k3fm.errors import (
     OutOfScopeError,
 )
 from k3fm import kernels, surfaces
-from k3fm.intmath import close_units_subgroup, distinct_primes, modulus, totient, units_mod
+from k3fm.intmath import modulus, units_mod
 from k3fm.lagrangians import (
     GSpec,
     _lagrangian_coords,
@@ -144,6 +143,17 @@ def test_coprime_jacobian_classes_rejections():
         coprime_jacobian_classes(10, {1, 5, 9})  # 5 is not a unit
 
 
+def test_unit_subgroup_accepts_only_closed_sets_of_units():
+    # a finite set of units closed under products is a group
+    assert coprime_jacobian_classes(13, {1, 5, 8, 12}) == (3, (1, 2, 4))
+    assert coprime_jacobian_classes(7, range(1, 7)) == (1, (1,))
+    assert coprime_jacobian_classes(7, {8, 13}) == (3, (1, 2, 3))  # reduced mod 7
+    with pytest.raises(InvalidParameterError, match="not closed under products"):
+        coprime_jacobian_classes(13, {1, 5, 12})
+    with pytest.raises(InvalidParameterError, match="units mod t"):
+        coprime_jacobian_classes(6, {1, 2, 5})
+
+
 def test_coprime_jacobian_classes_check_the_coset_count(monkeypatch):
     # a walk that misses the coset {1, -1} must not go unnoticed
     monkeypatch.setattr(surfaces, "units_mod", lambda t: units_mod(t)[1:-1])
@@ -152,8 +162,14 @@ def test_coprime_jacobian_classes_check_the_coset_count(monkeypatch):
 
 
 def _admissible_twist_groups(t):
-    """Every subgroup <g, -1> of (Z/t)* of order 2, 4 or 6."""
-    groups = {close_units_subgroup(t, {g, t - 1}) for g in units_mod(t)}
+    """Every subgroup <g, -1> = {+-g^k} of (Z/t)* of order 2, 4 or 6."""
+    groups = set()
+    for g in units_mod(t):
+        powers, x = {1}, g
+        while x != 1:
+            powers.add(x)
+            x = x * g % t
+        groups.add(frozenset(powers | {t - x for x in powers}))
     return sorted((sorted(b) for b in groups if len(b) in (2, 4, 6)))
 
 
@@ -242,12 +258,12 @@ def test_caldararu_class_matches_the_dual_vector_route():
     # vector, t_v = gcd(r, s, H.D, F.D) computed here
     for t in range(1, 31):
         for d in range(-t, 2 * t):
-            lf = ns_form(d, t).lf
+            nf = ns_form(d, t)
             for v in _square_zero_vectors(d, t):
                 x, y = v.D
                 t_v = gcd(gcd(v.r, v.s), gcd(2 * d * x + t * y, t * x))
                 want = lattice_oracle.element_from_dual(
-                    lf, (Fraction(-x, t_v), Fraction(-y, t_v))
+                    nf, (Fraction(-x, t_v), Fraction(-y, t_v))
                 )
                 assert caldararu_class(d, t, v) == want, (d, t, v)
 
@@ -393,34 +409,32 @@ def test_o_images_structure():
 
 def test_induced_isometry_matches_dual_vector_route():
     # the integer map against the Fraction route: M gen_i as a dual vector;
-    # the rows under one key of o_lambda_rows induce one map, and distinct
-    # keys distinct maps
+    # isometries with one key M adj(Gram) mod t^2 induce one map, and
+    # distinct keys distinct maps, so o_lambda_order counts the maps
     for t in range(1, 31):
+        n = t * t
         for d in range(-t, 2 * t):
             nf = ns_form(d, t)
-            lf = nf.lf
-            grouped = [rows for group in nf.o_lambda_rows.values() for rows in group]
-            assert sorted(grouped) == sorted(rank2_isometries(d, d, t)), (d, t)
+            assert sorted(rows for rows, _ in nf.o_lambda_maps) == sorted(
+                rank2_isometries(d, d, t)), (d, t)
             nef = isotropic_rays(d, t)[: fibration_count(d, t)]
-            plus, maps = set(), []
-            for group in nf.o_lambda_rows.values():
-                induced = set()
-                for m in group:
-                    images = tuple(
-                        lattice_oracle.element_from_dual(lf, tuple(
-                            sum(m[i][k] * g[k] for k in range(2))
-                            for i in range(2)
-                        )).coords
-                        for g in lattice_oracle.gens(lf)
-                    )
-                    assert lf.induced_isometry(m).images == images
-                    induced.add(images)
-                    if (m[0][1], m[1][1]) in nef:
-                        plus.add(images)
-                assert len(induced) == 1, (d, t)
-                maps.append(induced.pop())
-            full = set(maps)
-            assert len(full) == len(maps) == nf.o_lambda_order, (d, t)
+            plus, keyed = set(), set()
+            for m, iso in nf.o_lambda_maps:
+                images = tuple(
+                    lattice_oracle.element_from_dual(nf, tuple(
+                        sum(m[i][k] * g[k] for k in range(2))
+                        for i in range(2)
+                    )).coords
+                    for g in lattice_oracle.gens(nf)
+                )
+                assert iso.images == nf.induced_isometry(m).images == images
+                key = tuple((-t * y % n, (2 * d * y - t * x) % n) for x, y in m)
+                keyed.add((key, images))
+                if (m[0][1], m[1][1]) in nef:
+                    plus.add(images)
+            full = {images for _, images in keyed}
+            assert len(keyed) == len({key for key, _ in keyed}) == len(full), (d, t)
+            assert len(full) == nf.o_lambda_order, (d, t)
             assert [s.images for s in o_lambda_image(d, t)] == sorted(full)
             assert [s.images for s in o_plus_image(d, t)] == sorted(plus), (d, t)
 
@@ -448,13 +462,13 @@ def test_o_lambda_maps_are_validated_once_per_bundle(monkeypatch):
     # a moving G lists the O(L) image of every genus class on every
     # fm_count call; the maps are validated on the first and kept
     calls = []
-    real = LatticeForm.induced_isometry
+    real = NSForm.induced_isometry
 
     def counted(self, mat):
         calls.append(mat)
         return real(self, mat)
 
-    monkeypatch.setattr(LatticeForm, "induced_isometry", counted)
+    monkeypatch.setattr(NSForm, "induced_isometry", counted)
     ns_form.cache_clear()
     form = ns_form(20, 25).form
     g = GSpec(as_isometry(form, form, ((4, 25), (4, 49))), 10)
@@ -462,9 +476,7 @@ def test_o_lambda_maps_are_validated_once_per_bundle(monkeypatch):
     assert len(reps) >= 2
     assert fm_count(20, 25, g) == 2
     validated = sum(len(ns_form(e, 25).o_lambda_maps) for e in reps)
-    assert len(calls) == validated == sum(
-        len(group) for e in reps for group in ns_form(e, 25).o_lambda_rows.values()
-    )
+    assert len(calls) == validated == sum(len(rank2_isometries(e, e, 25)) for e in reps)
     assert fm_count(20, 25, g) == 2
     o_lambda_image(20, 25)
     o_plus_image(20, 25)
@@ -477,7 +489,7 @@ def test_o_lambda_maps_are_validated_once_per_bundle(monkeypatch):
             maps = ns_form(d, t).o_lambda_maps
             assert sorted(rows for rows, _ in maps) == sorted(rank2_isometries(d, d, t))
             for rows, iso in maps:
-                assert iso == real(ns_form(d, t).lf, rows), (d, t, rows)
+                assert iso == real(ns_form(d, t), rows), (d, t, rows)
 
 
 def test_aut_orders_frozen():
@@ -645,7 +657,7 @@ def test_de_counts_match_the_cycle_count_for_every_cyclic_group():
     # G generated by each isometry whose powers hold -id, with the least
     # order GSpec accepts; the Burnside counts against sigma's cycles on
     # the elements and on the subgroups
-    orders = [n for n in range(2, 801, 2) if 20 % totient(n) == 0]
+    orders = [n for n in range(2, 801, 2) if 20 % modulus(n).phi == 0]
     pairs = 0
     for t in range(3, 41):
         for d in range(t):
@@ -823,7 +835,7 @@ def test_fm_count_anchors_live_on_the_cached_bundle(monkeypatch):
     # one part, 4's, onto the part of 1; the least member is not searched
     # onto itself
     assert len(calls) == 1
-    assert set(ns_form(4, 5).anchors) == {1} and ns_form(1, 5).anchors == {}
+    assert ns_form(4, 5).anchors == {1} and ns_form(1, 5).anchors == set()
     calls.clear()
     assert _fm_walk(1, 5, _sign(1, 5)) == 2
     assert calls == []
@@ -834,7 +846,7 @@ def test_fm_count_anchors_live_on_the_cached_bundle(monkeypatch):
         fm_count(4, 5, _sign(4, 5))
     monkeypatch.delenv("K3FM_BUDGET")
     ns_form.cache_clear()
-    assert ns_form(1, 5).anchors == {}
+    assert ns_form(1, 5).anchors == set()
     assert _fm_walk(1, 5, _sign(1, 5)) == 2
     assert len(calls) == 1
 
@@ -1016,7 +1028,7 @@ def test_part_order_matches_the_isometry_scan():
     # p^k <= 100 are every part the default isometry budget admits
     checked = 0
     for q in range(2, 101):
-        if len(distinct_primes(q)) != 1:
+        if len(modulus(q).primes) != 1:
             continue
         for d in range(q):
             nf = ns_form(d, q)
@@ -1031,7 +1043,7 @@ def test_one_prime_form_is_its_own_part():
     # form object, and restricting a map of the O(L) image gives it back
     checked = 0
     for q in range(2, 101):
-        if len(distinct_primes(q)) != 1:
+        if len(modulus(q).primes) != 1:
             continue
         for d in range(-q, 2 * q):
             nf = ns_form(d, q)
@@ -1041,7 +1053,7 @@ def test_one_prime_form_is_its_own_part():
             for iso in o_lambda_image(d, q):
                 assert part.restrict(iso).images == iso.images, (d, q)
             checked += 1
-    assert checked == 3 * sum(q for q in range(2, 101) if len(distinct_primes(q)) == 1)
+    assert checked == 3 * sum(q for q in range(2, 101) if len(modulus(q).primes) == 1)
 
 
 def test_de_counts_each_fm_partner_with_its_fibrations(monkeypatch):
@@ -1093,14 +1105,14 @@ def test_o_lambda_order_matches_a_brute_box_search():
     # (H, F) -> (v, w) sends the dual vector g0 H + g1 F to g0 v + g1 w
     for t in range(1, 31):
         for e in range(t):
-            lf = ns_form(e, t).lf
+            nf = ns_form(e, t)
             maps = {
                 tuple(
-                    lattice_oracle.element_from_dual(lf, (
+                    lattice_oracle.element_from_dual(nf, (
                         v[0] * g[0] + w[0] * g[1],
                         v[1] * g[0] + w[1] * g[1],
                     )).coords
-                    for g in lattice_oracle.gens(lf)
+                    for g in lattice_oracle.gens(nf)
                 )
                 for v, w in _brute_matrices(e, t)
             }
@@ -1128,7 +1140,7 @@ def test_cyclic_odd_part_groups_have_two_to_the_omega():
     cells = [(d, t) for t in range(3, 80, 2) for d in range(t) if gcd(2 * d, t) == 1]
     cells += [(1, 1001), (2, 15015), (4, 255255)]
     for d, t in cells:
-        assert _part_group_order(d, t) == 2 ** len(distinct_primes(t)), (d, t)
+        assert _part_group_order(d, t) == 2 ** len(modulus(t).primes), (d, t)
 
 
 def test_fm_count_is_the_jacobian_count_past_the_old_wall(monkeypatch):
