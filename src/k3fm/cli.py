@@ -50,6 +50,7 @@ from .lattices import _check_t, ns_gram, overlattice
 from .surfaces import (
     MukaiVector,
     _de_closed_form,
+    _de_walk,
     _fm_walk,
     _isometry_order,
     caldararu_class,
@@ -439,10 +440,11 @@ def _verify_cell(d: int, t: int, row: dict):
             raise SweepVerifyError(
                 f"cell d={d} t={t}: involution is not an involution"
             )
-    closed = _de_closed_form(d, t)
-    if closed is not None and row["de"] != closed[0]:
+    walked = _de_walk(d, t, GSpec.sign_group(ns_form(d, t).form))
+    if (row["de"], row["de_orbits"]) != walked:
         raise SweepVerifyError(
-            f"cell d={d} t={t}: de={row['de']} but closed form {closed[0]}"
+            f"cell d={d} t={t}: de={row['de']} de_orbits={row['de_orbits']}"
+            f" but the subgroup walk gives {walked[0]} and {walked[1]}"
         )
     if row["fm"] is not None and row["fm"] < 1:
         raise SweepVerifyError(f"cell d={d} t={t}: fm={row['fm']} < 1")

@@ -94,8 +94,7 @@ class LagrangianSubgroup(Value):
 
     def __init__(self, d: int, t: int, selector: tuple[tuple[int, str], ...]):
         self.d, self.t, self.selector = d, t, selector
-        if t < 1:
-            raise InvalidSubgroupError(f"t must be a positive integer, got {t}")
+        _check_t(t, d=d)
         primes = modulus(t).common_primes(d)
         if tuple(p for p, _ in selector) != primes:
             raise InvalidSubgroupError(
@@ -159,8 +158,10 @@ def _lagrangian_coords(d: int, t: int) -> list[tuple[int, ...]]:
     """Coordinate tuples of the isotropic order-t elements, sorted: the
     unit multiples of a generator of each isotropic cyclic subgroup of
     order t, one q-test per p-part.  It backs element listings and the
-    check in ``de_counts`` that the subgroups hold every element; no count
-    walks it.  The element budget bounds the whole group (t^2 elements)."""
+    DE checks: the closed form's element count and canonical classes
+    (``de_counts``), and that the subgroups hold every element
+    (``_de_walk``); no count walks it.  The element budget bounds the
+    whole group (t^2 elements)."""
     form = ns_form(d, t).form
     budget.require(form.size, budget.element_cap(), "|A| for an element scan")
     if form.rank == 0:

@@ -9,6 +9,7 @@ T-general flag.  A twist group B of units mod t enters only the coset
 count of ``coprime_jacobian_classes``.
 """
 
+from bisect import bisect_left
 from enum import Enum
 from math import gcd, prod
 from operator import eq, index
@@ -245,9 +246,9 @@ def aut_orders(d: int, t: int, g: GSpec) -> tuple[int, int]:
 
 
 def _de_closed_form(d: int, t: int):
-    """The T-general DE counts: half the Lagrangian elements (-1 pairs
-    them off) and every Lagrangian subgroup (-1 fixes each); None for
-    t <= 2, where the closed form does not apply."""
+    """The DE counts for G's image {+-1}: half the Lagrangian elements
+    (-1 pairs them off) and every Lagrangian subgroup (-1 fixes each);
+    None for t <= 2, where the closed form does not apply."""
     if t <= 2:
         return None
     elements, subgroups = count_lagrangians(d, t)
@@ -262,22 +263,17 @@ def de_counts(d: int, t: int, g: GSpec, t_general: bool) -> tuple[int, int]:
     (``t_general``) admits only G = {+-1} (InvalidParameterError).
 
     The first number counts G-orbits of Lagrangian elements, the second
-    of Lagrangian subgroups.  Each element generates exactly one of the
-    2^omega(m) subgroups L, so Burnside's lemma over G's image (cyclic of
-    order n, generated by sigma) reads both off sigma^k(g_L), k = 1..n,
-    for each generator g_L.  sigma^k fixes L when sigma^k(g_L) lies in L
-    (``L._has``, as L = L-perp), and then acts on L as a unit multiple, so
-    it fixes all phi(t) generators of L or none, by whether sigma^k(g_L) =
-    g_L.  Hence de = phi(t) (fixed generators) / n and de_orbits = (fixed
-    subgroups) / n; no element is walked.  RuntimeError when sigma^n does
-    not bring some g_L back, or when a Burnside sum is not a multiple of n.
-
-    For T-general members with t > 2 both numbers are checked against the
-    closed forms 2^(omega(m)-1) phi(t) and 2^omega(m), and beyond the
-    element budget that is the answer.  Otherwise the scan of Lagrangian
-    elements (``_lagrangian_coords``) runs once, as the cross-check that
-    the subgroups account for every element (phi(t) generators each); it
-    is what raises CapacityError beyond the budget.
+    of Lagrangian subgroups.  Both depend only on G's image.  For an
+    image {+-1} and t > 2 they are the closed forms 2^(omega(m)-1) phi(t)
+    and 2^omega(m) (``_de_closed_form``), whatever ``t_general`` is: -1
+    pairs off the elements and fixes every subgroup.  Within the element
+    budget the one scan of Lagrangian elements (``_lagrangian_coords``)
+    certifies them: it must hold 2^omega(m) phi(t) elements, among them
+    the classes of F/t and F'/t (``nf.vbar``, ``nf.vprime``), found by
+    binary search in the sorted scan; RuntimeError otherwise.  Past the
+    budget the closed forms are the answer, unscanned.  A G with moving
+    elements, or t <= 2, is walked subgroup by subgroup (``_de_walk``),
+    which is also the oracle of the closed forms (``sweep --verify``).
 
     For G = {+-1} and t > 2, de counts FM partners with a fibration: with
     w(e) = |O(A)| / |H_e| for each genus class e (``fm_count``, where
@@ -285,8 +281,41 @@ def de_counts(d: int, t: int, g: GSpec, t_general: bool) -> tuple[int, int]:
     the two counts to it on every cell with t <= 60.
     """
     nf = _acting_form(d, t, g)
-    if t_general and g.moving_elements():
+    moving = g.moving_elements()
+    if t_general and moving:
         raise InvalidParameterError("T-general surfaces admit only {+-1} as G")
+    if moving or t <= 2:
+        return _de_walk(d, t, g)
+    de, orbits = _de_closed_form(d, t)
+    if nf.form.size <= budget.element_cap():
+        coords = _lagrangian_coords(d, t)
+        if len(coords) != 2 * de:
+            raise RuntimeError("element scan disagrees with the closed form")
+        for v in (nf.vbar.coords, nf.vprime.coords):
+            i = bisect_left(coords, v)
+            if coords[i:i + 1] != [v]:
+                raise RuntimeError("element scan misses a canonical class")
+    return de, orbits
+
+
+def _de_walk(d: int, t: int, g: GSpec) -> tuple[int, int]:
+    """``de_counts`` by a Burnside walk over the Lagrangian subgroups; G
+    must act on A.
+
+    Each element generates exactly one of the 2^omega(m) subgroups L, so
+    Burnside's lemma over G's image (cyclic of order n, generated by
+    sigma) reads both counts off sigma^k(g_L), k = 1..n, for each
+    generator g_L.  sigma^k fixes L when sigma^k(g_L) lies in L
+    (``L._has``, as L = L-perp), and then acts on L as a unit multiple, so
+    it fixes all phi(t) generators of L or none, by whether sigma^k(g_L) =
+    g_L.  Hence de = phi(t) (fixed generators) / n and de_orbits = (fixed
+    subgroups) / n; no element is walked.  RuntimeError when sigma^n does
+    not bring some g_L back, or when a Burnside sum is not a multiple of n.
+
+    The scan of Lagrangian elements (``_lagrangian_coords``) then runs
+    once, as the cross-check that the subgroups account for every element
+    (phi(t) generators each); it raises CapacityError beyond the budget.
+    """
     subs = enumerate_lagrangian_subgroups(d, t)
     move, n = g.generator.action(), len(g.image_elements())
     phi = modulus(t).phi
@@ -301,18 +330,9 @@ def de_counts(d: int, t: int, g: GSpec, t_general: bool) -> tuple[int, int]:
             raise RuntimeError("sigma^n is not the identity on a subgroup generator")
     if phi * fixed_generators % n or fixed_subgroups % n:
         raise RuntimeError("Burnside sum is not a multiple of |G image|")
-    de, orbits = phi * fixed_generators // n, fixed_subgroups // n
-    closed = _de_closed_form(d, t) if t_general else None
-    if closed is not None:
-        if closed[1] != orbits:
-            raise RuntimeError("orbit count disagrees with the closed form")
-        if closed[0] != de:
-            raise RuntimeError("element orbit count disagrees with the closed form")
-        if nf.form.size > budget.element_cap():
-            return de, orbits
     if len(_lagrangian_coords(d, t)) != len(subs) * phi:
         raise RuntimeError("subgroups do not account for the scanned elements")
-    return de, orbits
+    return phi * fixed_generators // n, fixed_subgroups // n
 
 
 def ht_classify(d: int, t: int, t_general: bool) -> HTClass:

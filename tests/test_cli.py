@@ -857,6 +857,35 @@ def test_sweep_verify_checks_fm_against_the_genus_walk(capsys, monkeypatch):
     assert "cell d=2 t=6: fm=1 but the genus walk gives 2" in err
 
 
+def test_sweep_verify_checks_de_against_the_subgroup_walk(capsys, monkeypatch):
+    # the sign group's closed DE counts are checked against the Burnside
+    # walk over the Lagrangian subgroups on every row
+    walk = k3fm.cli._de_walk
+
+    def off_by_one(d, t, g):
+        de, orbits = walk(d, t, g)
+        return de + ((d, t) == (2, 6)), orbits
+
+    monkeypatch.setattr("k3fm.cli._de_walk", off_by_one)
+    code, out, err = run_cli(
+        ["sweep", "--t-min", "1", "--t-max", "12", "--verify"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "cell d=2 t=6: de=2 de_orbits=2 but the subgroup walk gives 3 and 2" in err
+
+
+def test_de_sign_group_past_the_element_budget_is_the_closed_form(capsys):
+    # -id given as --g-gen is not T-general, and |A| = 2001^2 is over the
+    # element budget: the closed form answers unscanned
+    code, out, err = run_cli(
+        ["de", "--d", "0", "--t", "2001", "--g-gen", "2000,0;0,2000", "--json"], capsys
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["de"], payload["de_orbits"], payload["t_general"]) == (4928, 8, False)
+
+
 def test_sweep_verify_checks_de_against_fm(capsys, monkeypatch):
     # probe P17: 2 fm = de + w(1) + w(t - 1) over the classes 1 and t - 1
     # of the genus; with every weight read as 0 the first row with 1 in

@@ -26,6 +26,13 @@ FIXED = [
     ["fm", "--d", "0", "--t", "97", "--g-gen", "22,0;0,75", "--g-order", "4", "--json"],
     ["de", "--d", "0", "--t", "97", "--g-gen", "22,0;0,75", "--g-order", "4", "--json"],
     ["lagr", "--d", "30", "--t", "2000", "--list", "--json"],
+    ["de", "--d", "6", "--t", "12", "--t-general", "--json"],
+    ["de", "--d", "30", "--t", "2000", "--t-general", "--json"],
+    ["de", "--d", "0", "--t", "2000", "--json"],
+    ["de", "--d", "1", "--t", "2001", "--json"],
+    ["de", "--d", "0", "--t", "2", "--json"],
+    ["de", "--d", "1", "--t", "1", "--json"],
+    ["sweep", "--t-min", "1", "--t-max", "12", "--verify"],
 ]
 
 

@@ -187,7 +187,7 @@ def test_selector_validation():
         LagrangianSubgroup(6, 6, ((2, SELECT_V),))  # missing prime 3
     with pytest.raises(InvalidSubgroupError, match="V or Vprime"):
         LagrangianSubgroup(6, 6, ((2, "W"), (3, SELECT_V)))
-    with pytest.raises(InvalidSubgroupError, match="positive integer"):
+    with pytest.raises(InvalidParameterError, match="positive integer"):
         LagrangianSubgroup(6, 0, ())
     # the all-V subgroup is <vbar>, and a subgroup is its selector
     sub = LagrangianSubgroup(6, 6, both)
@@ -317,6 +317,20 @@ def test_gspec_validation():
     for order in (4.0, Fraction(4), "4", None):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             GSpec.sign_group(form, order)
+
+
+def test_subgroup_refuses_non_integer_d_and_t():
+    # refused before t's record is read, whether or not (1, 5) and t = 5
+    # are cached
+    for warm in (False, True):
+        if warm:
+            LagrangianSubgroup(1, 5, ())
+        else:
+            modulus.cache_clear()
+            ns_form.cache_clear()
+        for d, t in ((1, 5.0), (1, Fraction(5)), (1, "5"), (1.5, 5), (1.0, 5)):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                LagrangianSubgroup(d, t, ())
 
 
 def test_sign_group_is_not_revalidated(monkeypatch):

@@ -63,6 +63,7 @@ from k3fm.surfaces import (
     jacobian_index,
     jspecial_torsor_exists,
     mukai_divisibility,
+    _de_walk,
     _fm_walk,
     _is_square_unit,
     _isometry_order,
@@ -548,11 +549,17 @@ def test_de_counts_big_squarefree():
 
 
 def test_de_counts_raises_when_g_leaves_the_scan(monkeypatch):
-    # the subgroups then hold one element more than the scan
+    # the closed form and the subgroups then count one element more than
+    # the scan holds
+    g4 = GSpec(_sigma4(), 4)
     scan = surfaces._lagrangian_coords
     monkeypatch.setattr(surfaces, "_lagrangian_coords", lambda d, t: scan(d, t)[1:])
-    with pytest.raises(RuntimeError, match="subgroups do not account for the scanned"):
+    with pytest.raises(RuntimeError, match="element scan disagrees with the closed form"):
         de_counts(0, 5, _sign(0, 5), True)
+    with pytest.raises(RuntimeError, match="subgroups do not account for the scanned"):
+        _de_walk(0, 5, _sign(0, 5))
+    with pytest.raises(RuntimeError, match="subgroups do not account for the scanned"):
+        de_counts(0, 5, g4, False)
 
 
 def test_de_counts_checks_the_element_count_against_the_closed_form(monkeypatch):
@@ -565,8 +572,27 @@ def test_de_counts_checks_the_element_count_against_the_closed_form(monkeypatch)
 
     monkeypatch.setattr(surfaces, "_lagrangian_coords", without_a_pair)
     for d, t in [(0, 5), (1, 7), (4, 10)]:  # rank 2, rank 1, m = 2
+        for t_general in (True, False):
+            with pytest.raises(RuntimeError, match="element scan disagrees"):
+                de_counts(d, t, _sign(d, t), t_general)
         with pytest.raises(RuntimeError, match="subgroups do not account for the scanned"):
-            de_counts(d, t, _sign(d, t), True)
+            _de_walk(d, t, _sign(d, t))
+
+
+def test_de_counts_checks_the_canonical_classes_against_the_scan(monkeypatch):
+    # the class of F/t or of F'/t swapped for 0 keeps the scan's length
+    scan = surfaces._lagrangian_coords
+    for d, t in [(0, 5), (1, 7), (4, 10)]:  # rank 2, rank 1, m = 2
+        nf = ns_form(d, t)
+        zero = (0,) * nf.form.rank
+        for v in (nf.vbar.coords, nf.vprime.coords):
+            swapped = sorted([c for c in scan(d, t) if c != v] + [zero])
+            assert len(swapped) == len(scan(d, t))
+            monkeypatch.setattr(surfaces, "_lagrangian_coords", lambda d, t: swapped)
+            with pytest.raises(RuntimeError, match="misses a canonical class"):
+                de_counts(d, t, _sign(d, t), True)
+            monkeypatch.setattr(surfaces, "_lagrangian_coords", scan)
+        assert de_counts(d, t, _sign(d, t), True) == surfaces._de_closed_form(d, t)
 
 
 def test_de_counts_checks_the_subgroup_count_against_the_closed_form(monkeypatch):
@@ -574,8 +600,11 @@ def test_de_counts_checks_the_subgroup_count_against_the_closed_form(monkeypatch
     monkeypatch.setattr(
         surfaces, "enumerate_lagrangian_subgroups", lambda d, t: subgroups(d, t)[1:]
     )
-    with pytest.raises(RuntimeError, match="^orbit count disagrees"):
-        de_counts(6, 6, _sign(6, 6), True)
+    # only the walk reads the subgroups; its scan then holds phi(t)
+    # elements more than the three subgroups left
+    with pytest.raises(RuntimeError, match="subgroups do not account for the scanned"):
+        _de_walk(6, 6, _sign(6, 6))
+    assert de_counts(6, 6, _sign(6, 6), True) == (4, 4)
 
 
 def _coordinate_images(sigma, points):
@@ -678,7 +707,7 @@ def test_de_counts_match_the_cycle_count_for_every_cyclic_group():
 
 
 def _moved(monkeypatch, image):
-    """Make de_counts apply ``image(c)`` in place of sigma on coordinates."""
+    """Make the DE walk apply ``image(c)`` in place of sigma on coordinates."""
     monkeypatch.setattr(DFIsometry, "action", lambda sigma: image)
 
 
@@ -687,7 +716,7 @@ def test_de_counts_raises_when_sigma_is_not_a_unit_multiple(monkeypatch):
     # steps of the translate move it to (1, 2)
     _moved(monkeypatch, lambda c: (c[0], (c[1] + 1) % 5))
     with pytest.raises(RuntimeError, match="sigma\\^n is not the identity"):
-        de_counts(0, 5, _sign(0, 5), True)
+        _de_walk(0, 5, _sign(0, 5))
 
 
 def test_de_counts_raises_when_the_unit_order_does_not_divide(monkeypatch):
@@ -695,7 +724,7 @@ def test_de_counts_raises_when_the_unit_order_does_not_divide(monkeypatch):
     # image, which has order n = 2
     _moved(monkeypatch, lambda c: tuple(2 * x % 5 for x in c))
     with pytest.raises(RuntimeError, match="sigma\\^n is not the identity"):
-        de_counts(0, 5, _sign(0, 5), True)
+        _de_walk(0, 5, _sign(0, 5))
 
 
 def test_de_counts_raises_when_a_burnside_sum_is_not_a_multiple_of_n(monkeypatch):
@@ -703,15 +732,52 @@ def test_de_counts_raises_when_a_burnside_sum_is_not_a_multiple_of_n(monkeypatch
     # so the subgroups' fixed points number 2 + 1 for n = 2
     _moved(monkeypatch, lambda c: ((c[0] + c[1]) % 5, -c[1] % 5))
     with pytest.raises(RuntimeError, match="Burnside sum is not a multiple"):
-        de_counts(0, 5, _sign(0, 5), True)
+        _de_walk(0, 5, _sign(0, 5))
 
 
-def test_de_counts_checks_p12_against_the_closed_form(monkeypatch):
+def test_de_counts_checks_p12_against_the_closed_form(monkeypatch, capsys):
     # the identity passes the sigma^n check but fixes all phi(t) generators
-    # of each subgroup at both powers, twice the closed form
+    # of each subgroup at both powers, twice the closed form, which the
+    # sweep's check against the walk reports
     _moved(monkeypatch, lambda c: c)
-    with pytest.raises(RuntimeError, match="element orbit count disagrees"):
-        de_counts(0, 5, _sign(0, 5), True)
+    assert _de_walk(0, 5, _sign(0, 5)) == (8, 2)
+    argv = ["sweep", "--t-min", "5", "--t-max", "5", "--d-min", "0", "--d-max", "0"]
+    assert cli.main(argv) == 0
+    assert cli.main([*argv, "--verify"]) == 1
+    err = capsys.readouterr().err
+    assert "cell d=0 t=5: de=4 de_orbits=2 but the subgroup walk gives 8 and 2" in err
+
+
+def test_de_counts_is_the_subgroup_walk_for_the_sign_group():
+    # the closed form against the Burnside walk, both flags; the
+    # order-4 group acting through {+-1} has the same image
+    cells = 0
+    for t in range(3, 61):
+        for d in range(-t, 2 * t):
+            g = _sign(d, t)
+            walked = _de_walk(d, t, g)
+            assert de_counts(d, t, g, True) == walked == de_counts(d, t, g, False), (d, t)
+            cells += 1
+    assert cells == 5481
+    for d, t in ((0, 5), (6, 12), (4, 10)):
+        assert de_counts(d, t, _sign(d, t, 4), False) == _de_walk(d, t, _sign(d, t)), (d, t)
+
+
+def test_de_counts_for_the_sign_group_builds_no_subgroup(monkeypatch):
+    def refuse(d, t):
+        raise AssertionError("subgroups enumerated")
+
+    calls = []
+    scan = kernels.scan_isotropic_elements
+    monkeypatch.setattr(surfaces, "enumerate_lagrangian_subgroups", refuse)
+    monkeypatch.setattr(
+        kernels, "scan_isotropic_elements", lambda *a: calls.append(a) or scan(*a)
+    )
+    assert de_counts(6, 12, _sign(6, 12), True) == (8, 4)
+    assert de_counts(0, 5, _sign(0, 5), False) == (4, 2)
+    assert len(calls) == 2
+    with pytest.raises(AssertionError, match="subgroups enumerated"):
+        de_counts(0, 5, GSpec(_sigma4(), 4), False)
 
 
 def test_de_counts_scans_once_within_the_budget_and_never_beyond(monkeypatch):
